@@ -10,9 +10,14 @@ Three likelihoods are provided:
   microscopy data (uncut fibers, X population V), including the
   -n log k_theta normalizer so reported values are absolute.
 
-Every evaluation is pure.  Data sums use math.fsum (exactly rounded), which
-makes the results independent of data ordering and makes duplicating a
-dataset double the log likelihood, gradient and Hessian exactly.
+Every evaluation is pure.  Densities are evaluated once per distinct
+value, and every data sum runs over the sorted unique values weighted by
+their counts.  The log likelihood is exactly rounded: it is one math.fsum
+over Dekker's error-free products count * log f, so it equals math.fsum of
+the per-point terms bit for bit.  Because every sum runs over one sorted
+array, results do not depend on data order, and because doubling a count
+scales each product by exactly 2, duplicating a dataset doubles the log
+likelihood, gradient and Hessian exactly.
 
 Gradients and Hessians are assembled from the mixture structure
 
@@ -26,7 +31,7 @@ test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,8 +41,11 @@ from .densities import (
     LognParams,
     MixtureParams,
     ParamVector,
+    _PAIRS2,
+    _PAIRS3,
     _component_stack,
     _n_coords,
+    _packed_to_full,
     decode,
 )
 from .geometry import CoreGeometry, _prob_uncut_unchecked
@@ -77,10 +85,18 @@ class Dataset:
 
     scale "X" marks OFA data (every cell in the core, cut or uncut);
     scale "V" marks microscopy data (uncut fibers only).
+
+    The likelihoods work on the collapsed form computed at construction:
+    ``unique`` holds the sorted distinct values, ``counts`` (float) how often
+    each occurs, and ``inverse`` the position in ``unique`` of each entry of
+    ``values``, so ``unique[inverse]`` reproduces ``values``.
     """
 
     values: np.ndarray
     scale: str = "X"
+    unique: np.ndarray = field(init=False, repr=False, compare=False)
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
+    inverse: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float).ravel()
@@ -92,6 +108,8 @@ class Dataset:
         if bad.size:
             raise DataValidationError("lengths must be finite and positive", bad)
         self.values = arr
+        self.unique, self.inverse, counts = np.unique(arr, return_inverse=True, return_counts=True)
+        self.counts = counts.astype(float)
 
     @property
     def n(self) -> int:
@@ -115,12 +133,46 @@ class LikelihoodEvaluation:
     per_point_loglik: np.ndarray | None = None
 
 
-def _fsum(arr) -> float:
-    return math.fsum(np.asarray(arr, dtype=float).tolist())
+_SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's constant for splitting a double
 
 
-def _fsum_rows(mat) -> np.ndarray:
-    return np.array([_fsum(row) for row in np.atleast_2d(mat)])
+def _split(a):
+    """Split doubles into high and low halves of at most 26 significant bits each."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _weighted_fsum(values, counts) -> float:
+    """Exactly rounded sum of counts * values.
+
+    Each product is carried as Dekker's error-free pair p + e (p the rounded
+    product, e its exact rounding error), and math.fsum adds all pairs with
+    one rounding, so the result equals math.fsum over the expanded terms.
+    Exact unless a product overflows or its error underflows, which cannot
+    happen for log densities and integer counts.
+    """
+    p = counts * values
+    vh, vl = _split(values)
+    ch, cl = _split(counts)
+    e = ((ch * vh - p) + ch * vl + cl * vh) + cl * vl
+    return math.fsum(np.concatenate([p, e]).tolist())
+
+
+def _symmetric_hessian(d2_sum, score, w):
+    """d2_sum - sum_k w_k score_k score_k^T, upper triangle mirrored.
+
+    Mirroring makes the result exactly symmetric, which the matrix product
+    alone does not guarantee.
+    """
+    hess = np.triu(d2_sum - (w * score) @ score.T)
+    return hess + np.triu(hess, 1).T
+
+
+def _evaluation(per_point, grad, hess, data: Dataset) -> LikelihoodEvaluation:
+    """Weight per-unique-value log terms by counts; per-point terms in input order."""
+    loglik = _weighted_fsum(per_point, data.counts)
+    return LikelihoodEvaluation(loglik, grad, hess, per_point[data.inverse])
 
 
 def _as_params(theta):
@@ -133,7 +185,7 @@ def _as_params(theta):
 
 
 def _stack_height(cn: int, order: int) -> int:
-    hp = {3: 6, 2: 3}[cn]
+    hp = len(_PAIRS3 if cn == 3 else _PAIRS2)
     return 1 + (cn if order >= 1 else 0) + (hp if order >= 2 else 0)
 
 
@@ -152,11 +204,6 @@ def _stack_fn(p: ComponentParams, order: int):
     return fn
 
 
-def _pair_index(cn: int):
-    pairs = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)) if cn == 3 else ((0, 0), (0, 1), (1, 1))
-    return pairs
-
-
 def _split_stack(stack, cn: int, order: int):
     f = stack[0]
     grad = stack[1 : 1 + cn] if order >= 1 else None
@@ -164,47 +211,35 @@ def _split_stack(stack, cn: int, order: int):
     return f, grad, hess
 
 
-def _mixture_eval(eps, parts_fines, parts_fibers, cn: int, order: int):
-    """Assemble loglik/grad/hess sums from per-point component stacks.
+def _mixture_eval(mix: MixtureParams, parts_of, data: Dataset, order: int) -> LikelihoodEvaluation:
+    """Mixture log likelihood and count-weighted derivative sums.
 
-    parts_* are (f, grad, hess_packed) per-point arrays on the relevant
-    scale (censored for the full likelihood, plain densities for the
-    uncensored initialization problem).
+    parts_of(component, label) returns the component's (f, grad, hess_packed)
+    arrays over the unique data values on the relevant scale (censored for
+    the full likelihood, plain densities for the uncensored initialization
+    problem).  A component with zero weight is not evaluated.
     """
-    f_n, d_n, h_n = parts_fines
-    f_b, d_b, h_b = parts_fibers
-    f = eps * f_n + (1.0 - eps) * f_b
-    fc = np.maximum(f, _TINY)
-    per_point = np.log(fc)
-    loglik = _fsum(per_point)
-    if order < 1:
-        return loglik, None, None, per_point
-
-    n_par = 1 + 2 * cn
-    n_obs = f.shape[-1]
-    df = np.zeros((n_par, n_obs))
-    de = eps - eps * eps
-    df[0] = de * (f_n - f_b)
-    df[1 : 1 + cn] = eps * d_n
-    df[1 + cn :] = (1.0 - eps) * d_b
-    score = df / fc
-    grad = _fsum_rows(score)
-    if order < 2:
-        return loglik, grad, None, per_point
-
-    d2f = np.zeros((n_par, n_par, n_obs))
-    d2f[0, 0] = de * (1.0 - 2.0 * eps) * (f_n - f_b)
-    for j in range(cn):
-        d2f[0, 1 + j] = d2f[1 + j, 0] = de * d_n[j]
-        d2f[0, 1 + cn + j] = d2f[1 + cn + j, 0] = -de * d_b[j]
-    for row, (i, j) in enumerate(_pair_index(cn)):
-        d2f[1 + i, 1 + j] = d2f[1 + j, 1 + i] = eps * h_n[row]
-        d2f[1 + cn + i, 1 + cn + j] = d2f[1 + cn + j, 1 + cn + i] = (1.0 - eps) * h_b[row]
-    hess = np.empty((n_par, n_par))
-    for i in range(n_par):
-        for j in range(i, n_par):
-            hess[i, j] = hess[j, i] = _fsum(d2f[i, j] / fc - score[i] * score[j])
-    return loglik, grad, hess, per_point
+    eps, w = mix.eps, data.counts
+    cn = _n_coords(mix.fines)
+    zero = _split_stack(np.zeros((_stack_height(cn, order), data.unique.size)), cn, order)
+    f_n, d_n, h_n = parts_of(mix.fines, "fines") if eps > 0.0 else zero
+    f_b, d_b, h_b = parts_of(mix.fibers, "fibers") if eps < 1.0 else zero
+    fc = np.maximum(eps * f_n + (1.0 - eps) * f_b, _TINY)
+    grad = hess = None
+    if order >= 1:
+        de = eps - eps * eps
+        score = np.concatenate([[de * (f_n - f_b)], eps * d_n, (1.0 - eps) * d_b]) / fc
+        grad = score @ w
+    if order >= 2:
+        v = w / fc
+        d2_sum = np.zeros((1 + 2 * cn, 1 + 2 * cn))
+        d2_sum[0, 0] = de * (1.0 - 2.0 * eps) * ((f_n - f_b) @ v)
+        d2_sum[0, 1 : 1 + cn] = de * (d_n @ v)
+        d2_sum[0, 1 + cn :] = -de * (d_b @ v)
+        d2_sum[1 : 1 + cn, 1 : 1 + cn] = eps * _packed_to_full(h_n @ v, cn)
+        d2_sum[1 + cn :, 1 + cn :] = (1.0 - eps) * _packed_to_full(h_b @ v, cn)
+        hess = _symmetric_hessian(d2_sum, score, w)
+    return _evaluation(np.log(fc), grad, hess, data)
 
 
 def _censored_parts(x, p: ComponentParams, geom, cfg, order, label: str):
@@ -223,15 +258,6 @@ def _plain_parts(x, p: ComponentParams, order):
     cn = _n_coords(p)
     stack = _stack_fn(p, order)(x)
     return _split_stack(stack, cn, order)
-
-
-def _zero_parts(n_obs: int, cn: int, order: int):
-    hp = {3: 6, 2: 3}[cn]
-    return (
-        np.zeros(n_obs),
-        np.zeros((cn, n_obs)) if order >= 1 else None,
-        np.zeros((hp, n_obs)) if order >= 2 else None,
-    )
 
 
 def ofa_loglik(
@@ -253,20 +279,9 @@ def ofa_loglik(
     if data.scale != "X":
         raise ValueError("OFA likelihood requires a dataset on the X scale")
     data.validate_support(geom)
-    x = data.values
-    cn = _n_coords(mix.fines)
-    parts_n = (
-        _censored_parts(x, mix.fines, geom, cfg, order, "fines")
-        if mix.eps > 0.0
-        else _zero_parts(x.size, cn, order)
+    return _mixture_eval(
+        mix, lambda c, label: _censored_parts(data.unique, c, geom, cfg, order, label), data, order
     )
-    parts_b = (
-        _censored_parts(x, mix.fibers, geom, cfg, order, "fibers")
-        if mix.eps < 1.0
-        else _zero_parts(x.size, cn, order)
-    )
-    loglik, grad, hess, per_point = _mixture_eval(mix.eps, parts_n, parts_b, cn, order)
-    return LikelihoodEvaluation(loglik, grad, hess, per_point)
 
 
 def init_loglik(
@@ -282,39 +297,20 @@ def init_loglik(
     geometry is involved and no integrals are required.
     """
     params = _as_params(theta)
+    x = data.unique
     if isinstance(params, MixtureParams):
-        cn = _n_coords(params.fines)
-        parts_n = (
-            _plain_parts(data.values, params.fines, order)
-            if params.eps > 0.0
-            else _zero_parts(data.n, cn, order)
-        )
-        parts_b = (
-            _plain_parts(data.values, params.fibers, order)
-            if params.eps < 1.0
-            else _zero_parts(data.n, cn, order)
-        )
-        loglik, grad, hess, per_point = _mixture_eval(params.eps, parts_n, parts_b, cn, order)
-        return LikelihoodEvaluation(loglik, grad, hess, per_point)
+        return _mixture_eval(params, lambda c, _: _plain_parts(x, c, order), data, order)
 
-    f, d, h = _plain_parts(data.values, params, order)
-    return _single_component_eval(f, d, h, params, order)
-
-
-def _single_component_eval(f, d, h, params, order):
+    f, d, h = _plain_parts(x, params, order)
     fc = np.maximum(f, _TINY)
-    per_point = np.log(fc)
-    loglik = _fsum(per_point)
+    w = data.counts
     grad = hess = None
     if order >= 1:
         score = d / fc
-        grad = _fsum_rows(score)
+        grad = score @ w
     if order >= 2:
-        cn = _n_coords(params)
-        hess = np.empty((cn, cn))
-        for row, (i, j) in enumerate(_pair_index(cn)):
-            hess[i, j] = hess[j, i] = _fsum(h[row] / fc - score[i] * score[j])
-    return LikelihoodEvaluation(loglik, grad, hess, per_point)
+        hess = _symmetric_hessian(_packed_to_full(h @ (w / fc), _n_coords(params)), score, w)
+    return _evaluation(np.log(fc), grad, hess, data)
 
 
 def micro_loglik(
@@ -341,8 +337,9 @@ def micro_loglik(
     if data.scale != "V":
         raise ValueError("microscopy likelihood requires a dataset on the V scale")
     data.validate_support(geom)
-    v = data.values
-    n = v.size
+    v = data.unique
+    w = data.counts
+    n = data.n
     cn = _n_coords(p)
 
     f, d, h = _plain_parts(v, p, order)
@@ -362,17 +359,13 @@ def micro_loglik(
     fc = np.maximum(f, _TINY)
     log_puc = np.log(np.maximum(_prob_uncut_unchecked(v, geom.r), _TINY))
     per_point = np.log(fc) + log_puc - np.log(k0)
-    loglik = _fsum(np.log(fc) + log_puc) - n * np.log(k0)
     grad = hess = None
     if order >= 1:
         kj = kint[1 : 1 + cn]
         score = d / fc
-        grad = _fsum_rows(score) - n * kj / k0
+        grad = score @ w - n * kj / k0
     if order >= 2:
-        kjk = kint[1 + cn :]
-        hess = np.empty((cn, cn))
-        for row, (i, j) in enumerate(_pair_index(cn)):
-            data_term = _fsum(h[row] / fc - score[i] * score[j])
-            norm_term = kjk[row] / k0 - kj[i] * kj[j] / (k0 * k0)
-            hess[i, j] = hess[j, i] = data_term - n * norm_term
-    return LikelihoodEvaluation(loglik, grad, hess, per_point)
+        norm_term = _packed_to_full(kint[1 + cn :], cn) / k0 - np.outer(kj, kj) / (k0 * k0)
+        d2_sum = _packed_to_full(h @ (w / fc), cn) - n * norm_term
+        hess = _symmetric_hessian(d2_sum, score, w)
+    return _evaluation(per_point, grad, hess, data)

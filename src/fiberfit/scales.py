@@ -188,20 +188,19 @@ def _censored_tail_terms(x_sorted, p: ComponentParams, geom: CoreGeometry, cfg: 
     return T, S
 
 
-def _censored_component_stack(x, p: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig, stack_fn, n_stack: int):
-    """Observed-scale (X) values of a density stack at arbitrary points.
+def _censored_component_stack(xu, p: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig, stack_fn, n_stack: int):
+    """Observed-scale (X) values of a density stack at sorted unique points.
 
     Evaluates p_uc(x) g_q(x) + int_x^inf k(x|y) g_q(y) dy for each stack row,
-    vectorized over x through one shared suffix-quadrature pass.
+    vectorized over xu (strictly ascending) through one shared
+    suffix-quadrature pass.
     """
-    x = np.asarray(x, dtype=float)
     r = geom.r
-    xu, inv = np.unique(x, return_inverse=True)
     T, S = _censored_tail_terms(xu, p, geom, cfg, stack_fn, n_stack)
     direct = stack_fn(xu) * _prob_uncut_unchecked(xu, r)
     root = np.sqrt(np.clip(4.0 * r * r - xu * xu, 0.0, None))
-    cut = ((8.0 * r * r - 3.0 * xu * xu) * T + xu * S) / root
-    return (direct + cut)[:, inv]
+    direct += ((8.0 * r * r - 3.0 * xu * xu) * T + xu * S) / root
+    return direct
 
 
 def density_x_component(x, p: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig = DEFAULT_CONFIG):
@@ -210,7 +209,8 @@ def density_x_component(x, p: ComponentParams, geom: CoreGeometry, cfg: Quadratu
     if np.any(arr <= 0.0) or np.any(arr >= 2.0 * geom.r):
         raise ValueError("x must lie strictly inside (0, 2r)")
     stack_fn = lambda y: np.atleast_2d(component_pdf(y, p))
-    out = _censored_component_stack(arr, p, geom, cfg, stack_fn, 1)[0]
+    xu, inv = np.unique(arr, return_inverse=True)
+    out = _censored_component_stack(xu, p, geom, cfg, stack_fn, 1)[0][inv]
     return float(out[0]) if np.ndim(x) == 0 else out
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from fiberfit import (
     micro_loglik,
     ofa_loglik,
 )
+from fiberfit.likelihood import _weighted_fsum
 from conftest import MIX_SIM, fd_gradient, fd_jacobian, rel_err
 
 
@@ -66,6 +68,27 @@ def micro_data():
     return Dataset(v[(v > 0.05) & (v < 4.9)][:30], "V")
 
 
+@pytest.fixture(scope="module")
+def tied_ofa_data():
+    # OFA lengths at the analyzer's 0.01 mm resolution, in sampling order
+    rng = np.random.default_rng(15)
+    x = np.concatenate(
+        [0.1 * rng.gamma(2.0, 1.0, 30) ** (1 / 1.5), 2.0 * rng.gamma(2.2, 1.0, 50) ** (1 / 2.8)]
+    )
+    x = np.clip(np.round(rng.permutation(x), 2), 0.01, 11.99)
+    assert np.unique(x).size < x.size
+    return Dataset(x, "X")
+
+
+@pytest.fixture(scope="module")
+def tied_micro_data():
+    rng = np.random.default_rng(16)
+    v = 2.4 * rng.gamma(1.5, 1.0, 300) ** (1 / 3.3)
+    v = np.round(v[(v > 0.05) & (v < 4.9)][:200], 2)
+    assert np.unique(v).size < v.size
+    return Dataset(v, "V")
+
+
 def test_dataset_validation():
     with pytest.raises(DataValidationError) as err:
         Dataset(np.array([1.0, -2.0, 0.0]), "X")
@@ -87,15 +110,16 @@ def test_ofa_requires_matching_inputs(geom6, ofa_data):
         ofa_loglik(MIX_SIM, Dataset(ofa_data.values, "V"), geom6)
 
 
-def test_ofa_eps_zero_reduces_to_fibers(geom6, ofa_data):
-    mix = MixtureParams(0.0, MIX_SIM.fines, MIX_SIM.fibers)
-    full = ofa_loglik(mix, ofa_data, geom6)
-    direct = math.fsum(np.log(density_x_component(ofa_data.values, mix.fibers, geom6)).tolist())
-    assert full.loglik == direct
-    mix1 = MixtureParams(1.0, MIX_SIM.fines, MIX_SIM.fibers)
-    only_fines = ofa_loglik(mix1, ofa_data, geom6)
-    direct1 = math.fsum(np.log(density_x_component(ofa_data.values, mix1.fines, geom6)).tolist())
-    assert only_fines.loglik == direct1
+def test_ofa_eps_zero_reduces_to_fibers(geom6, ofa_data, tied_ofa_data):
+    for data in (ofa_data, tied_ofa_data):
+        mix = MixtureParams(0.0, MIX_SIM.fines, MIX_SIM.fibers)
+        full = ofa_loglik(mix, data, geom6)
+        direct = math.fsum(np.log(density_x_component(data.values, mix.fibers, geom6)).tolist())
+        assert full.loglik == direct
+        mix1 = MixtureParams(1.0, MIX_SIM.fines, MIX_SIM.fibers)
+        only_fines = ofa_loglik(mix1, data, geom6)
+        direct1 = math.fsum(np.log(density_x_component(data.values, mix1.fines, geom6)).tolist())
+        assert only_fines.loglik == direct1
 
 
 def test_ofa_gradient_matches_fd(geom6, ofa_data):
@@ -203,30 +227,87 @@ def test_micro_rejects_mixture(geom25, micro_data):
         micro_loglik(GgdParams(2, 2, 2), Dataset(micro_data.values, "X"), geom25)
 
 
-def test_permutation_invariance_exact(geom6, ofa_data):
+def test_permutation_invariance_exact(geom6, ofa_data, tied_ofa_data):
     rng = np.random.default_rng(12)
-    ev = ofa_loglik(MIX_SIM, ofa_data, geom6, order=2)
-    shuffled = Dataset(ofa_data.values[rng.permutation(ofa_data.n)], "X")
-    ev2 = ofa_loglik(MIX_SIM, shuffled, geom6, order=2)
-    assert ev.loglik == ev2.loglik
-    assert np.array_equal(ev.gradient, ev2.gradient)
-    assert np.array_equal(ev.hessian, ev2.hessian)
+    for data in (ofa_data, tied_ofa_data):
+        ev = ofa_loglik(MIX_SIM, data, geom6, order=2)
+        shuffled = Dataset(data.values[rng.permutation(data.n)], "X")
+        ev2 = ofa_loglik(MIX_SIM, shuffled, geom6, order=2)
+        assert ev.loglik == ev2.loglik
+        assert np.array_equal(ev.gradient, ev2.gradient)
+        assert np.array_equal(ev.hessian, ev2.hessian)
 
 
-def test_doubling_exact(geom6, ofa_data):
-    ev = ofa_loglik(MIX_SIM, ofa_data, geom6, order=2)
-    doubled = Dataset(np.concatenate([ofa_data.values, ofa_data.values]), "X")
-    ev2 = ofa_loglik(MIX_SIM, doubled, geom6, order=2)
-    assert ev2.loglik == 2.0 * ev.loglik
-    assert np.array_equal(ev2.gradient, 2.0 * ev.gradient)
-    assert np.array_equal(ev2.hessian, 2.0 * ev.hessian)
+def test_doubling_exact(geom6, ofa_data, tied_ofa_data):
+    for data in (ofa_data, tied_ofa_data):
+        ev = ofa_loglik(MIX_SIM, data, geom6, order=2)
+        doubled = Dataset(np.concatenate([data.values, data.values]), "X")
+        ev2 = ofa_loglik(MIX_SIM, doubled, geom6, order=2)
+        assert ev2.loglik == 2.0 * ev.loglik
+        assert np.array_equal(ev2.gradient, 2.0 * ev.gradient)
+        assert np.array_equal(ev2.hessian, 2.0 * ev.hessian)
 
 
-def test_per_point_diagnostics_in_input_order(geom6, ofa_data):
-    ev = ofa_loglik(MIX_SIM, ofa_data, geom6)
-    assert ev.per_point_loglik.shape == (ofa_data.n,)
-    one = ofa_loglik(MIX_SIM, Dataset(ofa_data.values[:1], "X"), geom6)
-    assert one.per_point_loglik[0] == pytest.approx(ev.per_point_loglik[0], abs=1e-12)
+def test_per_point_diagnostics_in_input_order(geom6, ofa_data, tied_ofa_data):
+    for data in (ofa_data, tied_ofa_data):
+        ev = ofa_loglik(MIX_SIM, data, geom6)
+        assert ev.per_point_loglik.shape == (data.n,)
+        one = ofa_loglik(MIX_SIM, Dataset(data.values[:1], "X"), geom6)
+        assert one.per_point_loglik[0] == pytest.approx(ev.per_point_loglik[0], abs=1e-12)
+
+
+def test_init_tied_data(tied_ofa_data):
+    data = tied_ofa_data
+    t0 = _theta_of(MIX_SIM)
+    ev = init_loglik(MIX_SIM, data, order=2)
+    assert ev.loglik == math.fsum(ev.per_point_loglik.tolist())
+    fines, fibers = ggd_pdf(data.values, MIX_SIM.fines), ggd_pdf(data.values, MIX_SIM.fibers)
+    eps = MIX_SIM.eps
+    assert np.array_equal(ev.per_point_loglik, np.log(eps * fines + (1.0 - eps) * fibers))
+    fd = fd_gradient(lambda t: init_loglik(_unpack_ggd(t), data).loglik, t0, h=1e-6)
+    assert rel_err(ev.gradient, fd) < 1e-6
+    fd2 = fd_jacobian(lambda t: init_loglik(_unpack_ggd(t), data, order=1).gradient, t0, h=1e-4)
+    assert rel_err(ev.hessian, fd2) < 1e-4
+    assert np.array_equal(ev.hessian, ev.hessian.T)
+
+
+@pytest.mark.parametrize("p", [GgdParams(2.4, 3.3, 1.5), LognParams(0.9, 0.35)])
+def test_micro_and_single_component_init_tied_data(geom25, tied_micro_data, p):
+    data = tied_micro_data
+    if isinstance(p, GgdParams):
+        t0, unpack = np.log([p.b, p.d, p.k]), lambda t: GgdParams(*np.exp(t))
+    else:
+        t0, unpack = np.array([p.mu, np.log(p.sigma)]), lambda t: LognParams(t[0], np.exp(t[1]))
+    ev = micro_loglik(p, data, geom25, order=2)
+    assert ev.loglik == math.fsum(ev.per_point_loglik.tolist())
+    assert ev.per_point_loglik == pytest.approx(np.log(density_v(data.values, p, geom25)), abs=1e-9)
+    fd = fd_gradient(lambda t: micro_loglik(unpack(t), data, geom25).loglik, t0, h=1e-5)
+    assert rel_err(ev.gradient, fd) < 1e-4
+    fd2 = fd_jacobian(lambda t: micro_loglik(unpack(t), data, geom25, order=1).gradient, t0, h=1e-4)
+    assert rel_err(ev.hessian, fd2) < 1e-3
+    assert np.array_equal(ev.hessian, ev.hessian.T)
+
+    ev = init_loglik(p, data, order=2)
+    assert ev.loglik == math.fsum(ev.per_point_loglik.tolist())
+    fd = fd_gradient(lambda t: init_loglik(unpack(t), data).loglik, t0, h=1e-6)
+    assert rel_err(ev.gradient, fd) < 1e-6
+    fd2 = fd_jacobian(lambda t: init_loglik(unpack(t), data, order=1).gradient, t0, h=1e-4)
+    assert rel_err(ev.hessian, fd2) < 1e-4
+    assert np.array_equal(ev.hessian, ev.hessian.T)
+
+
+def test_weighted_fsum_exact_for_large_counts():
+    # pairs c1 * v and c2 * (-c1 v / c2) nearly cancel, so the exact sum is
+    # of the order of the products' rounding errors
+    rng = np.random.default_rng(17)
+    v = rng.uniform(-700.0, 50.0, 100)
+    c1 = rng.integers(1, 2**40, v.size).astype(float)
+    c2 = rng.integers(1, 2**40, v.size).astype(float)
+    values = np.concatenate([v, -(c1 * v) / c2, [0.1, -1e-12]])
+    counts = np.concatenate([c1, c2, [2.0**40, 2.0**40 - 1.0]])
+    exact = sum(Fraction(c) * Fraction(x) for c, x in zip(counts.tolist(), values.tolist()))
+    assert _weighted_fsum(values, counts) == float(exact)
+    assert _weighted_fsum(values, np.ones_like(values)) == math.fsum(values.tolist())
 
 
 def test_fd_agreement_random_battery(geom6):
