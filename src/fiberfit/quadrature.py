@@ -5,7 +5,10 @@ either a vector of values (one integrand) or an array of shape
 ``(m, n_points)`` (m integrands evaluated at common nodes).  Panels are
 refined where the 15-point Kronrod / 7-point Gauss discrepancy of any stack
 component is too large, so value, gradient and Hessian integrals of a
-likelihood share one subdivision tree.
+likelihood share one subdivision tree.  ``segment_integrals`` grows its tree
+from a few panels however many edges it is given, and reads each edge inside
+a panel off the exact antiderivative of the degree-14 interpolant through
+the panel's 15 Kronrod node values.
 
 Endpoint behaviour: panels never evaluate their endpoints (Kronrod nodes are
 interior), so integrable inverse-square-root singularities converge under
@@ -18,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebint, chebvander
 
 __all__ = ["QuadratureConfig", "QuadratureError", "integrate", "segment_integrals"]
 
@@ -106,11 +110,14 @@ class QuadratureError(RuntimeError):
         self.error_estimate = error_estimate
 
 
-def _eval_panels(f, lo, hi):
-    """Kronrod and Gauss estimates on each [lo_i, hi_i] panel.
+_KG_WEIGHTS = np.stack([_WK, _WK - np.bincount(_GAUSS_IDX, _WG, minlength=15)], axis=1)  # K and K - G
+# chebvander(t, 15) @ _ANTIDERIVATIVE @ v integrates from -1 to t the degree-14
+# interpolant through values v at the Kronrod nodes (to K at t = 1)
+_ANTIDERIVATIVE = chebint(np.eye(15), lbnd=-1) @ np.linalg.inv(chebvander(_XK, 14))
 
-    Returns (K, G) of shape (m, n_panels) where m is the stack height.
-    """
+
+def _eval_panels(f, lo, hi):
+    """Kronrod estimates, |K - G| and node values, (m, n_panels[, 15]), per panel."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     nodes = mid[:, None] + half[:, None] * _XK[None, :]
@@ -119,47 +126,64 @@ def _eval_panels(f, lo, hi):
         vals = vals[None, :]
     m = vals.shape[0]
     vals = vals.reshape(m, lo.size, _XK.size)
-    K = (vals * _WK).sum(axis=-1) * half
-    G = (vals[:, :, _GAUSS_IDX] * _WG).sum(axis=-1) * half
-    return K, G
+    KG = vals @ _KG_WEIGHTS
+    return KG[..., 0] * half, np.abs(KG[..., 1]) * half, vals
+
+
+def _geometric_edges(start: float, stop: float, min_panels: int):
+    """Edges from start (excluded) to stop, geometric, at least 4 per decade."""
+    n = max(min_panels, int(np.ceil(4.0 * np.log10(stop / start))))
+    return start * (stop / start) ** (np.arange(1, n + 1) / n)
 
 
 def segment_integrals(f, edges, cfg: QuadratureConfig = DEFAULT_CONFIG):
     """Integrate a stack over each [edges[i], edges[i+1]] segment adaptively.
 
-    Returns an array of shape (m, len(edges) - 1).  The refinement budget and
-    tolerances apply to the whole edge range at once: panels are bisected
-    until, for every stack component, the summed panel error is within
-    max(abs_tol, rel_tol * |integral|), then panel results are re-attributed
-    to their original segments.
+    Returns an array of shape (m, len(edges) - 1).  With step = ceil(number
+    of segments / 16), initial panels end at every step-th edge, at edges 1,
+    2, 4, ... up to step (graded toward the first edge, where the censored
+    integrands are steepest), at the first edge in each band of width step *
+    median(segment width) and at both ends of any wider segment (at every
+    edge for up to 16 segments).  The budget and tolerances apply to the
+    whole edge range at once: panels are bisected until, for every stack
+    component, the summed |K - G| is within max(abs_tol, rel_tol * |integral|).
+    The segment from e_i in panel a to e_{i+1} in panel b is (R[a] - R[b]) +
+    A(e_{i+1}) - A(e_i), where R sums panels from the top, so small suffixes
+    are not differences of large numbers, and A integrates the panel's
+    interpolant from its left end.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
         raise ValueError("edges must be a 1-d array with at least two entries")
-    if np.any(np.diff(edges) <= 0.0):
+    width = np.diff(edges)
+    if np.any(width <= 0.0):
         raise ValueError("edges must be strictly increasing")
 
-    lo = edges[:-1].copy()
-    hi = edges[1:].copy()
-    seg = np.arange(lo.size)
-    K, G = _eval_panels(f, lo, hi)
-    err = np.abs(K - G)
-    splits = 0
+    step = -(-width.size // 16)
+    band = step * np.partition(width, width.size // 2)[width.size // 2]
+    keep = np.zeros(edges.size, dtype=bool)
+    keep[::step] = keep[-1] = keep[2 ** np.arange(step.bit_length())] = True
+    keep[1:] |= np.diff(np.floor((edges - edges[0]) / band)) > 0.0
+    keep[:-1] |= width > band
+    lo, hi = edges[keep][:-1], edges[keep][1:]
+    K, err, vals = _eval_panels(f, lo, hi)
+    # node values stay in their evaluation blocks; row[i] locates panel i
+    blocks, row, splits = [vals], np.arange(lo.size), 0
     while True:
         total = np.abs(K.sum(axis=1))
         tol_m = np.maximum(cfg.abs_tol, cfg.rel_tol * total)
         err_m = err.sum(axis=1)
         bad_m = err_m > tol_m
-        if not np.any(bad_m):
+        if not bad_m.any():
             break
         # split every panel that carries more than its per-panel share of a
         # failing component's budget; always include the worst offender
-        share = tol_m[bad_m, None] / (2.0 * lo.size)
-        mask = np.any(err[bad_m] > share, axis=0)
-        mask[np.argmax(err[bad_m].max(axis=0))] = True
+        bad = err[bad_m]
+        mask = (bad > tol_m[bad_m, None] / (2.0 * lo.size)).any(axis=0)
+        mask[np.argmax(bad.max(axis=0))] = True
         # panels too narrow to bisect in float cannot improve further
         mask &= (hi - lo) > 1e-14 * (np.abs(lo) + np.abs(hi) + 1e-300)
-        if not np.any(mask):
+        if not mask.any():
             break
         n_split = int(mask.sum())
         if splits + n_split > cfg.max_subdivisions:
@@ -167,20 +191,38 @@ def segment_integrals(f, edges, cfg: QuadratureConfig = DEFAULT_CONFIG):
                 "quadrature did not converge within max_subdivisions",
                 float(err_m.max()),
             )
+        rest, left, right = ~mask, lo[mask], hi[mask]
+        mid = 0.5 * (left + right)
+        Kl, el, vl = _eval_panels(f, np.concatenate([left, mid]), np.concatenate([mid, right]))
+        lo = np.concatenate([lo[rest], left, mid])
+        hi = np.concatenate([hi[rest], mid, right])
+        K = np.concatenate([K[:, rest], Kl], axis=1)
+        err = np.concatenate([err[:, rest], el], axis=1)
+        row = np.concatenate([row[rest], row.size + splits + np.arange(2 * n_split)])
+        blocks.append(vl)
         splits += n_split
-        mid = 0.5 * (lo[mask] + hi[mask])
-        new_lo = np.concatenate([lo[~mask], lo[mask], mid])
-        new_hi = np.concatenate([hi[~mask], mid, hi[mask]])
-        new_seg = np.concatenate([seg[~mask], seg[mask], seg[mask]])
-        Kl, Gl = _eval_panels(f, np.concatenate([lo[mask], mid]), np.concatenate([mid, hi[mask]]))
-        K = np.concatenate([K[:, ~mask], Kl], axis=1)
-        G = np.concatenate([G[:, ~mask], Gl], axis=1)
-        err = np.abs(K - G)
-        lo, hi, seg = new_lo, new_hi, new_seg
 
-    out = np.zeros((K.shape[0], edges.size - 1))
-    np.add.at(out.T, seg, K.T)
-    return out
+    order = np.argsort(lo)
+    lo, hi, K, row = lo[order], hi[order], K[:, order], row[order]
+    R = np.zeros((K.shape[0], lo.size + 1))
+    R[:, :-1] = np.cumsum(K[:, ::-1], axis=1)[:, ::-1]
+    bounds = np.append(lo, hi[-1])
+    pan = np.searchsorted(bounds, edges, side="right") - 1
+    # A is zero at panel ends; the edges inside a panel are consecutive
+    A = np.zeros((K.shape[0], edges.size))
+    inside = np.flatnonzero(edges > bounds[pan])
+    if inside.size:
+        j, half = pan[inside], 0.5 * (hi - lo)
+        cheb = chebvander((edges[inside] - lo[j] - half[j]) / half[j], 15).T
+        cuts = [0, *(np.flatnonzero(np.diff(j)) + 1).tolist(), j.size]
+        used = j[cuts[:-1]]
+        vals = np.concatenate(blocks, axis=1)[:, row[used]]
+        coef = (vals @ _ANTIDERIVATIVE.T) * half[used, None]
+        for k, (s, e, a) in enumerate(zip(cuts[:-1], cuts[1:], inside[cuts[:-1]].tolist())):
+            np.matmul(coef[:, k], cheb[:, s:e], out=A[:, a : a + e - s])
+    seg, c = A[:, 1:] - A[:, :-1], np.flatnonzero(pan[1:] != pan[:-1])
+    seg[:, c] += R[:, pan[c]] - R[:, pan[c + 1]]
+    return seg
 
 
 def _truncation_point(f, a: float, tail_start: float, cfg: QuadratureConfig) -> float:
@@ -217,9 +259,7 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG, *, 
         t = np.linspace(0.0, 1.0, 17)
         edges = a + (head_end - a) * t * t
         if u > head_end * (1.0 + 1e-12):
-            n_geo = max(8, int(np.ceil(4.0 * np.log10(u / head_end))))
-            tail = head_end * (u / head_end) ** (np.arange(1, n_geo + 1) / n_geo)
-            edges = np.concatenate([edges, tail])
+            edges = np.concatenate([edges, _geometric_edges(head_end, u, 8)])
     else:
         edges = np.linspace(a, b, 9)
     vals = segment_integrals(f, edges, cfg).sum(axis=1)

@@ -38,7 +38,7 @@ from .densities import (
     component_pdf,
 )
 from .geometry import CoreGeometry, _prob_uncut_unchecked
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate, segment_integrals
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _geometric_edges, integrate, segment_integrals
 
 __all__ = [
     "ScaleDensity",
@@ -157,7 +157,8 @@ def _censored_tail_terms(x_sorted, p: ComponentParams, geom: CoreGeometry, cfg: 
 
     where g_q are the n_stack rows produced by stack_fn(y).  Points at or
     beyond the component's truncation point U get zeros.  One quadrature tree
-    is shared by all rows.
+    is shared by all rows.  Density-row segments are clamped at zero (an
+    interpolant readout can dip below), so T_0 and S_0 never increase in x.
     """
     r = geom.r
     u = component_tail(p, cfg.tail_cutoff)
@@ -170,9 +171,7 @@ def _censored_tail_terms(x_sorted, p: ComponentParams, geom: CoreGeometry, cfg: 
     # tail panels past the largest data point, geometric toward U
     top = xs[-1]
     if u / max(top, 1e-300) > 1.0 + 1e-12:
-        n_tail = max(24, int(np.ceil(4.0 * np.log10(u / top))))
-        tail = top * (u / top) ** (np.arange(1, n_tail + 1) / n_tail)
-        edges = np.concatenate([xs, tail])
+        edges = np.concatenate([xs, _geometric_edges(top, u, 24)])
     else:
         edges = np.concatenate([xs, [u]])
 
@@ -182,6 +181,7 @@ def _censored_tail_terms(x_sorted, p: ComponentParams, geom: CoreGeometry, cfg: 
         return np.concatenate([g * w, g * (y * w)], axis=0)
 
     seg = segment_integrals(integrand, edges, cfg)
+    seg[[0, n_stack]] = np.maximum(seg[[0, n_stack]], 0.0)
     suffix = np.cumsum(seg[:, ::-1], axis=1)[:, ::-1]
     T[:, inside] = suffix[:n_stack, : xs.size]
     S[:, inside] = suffix[n_stack:, : xs.size]

@@ -2,8 +2,21 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fiberfit import GgdParams, QuadratureConfig, QuadratureError, ggd_pdf, integrate
+from fiberfit import (
+    CoreGeometry,
+    GgdParams,
+    LognParams,
+    MixtureParams,
+    QuadratureConfig,
+    QuadratureError,
+    density_x_component,
+    ggd_pdf,
+    integrate,
+)
+from fiberfit.densities import component_pdf
 from fiberfit.quadrature import segment_integrals
+from fiberfit.simulate import SimSpec, sample_x
+from conftest import x_density_oracle
 
 
 def test_config_validation():
@@ -91,3 +104,63 @@ def test_bad_limits():
         integrate(lambda x: x, np.inf, 1.0)
     with pytest.raises(ValueError):
         integrate(lambda x: x, 1.0, 0.0)
+
+
+def _counted(f):
+    """f, plus a list whose first entry counts the points f is evaluated at."""
+    count = [0]
+
+    def wrapped(y):
+        count[0] += np.size(y)
+        return f(y)
+
+    return wrapped, count
+
+
+def test_many_edges_read_off_a_coarse_tree():
+    # one panel per segment would evaluate 15 * 9 999 points; edges inside a
+    # panel are read off its interpolant instead
+    cfg = QuadratureConfig()
+    edges = np.sort(np.random.default_rng(5).uniform(0.0, 40.0, 10_000))
+    f, count = _counted(lambda y: np.stack([np.exp(-y), y * np.exp(-y)]))
+    segs = segment_integrals(f, edges, cfg)
+    assert count[0] <= 15 * 300
+
+    def antiderivative(y):
+        return np.stack([-np.exp(-y), -(y + 1.0) * np.exp(-y)])
+
+    a, top = antiderivative(edges[:-1]), antiderivative(edges[-1:])
+    exact_segs = antiderivative(edges[1:]) - a
+    tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(exact_segs.sum(axis=1)))[:, None]
+    assert np.all(np.abs(segs - exact_segs) <= tol)
+    suffix = np.cumsum(segs[:, ::-1], axis=1)[:, ::-1]
+    assert np.all(np.abs(suffix - (top - a)) <= tol)
+
+
+def test_few_edges_keep_one_panel_per_segment():
+    # with at most 17 edges every edge starts a panel: 16 panels and 5
+    # bisections here, the tree of a one-panel-per-segment layout
+    f, count = _counted(lambda y: np.exp(-(((y - 0.3) / 0.01) ** 2)))
+    segs = segment_integrals(f, np.linspace(0.0, 1.0, 17))
+    assert count[0] == 15 * (16 + 2 * 5)
+    assert segs.sum() == pytest.approx(np.sqrt(np.pi) * 0.01, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        LognParams(0.0, 2.0),
+        LognParams(0.0, 3.0),
+        LognParams(0.0, 4.0),
+        GgdParams(0.5, 0.3, 1.0),
+        GgdParams(0.01, 0.2, 20.0),
+    ],
+    ids=["logn_sigma2", "logn_sigma3", "logn_sigma4", "ggamma_d0.3", "ggamma_d0.2"],
+)
+def test_heavy_tail_suffix_on_a_sample(p):
+    geom = CoreGeometry(6.0)
+    x = sample_x(SimSpec("X", MixtureParams(0.0, p, p), geom, 5000, seed=2))
+    got = density_x_component(x, p, geom)
+    want = x_density_oracle(x, lambda y: component_pdf(y, p), geom.r)
+    big = want >= 1e-6
+    assert np.all(np.abs(got - want)[big] <= 1e-8 * want[big])

@@ -20,8 +20,18 @@ from fiberfit import (
     tree_composition,
 )
 from fiberfit.densities import component_pdf
-from fiberfit.scales import k_theta
-from conftest import BATTERY, MIX_GGD_R6, MIX_LOGN_R6, quad_oracle, x_scale_integral_oracle
+from fiberfit.quadrature import DEFAULT_CONFIG
+from fiberfit.scales import _censored_tail_terms, k_theta
+from fiberfit.simulate import SimSpec, sample_x
+from conftest import (
+    BATTERY,
+    MIX_GGD_R6,
+    MIX_LOGN_R6,
+    MIX_SIM,
+    quad_oracle,
+    x_density_oracle,
+    x_scale_integral_oracle,
+)
 
 TRUE_W_MEAN = 2.4536  # tree-scale mean for GgdParams(2.4, 3.3, 1.5), r = 2.5
 TRUE_W_SD = 0.6723
@@ -123,6 +133,31 @@ def test_density_x_domain(geom25):
         density_x_component(0.0, p, geom25)
     with pytest.raises(ValueError):
         density_x_component(5.0, p, geom25)
+
+
+@pytest.mark.parametrize("mix", [MIX_SIM, MIX_LOGN_R6], ids=["ggamma", "lognormal"])
+def test_density_x_on_a_sample_matches_oracle(mix, geom6):
+    # every sample point is a suffix-integral edge; the grid adds points in
+    # the sparse upper end of (0, 2r)
+    x = np.concatenate([
+        sample_x(SimSpec("X", mix, geom6, 5000, seed=11)),
+        np.linspace(0.01, 2.0 * geom6.r - 0.01, 200),
+    ])
+    got = [density_x_component(x, p, geom6) for p in (mix.fines, mix.fibers)]
+    want = [x_density_oracle(x, lambda y, p=p: component_pdf(y, p), geom6.r) for p in (mix.fines, mix.fibers)]
+    got.append(density_x_mixture(x, mix, geom6))
+    want.append(mix.eps * want[0] + (1.0 - mix.eps) * want[1])
+    for g, w in zip(got, want):
+        big = w >= 1e-6
+        assert np.all(np.abs(g - w)[big] <= 1e-8 * w[big])
+        assert np.all(np.abs(g - w) <= 1e-10)
+    # a component may underflow to zero (fines near 2r), the mixture may not
+    assert np.all(got[0] >= 0.0) and np.all(got[1] >= 0.0) and np.all(got[2] > 0.0)
+    xs = np.unique(x)
+    for p in (mix.fines, mix.fibers):
+        stack_fn = lambda y, p=p: np.atleast_2d(component_pdf(y, p))
+        T, S = _censored_tail_terms(xs, p, geom6, DEFAULT_CONFIG, stack_fn, 1)
+        assert np.all(np.diff(T[0]) <= 0.0) and np.all(np.diff(S[0]) <= 0.0)
 
 
 def test_mixture_boundaries(geom6):
