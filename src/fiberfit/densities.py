@@ -226,19 +226,29 @@ def decode(theta: ParamVector):
 # ---------------------------------------------------------------------------
 
 
-def _ggd_stack(y, p: GgdParams, order: int):
+def _ggd_stack(y, p: GgdParams, order: int, standardized: bool = False):
     """Evaluate the GGD density and its theta-derivatives at strictly positive y.
 
     Returns (f, grad, hess_packed); grad has shape (3, n), hess (6, n) in
     _PAIRS3 order.  Entries are None beyond the requested order.
+
+    With ``standardized`` the input is the standardized log length
+    s = d (log y - log b) = log u, u = (y/b)^d gamma(k)-distributed, and the
+    stack is that of its density exp(k s - e^s) / Gamma(k) = y f(y) / d:
+    the rows are theta-derivatives at fixed y, the same formulas in s, and y
+    itself is never formed.
     """
     y = np.asarray(y, dtype=float)
     b, d, k = p.b, p.d, p.k
-    ly = np.log(y)
-    L = d * (ly - np.log(b))  # log (y/b)^d
+    if standardized:
+        L = y
+    else:
+        ly = np.log(y)
+        L = d * (ly - np.log(b))  # log (y/b)^d
     with np.errstate(over="ignore"):
         c1 = np.exp(L)
-    logf = np.log(d) - d * k * np.log(b) + (d * k - 1.0) * ly - c1 - log_gamma(k)
+    head = k * L if standardized else np.log(d) - d * k * np.log(b) + (d * k - 1.0) * ly
+    logf = head - c1 - log_gamma(k)
     f = np.where(logf > _LOG_UNDERFLOW, np.exp(np.minimum(logf, 700.0)), 0.0)
     if order < 1:
         return f, None, None
@@ -270,15 +280,22 @@ def _ggd_stack(y, p: GgdParams, order: int):
     return f, grad, hess
 
 
-def _logn_stack(y, p: LognParams, order: int):
-    """Lognormal analogue of :func:`_ggd_stack` with theta = (mu, log sigma)."""
+def _logn_stack(y, p: LognParams, order: int, standardized: bool = False):
+    """Lognormal analogue of :func:`_ggd_stack` with theta = (mu, log sigma).
+
+    The standardized log length is z = (log y - mu) / sigma, with density
+    phi(z) = sigma y f(y).
+    """
     y = np.asarray(y, dtype=float)
-    if np.any(y <= 0.0):
-        raise ValueError("lognormal support is (0, inf)")
     mu, sig = p.mu, p.sigma
-    ly = np.log(y)
-    z = (ly - mu) / sig
-    logf = -ly - np.log(sig) - 0.5 * np.log(2.0 * np.pi) - 0.5 * z * z
+    if standardized:
+        z, head = y, 0.0
+    else:
+        if np.any(y <= 0.0):
+            raise ValueError("lognormal support is (0, inf)")
+        ly = np.log(y)
+        z, head = (ly - mu) / sig, -ly - np.log(sig)
+    logf = head - 0.5 * np.log(2.0 * np.pi) - 0.5 * z * z
     f = np.where(logf > _LOG_UNDERFLOW, np.exp(logf), 0.0)
     if order < 1:
         return f, None, None
@@ -301,10 +318,30 @@ def _logn_stack(y, p: LognParams, order: int):
     return f, grad, hess
 
 
-def _component_stack(y, p: ComponentParams, order: int):
+def _component_stack(y, p: ComponentParams, order: int, standardized: bool = False):
     if isinstance(p, GgdParams):
-        return _ggd_stack(y, p, order)
-    return _logn_stack(y, p, order)
+        return _ggd_stack(y, p, order, standardized)
+    return _logn_stack(y, p, order, standardized)
+
+
+def _stack_height(cn: int, order: int) -> int:
+    hp = len(_PAIRS3 if cn == 3 else _PAIRS2)
+    return 1 + (cn if order >= 1 else 0) + (hp if order >= 2 else 0)
+
+
+def _stack_rows(p: ComponentParams, order: int, standardized: bool = False):
+    """y -> (stack, n) rows: density, then grad rows, then packed Hessian rows."""
+
+    def fn(y):
+        f, grad, hess = _component_stack(y, p, order, standardized)
+        rows = [np.atleast_2d(f)]
+        if order >= 1:
+            rows.append(np.atleast_2d(grad))
+        if order >= 2:
+            rows.append(np.atleast_2d(hess))
+        return np.concatenate(rows, axis=0)
+
+    return fn
 
 
 def _n_coords(p: ComponentParams) -> int:

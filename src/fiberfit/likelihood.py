@@ -12,10 +12,11 @@ Three likelihoods are provided:
 
 Every evaluation is pure.  Densities are evaluated once per distinct
 value, and every data sum runs over the sorted unique values weighted by
-their counts.  The log likelihood is exactly rounded: it is one math.fsum
-over Dekker's error-free products count * log f, so it equals math.fsum of
-the per-point terms bit for bit.  Because every sum runs over one sorted
-array, results do not depend on data order, and because doubling a count
+their counts.  The log likelihood is exactly rounded: it is the correctly
+rounded sum of Dekker's error-free products count * log f, so it equals
+math.fsum of the per-point terms bit for bit.  Because every sum runs over
+one sorted array, results do not depend on data order, and because doubling
+a count
 scales each product by exactly 2, duplicating a dataset doubles the log
 likelihood, gradient and Hessian exactly.
 
@@ -41,16 +42,15 @@ from .densities import (
     LognParams,
     MixtureParams,
     ParamVector,
-    _PAIRS2,
-    _PAIRS3,
-    _component_stack,
     _n_coords,
     _packed_to_full,
+    _stack_height,
+    _stack_rows,
     decode,
 )
 from .geometry import CoreGeometry, _prob_uncut_unchecked
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureError, segment_integrals
-from .scales import _censored_component_stack, component_tail
+from .scales import _censored_component_stack, _uncut_mass_stack
 
 __all__ = [
     "Dataset",
@@ -143,20 +143,49 @@ def _split(a):
     return hi, a - hi
 
 
+def _exact_sum(x) -> float:
+    """Correctly rounded sum of a float array (Rump, Ogita and Oishi's extraction).
+
+    With max|x| < 2^e and sigma = 2^(e + ceil(log2(n + 2))), q = (sigma + x)
+    - sigma rounds every term to sigma's grid, x - q is exact, and the q of
+    one pass add up exactly in any order.  Passes repeat on the remainders
+    until they are all zero or sigma * 2^-53 would leave the normal range
+    (or sigma would overflow); one math.fsum then rounds the exact pass sums
+    and what remains, so the result equals math.fsum(x) bit for bit.
+    """
+    x = np.array(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        return math.fsum(x.tolist())
+    extra = math.ceil(math.log2(x.size + 2))
+    parts = []
+    while True:
+        top = float(np.max(np.abs(x)))
+        if top == 0.0:
+            break
+        e = math.frexp(top)[1] + extra
+        if not -969 <= e <= 1023:
+            break
+        sigma = math.ldexp(1.0, e)
+        q = (sigma + x) - sigma
+        x -= q
+        parts.append(float(np.sum(q)))
+    return math.fsum(parts + x[x != 0.0].tolist())
+
+
 def _weighted_fsum(values, counts) -> float:
     """Exactly rounded sum of counts * values.
 
     Each product is carried as Dekker's error-free pair p + e (p the rounded
-    product, e its exact rounding error), and math.fsum adds all pairs with
-    one rounding, so the result equals math.fsum over the expanded terms.
-    Exact unless a product overflows or its error underflows, which cannot
-    happen for log densities and integer counts.
+    product, e its exact rounding error), and all pairs are added with one
+    rounding (:func:`_exact_sum`), so the result equals math.fsum over the
+    expanded terms.  Exact unless a product overflows or its error
+    underflows, which cannot happen for log densities and integer counts.
     """
     p = counts * values
     vh, vl = _split(values)
     ch, cl = _split(counts)
     e = ((ch * vh - p) + ch * vl + cl * vh) + cl * vl
-    return math.fsum(np.concatenate([p, e]).tolist())
+    return _exact_sum(np.concatenate([p, e]))
 
 
 def _symmetric_hessian(d2_sum, score, w):
@@ -182,26 +211,6 @@ def _as_params(theta):
     if isinstance(theta, (MixtureParams, GgdParams, LognParams)):
         return theta
     raise TypeError(f"cannot interpret {type(theta).__name__} as parameters")
-
-
-def _stack_height(cn: int, order: int) -> int:
-    hp = len(_PAIRS3 if cn == 3 else _PAIRS2)
-    return 1 + (cn if order >= 1 else 0) + (hp if order >= 2 else 0)
-
-
-def _stack_fn(p: ComponentParams, order: int):
-    """y -> (stack, n) rows: density, then grad rows, then packed Hessian rows."""
-
-    def fn(y):
-        f, grad, hess = _component_stack(y, p, order)
-        rows = [np.atleast_2d(f)]
-        if order >= 1:
-            rows.append(np.atleast_2d(grad))
-        if order >= 2:
-            rows.append(np.atleast_2d(hess))
-        return np.concatenate(rows, axis=0)
-
-    return fn
 
 
 def _split_stack(stack, cn: int, order: int):
@@ -246,7 +255,7 @@ def _censored_parts(x, p: ComponentParams, geom, cfg, order, label: str):
     cn = _n_coords(p)
     n_stack = _stack_height(cn, order)
     try:
-        stack = _censored_component_stack(x, p, geom, cfg, _stack_fn(p, order), n_stack)
+        stack = _censored_component_stack(x, p, geom, cfg, _stack_rows(p, order), n_stack)
     except QuadratureError as exc:
         raise EvaluationError(
             f"censored-tail integral for the {label} component failed: {exc}"
@@ -256,7 +265,7 @@ def _censored_parts(x, p: ComponentParams, geom, cfg, order, label: str):
 
 def _plain_parts(x, p: ComponentParams, order):
     cn = _n_coords(p)
-    stack = _stack_fn(p, order)(x)
+    stack = _stack_rows(p, order)(x)
     return _split_stack(stack, cn, order)
 
 
@@ -329,7 +338,13 @@ def micro_loglik(
     with k_theta = int_0^2r f_Y p_uc.  The log p_uc(v_i) term is constant in
     theta (it is often dropped when only the maximizer matters) but is kept
     here so the reported value is the absolute log likelihood.  The
-    normalizer and its derivatives share one quadrature pass.
+    normalizer and its derivatives share one quadrature pass, the same
+    integral as :func:`scales.k_theta`: in log length t = log y, standardized
+    to s = d (t - log b) or (t - mu) / sigma, up to hi = min(2r, U), on panels
+    ending at the quantiles of s at fixed probabilities times F(hi) (the mass
+    below hi) and at the images of the 16 equal y-panel ends, from the
+    quantile at tail_cutoff F(hi) with y halved, converged to an absolute
+    tolerance of abs_tol F(hi).
     """
     p = _as_params(theta)
     if isinstance(p, MixtureParams):
@@ -344,14 +359,8 @@ def micro_loglik(
 
     f, d, h = _plain_parts(v, p, order)
 
-    hi = min(2.0 * geom.r, component_tail(p, cfg.tail_cutoff))
-    stack_fn = _stack_fn(p, order)
-
-    def integrand(y):
-        return stack_fn(y) * _prob_uncut_unchecked(y, geom.r)
-
     try:
-        kint = segment_integrals(integrand, np.linspace(0.0, hi, 17), cfg).sum(axis=1)
+        kint = _uncut_mass_stack(p, geom, cfg, order, segment_integrals)
     except QuadratureError as exc:
         raise EvaluationError(f"uncut-probability normalizer failed: {exc}") from exc
     k0 = max(float(kint[0]), _TINY)
@@ -365,7 +374,7 @@ def micro_loglik(
         score = d / fc
         grad = score @ w - n * kj / k0
     if order >= 2:
-        norm_term = _packed_to_full(kint[1 + cn :], cn) / k0 - np.outer(kj, kj) / (k0 * k0)
+        norm_term = _packed_to_full(kint[1 + cn :], cn) / k0 - np.outer(kj / k0, kj / k0)
         d2_sum = _packed_to_full(h @ (w / fc), cn) - n * norm_term
         hess = _symmetric_hessian(d2_sum, score, w)
     return _evaluation(per_point, grad, hess, data)

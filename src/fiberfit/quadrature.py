@@ -14,6 +14,13 @@ Endpoint behaviour: panels never evaluate their endpoints (Kronrod nodes are
 interior), so integrable inverse-square-root singularities converge under
 plain bisection; callers integrating against the cut-length kernel in the
 observed variable should still substitute x = 2r sin(phi) for efficiency.
+Densities that are nearly singular at y = 0 (y^(dk-1) with small d k, a
+lognormal with large sigma) are not bisected toward 0: the microscopy
+normalizer integrates them in log length t = log y, where they are smooth
+with exponential tails, from the quantile at tail_cutoff F(hi) (y halved) to
+hi, on panels ending at quantiles of the component and at the logs of 16
+equal y-panel ends, with the absolute tolerance scaled by the mass below hi
+to abs_tol F(hi) (``scales._uncut_mass_stack``).
 """
 
 from __future__ import annotations

@@ -18,6 +18,16 @@ component or mixture to the other three scales:
 
 E(W) of a component solves 1 / (pi r + 2 E(W)) = int f_Y(y) / (pi r + 2 y) dy.
 
+k_theta and its theta-derivatives (the microscopy normalizer) are one
+integral in log length, shared by :func:`k_theta` and the microscopy
+likelihood: with t = log y standardized to s = d (t - log b) (generalized
+gamma) or (t - mu) / sigma (lognormal), int_{s_lo}^{s(hi)} g(s) p_uc(e^t) ds
+over the density g of s and its derivative rows, hi = min(2r, U).  Panels end
+at the quantiles of s at fixed probabilities times F(hi), the component's
+mass below hi, and at the images of the 16 equal y-panel ends hi j / 16;
+s_lo is the quantile at tail_cutoff F(hi) with y halved, and the absolute
+tolerance is abs_tol F(hi).
+
 Expensive per-parameter constants (component W-means, k_theta, tail
 truncation points) are memoized on the frozen parameter dataclasses, so a
 likelihood evaluation computes each once regardless of the number of data
@@ -26,15 +36,20 @@ points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import gammainc, gammaincinv, gammaln, log_ndtr, ndtri_exp
 
 from .densities import (
+    _LOG_UNDERFLOW,
     ComponentParams,
     GgdParams,
     MixtureParams,
+    _n_coords,
+    _stack_height,
+    _stack_rows,
     component_pdf,
 )
 from .geometry import CoreGeometry, _prob_uncut_unchecked
@@ -126,15 +141,84 @@ def density_w_component(w, p: ComponentParams, geom: CoreGeometry, cfg: Quadratu
     return float(out) if np.ndim(w) == 0 else out
 
 
+# probabilities, as shares of the mass below the upper limit, whose quantiles
+# end the normalizer's panels: geometric toward both tails, where the
+# log-length densities decay exponentially
+_EDGE_LOG_PROBS = np.log([1e-8, 1e-5, 1e-3, 0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98, 0.999, 1 - 1e-5, 1 - 1e-8])
+_LOW_SHIFT = np.log(2.0)  # the lower limit is the tail quantile of y halved
+_TINY = 1e-300
+
+
+def _standard_form(p: ComponentParams):
+    """(a, c, log CDF, quantile) of the standardized log length s = c (log y - a).
+
+    The quantile maps log probabilities to s.  For the generalized gamma,
+    s = log u with u = (y/b)^d gamma(k)-distributed, and since
+    P(k, u) <= u^k / Gamma(k + 1), where the inverse leaves the normal range
+    the root of the bound, in log form, is used: it lies below the quantile.
+    """
+    if isinstance(p, GgdParams):
+        k = p.k
+
+        def log_cdf(s):
+            with np.errstate(over="ignore", divide="ignore"):
+                return np.log(gammainc(k, np.exp(s)))
+
+        def quantile(log_prob):
+            u = gammaincinv(k, np.exp(log_prob))
+            bound = (log_prob + gammaln(k + 1.0)) / k
+            return np.where(u > _TINY, np.log(np.maximum(u, _TINY)), bound)
+
+        return np.log(p.b), p.d, log_cdf, quantile
+    return p.mu, 1.0 / p.sigma, log_ndtr, ndtri_exp
+
+
+def _uncut_mass_stack(p: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig, order: int, quad):
+    """int_0^hi g_q(y) p_uc(y) dy for the density stack rows g_q, hi = min(2r, U).
+
+    Integrated in log length, standardized to s = d (log y - log b)
+    (generalized gamma) or (log y - mu) / sigma (lognormal): the rows are
+    those of the density of s (see ``_ggd_stack``), which are smooth with
+    exponential tails where f_Y itself can be nearly singular at y = 0.
+    Panels end at the quantiles of s at the probabilities _EDGE_LOG_PROBS
+    scaled by F(hi), the component's mass below hi, and at the images of the
+    16 equal y-panel ends hi j / 16, which resolve p_uc.  The lower limit is
+    the quantile at tail_cutoff F(hi) with y halved.  The absolute tolerance
+    is abs_tol F(hi), so the normalizer is resolved relative to its own size
+    even when that is below abs_tol; a mass below hi that underflows gives
+    zeros.  ``quad`` is the segment integrator (``segment_integrals``),
+    passed by each caller under the name it imported so that the two call
+    sites can be instrumented apart.
+    """
+    hi = min(2.0 * geom.r, component_tail(p, cfg.tail_cutoff))
+    a, c, log_cdf, quantile = _standard_form(p)
+    ends = c * (np.log(hi * np.arange(1, 17) / 16.0) - a)
+    log_mass = float(log_cdf(ends[-1]))
+    if not log_mass > _LOG_UNDERFLOW:
+        return np.zeros(_stack_height(_n_coords(p), order))
+    s_lo = float(quantile(np.log(cfg.tail_cutoff) + log_mass)) - c * _LOW_SHIFT
+    s = np.concatenate([quantile(_EDGE_LOG_PROBS + log_mass), ends])
+    edges = np.unique(np.concatenate([[s_lo], np.clip(s, s_lo, ends[-1])]))
+    stack, r = _stack_rows(p, order, standardized=True), geom.r
+
+    def integrand(s):
+        return stack(s) * _prob_uncut_unchecked(np.exp(a + s / c), r)
+
+    tol = replace(cfg, abs_tol=cfg.abs_tol * np.exp(log_mass))
+    return quad(integrand, edges, tol).sum(axis=1)
+
+
 @lru_cache(maxsize=512)
 def k_theta(p: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Probability that a core cell from f_Y is uncut: int_0^2r f_Y p_uc."""
-    hi = min(2.0 * geom.r, component_tail(p, cfg.tail_cutoff))
-    edges = np.linspace(0.0, hi, 17)
-    vals = segment_integrals(
-        lambda y: component_pdf(y, p) * _prob_uncut_unchecked(y, geom.r), edges, cfg
-    )
-    return float(vals.sum())
+    """Probability that a core cell from f_Y is uncut: int_0^2r f_Y p_uc.
+
+    The value row of the microscopy likelihood's normalizer: integrated in
+    standardized log length up to hi = min(2r, U), on panels ending at
+    quantiles scaled by F(hi) and at the images of 16 equal y-panel ends,
+    from the quantile at tail_cutoff F(hi) (y halved), to an absolute
+    tolerance of abs_tol F(hi) (see :func:`_uncut_mass_stack`).
+    """
+    return float(_uncut_mass_stack(p, geom, cfg, 0, segment_integrals)[0])
 
 
 def density_v(v, p_fibers: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig = DEFAULT_CONFIG):

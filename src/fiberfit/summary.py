@@ -24,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import ComponentParams, MixtureParams, _n_coords
+from .densities import ComponentParams, MixtureParams, _n_coords, _stack_rows
 from .geometry import CoreGeometry
 from .fitting import FitResult, MICROSCOPY
-from .likelihood import _stack_fn
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
 from .scales import component_tail
 
@@ -75,7 +74,7 @@ def _weighted_moment_integrals(p: ComponentParams, geom: CoreGeometry, cfg: Quad
     (5, n_coords); one quadrature tree serves all rows.
     """
     cn = _n_coords(p)
-    stack = _stack_fn(p, 1)  # rows: f, then df/dtheta_j
+    stack = _stack_rows(p, 1)  # rows: f, then df/dtheta_j
     pir = np.pi * geom.r
     u = component_tail(p, cfg.tail_cutoff)
 

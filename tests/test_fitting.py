@@ -108,6 +108,16 @@ def test_micro_fit_recovers_truth(micro_fit):
     assert res.cov_theta.shape == (3, 3)
 
 
+def test_micro_fit_runs_every_start():
+    # jittered starts that land near the box corners must run: the
+    # normalizer once raised there and discarded starts 1 and 3 of this fit
+    geom = CoreGeometry(2.5)
+    data = Dataset(sample_v(SimSpec("V", GgdParams(2.4, 3.3, 1.5), geom, 300, seed=7000)), "V")
+    res = fit(data, ModelSpec("ggamma", "microscopy", geom), FitConfig())
+    assert [rec.status for rec in res.trace] == ["success"] * 5
+    assert res.loglik >= -285.15073866664505 - 1e-6
+
+
 def test_fit_rejects_scale_mismatch(micro_fit):
     _, data, model = micro_fit
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from fiberfit import (
     micro_loglik,
     ofa_loglik,
 )
-from fiberfit.likelihood import _weighted_fsum
+from fiberfit.likelihood import _exact_sum, _weighted_fsum
 from conftest import MIX_SIM, fd_gradient, fd_jacobian, rel_err
 
 
@@ -213,6 +214,33 @@ def test_micro_lognormal_fd(geom25, micro_data):
     assert rel_err(ev.gradient, fd) < 1e-4
 
 
+@pytest.mark.parametrize("p", [GgdParams(0.5, 0.3, 0.2), GgdParams(3.62, 0.0786, 5.73)], ids=str)
+def test_micro_fd_heavy_shapes(geom25, micro_data, p):
+    # heavy-tailed shapes, where f_Y is nearly singular at y = 0
+    t0 = np.log([p.b, p.d, p.k])
+    ev = micro_loglik(p, micro_data, geom25, order=2)
+    fd = fd_gradient(
+        lambda t: micro_loglik(GgdParams(*np.exp(t)), micro_data, geom25).loglik, t0, h=1e-5
+    )
+    assert rel_err(ev.gradient, fd) < 1e-4
+    fd2 = fd_jacobian(
+        lambda t: micro_loglik(GgdParams(*np.exp(t)), micro_data, geom25, order=1).gradient,
+        t0, h=1e-4,
+    )
+    assert rel_err(ev.hessian, fd2) < 1e-3
+
+
+def test_micro_evaluates_across_the_box(geom25, micro_data):
+    # corners of the default box and beyond: orders 0 and 1 never raise
+    grid = [GgdParams(*t) for t in itertools.product([1e-4, 1.0, 50.0], repeat=3)]
+    grid += [LognParams(mu, s) for mu in (-10.0, 0.0, 10.0) for s in (0.1, 1.0, 10.0)]
+    for p in grid:
+        for order in (0, 1):
+            ev = micro_loglik(p, micro_data, geom25, order=order)
+            assert np.isfinite(ev.loglik)
+            assert order == 0 or np.all(np.isfinite(ev.gradient))
+
+
 def test_micro_limit_large_radius(micro_data):
     p = GgdParams(2.4, 3.3, 1.5)
     lim = micro_loglik(p, micro_data, CoreGeometry(1e5)).loglik
@@ -308,6 +336,19 @@ def test_weighted_fsum_exact_for_large_counts():
     exact = sum(Fraction(c) * Fraction(x) for c, x in zip(counts.tolist(), values.tolist()))
     assert _weighted_fsum(values, counts) == float(exact)
     assert _weighted_fsum(values, np.ones_like(values)) == math.fsum(values.tolist())
+
+
+def test_exact_sum_matches_fsum():
+    # magnitudes across the double range, near-cancelling pairs and sizes
+    # from 1 to 50 000 terms
+    rng = np.random.default_rng(18)
+    sizes = np.unique(np.geomspace(1, 50_000, 40).astype(int))
+    for i, n in enumerate(sizes.tolist()):
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+        if i % 2:
+            x[1::2] = -x[: n // 2 * 2 : 2] * (1.0 + 1e-15 * rng.standard_normal(n // 2))
+        for terms in (x, rng.uniform(-700.0, 50.0, n), np.concatenate([x, -x[::-1], [1e-300]])):
+            assert _exact_sum(terms) == math.fsum(terms.tolist())
 
 
 def test_fd_agreement_random_battery(geom6):

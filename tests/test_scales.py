@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from fiberfit import (
     CoreGeometry,
@@ -20,8 +21,8 @@ from fiberfit import (
     tree_composition,
 )
 from fiberfit.densities import component_pdf
-from fiberfit.quadrature import DEFAULT_CONFIG
-from fiberfit.scales import _censored_tail_terms, k_theta
+from fiberfit.quadrature import DEFAULT_CONFIG, segment_integrals
+from fiberfit.scales import _censored_tail_terms, _uncut_mass_stack, k_theta
 from fiberfit.simulate import SimSpec, sample_x
 from conftest import (
     BATTERY,
@@ -230,6 +231,53 @@ def test_k_theta_bounds(geom25):
     assert 0.0 < val < 1.0
     ref = quad_oracle(lambda y: ggd_pdf(y, p) * prob_uncut(y, geom25), 0.0, 5.0)
     assert val == pytest.approx(ref, abs=1e-9)
+
+
+def _uncut_mass_oracle(p, r):
+    """int_0^2r f_Y p_uc by scipy quad, in log u = log (y/b)^d for the
+    generalized gamma (u is gamma(k) distributed) or z = (log y - mu) / sigma
+    for the lognormal.  Breakpoints: the mode, and where y = r/64, r/8, r,
+    between which p_uc changes; the tails are QUADPACK's infinite range."""
+    geom = CoreGeometry(r)
+    if isinstance(p, GgdParams):
+        top, mode = p.d * np.log(2.0 * r / p.b), np.log(p.k)
+        dens = lambda s: np.exp(p.k * s - np.exp(s) - gammaln(p.k))
+        y_of, var_of = (lambda s: p.b * np.exp(s / p.d)), (lambda y: p.d * np.log(y / p.b))
+    else:
+        top, mode = (np.log(2.0 * r) - p.mu) / p.sigma, 0.0
+        dens = lambda z: np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+        y_of, var_of = (lambda z: np.exp(p.mu + p.sigma * z)), (lambda y: (np.log(y) - p.mu) / p.sigma)
+    g = lambda s: dens(s) * prob_uncut(min(y_of(s), 2.0 * r), geom)
+    inner = [mode] + [var_of(r * f) for f in (1.0 / 64.0, 1.0 / 8.0, 1.0)]
+    cuts = [-np.inf] + sorted(c for c in inner if c < top) + [top]
+    return sum(quad_oracle(g, a, b, epsabs=0.0, epsrel=1e-12, limit=1000) for a, b in zip(cuts[:-1], cuts[1:]))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        GgdParams(2.4, 3.3, 1.5),
+        GgdParams(1e-4, 1e-4, 1e-4),
+        GgdParams(50.0, 50.0, 1e-4),
+        GgdParams(0.5, 0.3, 0.2),
+        GgdParams(3.62, 0.0786, 5.73),
+        GgdParams(50.0, 1e-4, 18.0),
+        GgdParams(1e-4, 50.0, 50.0),
+        GgdParams(50.0, 1.0, 1.0),
+        LognParams(10.0, 10.0),
+        LognParams(-10.0, 10.0),
+        LognParams(0.8, 0.3),
+    ],
+    ids=str,
+)
+def test_uncut_mass_matches_oracle(p, geom25):
+    # box corners, heavy tails and a normalizer far below abs_tol (6e-17 at
+    # (50, 1e-4, 18)): k_theta is resolved relative to itself
+    want = _uncut_mass_oracle(p, geom25.r)
+    assert abs(k_theta(p, geom25) - want) <= 1e-8 * want
+    # the value row of the stack the microscopy objective integrates
+    got = _uncut_mass_stack(p, geom25, DEFAULT_CONFIG, 1, segment_integrals)[0]
+    assert abs(got - want) <= 1e-8 * want
 
 
 def test_scale_density_dispatch_and_validation(geom25):
