@@ -2,7 +2,7 @@
 
 Every invocation writes a run manifest (resolved options, input digest,
 seed, version, timing) next to its outputs so results are traceable.  Exit
-codes: 0 success, 2 validation problem, 3 optimizer failure.
+codes: 0 success, 2 validation problem, 3 optimizer or integral failure.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .densities import GGAMMA, LOGNORM, GgdParams, LognParams, MixtureParams
+from .densities import FAMILIES, GGAMMA, LOGNORM, _params_from_values
 from .fitting import FitConfig, FitError, ModelSpec, fit
 from .geometry import CoreGeometry
-from .likelihood import DataValidationError, Dataset
+from .likelihood import DataValidationError, Dataset, EvaluationError
+from .quadrature import QuadratureError
 from .scales import ScaleDensity
 from .simulate import SimSpec, sample_v, sample_w, sample_x, sample_y
 from .summary import SummaryStats, summary_stats
@@ -110,15 +111,11 @@ def _build_params(model: str, par: list):
 
     kind is 'mixture' when a full mixture vector was given, else 'single'.
     """
-    single_len = 3 if model == GGAMMA else 2
+    single_len = FAMILIES[model].size
     mix_len = 1 + 2 * single_len
-    maker = GgdParams if model == GGAMMA else LognParams
     try:
-        if len(par) == single_len:
-            return maker(*par), "single"
-        if len(par) == mix_len:
-            mix = MixtureParams(par[0], maker(*par[1:1 + single_len]), maker(*par[1 + single_len:]))
-            return mix, "mixture"
+        if len(par) in (single_len, mix_len):
+            return _params_from_values(model, par), "single" if len(par) == single_len else "mixture"
     except ValueError as exc:
         raise CliError(f"invalid parameters: {exc}")
     raise CliError(
@@ -511,7 +508,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="maximum likelihood fit of a length-distribution model")
     p_fit.add_argument("--data", required=True, help="text file, one length (mm) per line, # comments")
     p_fit.add_argument("--data-type", choices=["ofa", "microscopy"], default="ofa")
-    p_fit.add_argument("--model", choices=[GGAMMA, LOGNORM], default=GGAMMA)
+    p_fit.add_argument("--model", choices=list(FAMILIES), default=GGAMMA)
     p_fit.add_argument("--r", type=float, required=True, help="increment core radius (mm)")
     p_fit.add_argument("--lower", help="original-scale lower bounds, CSV")
     p_fit.add_argument("--upper", help="original-scale upper bounds, CSV")
@@ -525,7 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.set_defaults(func=_cmd_fit)
 
     p_den = sub.add_parser("density", help="evaluate a length density on any population scale")
-    p_den.add_argument("--model", choices=[GGAMMA, LOGNORM], default=GGAMMA)
+    p_den.add_argument("--model", choices=list(FAMILIES), default=GGAMMA)
     p_den.add_argument("--scale", choices=["w", "y", "x", "v"], required=True)
     p_den.add_argument("--component", choices=["fines", "fibers", "mixture"])
     p_den.add_argument("--par", required=True, help="parameters, CSV (mixtures: eps first, fines then fibers)")
@@ -540,7 +537,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="draw a seeded sample from any population scale")
     p_sim.add_argument("--scale", choices=["w", "y", "x", "v"], required=True)
-    p_sim.add_argument("--model", choices=[GGAMMA, LOGNORM], default=GGAMMA)
+    p_sim.add_argument("--model", choices=list(FAMILIES), default=GGAMMA)
     p_sim.add_argument("--par", required=True)
     p_sim.add_argument("--r", type=float, required=True)
     p_sim.add_argument("--n", type=int, required=True)
@@ -565,6 +562,9 @@ def main(argv=None) -> int:
     except (DataValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (QuadratureError, EvaluationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

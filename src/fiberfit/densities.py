@@ -9,20 +9,29 @@ Two parameterizations are used throughout the package:
   eps maps through the logit, every positive parameter through the log, and
   lognormal means stay as-is.
 
+Each family is described once, by its ``FAMILIES`` entry (see
+:class:`_Family`), which the other modules read instead of testing parameter
+types; every theta transform (``encode``, ``decode``, ``ModelSpec``) goes
+through one table of forward, inverse and chain functions, ``_TRANSFORMS``.
+
 All densities are evaluated in log space internally so that extreme shapes
 (e.g. scale 1e-3 combined with large d*k) neither overflow nor produce
 0 * inf in the derivative chain.  Gradients and Hessians are taken with
 respect to theta, i.e. they already include the chain factors of the
 transform.  ``*_grad_theta`` returns shape (3,)/(2,) for scalar input and
 (n, 3)/(n, 2) for vector input; ``*_hess_theta`` returns (3, 3)/(2, 2) or
-(n, 3, 3)/(n, 2, 2).
+(n, 3, 3)/(n, 2, 2).  Packed Hessian rows are in row-major upper-triangle
+order, the order of ``np.triu_indices``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+from scipy.special import gammainc, gammaincinv, gammaln, log_ndtr, ndtri_exp
 
 from .special import digamma, log_gamma, trigamma
 
@@ -44,11 +53,8 @@ __all__ = [
 GGAMMA = "ggamma"
 LOGNORM = "lognorm"
 
-# index pairs of the packed symmetric Hessian, in row-major upper-triangle order
-_PAIRS3 = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-_PAIRS2 = ((0, 0), (0, 1), (1, 1))
-
 _LOG_UNDERFLOW = -700.0  # below this, exp() is 0.0 and so are all derivatives
+_triu = lru_cache(np.triu_indices)  # (i, j) of the packed Hessian rows, row-major upper triangle
 
 
 @dataclass(frozen=True)
@@ -137,12 +143,12 @@ class ParamVector:
     fixed_mask: tuple = field(default=None)
 
     def __post_init__(self):
-        if self.family not in (GGAMMA, LOGNORM):
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         vals = tuple(float(v) for v in self.values)
         object.__setattr__(self, "values", vals)
-        n = len(vals)
-        expected = {GGAMMA: (3, 7), LOGNORM: (2, 5)}[self.family]
+        n, size = len(vals), FAMILIES[self.family].size
+        expected = (size, 1 + 2 * size)
         if n not in expected:
             raise ValueError(f"{self.family} expects {expected} coordinates, got {n}")
         if self.fixed_mask is None:
@@ -158,22 +164,58 @@ class ParamVector:
 
     @property
     def is_mixture(self) -> bool:
-        return len(self.values) in (5, 7)
+        return len(self.values) != FAMILIES[self.family].size
 
     def __len__(self) -> int:
         return len(self.values)
 
 
-def _logit(p: float) -> float:
-    return float(np.log(p) - np.log1p(-p))
+def _logit(p):
+    # boundary proportions map to -inf/+inf
+    with np.errstate(divide="ignore"):
+        return np.log(p) - np.log1p(-p)
 
 
-def _expit(x: float) -> float:
+def _expit(x):
     # stable logistic; maps -inf/+inf to exactly 0/1
     if x >= 0:
         return 1.0 / (1.0 + np.exp(-x))
     e = np.exp(x)
     return e / (1.0 + e)
+
+
+# transform kind -> (original to theta, theta to original, d original / d theta)
+_TRANSFORMS = {
+    "logit": (_logit, _expit, lambda x: (e := _expit(x)) - e * e),
+    "log": (np.log, np.exp, np.exp),
+    "id": (float, float, lambda x: 1.0),
+}
+
+
+def _transform(kinds, values, which: int) -> list:
+    """Apply one column of _TRANSFORMS (0 forward, 1 inverse, 2 chain) per coordinate."""
+    return [float(_TRANSFORMS[kind][which](v)) for kind, v in zip(kinds, values)]
+
+
+def _kinds(family: str, mixture: bool) -> tuple:
+    """Transform kinds of a component or mixture coordinate vector."""
+    kinds = FAMILIES[family].kinds
+    return ("logit",) + kinds + kinds if mixture else kinds
+
+
+def _original_values(params) -> tuple:
+    """Original-scale coordinates in ParamVector order."""
+    if isinstance(params, MixtureParams):
+        return (params.eps, *_original_values(params.fines), *_original_values(params.fibers))
+    return tuple(getattr(params, name) for name in FAMILIES[params.family].names)
+
+
+def _params_from_values(family: str, v):
+    """Component or mixture parameters from original-scale coordinates."""
+    fam = FAMILIES[family]
+    if len(v) == fam.size:
+        return fam.params(*v)
+    return MixtureParams(v[0], fam.params(*v[1 : 1 + fam.size]), fam.params(*v[1 + fam.size :]))
 
 
 def encode(params) -> ParamVector:
@@ -182,43 +224,20 @@ def encode(params) -> ParamVector:
     Raises ValueError for eps in {0, 1}: boundary proportions are not
     representable on the logit scale; fit with eps fixed instead.
     """
-    if isinstance(params, MixtureParams):
-        if params.eps <= 0.0 or params.eps >= 1.0:
-            raise ValueError(
-                "eps in {0, 1} has no finite logit; "
-                "use a fixed-parameter fit to pin the proportion at a boundary"
-            )
-        head = (_logit(params.eps),)
-        return ParamVector(
-            params.family,
-            head + encode(params.fines).values + encode(params.fibers).values,
+    if isinstance(params, MixtureParams) and (params.eps <= 0.0 or params.eps >= 1.0):
+        raise ValueError(
+            "eps in {0, 1} has no finite logit; "
+            "use a fixed-parameter fit to pin the proportion at a boundary"
         )
-    if isinstance(params, GgdParams):
-        return ParamVector(GGAMMA, (np.log(params.b), np.log(params.d), np.log(params.k)))
-    if isinstance(params, LognParams):
-        return ParamVector(LOGNORM, (params.mu, np.log(params.sigma)))
-    raise TypeError(f"cannot encode {type(params).__name__}")
+    if not isinstance(params, MixtureParams | ComponentParams):
+        raise TypeError(f"cannot encode {type(params).__name__}")
+    kinds = _kinds(params.family, isinstance(params, MixtureParams))
+    return ParamVector(params.family, _transform(kinds, _original_values(params), 0))
 
 
 def decode(theta: ParamVector):
     """Inverse of :func:`encode`; total on finite theta."""
-    v = theta.values
-    ex = lambda x: float(np.exp(x))
-    if theta.family == GGAMMA:
-        if len(v) == 3:
-            return GgdParams(ex(v[0]), ex(v[1]), ex(v[2]))
-        return MixtureParams(
-            float(_expit(v[0])),
-            GgdParams(ex(v[1]), ex(v[2]), ex(v[3])),
-            GgdParams(ex(v[4]), ex(v[5]), ex(v[6])),
-        )
-    if len(v) == 2:
-        return LognParams(v[0], ex(v[1]))
-    return MixtureParams(
-        float(_expit(v[0])),
-        LognParams(v[1], ex(v[2])),
-        LognParams(v[3], ex(v[4])),
-    )
+    return _params_from_values(theta.family, _transform(_kinds(theta.family, theta.is_mixture), theta.values, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +249,8 @@ def _ggd_stack(y, p: GgdParams, order: int, standardized: bool = False):
     """Evaluate the GGD density and its theta-derivatives at strictly positive y.
 
     Returns (f, grad, hess_packed); grad has shape (3, n), hess (6, n) in
-    _PAIRS3 order.  Entries are None beyond the requested order.
+    row-major upper-triangle order.  Entries are None beyond the requested
+    order.
 
     With ``standardized`` the input is the standardized log length
     s = d (log y - log b) = log u, u = (y/b)^d gamma(k)-distributed, and the
@@ -275,8 +295,9 @@ def _ggd_stack(y, p: GgdParams, order: int, standardized: bool = False):
             k * Ls - k * psi_k - k * k * psi1_k,      # (k, k)
         ]
     )
+    i, j = _triu(3)
     g = np.stack([gb, gd, gk])
-    hess = f * np.stack([g[i] * g[j] for i, j in _PAIRS3]) + f * hlog
+    hess = f * (g[i] * g[j]) + f * hlog
     return f, grad, hess
 
 
@@ -313,49 +334,37 @@ def _logn_stack(y, p: LognParams, order: int, standardized: bool = False):
             -2.0 * z * z,                             # (th, th)
         ]
     )
+    i, j = _triu(2)
     g = np.stack([gmu, gth])
-    hess = f * np.stack([g[i] * g[j] for i, j in _PAIRS2]) + f * hlog
+    hess = f * (g[i] * g[j]) + f * hlog
     return f, grad, hess
 
 
-def _component_stack(y, p: ComponentParams, order: int, standardized: bool = False):
-    if isinstance(p, GgdParams):
-        return _ggd_stack(y, p, order, standardized)
-    return _logn_stack(y, p, order, standardized)
-
-
 def _stack_height(cn: int, order: int) -> int:
-    hp = len(_PAIRS3 if cn == 3 else _PAIRS2)
-    return 1 + (cn if order >= 1 else 0) + (hp if order >= 2 else 0)
+    return 1 + (cn if order >= 1 else 0) + (cn * (cn + 1) // 2 if order >= 2 else 0)
 
 
 def _stack_rows(p: ComponentParams, order: int, standardized: bool = False):
     """y -> (stack, n) rows: density, then grad rows, then packed Hessian rows."""
+    stack = FAMILIES[p.family].stack
 
     def fn(y):
-        f, grad, hess = _component_stack(y, p, order, standardized)
-        rows = [np.atleast_2d(f)]
-        if order >= 1:
-            rows.append(np.atleast_2d(grad))
-        if order >= 2:
-            rows.append(np.atleast_2d(hess))
-        return np.concatenate(rows, axis=0)
+        rows = stack(y, p, order, standardized)[: order + 1]  # (f, grad, hess) up to order
+        return np.concatenate([np.atleast_2d(r) for r in rows])
 
     return fn
 
 
 def _n_coords(p: ComponentParams) -> int:
-    return 3 if isinstance(p, GgdParams) else 2
+    return FAMILIES[p.family].size
 
 
 def _packed_to_full(packed, ncoord: int):
     """Expand packed upper-triangle rows (m, ...) to a full symmetric matrix."""
-    pairs = _PAIRS3 if ncoord == 3 else _PAIRS2
-    shape = (ncoord, ncoord) + packed.shape[1:]
-    full = np.zeros(shape, dtype=float)
-    for row, (i, j) in enumerate(pairs):
-        full[i, j] = packed[row]
-        full[j, i] = packed[row]
+    i, j = _triu(ncoord)
+    full = np.zeros((ncoord, ncoord) + packed.shape[1:], dtype=float)
+    full[i, j] = packed
+    full[j, i] = packed
     return full
 
 
@@ -386,60 +395,107 @@ def ggd_pdf(y, p: GgdParams):
     return float(f[0]) if np.ndim(y) == 0 else f
 
 
-def logn_pdf(y, p: LognParams):
-    """Lognormal density exp(-(log y - mu)^2 / (2 sigma^2)) / (y sigma sqrt(2 pi))."""
+def _checked(y, p: ComponentParams, order: int):
+    """Stack entry ``order`` at finite, strictly positive y, in the public layout."""
     arr = np.asarray(y, dtype=float)
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         raise ValueError("y must be finite and strictly positive")
-    f, _, _ = _logn_stack(arr, p, 0)
-    return float(f) if np.ndim(y) == 0 else f
+    out = FAMILIES[p.family].stack(arr, p, order)[order]
+    if order == 0:
+        return float(out) if np.ndim(y) == 0 else out
+    if order == 1:
+        return out.T
+    return np.moveaxis(_packed_to_full(out, _n_coords(p)), -1, 0)
+
+
+def logn_pdf(y, p: LognParams):
+    """Lognormal density exp(-(log y - mu)^2 / (2 sigma^2)) / (y sigma sqrt(2 pi))."""
+    return _checked(y, p, 0)
 
 
 def ggd_grad_theta(y, p: GgdParams):
     """Gradient of ggd_pdf with respect to (log b, log d, log k)."""
-    arr = np.asarray(y, dtype=float)
-    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
-        raise ValueError("y must be finite and strictly positive")
-    _, grad, _ = _ggd_stack(arr, p, 1)
-    return grad if np.ndim(y) == 0 else grad.T
+    return _checked(y, p, 1)
 
 
 def logn_grad_theta(y, p: LognParams):
     """Gradient of logn_pdf with respect to (mu, log sigma)."""
-    arr = np.asarray(y, dtype=float)
-    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
-        raise ValueError("y must be finite and strictly positive")
-    _, grad, _ = _logn_stack(arr, p, 1)
-    return grad if np.ndim(y) == 0 else grad.T
+    return _checked(y, p, 1)
 
 
 def ggd_hess_theta(y, p: GgdParams):
     """Symmetric matrix of second derivatives of ggd_pdf on the theta scale."""
-    arr = np.asarray(y, dtype=float)
-    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
-        raise ValueError("y must be finite and strictly positive")
-    _, _, packed = _ggd_stack(arr, p, 2)
-    full = _packed_to_full(packed, 3)
-    return full if np.ndim(y) == 0 else np.moveaxis(full, -1, 0)
+    return _checked(y, p, 2)
 
 
 def logn_hess_theta(y, p: LognParams):
     """Symmetric matrix of second derivatives of logn_pdf on the theta scale."""
-    arr = np.asarray(y, dtype=float)
-    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
-        raise ValueError("y must be finite and strictly positive")
-    _, _, packed = _logn_stack(arr, p, 2)
-    full = _packed_to_full(packed, 2)
-    return full if np.ndim(y) == 0 else np.moveaxis(full, -1, 0)
+    return _checked(y, p, 2)
 
 
 def component_pdf(y, p: ComponentParams):
-    """Density of either family, dispatched on the parameter type."""
-    if isinstance(p, GgdParams):
-        return ggd_pdf(y, p)
-    return logn_pdf(y, p)
+    """Density of either family, dispatched through ``FAMILIES``."""
+    return FAMILIES[p.family].pdf(y, p)
 
 
-def mixture_pdf_y(y, mp: MixtureParams):
-    """Core-population mixture density eps * f_fines + (1 - eps) * f_fibers."""
-    return mp.eps * component_pdf(y, mp.fines) + (1.0 - mp.eps) * component_pdf(y, mp.fibers)
+
+_TINY = 1e-300
+
+
+def _ggd_standard_form(p: GgdParams):
+    """(a, c, log CDF, quantile) of s = d (log y - log b) = log u, u ~ gamma(k).
+
+    The quantile maps log probabilities to s.  Since P(k, u) <= u^k /
+    Gamma(k + 1), where the inverse leaves the normal range the root of the
+    bound, in log form, is used: it lies below the quantile.
+    """
+    k = p.k
+
+    def log_cdf(s):
+        with np.errstate(over="ignore", divide="ignore"):
+            return np.log(gammainc(k, np.exp(s)))
+
+    def quantile(log_prob):
+        u = gammaincinv(k, np.exp(log_prob))
+        bound = (log_prob + gammaln(k + 1.0)) / k
+        return np.where(u > _TINY, np.log(np.maximum(u, _TINY)), bound)
+
+    return np.log(p.b), p.d, log_cdf, quantile
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One Y-scale length family: parameter class, coordinate names, theta
+    transform kinds ('log'/'id'), density stack (f, grad, packed Hessian) and
+    public pdf, tail_seed(p) (log of a crude high quantile that seeds the
+    truncation search), standard_form(p) ((a, c, log CDF, quantile) of the
+    standardized log length s = c (log y - a)) and sample(rng, p, n)."""
+
+    params: type
+    names: tuple
+    kinds: tuple
+    stack: Callable
+    pdf: Callable
+    tail_seed: Callable
+    standard_form: Callable
+    sample: Callable
+
+    @property
+    def size(self) -> int:
+        return len(self.names)
+
+
+FAMILIES = {
+    GGAMMA: _Family(
+        GgdParams, ("b", "d", "k"), ("log", "log", "log"), _ggd_stack, ggd_pdf,
+        tail_seed=lambda p: np.log(p.b) + np.log(p.k + 10.0 / p.d) / p.d,
+        standard_form=_ggd_standard_form,
+        sample=lambda rng, p, n: p.b * rng.gamma(shape=p.k, scale=1.0, size=n) ** (1.0 / p.d),
+    ),
+    LOGNORM: _Family(
+        LognParams, ("mu", "sigma"), ("id", "log"), _logn_stack, logn_pdf,
+        tail_seed=lambda p: p.mu + 8.0 * p.sigma,
+        standard_form=lambda p: (p.mu, 1.0 / p.sigma, log_ndtr, ndtri_exp),
+        sample=lambda rng, p, n: np.exp(p.mu + p.sigma * rng.standard_normal(n)),
+    ),
+}

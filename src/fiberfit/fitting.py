@@ -21,12 +21,14 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .densities import (
+    FAMILIES,
     GGAMMA,
     LOGNORM,
     GgdParams,
-    LognParams,
-    MixtureParams,
     ParamVector,
+    _kinds,
+    _params_from_values,
+    _transform,
 )
 from .geometry import CoreGeometry
 from .likelihood import (
@@ -72,27 +74,22 @@ class ModelSpec:
     geom: CoreGeometry
 
     def __post_init__(self):
-        if self.family not in (GGAMMA, LOGNORM):
-            raise ValueError(f"family must be '{GGAMMA}' or '{LOGNORM}'")
+        if self.family not in FAMILIES:
+            raise ValueError(f"family must be one of {', '.join(map(repr, FAMILIES))}")
         if self.data_type not in (OFA, MICROSCOPY):
             raise ValueError(f"data_type must be '{OFA}' or '{MICROSCOPY}'")
 
     @property
     def param_names(self) -> tuple:
+        names = FAMILIES[self.family].names
         if self.data_type == MICROSCOPY:
-            return ("b", "d", "k") if self.family == GGAMMA else ("mu", "sigma")
-        if self.family == GGAMMA:
-            return ("eps", "b1", "d1", "k1", "b2", "d2", "k2")
-        return ("eps", "mu1", "sigma1", "mu2", "sigma2")
+            return names
+        return ("eps",) + tuple(n + "1" for n in names) + tuple(n + "2" for n in names)
 
     @property
     def transforms(self) -> tuple:
         """Per-coordinate transform kind: 'logit', 'log' or 'id'."""
-        if self.data_type == MICROSCOPY:
-            return ("log",) * 3 if self.family == GGAMMA else ("id", "log")
-        if self.family == GGAMMA:
-            return ("logit",) + ("log",) * 6
-        return ("logit", "id", "log", "id", "log")
+        return _kinds(self.family, self.data_type == OFA)
 
     @property
     def n_params(self) -> int:
@@ -112,62 +109,21 @@ class ModelSpec:
         return np.array(lo), np.array(hi)
 
     def to_theta(self, original) -> np.ndarray:
-        original = np.asarray(original, dtype=float)
-        out = np.empty_like(original)
-        for i, kind in enumerate(self.transforms):
-            if kind == "logit":
-                # boundary proportions map to -inf/+inf; only valid when fixed
-                with np.errstate(divide="ignore"):
-                    out[i] = np.log(original[i]) - np.log1p(-original[i])
-            elif kind == "log":
-                out[i] = np.log(original[i])
-            else:
-                out[i] = original[i]
-        return out
+        """Original scale to theta; a boundary proportion maps to -inf/+inf (valid only when fixed)."""
+        return np.array(_transform(self.transforms, np.asarray(original, dtype=float), 0))
 
     def from_theta(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        out = np.empty_like(theta)
-        for i, kind in enumerate(self.transforms):
-            if kind == "logit":
-                out[i] = _expit(theta[i])
-            elif kind == "log":
-                out[i] = np.exp(theta[i])
-            else:
-                out[i] = theta[i]
-        return out
+        return np.array(_transform(self.transforms, np.asarray(theta, dtype=float), 1))
 
     def chain_vector(self, theta) -> np.ndarray:
         """d(original)/d(theta) per coordinate, the delta-method diagonal."""
-        theta = np.asarray(theta, dtype=float)
-        out = np.empty_like(theta)
-        for i, kind in enumerate(self.transforms):
-            if kind == "logit":
-                e = _expit(theta[i])
-                out[i] = e - e * e
-            elif kind == "log":
-                out[i] = np.exp(theta[i])
-            else:
-                out[i] = 1.0
-        return out
+        return np.array(_transform(self.transforms, np.asarray(theta, dtype=float), 2))
 
     def params_from_original(self, original):
-        v = np.asarray(original, dtype=float)
-        if self.data_type == MICROSCOPY:
-            return GgdParams(*v) if self.family == GGAMMA else LognParams(*v)
-        if self.family == GGAMMA:
-            return MixtureParams(v[0], GgdParams(*v[1:4]), GgdParams(*v[4:7]))
-        return MixtureParams(v[0], LognParams(*v[1:3]), LognParams(*v[3:5]))
+        return _params_from_values(self.family, np.asarray(original, dtype=float))
 
     def param_vector(self, theta, fixed_mask=None) -> ParamVector:
         return ParamVector(self.family, tuple(np.asarray(theta, dtype=float)), fixed_mask)
-
-
-def _expit(x):
-    ax = np.abs(np.asarray(x, dtype=float))
-    e = np.exp(-ax)
-    out = np.where(np.asarray(x) >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return float(out) if np.ndim(x) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -462,20 +418,14 @@ def _finalize(model, data, cfg, theta_hat, fixed, ev: LikelihoodEvaluation, stat
 
 
 def covariance_original_scale(result: FitResult) -> np.ndarray:
-    """Delta-method covariance diag(chain) Var(theta-hat) diag(chain).
+    """Delta-method covariance diag(chain) Var(theta-hat) diag(chain), symmetrized.
 
     The chain vector is (eps - eps^2) for the proportion, the parameter value
-    itself for log-transformed coordinates, and 1 for lognormal means.
+    itself for log-transformed coordinates, and 1 for lognormal means; the
+    matrix is the fit's ``cov_tilde``.
     """
-    if result.cov_theta is None or result.convergence == "singular_hessian":
+    if result.cov_tilde is None:
         raise ValueError("no covariance available: fit did not produce a usable Hessian")
-    theta = np.array(result.theta_hat.values)
-    chain = result.model.chain_vector(theta)
-    fixed = np.array(result.theta_hat.fixed_mask)
-    chain[fixed & ~np.isfinite(chain)] = 0.0
-    cov = chain[:, None] * result.cov_theta * chain[None, :]
-    sym = 0.5 * (cov + cov.T)
-    eig = np.linalg.eigvalsh(sym)
-    if eig.size and eig.min() < -1e-10 * max(eig.max(), 1.0):
+    if result.se_flagged:
         raise ValueError("original-scale covariance is not positive semidefinite")
-    return sym
+    return 0.5 * (result.cov_tilde + result.cov_tilde.T)

@@ -76,8 +76,8 @@ def _prob_uncut_unchecked(y, r):
     # radicand can underflow slightly negative for y ~ 2r
     rad = np.clip(4.0 * r * r - y * y, 0.0, None)
     root = np.sqrt(rad)
-    arg = np.clip(root / (2.0 * r), 0.0, 1.0)
-    num = 2.0 * r * r * np.arcsin(arg) - 0.5 * y * root
+    # arctan2(root, y) = arcsin(root / 2r), well conditioned at both ends
+    num = 2.0 * r * r * np.arctan2(root, y) - 0.5 * y * root
     p = num / (np.pi * r * r + 2.0 * r * y)
     p = np.where(y > 2.0 * r, 0.0, p)
     return np.clip(p, 0.0, 1.0)

@@ -38,8 +38,6 @@ import numpy as np
 
 from .densities import (
     ComponentParams,
-    GgdParams,
-    LognParams,
     MixtureParams,
     ParamVector,
     _n_coords,
@@ -208,7 +206,7 @@ def _as_params(theta):
     """Accept a ParamVector or already-decoded parameters."""
     if isinstance(theta, ParamVector):
         return decode(theta)
-    if isinstance(theta, (MixtureParams, GgdParams, LognParams)):
+    if isinstance(theta, MixtureParams | ComponentParams):
         return theta
     raise TypeError(f"cannot interpret {type(theta).__name__} as parameters")
 

@@ -16,7 +16,8 @@ component or mixture to the other three scales:
     f_V(v) = f_Y(v) p_uc(v) / k_theta,   k_theta = int_0^2r f_Y p_uc
     f_X(x) = p_uc(x) f_Y(x) + int_x^inf k(x|y) f_Y(y) dy
 
-E(W) of a component solves 1 / (pi r + 2 E(W)) = int f_Y(y) / (pi r + 2 y) dy.
+E(W) of a component solves 1 / (pi r + 2 E(W)) = int f_Y(y) / (pi r + 2 y) dy;
+its W moments and their theta-gradients share one memoized quadrature pass.
 
 k_theta and its theta-derivatives (the microscopy normalizer) are one
 integral in log length, shared by :func:`k_theta` and the microscopy
@@ -28,7 +29,7 @@ mass below hi, and at the images of the 16 equal y-panel ends hi j / 16;
 s_lo is the quantile at tail_cutoff F(hi) with y halved, and the absolute
 tolerance is abs_tol F(hi).
 
-Expensive per-parameter constants (component W-means, k_theta, tail
+Expensive per-parameter constants (the W-moment integrals, k_theta, tail
 truncation points) are memoized on the frozen parameter dataclasses, so a
 likelihood evaluation computes each once regardless of the number of data
 points.
@@ -40,12 +41,11 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv, gammaln, log_ndtr, ndtri_exp
 
 from .densities import (
     _LOG_UNDERFLOW,
+    FAMILIES,
     ComponentParams,
-    GgdParams,
     MixtureParams,
     _n_coords,
     _stack_height,
@@ -86,10 +86,7 @@ def component_tail(p: ComponentParams, tail_cutoff: float = DEFAULT_CONFIG.tail_
     for the generalized gamma, exp(mu + 8 sigma) for the lognormal) and
     doubled until pdf(U) * U drops below the cutoff.
     """
-    if isinstance(p, GgdParams):
-        log_start = np.log(p.b) + np.log(p.k + 10.0 / p.d) / p.d
-    else:
-        log_start = p.mu + 8.0 * p.sigma
+    log_start = FAMILIES[p.family].tail_seed(p)
     u = float(np.exp(min(log_start, np.log(_TAIL_CAP))))
     u = max(u, 1e-6)
     while u < _TAIL_CAP:
@@ -100,34 +97,38 @@ def component_tail(p: ComponentParams, tail_cutoff: float = DEFAULT_CONFIG.tail_
 
 
 @lru_cache(maxsize=512)
-def _harmonic_weight_integral(p: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig) -> float:
-    """int_0^inf f_Y(y) / (pi r + 2 y) dy."""
+def _weighted_moment_integrals(p: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig):
+    """J[m] = int y^m f / (pi r + 2 y) and the same with f's theta-gradient.
+
+    Returns read-only (J, Jg) with J of shape (5,) for m = 0..4 and Jg of
+    shape (5, n_coords); one quadrature tree serves all rows.
+    """
+    cn = _n_coords(p)
+    stack = _stack_rows(p, 1)  # rows: f, then df/dtheta_j
     pir = np.pi * geom.r
     u = component_tail(p, cfg.tail_cutoff)
-    return integrate(lambda y: component_pdf(y, p) / (pir + 2.0 * y), 0.0, np.inf, cfg, tail_start=u)
+
+    def integrand(y):
+        base = stack(y) / (pir + 2.0 * y)
+        return np.concatenate([base * y**m for m in range(5)], axis=0)
+
+    flat = integrate(integrand, 0.0, np.inf, cfg, tail_start=u)
+    flat = flat.reshape(5, 1 + cn)
+    flat.flags.writeable = False
+    return flat[:, 0], flat[:, 1:]
 
 
 def mean_w_component(p: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Expected cell length on the W (standing tree) scale for one component."""
-    i0 = _harmonic_weight_integral(p, geom, cfg)
-    return 0.5 / i0 - 0.5 * np.pi * geom.r
+    return float(0.5 / _weighted_moment_integrals(p, geom, cfg)[0][0] - 0.5 * (np.pi * geom.r))
 
 
 def moment_w(m: int, p: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """m-th raw moment of the component's W-scale distribution, m in 1..4."""
     if m not in (1, 2, 3, 4):
         raise ValueError("moment order m must be one of 1, 2, 3, 4")
-    pir = np.pi * geom.r
-    ew = mean_w_component(p, geom, cfg)
-    u = component_tail(p, cfg.tail_cutoff)
-    val = integrate(
-        lambda y: y**m * component_pdf(y, p) / (pir + 2.0 * y),
-        0.0,
-        np.inf,
-        cfg,
-        tail_start=u,
-    )
-    return (pir + 2.0 * ew) * val
+    J = _weighted_moment_integrals(p, geom, cfg)[0]
+    return float(J[m] / J[0])  # (pi r + 2 E(W)) J[m], since pi r J[0] + 2 J[1] = 1
 
 
 def density_w_component(w, p: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig = DEFAULT_CONFIG):
@@ -146,31 +147,6 @@ def density_w_component(w, p: ComponentParams, geom: CoreGeometry, cfg: Quadratu
 # log-length densities decay exponentially
 _EDGE_LOG_PROBS = np.log([1e-8, 1e-5, 1e-3, 0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98, 0.999, 1 - 1e-5, 1 - 1e-8])
 _LOW_SHIFT = np.log(2.0)  # the lower limit is the tail quantile of y halved
-_TINY = 1e-300
-
-
-def _standard_form(p: ComponentParams):
-    """(a, c, log CDF, quantile) of the standardized log length s = c (log y - a).
-
-    The quantile maps log probabilities to s.  For the generalized gamma,
-    s = log u with u = (y/b)^d gamma(k)-distributed, and since
-    P(k, u) <= u^k / Gamma(k + 1), where the inverse leaves the normal range
-    the root of the bound, in log form, is used: it lies below the quantile.
-    """
-    if isinstance(p, GgdParams):
-        k = p.k
-
-        def log_cdf(s):
-            with np.errstate(over="ignore", divide="ignore"):
-                return np.log(gammainc(k, np.exp(s)))
-
-        def quantile(log_prob):
-            u = gammaincinv(k, np.exp(log_prob))
-            bound = (log_prob + gammaln(k + 1.0)) / k
-            return np.where(u > _TINY, np.log(np.maximum(u, _TINY)), bound)
-
-        return np.log(p.b), p.d, log_cdf, quantile
-    return p.mu, 1.0 / p.sigma, log_ndtr, ndtri_exp
 
 
 def _uncut_mass_stack(p: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig, order: int, quad):
@@ -191,7 +167,7 @@ def _uncut_mass_stack(p: ComponentParams, geom: CoreGeometry, cfg: QuadratureCon
     sites can be instrumented apart.
     """
     hi = min(2.0 * geom.r, component_tail(p, cfg.tail_cutoff))
-    a, c, log_cdf, quantile = _standard_form(p)
+    a, c, log_cdf, quantile = FAMILIES[p.family].standard_form(p)
     ends = c * (np.log(hi * np.arange(1, 17) / 16.0) - a)
     log_mass = float(log_cdf(ends[-1]))
     if not log_mass > _LOG_UNDERFLOW:

@@ -21,11 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import (
-    ComponentParams,
-    GgdParams,
-    MixtureParams,
-)
+from .densities import FAMILIES, ComponentParams, MixtureParams
 from .geometry import CoreGeometry, _prob_uncut_unchecked, cut_kernel_cdf
 
 __all__ = ["SimSpec", "sample_y", "sample_w", "sample_v", "sample_x"]
@@ -56,22 +52,16 @@ class SimSpec:
             raise ValueError("the X scale observes the full mixture: pass MixtureParams")
 
 
-def _draw_component(rng: np.random.Generator, p: ComponentParams, n: int) -> np.ndarray:
-    if isinstance(p, GgdParams):
-        g = rng.gamma(shape=p.k, scale=1.0, size=n)
-        return p.b * g ** (1.0 / p.d)
-    return np.exp(p.mu + p.sigma * rng.standard_normal(n))
-
-
 def _draw_y(rng: np.random.Generator, params, n: int) -> np.ndarray:
+    sample = FAMILIES[params.family].sample
     if not isinstance(params, MixtureParams):
-        return _draw_component(rng, params, n)
+        return sample(rng, params, n)
     take_fines = rng.random(n) < params.eps
     out = np.empty(n)
     n_fines = int(take_fines.sum())
     # fines block first, then fibers, so the stream layout is deterministic
-    out[take_fines] = _draw_component(rng, params.fines, n_fines)
-    out[~take_fines] = _draw_component(rng, params.fibers, n - n_fines)
+    out[take_fines] = sample(rng, params.fines, n_fines)
+    out[~take_fines] = sample(rng, params.fibers, n - n_fines)
     return out
 
 

@@ -24,11 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import ComponentParams, MixtureParams, _n_coords, _stack_rows
+from .densities import ComponentParams, MixtureParams, _n_coords
 from .geometry import CoreGeometry
 from .fitting import FitResult, MICROSCOPY
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
-from .scales import component_tail
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig
+from .scales import _weighted_moment_integrals
 
 __all__ = [
     "ComponentStats",
@@ -65,26 +65,6 @@ class SummaryStats:
     loglik: float
     n: int
     convergence: str
-
-
-def _weighted_moment_integrals(p: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig):
-    """J[m] = int y^m f / (pi r + 2 y) and the same with f's theta-gradient.
-
-    Returns (J, Jg) with J of shape (5,) for m = 0..4 and Jg of shape
-    (5, n_coords); one quadrature tree serves all rows.
-    """
-    cn = _n_coords(p)
-    stack = _stack_rows(p, 1)  # rows: f, then df/dtheta_j
-    pir = np.pi * geom.r
-    u = component_tail(p, cfg.tail_cutoff)
-
-    def integrand(y):
-        base = stack(y) / (pir + 2.0 * y)
-        return np.concatenate([base * y**m for m in range(5)], axis=0)
-
-    flat = integrate(integrand, 0.0, np.inf, cfg, tail_start=u)
-    flat = flat.reshape(5, 1 + cn)
-    return flat[:, 0], flat[:, 1:]
 
 
 def component_stat_gradients(p: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig = DEFAULT_CONFIG):

@@ -47,6 +47,18 @@ def test_density_needs_r_for_censored_scales():
     assert run_cli("density", "--scale", "w", "--par", "1.8,2.7,2.6", "--at", "1.0") == 2
 
 
+def test_integral_failure_is_exit_3(capsys):
+    # the W-scale mean of this heavy-tailed shape does not converge: a typed
+    # error and exit code 3, not a traceback
+    rc = run_cli(
+        "density", "--scale", "w", "--model", "ggamma", "--par", "0.5,0.3,0.2",
+        "--r", "2.5", "--at", "1",
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_density_grid_and_csv(tmp_path):
     out = tmp_path / "curve.csv"
     rc = run_cli(

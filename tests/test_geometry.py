@@ -127,3 +127,21 @@ def test_cut_kernel_cdf_saturates_to_cut_probability():
     for y in (0.8, 3.0, 40.0):
         top = min(y, 5.0)
         assert cut_kernel_cdf(top, y, g) == pytest.approx(1.0 - prob_uncut(y, g), abs=1e-12)
+
+
+# p_uc at r = 2.5 from the arcsin closed form in mpmath at 40 digits
+P_UC_R25 = {
+    1e-8: 0.99999999490704183403,
+    1e-4: 0.99994907171509041699,
+    1e-2: 0.99491997968422130893,
+    1.0: 0.59543404390769250472,
+    4.999: 1.4937202602564513957e-6,
+}
+
+
+def test_prob_uncut_golden_values():
+    g = CoreGeometry(2.5)
+    for y, want in P_UC_R25.items():
+        # near 2r both the angle and the area term lose digits to the root
+        rel = 1e-12 if y > 4.0 else 1e-14
+        assert prob_uncut(y, g) == pytest.approx(want, rel=rel, abs=0.0), y

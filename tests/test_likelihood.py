@@ -241,6 +241,14 @@ def test_micro_evaluates_across_the_box(geom25, micro_data):
             assert order == 0 or np.all(np.isfinite(ev.gradient))
 
 
+def test_micro_hessian_finite_at_steep_shape(geom25, micro_data):
+    # (b, d, k) = (1e-4, 50, 1) puts the normalizer's (b, b) row at y ~ 1e-4,
+    # where p_uc must be accurate to far below its distance from 1
+    ev = micro_loglik(GgdParams(1e-4, 50.0, 1.0), micro_data, geom25, order=2)
+    assert np.isfinite(ev.loglik)
+    assert np.all(np.isfinite(ev.gradient)) and np.all(np.isfinite(ev.hessian))
+
+
 def test_micro_limit_large_radius(micro_data):
     p = GgdParams(2.4, 3.3, 1.5)
     lim = micro_loglik(p, micro_data, CoreGeometry(1e5)).loglik

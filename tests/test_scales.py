@@ -24,6 +24,7 @@ from fiberfit.densities import component_pdf
 from fiberfit.quadrature import DEFAULT_CONFIG, segment_integrals
 from fiberfit.scales import _censored_tail_terms, _uncut_mass_stack, k_theta
 from fiberfit.simulate import SimSpec, sample_x
+from fiberfit.summary import component_stat_gradients
 from conftest import (
     BATTERY,
     MIX_GGD_R6,
@@ -41,6 +42,16 @@ TRUE_W_SD = 0.6723
 def test_mean_w_reference_value(geom25):
     p = GgdParams(2.4, 3.3, 1.5)
     assert mean_w_component(p, geom25) == pytest.approx(TRUE_W_MEAN, abs=1e-3)
+
+
+def test_mean_w_heavy_tail_shares_the_summary_integral(geom25):
+    # d = 0.0786 spreads the mass over hundreds of decades of y; the reference
+    # comes from mpmath, integrating f_Y / (pi r + 2 y) in s = log u,
+    # u = (y / b)^d ~ gamma(k)
+    p = GgdParams(3.62, 0.0786, 5.73)
+    mean = mean_w_component(p, geom25)
+    assert mean == pytest.approx(3038.10492704816, rel=1e-7)
+    assert mean == component_stat_gradients(p, geom25)["mean"][0]
 
 
 def test_mean_w_flattens_to_y_mean():
