@@ -3,6 +3,12 @@
 Every invocation writes a run manifest (resolved options, input digest,
 seed, version, timing) next to its outputs so results are traceable.  Exit
 codes: 0 success, 2 validation problem, 3 optimizer or integral failure.
+
+``fit.json`` lists every optimizer start under ``starts`` (index, status,
+iterations, log likelihood, null for a start that raised).  A start's status
+is one of ``success``, ``max_iter``, ``line_search_failure``, ``error`` (the
+likelihood could not be evaluated) or ``duplicate`` (stopped on entering the
+basin of an optimum an earlier start found).
 """
 
 from __future__ import annotations
@@ -245,6 +251,15 @@ def _fit_json(result, stats: SummaryStats, seed) -> dict:
         "loglik": result.loglik,
         "convergence": result.convergence,
         "starts_tried": result.starts_tried,
+        "starts": [
+            {
+                "index": rec.index,
+                "status": rec.status,
+                "n_iter": rec.n_iter,
+                "loglik": rec.loglik if np.isfinite(rec.loglik) else None,
+            }
+            for rec in result.trace
+        ],
         "seed": seed,
         "summary": {
             "fibers": stats_block(stats.fibers),

@@ -7,6 +7,15 @@ values come from maximizing the uncensored mixture likelihood (cheap, no
 integrals), then the censored likelihood is maximized by L-BFGS-B with the
 analytic gradient, best of ``n_starts`` jittered restarts.
 
+Each optimum is found once.  A start that converges is polished by one
+projected Newton step on its order-2 evaluation (kept only if the log
+likelihood rises), and that evaluation, which also gives the covariance,
+makes it a known optimum once its Newton model predicts no further gain.
+A later start stops as a duplicate as soon as an iterate enters a known
+optimum's Hessian ellipsoid at the chi-square 0.99 level with a log
+likelihood the quadratic model allows there: the basin test of multi-level
+single linkage (Rinnooy Kan & Timmer 1987, Math. Programming 39:57).
+
 Fixed parameters are held at their original-scale values and excluded from
 the optimization; a proportion fixed at exactly 0 or 1 is supported even
 though it has no finite logit.
@@ -19,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.special import chdtri
 
 from .densities import (
     FAMILIES,
@@ -294,6 +304,8 @@ def _logit_clipped(p: float) -> float:
 
 
 _STATUS = {0: "success", 1: "max_iter", 2: "line_search_failure"}
+_BASIN_TAIL = 0.01  # chi-square upper tail probability of the basin ellipsoid
+_NEWTON_GAIN_TOL = 1e-6  # largest log-likelihood gain a known optimum's Newton model may predict
 
 
 def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitResult:
@@ -301,8 +313,17 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
 
     The first start is the :func:`initialize` output; the remaining starts
     add seeded N(0, 0.5) jitter on the theta scale, clipped into the box.
-    Ties in log likelihood resolve to the earliest start.  The covariance of
-    theta-hat is the inverse negative analytic Hessian at the maximizer, and
+    A converged start takes one projected Newton step from its order-2
+    evaluation (coordinates pinned at a bound held, the rest clipped to the
+    box), kept only if the log likelihood rises.  It becomes a known optimum
+    when its negative Hessian has a Cholesky factor and its Newton step
+    predicts a gain of at most 1e-6.  A later start whose iterate x enters
+    a known optimum's ellipsoid, (x - x_hat)' (-H) (x - x_hat) below the
+    chi-square(p) 0.99 quantile with a log likelihood at least l_hat minus
+    half that quantile, stops with status ``duplicate`` and does not compete
+    for the result.  Ties in log likelihood resolve to the earliest start.
+    The covariance of theta-hat is the inverse negative analytic Hessian at
+    the maximizer, from the order-2 evaluation the start already made, and
     the original-scale covariance follows by the delta method.
     """
     expected_scale = "X" if model.data_type == OFA else "V"
@@ -344,9 +365,63 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
         jitter = rng.normal(0.0, 0.5, size=int(free.sum()))
         starts.append(np.clip(theta_init[free] + jitter, lo_t[free], hi_t[free]))
 
-    trace, results = [], []
+    def order2(tf):
+        try:
+            return loglik_of(params_of(assemble(tf)), 2)
+        except (EvaluationError, FloatingPointError):
+            return None
+
+    def neg_hessian(ev):
+        return -np.asarray(ev.hessian)[np.ix_(free, free)]
+
+    def neg_hessian_factor(ev):
+        try:
+            factor = np.linalg.cholesky(neg_hessian(ev))
+        except np.linalg.LinAlgError:
+            return None
+        return factor if np.all(np.isfinite(factor)) else None  # a NaN Hessian factors without raising
+
+    def newton_step(tf, ev):
+        """Newton step holding the coordinates pinned at a bound, and the gain it predicts."""
+        g = np.asarray(ev.gradient)[free]
+        move = ~(((tf <= lo_t[free]) & (g < 0.0)) | ((tf >= hi_t[free]) & (g > 0.0)))
+        step = np.zeros_like(g)
+        step[move] = np.linalg.solve(neg_hessian(ev)[np.ix_(move, move)], g[move])
+        return step, 0.5 * float(g @ step)
+
+    def polish(tf, ev):
+        """One projected Newton step, kept if the log likelihood rises: (point, evaluation, factor).
+
+        The factor of -H is None, so the point is not a known optimum, when -H is
+        not positive definite or its Newton model still predicts a gain above
+        _NEWTON_GAIN_TOL (L-BFGS-B can end with ``success`` on a flat ridge).
+        """
+        if neg_hessian_factor(ev) is None:
+            return tf, ev, None
+        tf_new = np.clip(tf + newton_step(tf, ev)[0], lo_t[free], hi_t[free])
+        ev_new = order2(tf_new)
+        if ev_new is not None and ev_new.loglik > ev.loglik:
+            tf, ev = tf_new, ev_new
+        factor = neg_hessian_factor(ev)
+        if factor is None or newton_step(tf, ev)[1] > _NEWTON_GAIN_TOL:
+            return tf, ev, None
+        return tf, ev, factor
+
+    chi2 = chdtri(int(free.sum()), _BASIN_TAIL)
+    known = []  # (start index, x_hat, loglik_hat, lower Cholesky factor of -H)
+    entered = []
+
+    def stop_in_known_basin(intermediate_result):
+        for index, x_hat, loglik_hat, factor in known:
+            z = factor.T @ (intermediate_result.x - x_hat)
+            if z @ z < chi2 and -intermediate_result.fun >= loglik_hat - 0.5 * chi2:
+                entered.append(index)
+                raise StopIteration
+
+    trace, results = [], []  # results: (loglik, start index, x, status, order-2 evaluation or None)
     bounds = list(zip(lo_t[free], hi_t[free]))
     for idx, t0 in enumerate(starts):
+        entered.clear()
         try:
             res = minimize(
                 objective,
@@ -354,19 +429,33 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
                 jac=True if analytic else None,
                 method="L-BFGS-B",
                 bounds=bounds,
+                callback=stop_in_known_basin,
                 options={"maxiter": cfg.max_iter, "gtol": cfg.grad_tol},
             )
-            status = _STATUS.get(res.status, "line_search_failure")
-            trace.append(StartRecord(idx, assemble(t0), -res.fun, status, res.nit, str(res.message)))
-            results.append((idx, res, status))
         except (EvaluationError, FloatingPointError, np.linalg.LinAlgError) as exc:
             trace.append(StartRecord(idx, assemble(t0), -np.inf, "error", 0, str(exc)))
+            continue
+        if entered:
+            message = f"entered the basin of start {entered[0]}"
+            trace.append(StartRecord(idx, assemble(t0), -res.fun, "duplicate", res.nit, message))
+            continue
+        status = _STATUS.get(res.status, "line_search_failure")
+        x, loglik = res.x, -res.fun
+        ev = order2(x) if status == "success" else None
+        if ev is not None:
+            x, ev, factor = polish(x, ev)
+            loglik = ev.loglik
+            if factor is not None:
+                known.append((idx, x, loglik, factor))
+        trace.append(StartRecord(idx, assemble(t0), loglik, status, res.nit, str(res.message)))
+        results.append((loglik, idx, x, status, ev))
     if not results:
         raise FitError("all optimization starts failed", trace)
 
-    best_idx, best_res, best_status = min(results, key=lambda t: (t[1].fun, t[0]))
-    theta_hat = assemble(best_res.x)
-    ev = loglik_of(params_of(theta_hat), 2)
+    _, _, x_best, best_status, ev = min(results, key=lambda t: (-t[0], t[1]))
+    theta_hat = assemble(x_best)
+    if ev is None:
+        ev = loglik_of(params_of(theta_hat), 2)
     return _finalize(model, data, cfg, theta_hat, fixed, ev, best_status, trace, len(starts))
 
 
