@@ -26,7 +26,13 @@ Gradients and Hessians are assembled from the mixture structure
 
 and the per-component censored stacks, rather than transcribing each entry
 of the expanded formulas; finite-difference agreement is enforced in the
-test suite.
+test suite.  The censored stacks of both components come from one
+quadrature tree per evaluation.  Order 0 reads only the value rows at the
+data; order 1 reads those and takes the gradient by the adjoint of the
+readout, summing each derivative row against the weights counts / f_X
+inside the tree (reverse mode, Griewank and Walther, Evaluating Derivatives,
+SIAM 2008); order 2 reads every row at every point, since the outer product
+of the scores needs them.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from .densities import (
 )
 from .geometry import CoreGeometry, _prob_uncut_unchecked
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureError, segment_integrals
-from .scales import _censored_component_stack, _uncut_mass_stack
+from .scales import _CensoredStacks, _uncut_mass_stack
 
 __all__ = [
     "Dataset",
@@ -218,27 +224,58 @@ def _split_stack(stack, cn: int, order: int):
     return f, grad, hess
 
 
-def _mixture_eval(mix: MixtureParams, parts_of, data: Dataset, order: int) -> LikelihoodEvaluation:
+class _PlainStacks:
+    """Uncensored density stacks of the live components, the interface of ``scales._CensoredStacks``."""
+
+    def __init__(self, x, parts, order: int):
+        self._rows = [_stack_rows(p, order)(x) for p in parts]
+
+    def values(self):
+        return [g[0] for g in self._rows]
+
+    def rows(self):
+        return self._rows
+
+    def dots(self, v):
+        return [g[1:] @ v for g in self._rows]
+
+
+def _mixture_eval(mix: MixtureParams, stacks_of, data: Dataset, order: int) -> LikelihoodEvaluation:
     """Mixture log likelihood and count-weighted derivative sums.
 
-    parts_of(component, label) returns the component's (f, grad, hess_packed)
-    arrays over the unique data values on the relevant scale (censored for
-    the full likelihood, plain densities for the uncensored initialization
-    problem).  A component with zero weight is not evaluated.
+    stacks_of(parts) returns the density stacks of the live components over
+    the unique data values on the relevant scale (censored for the full
+    likelihood, plain densities for the uncensored initialization problem):
+    per-point value rows (``values``), per-point rows of every order
+    (``rows``, order 2) and weighted sums of the derivative rows (``dots``).
+    A component with zero weight is not evaluated.  At order 1 the gradient
+    is sum_k v_k (eps coordinate, fines and fibers derivative rows) with
+    v = counts / f_X, so the derivative rows are only ever summed.
     """
     eps, w = mix.eps, data.counts
     cn = _n_coords(mix.fines)
-    zero = _split_stack(np.zeros((_stack_height(cn, order), data.unique.size)), cn, order)
-    f_n, d_n, h_n = parts_of(mix.fines, "fines") if eps > 0.0 else zero
-    f_b, d_b, h_b = parts_of(mix.fibers, "fibers") if eps < 1.0 else zero
+    live = (eps > 0.0, eps < 1.0)
+    stacks = stacks_of([p for p, on in zip((mix.fines, mix.fibers), live) if on])
+    zero = np.zeros((_stack_height(cn, order), data.unique.size))
+
+    def both(found, absent):
+        """(fines, fibers) entries, ``absent`` for a component that was not evaluated."""
+        found = iter(found)
+        return [next(found) if on else absent for on in live]
+
+    if order >= 2:
+        (f_n, d_n, h_n), (f_b, d_b, h_b) = (_split_stack(g, cn, order) for g in both(stacks.rows(), zero))
+    else:
+        f_n, f_b = both(stacks.values(), zero[0])
     fc = np.maximum(eps * f_n + (1.0 - eps) * f_b, _TINY)
     grad = hess = None
-    if order >= 1:
-        de = eps - eps * eps
+    de, v = eps - eps * eps, w / fc
+    if order == 1:
+        d_n, d_b = both(stacks.dots(v), zero[1:, 0])
+        grad = np.concatenate([[de * ((f_n - f_b) @ v)], eps * d_n, (1.0 - eps) * d_b])
+    if order >= 2:
         score = np.concatenate([[de * (f_n - f_b)], eps * d_n, (1.0 - eps) * d_b]) / fc
         grad = score @ w
-    if order >= 2:
-        v = w / fc
         d2_sum = np.zeros((1 + 2 * cn, 1 + 2 * cn))
         d2_sum[0, 0] = de * (1.0 - 2.0 * eps) * ((f_n - f_b) @ v)
         d2_sum[0, 1 : 1 + cn] = de * (d_n @ v)
@@ -249,16 +286,11 @@ def _mixture_eval(mix: MixtureParams, parts_of, data: Dataset, order: int) -> Li
     return _evaluation(np.log(fc), grad, hess, data)
 
 
-def _censored_parts(x, p: ComponentParams, geom, cfg, order, label: str):
-    cn = _n_coords(p)
-    n_stack = _stack_height(cn, order)
+def _censored_stacks(x, parts, geom, cfg, order):
     try:
-        stack = _censored_component_stack(x, p, geom, cfg, _stack_rows(p, order), n_stack)
+        return _CensoredStacks(x, parts, geom, cfg, order)
     except QuadratureError as exc:
-        raise EvaluationError(
-            f"censored-tail integral for the {label} component failed: {exc}"
-        ) from exc
-    return _split_stack(stack, cn, order)
+        raise EvaluationError(f"censored-tail integral failed: {exc}") from exc
 
 
 def _plain_parts(x, p: ComponentParams, order):
@@ -286,9 +318,7 @@ def ofa_loglik(
     if data.scale != "X":
         raise ValueError("OFA likelihood requires a dataset on the X scale")
     data.validate_support(geom)
-    return _mixture_eval(
-        mix, lambda c, label: _censored_parts(data.unique, c, geom, cfg, order, label), data, order
-    )
+    return _mixture_eval(mix, lambda parts: _censored_stacks(data.unique, parts, geom, cfg, order), data, order)
 
 
 def init_loglik(
@@ -306,7 +336,7 @@ def init_loglik(
     params = _as_params(theta)
     x = data.unique
     if isinstance(params, MixtureParams):
-        return _mixture_eval(params, lambda c, _: _plain_parts(x, c, order), data, order)
+        return _mixture_eval(params, lambda parts: _PlainStacks(x, parts, order), data, order)
 
     f, d, h = _plain_parts(x, params, order)
     fc = np.maximum(f, _TINY)

@@ -6,9 +6,15 @@ either a vector of values (one integrand) or an array of shape
 refined where the 15-point Kronrod / 7-point Gauss discrepancy of any stack
 component is too large, so value, gradient and Hessian integrals of a
 likelihood share one subdivision tree.  ``segment_integrals`` grows its tree
-from a few panels however many edges it is given, and reads each edge inside
-a panel off the exact antiderivative of the degree-14 interpolant through
-the panel's 15 Kronrod node values.
+from a few panels however many edges it is given and returns it as a
+:class:`PanelTree`, which reads only what its caller asks for: the whole
+integral (``total``, no per-edge work), the suffix integral from every edge
+(``suffix``, the sums of the panels above plus the exact antiderivative of
+the degree-14 interpolant through the panel's 15 Kronrod node values,
+anchored at the panel top), or weighted sums of the suffixes over the edges
+(``suffix_dot``, the adjoint of that readout: per-panel Chebyshev moments of
+the weights against the antiderivative coefficients, so a gradient of a sum
+over the data needs no per-edge derivative rows).
 
 Endpoint behaviour: panels never evaluate their endpoints (Kronrod nodes are
 interior), so integrable inverse-square-root singularities converge under
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebvander
 
-__all__ = ["QuadratureConfig", "QuadratureError", "integrate", "segment_integrals"]
+__all__ = ["PanelTree", "QuadratureConfig", "QuadratureError", "integrate", "segment_integrals"]
 
 # 15-point Kronrod nodes on (-1, 1) and weights, with the embedded 7-point
 # Gauss weights on the odd-indexed nodes (QUADPACK dqk15 constants).
@@ -118,9 +124,9 @@ class QuadratureError(RuntimeError):
 
 
 _KG_WEIGHTS = np.stack([_WK, _WK - np.bincount(_GAUSS_IDX, _WG, minlength=15)], axis=1)  # K and K - G
-# chebvander(t, 15) @ _ANTIDERIVATIVE @ v integrates from -1 to t the degree-14
-# interpolant through values v at the Kronrod nodes (to K at t = 1)
-_ANTIDERIVATIVE = chebint(np.eye(15), lbnd=-1) @ np.linalg.inv(chebvander(_XK, 14))
+# chebvander(t, 15) @ _TO_TOP @ v integrates from t to 1 the degree-14
+# interpolant through values v at the Kronrod nodes (to K at t = -1)
+_TO_TOP = -chebint(np.eye(15), lbnd=1) @ np.linalg.inv(chebvander(_XK, 14))
 
 
 def _eval_panels(f, lo, hi):
@@ -143,23 +149,96 @@ def _geometric_edges(start: float, stop: float, min_panels: int):
     return start * (stop / start) ** (np.arange(1, n + 1) / n)
 
 
-def segment_integrals(f, edges, cfg: QuadratureConfig = DEFAULT_CONFIG):
-    """Integrate a stack over each [edges[i], edges[i+1]] segment adaptively.
+class PanelTree:
+    """The converged panels of one :func:`segment_integrals` call, read lazily.
 
-    Returns an array of shape (m, len(edges) - 1).  With step = ceil(number
-    of segments / 16), initial panels end at every step-th edge, at edges 1,
-    2, 4, ... up to step (graded toward the first edge, where the censored
-    integrands are steepest), at the first edge in each band of width step *
-    median(segment width) and at both ends of any wider segment (at every
-    edge for up to 16 segments).  The budget and tolerances apply to the
-    whole edge range at once: panels are bisected until, for every stack
-    component, the summed |K - G| is within max(abs_tol, rel_tol * |integral|).
-    The segment from e_i in panel a to e_{i+1} in panel b is (R[a] - R[b]) +
-    A(e_{i+1}) - A(e_i), where R sums panels from the top, so small suffixes
-    are not differences of large numbers, and A integrates the panel's
-    interpolant from its left end.
+    ``lo`` and ``hi`` hold the panels in ascending order, ``K`` (m, panels)
+    their Kronrod sums and ``above`` (m, panels) the sum of K over all panels
+    above each one.  ``n_initial`` and ``n_splits`` count the starting panels
+    and the bisections, and ``worst_error_ratio`` is the largest summed
+    |K - G| of a stack row over that row's tolerance.  Nothing is read off
+    the interpolants until :meth:`suffix` or :meth:`suffix_dot` asks.
     """
-    edges = np.asarray(edges, dtype=float)
+
+    def __init__(self, edges, lo, hi, K, vals, n_initial: int, n_splits: int, worst_error_ratio: float):
+        above = np.zeros_like(K)
+        above[:, :-1] = np.cumsum(K[:, :0:-1], axis=1)[:, ::-1]
+        self.edges, self.lo, self.hi, self.K, self.above = edges, lo, hi, K, above
+        for arr in (edges, lo, hi, K, above):
+            arr.flags.writeable = False
+        self.n_initial, self.n_splits, self.worst_error_ratio = n_initial, n_splits, worst_error_ratio
+        self._vals, self._readout = vals, None
+
+    def total(self):
+        """Integral of each row over the whole edge range, (m,)."""
+        return self.K.sum(axis=1)
+
+    def _read(self):
+        """The edges' Chebyshev basis, their runs and the panel coefficients.
+
+        Returns the basis (16, edges) at each edge's position t in its panel,
+        the runs (panel, first edge, end) of edges sharing a panel, and per
+        panel the coefficients (m, panels, 16) of the integral from t to the
+        last edge: the interpolant integrated from t to the panel top, plus
+        the panels above in the constant term.
+        """
+        if self._readout is None:
+            pan = np.searchsorted(self.lo, self.edges, side="right") - 1
+            half = 0.5 * (self.hi - self.lo)
+            t = np.clip((self.edges - self.lo[pan] - half[pan]) / half[pan], -1.0, 1.0)
+            starts = np.flatnonzero(np.diff(pan, prepend=-1))
+            runs = list(zip(pan[starts].tolist(), starts.tolist(), [*starts[1:].tolist(), pan.size]))
+            coef = (self._vals @ _TO_TOP.T) * half[:, None]
+            coef[..., 0] += self.above
+            self._readout = np.ascontiguousarray(chebvander(t, 15).T), runs, coef
+        return self._readout
+
+    def suffix(self, rows=slice(None), n=None):
+        """int from each of the first n edges (all by default) to the last edge, (rows, n).
+
+        The panels above an edge's own panel plus the rest of that panel,
+        read off the interpolant's antiderivative anchored at the panel top.
+        """
+        basis, runs, coef = self._read()
+        n = basis.shape[1] if n is None else n
+        coef = coef[rows]
+        out = np.empty((coef.shape[0], n))
+        for p, s, e in runs:
+            if s >= n:
+                break
+            np.matmul(coef[:, p], basis[:, s : min(e, n)], out=out[:, s : min(e, n)])
+        return out
+
+    def suffix_dot(self, weights):
+        """sum_i a_i suffix(e_i) over the edges for every row, (n_weights, m).
+
+        ``weights`` is (n_weights, edges).  The per-panel Chebyshev moments of
+        the weights meet the panel coefficients, so no edge is read row by
+        row; the constant moment is the panel's total weight, which carries
+        the panels above.
+        """
+        a = np.asarray(weights, dtype=float)
+        basis, runs, coef = self._read()
+        moments = np.empty((len(runs), 16, a.shape[0]))
+        for j, (_, s, e) in enumerate(runs):
+            np.matmul(basis[:, s:e], a[:, s:e].T, out=moments[j])
+        return np.einsum("pkw,rpk->wr", moments, coef[:, [p for p, _, _ in runs]])
+
+
+def segment_integrals(f, edges, cfg: QuadratureConfig = DEFAULT_CONFIG) -> PanelTree:
+    """Integrate a stack adaptively over [edges[0], edges[-1]], readable at every edge.
+
+    Returns a :class:`PanelTree` over a copy of the edges.  With step =
+    ceil(number of segments / 16), initial panels end at every step-th edge,
+    at edges 1, 2, 4, ... up to step (graded toward the first edge, where the
+    censored integrands are steepest), at the first edge in each band of
+    width step * median(segment width) and at both ends of any wider segment
+    (at every edge for up to 16 segments).  The budget and tolerances apply
+    to the whole edge range at once: panels are bisected until, for every
+    stack component, the summed |K - G| is within max(abs_tol, rel_tol *
+    |integral|).
+    """
+    edges = np.array(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
         raise ValueError("edges must be a 1-d array with at least two entries")
     width = np.diff(edges)
@@ -173,6 +252,7 @@ def segment_integrals(f, edges, cfg: QuadratureConfig = DEFAULT_CONFIG):
     keep[1:] |= np.diff(np.floor((edges - edges[0]) / band)) > 0.0
     keep[:-1] |= width > band
     lo, hi = edges[keep][:-1], edges[keep][1:]
+    n_initial = lo.size
     K, err, vals = _eval_panels(f, lo, hi)
     # node values stay in their evaluation blocks; row[i] locates panel i
     blocks, row, splits = [vals], np.arange(lo.size), 0
@@ -210,26 +290,8 @@ def segment_integrals(f, edges, cfg: QuadratureConfig = DEFAULT_CONFIG):
         splits += n_split
 
     order = np.argsort(lo)
-    lo, hi, K, row = lo[order], hi[order], K[:, order], row[order]
-    R = np.zeros((K.shape[0], lo.size + 1))
-    R[:, :-1] = np.cumsum(K[:, ::-1], axis=1)[:, ::-1]
-    bounds = np.append(lo, hi[-1])
-    pan = np.searchsorted(bounds, edges, side="right") - 1
-    # A is zero at panel ends; the edges inside a panel are consecutive
-    A = np.zeros((K.shape[0], edges.size))
-    inside = np.flatnonzero(edges > bounds[pan])
-    if inside.size:
-        j, half = pan[inside], 0.5 * (hi - lo)
-        cheb = chebvander((edges[inside] - lo[j] - half[j]) / half[j], 15).T
-        cuts = [0, *(np.flatnonzero(np.diff(j)) + 1).tolist(), j.size]
-        used = j[cuts[:-1]]
-        vals = np.concatenate(blocks, axis=1)[:, row[used]]
-        coef = (vals @ _ANTIDERIVATIVE.T) * half[used, None]
-        for k, (s, e, a) in enumerate(zip(cuts[:-1], cuts[1:], inside[cuts[:-1]].tolist())):
-            np.matmul(coef[:, k], cheb[:, s:e], out=A[:, a : a + e - s])
-    seg, c = A[:, 1:] - A[:, :-1], np.flatnonzero(pan[1:] != pan[:-1])
-    seg[:, c] += R[:, pan[c]] - R[:, pan[c + 1]]
-    return seg
+    vals = np.concatenate(blocks, axis=1)[:, row[order]]
+    return PanelTree(edges, lo[order], hi[order], K[:, order], vals, n_initial, splits, float((err_m / tol_m).max()))
 
 
 def _truncation_point(f, a: float, tail_start: float, cfg: QuadratureConfig) -> float:
@@ -269,5 +331,5 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG, *, 
             edges = np.concatenate([edges, _geometric_edges(head_end, u, 8)])
     else:
         edges = np.linspace(a, b, 9)
-    vals = segment_integrals(f, edges, cfg).sum(axis=1)
+    vals = segment_integrals(f, edges, cfg).total()
     return float(vals[0]) if vals.size == 1 else vals

@@ -29,6 +29,13 @@ mass below hi, and at the images of the 16 equal y-panel ends hi j / 16;
 s_lo is the quantile at tail_cutoff F(hi) with y halved, and the absolute
 tolerance is abs_tol F(hi).
 
+The censored part of f_X is a pair of suffix integrals of the density over
+t(y) = pi r^2 + 2 r y and y / t(y).  One quadrature tree per evaluation
+serves every stack row of both mixture components (a component with zero
+weight is left out), with the data points as edges; the likelihood reads
+the value rows at the points and sums the derivative rows against its
+weights inside the tree (``_CensoredStacks``).
+
 Expensive per-parameter constants (the W-moment integrals, k_theta, tail
 truncation points) are memoized on the frozen parameter dataclasses, so a
 likelihood evaluation computes each once regardless of the number of data
@@ -181,7 +188,7 @@ def _uncut_mass_stack(p: ComponentParams, geom: CoreGeometry, cfg: QuadratureCon
         return stack(s) * _prob_uncut_unchecked(np.exp(a + s / c), r)
 
     tol = replace(cfg, abs_tol=cfg.abs_tol * np.exp(log_mass))
-    return quad(integrand, edges, tol).sum(axis=1)
+    return quad(integrand, edges, tol).total()
 
 
 @lru_cache(maxsize=512)
@@ -207,78 +214,137 @@ def density_v(v, p_fibers: ComponentParams, geom: CoreGeometry, cfg: QuadratureC
     return float(out) if np.ndim(v) == 0 else out
 
 
-def _censored_tail_terms(x_sorted, p: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig, stack_fn, n_stack: int):
-    """Suffix integrals of the cut-length kernel against a density stack.
+class _CensoredStacks:
+    """Observed-scale (X) density stacks of live mixture components at sorted unique points.
 
-    For each ascending point x_i returns
+    For each component's density stack rows g_q (``_stack_rows`` at ``order``)
 
-        T_q(x_i) = int_{x_i}^U  g_q(y) / t(y) dy
-        S_q(x_i) = int_{x_i}^U  y g_q(y) / t(y) dy
+        f_q(x) = p_uc(x) g_q(x) + c1(x) T_q(x) + c2(x) S_q(x),
+        T_q(x) = int_x^U g_q(y) / t(y) dy,   S_q(x) = int_x^U y g_q(y) / t(y) dy,
 
-    where g_q are the n_stack rows produced by stack_fn(y).  Points at or
-    beyond the component's truncation point U get zeros.  One quadrature tree
-    is shared by all rows.  Density-row segments are clamped at zero (an
-    interpolant readout can dip below), so T_0 and S_0 never increase in x.
+    with t(y) = pi r^2 + 2 r y, c1 = (8 r^2 - 3 x^2) / root, c2 = x / root and
+    root = sqrt(4 r^2 - x^2).  U is the largest truncation point of the
+    components, and one quadrature tree serves every row of every component:
+    its edges are the points below U plus geometric edges from the largest of
+    them to U; points at or beyond U get T = S = 0.  The value rows T_0 and S_0
+    are clamped nonnegative and nonincreasing in x (an interpolant readout can
+    dip below).  Sums of the derivative rows against weights (:meth:`dots`)
+    take the adjoint of the readout, so no derivative row is read per point.
     """
-    r = geom.r
-    u = component_tail(p, cfg.tail_cutoff)
-    T = np.zeros((n_stack, x_sorted.size))
-    S = np.zeros((n_stack, x_sorted.size))
-    inside = x_sorted < u
-    if not np.any(inside):
-        return T, S
-    xs = x_sorted[inside]
-    # tail panels past the largest data point, geometric toward U
-    top = xs[-1]
-    if u / max(top, 1e-300) > 1.0 + 1e-12:
-        edges = np.concatenate([xs, _geometric_edges(top, u, 24)])
-    else:
-        edges = np.concatenate([xs, [u]])
 
-    def integrand(y):
-        g = stack_fn(y)
-        w = 1.0 / (np.pi * r * r + 2.0 * r * y)
-        return np.concatenate([g * w, g * (y * w)], axis=0)
+    def __init__(self, x, parts, geom: CoreGeometry, cfg: QuadratureConfig, order: int):
+        r = geom.r
+        self.x = x
+        self.stacks = [_stack_rows(p, order) for p in parts]
+        self.height = _stack_height(_n_coords(parts[0]), order)
+        self.puc = _prob_uncut_unchecked(x, r)
+        root = np.sqrt(np.clip(4.0 * r * r - x * x, 0.0, None))
+        self.kernel = np.stack([8.0 * r * r - 3.0 * x * x, x]) / root  # c1 and c2
+        self._g = None
+        u = max(component_tail(p, cfg.tail_cutoff) for p in parts)
+        self.n_in = int(np.searchsorted(x, u))
+        self.tree = None
+        if self.n_in == 0:
+            return
+        top = x[self.n_in - 1]
+        if u / max(top, 1e-300) > 1.0 + 1e-12:
+            edges = np.concatenate([x[: self.n_in], _geometric_edges(top, u, 24)])
+        else:
+            edges = np.concatenate([x[: self.n_in], [u]])
 
-    seg = segment_integrals(integrand, edges, cfg)
-    seg[[0, n_stack]] = np.maximum(seg[[0, n_stack]], 0.0)
-    suffix = np.cumsum(seg[:, ::-1], axis=1)[:, ::-1]
-    T[:, inside] = suffix[:n_stack, : xs.size]
-    S[:, inside] = suffix[n_stack:, : xs.size]
-    return T, S
+        def integrand(y):
+            w = 1.0 / (np.pi * r * r + 2.0 * r * y)
+            g = np.concatenate([stack(y) for stack in self.stacks], axis=0).reshape(len(parts), 1, -1, y.size)
+            return np.concatenate([g * w, g * (y * w)], axis=1).reshape(-1, y.size)
+
+        self.tree = segment_integrals(integrand, edges, cfg)
+
+    def suffix(self, n_rows: int, comps=None):
+        """(T, S) of the first n_rows stack rows of components comps (all by default) at every point.
+
+        Each is (components, n_rows, points); tree row 2 h i + h j + q holds
+        integral j (T, S) of stack row q of component i, h the stack height.
+        """
+        comps = np.arange(len(self.stacks)) if comps is None else np.asarray(comps)
+        k, h, n = comps.size, self.height, self.x.size
+        rows = (2 * h * comps[:, None, None] + h * np.arange(2)[:, None] + np.arange(n_rows)).ravel()
+        TS = self.tree.suffix(rows, self.n_in) if self.tree is not None else np.empty((rows.size, 0))
+        if self.n_in < n:
+            TS = np.concatenate([TS, np.zeros((rows.size, n - self.n_in))], axis=1)
+        TS = TS.reshape(k, 2, n_rows, n)
+        # an interpolant readout can dip below: keep the value rows >= 0 and nonincreasing
+        val = np.maximum(TS[:, :, 0], 0.0)
+        if np.any(val[..., :-1] < val[..., 1:]):
+            val = np.maximum.accumulate(val[..., ::-1], axis=-1)[..., ::-1]
+        TS[:, :, 0] = val
+        return TS[:, 0], TS[:, 1]
+
+    def _direct(self):
+        """Density stack rows of each component at the points, computed once."""
+        if self._g is None:
+            self._g = [stack(self.x) for stack in self.stacks]
+        return self._g
+
+    def values(self):
+        """The X-scale density of each component at the points."""
+        T, S = self.suffix(1)
+        c1, c2 = self.kernel
+        return [g[0] * self.puc + c1 * t[0] + c2 * s[0] for g, t, s in zip(self._direct(), T, S)]
+
+    def rows(self):
+        """Every X-scale stack row of each component at the points, value row first."""
+        c1, c2 = self.kernel
+        out = []
+        for i, stack in enumerate(self.stacks):  # in place, one component at a time: order-2 stacks are large
+            f = stack(self.x)
+            f *= self.puc
+            (t,), (s,) = self.suffix(self.height, [i])
+            f += np.multiply(t, c1, out=t)
+            f += np.multiply(s, c2, out=s)
+            out.append(f)
+        return out
+
+    def dots(self, v):
+        """sum_k v_k f_q(x_k) over the derivative rows q >= 1 of each component.
+
+        The adjoint of the readout: the weights v c1 and v c2 are summed
+        against the suffix rows inside the tree (``PanelTree.suffix_dot``).
+        """
+        out = [g[1:] @ (v * self.puc) for g in self._direct()]
+        if self.tree is None:
+            return out
+        a = np.zeros((2, self.tree.edges.size))
+        a[:, : self.n_in] = v[: self.n_in] * self.kernel[:, : self.n_in]
+        TS = self.tree.suffix_dot(a).reshape(2, len(out), 2, self.height)
+        return [o + TS[0, i, 0, 1:] + TS[1, i, 1, 1:] for i, o in enumerate(out)]
 
 
-def _censored_component_stack(xu, p: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig, stack_fn, n_stack: int):
-    """Observed-scale (X) values of a density stack at sorted unique points.
-
-    Evaluates p_uc(x) g_q(x) + int_x^inf k(x|y) g_q(y) dy for each stack row,
-    vectorized over xu (strictly ascending) through one shared
-    suffix-quadrature pass.
-    """
-    r = geom.r
-    T, S = _censored_tail_terms(xu, p, geom, cfg, stack_fn, n_stack)
-    direct = stack_fn(xu) * _prob_uncut_unchecked(xu, r)
-    root = np.sqrt(np.clip(4.0 * r * r - xu * xu, 0.0, None))
-    direct += ((8.0 * r * r - 3.0 * xu * xu) * T + xu * S) / root
-    return direct
+def _x_points(x, geom: CoreGeometry):
+    """Sorted unique observed lengths and the inverse map, checked against (0, 2r)."""
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(arr <= 0.0) or np.any(arr >= 2.0 * geom.r):
+        raise ValueError("x must lie strictly inside (0, 2r)")
+    return np.unique(arr, return_inverse=True)
 
 
 def density_x_component(x, p: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig = DEFAULT_CONFIG):
     """Density of the observed (cut or uncut) lengths of one component."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(arr <= 0.0) or np.any(arr >= 2.0 * geom.r):
-        raise ValueError("x must lie strictly inside (0, 2r)")
-    stack_fn = lambda y: np.atleast_2d(component_pdf(y, p))
-    xu, inv = np.unique(arr, return_inverse=True)
-    out = _censored_component_stack(xu, p, geom, cfg, stack_fn, 1)[0][inv]
+    xu, inv = _x_points(x, geom)
+    out = _CensoredStacks(xu, [p], geom, cfg, 0).values()[0][inv]
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def density_x_mixture(x, mix: MixtureParams, geom: CoreGeometry, cfg: QuadratureConfig = DEFAULT_CONFIG):
-    """Observed-scale mixture density eps f_X_fines + (1 - eps) f_X_fibers."""
-    fines = density_x_component(x, mix.fines, geom, cfg) if mix.eps > 0.0 else 0.0
-    fibers = density_x_component(x, mix.fibers, geom, cfg) if mix.eps < 1.0 else 0.0
-    return mix.eps * fines + (1.0 - mix.eps) * fibers
+    """Observed-scale mixture density eps f_X_fines + (1 - eps) f_X_fibers.
+
+    Both components share one quadrature tree; a component with zero weight
+    is not evaluated.
+    """
+    xu, inv = _x_points(x, geom)
+    live = [(wt, p) for wt, p in ((mix.eps, mix.fines), (1.0 - mix.eps, mix.fibers)) if wt > 0.0]
+    stacks = _CensoredStacks(xu, [p for _, p in live], geom, cfg, 0)
+    out = sum(wt * f for (wt, _), f in zip(live, stacks.values()))[inv]
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def density_y_mixture(y, mix: MixtureParams):

@@ -308,14 +308,18 @@ def test_worse_first_optimum_does_not_hide_the_better_one():
 
 def test_start_stopped_short_is_no_known_optimum():
     # L-BFGS-B ends start 0 with ``success`` on a flat ridge of this poorly
-    # identified ggamma mixture, 0.049 below the maximum, where its Newton
-    # model still predicts a gain of 0.067; starts that enter that point's
-    # ellipsoid on their way to the maximum must not stop there
+    # identified ggamma mixture, 0.022 below the maximum, where -H is positive
+    # definite but its Newton model still predicts a gain above 1e-6; starts
+    # that enter that point's ellipsoid on their way to the maximum must not
+    # stop there (with the predicted-gain condition dropped this fit returns
+    # start 0).  Where L-BFGS-B stops on the ridge depends on the last bits of
+    # the gradient, so par_start has to be chosen again whenever the
+    # likelihood's rounding changes.
     geom = CoreGeometry(6.0)
     data = Dataset(sample_x(SimSpec("X", MIX_SIM, geom, 500, seed=1)), "X")
     model = ModelSpec("ggamma", "ofa", geom)
-    res = fit(data, model, FitConfig(par_start=(0.3, 8.0, 3.0, 3.0, 2.0, 2.8, 2.2), n_starts=5, seed=0))
-    maximum = -458.28366792635575  # best of these starts run alone
+    res = fit(data, model, FitConfig(par_start=(0.3, 8.21, 3.03, 2.96, 2.0, 2.88, 2.35), n_starts=5, seed=0))
+    maximum = -458.2836678831045  # best of these starts run alone
     assert res.trace[0].status == "success" and res.trace[0].loglik < maximum - 0.01
     assert res.loglik >= maximum - 1e-6
 

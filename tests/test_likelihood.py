@@ -19,6 +19,7 @@ from fiberfit import (
     micro_loglik,
     ofa_loglik,
 )
+from fiberfit import scales
 from fiberfit.likelihood import _exact_sum, _weighted_fsum
 from conftest import MIX_SIM, fd_gradient, fd_jacobian, rel_err
 
@@ -266,22 +267,77 @@ def test_micro_rejects_mixture(geom25, micro_data):
 def test_permutation_invariance_exact(geom6, ofa_data, tied_ofa_data):
     rng = np.random.default_rng(12)
     for data in (ofa_data, tied_ofa_data):
-        ev = ofa_loglik(MIX_SIM, data, geom6, order=2)
         shuffled = Dataset(data.values[rng.permutation(data.n)], "X")
-        ev2 = ofa_loglik(MIX_SIM, shuffled, geom6, order=2)
-        assert ev.loglik == ev2.loglik
-        assert np.array_equal(ev.gradient, ev2.gradient)
-        assert np.array_equal(ev.hessian, ev2.hessian)
+        for order in (1, 2):
+            ev = ofa_loglik(MIX_SIM, data, geom6, order=order)
+            ev2 = ofa_loglik(MIX_SIM, shuffled, geom6, order=order)
+            assert ev.loglik == ev2.loglik
+            assert np.array_equal(ev.gradient, ev2.gradient)
+            assert order == 1 or np.array_equal(ev.hessian, ev2.hessian)
 
 
 def test_doubling_exact(geom6, ofa_data, tied_ofa_data):
     for data in (ofa_data, tied_ofa_data):
-        ev = ofa_loglik(MIX_SIM, data, geom6, order=2)
         doubled = Dataset(np.concatenate([data.values, data.values]), "X")
-        ev2 = ofa_loglik(MIX_SIM, doubled, geom6, order=2)
-        assert ev2.loglik == 2.0 * ev.loglik
-        assert np.array_equal(ev2.gradient, 2.0 * ev.gradient)
-        assert np.array_equal(ev2.hessian, 2.0 * ev.hessian)
+        for order in (1, 2):
+            ev = ofa_loglik(MIX_SIM, data, geom6, order=order)
+            ev2 = ofa_loglik(MIX_SIM, doubled, geom6, order=order)
+            assert ev2.loglik == 2.0 * ev.loglik
+            assert np.array_equal(ev2.gradient, 2.0 * ev.gradient)
+            assert order == 1 or np.array_equal(ev2.hessian, 2.0 * ev.hessian)
+
+
+MIX_LOGN = MixtureParams(0.35, LognParams(-1.5, 0.8), LognParams(0.9, 0.25))
+
+
+@pytest.mark.parametrize("mix", [MIX_SIM, MIX_LOGN], ids=["ggamma", "lognormal"])
+def test_adjoint_gradient_equals_order2_gradient(geom6, ofa_data, tied_ofa_data, mix):
+    # order 1 sums the derivative rows inside the quadrature tree; order 2
+    # reads them at every point and sums the per-point scores
+    for data in (ofa_data, tied_ofa_data):
+        g1 = ofa_loglik(mix, data, geom6, order=1).gradient
+        g2 = ofa_loglik(mix, data, geom6, order=2).gradient
+        assert np.abs(g1 - g2).max() <= 1e-10 * (1.0 + np.abs(g2).max())
+
+
+def _count_trees(monkeypatch):
+    """Record the integrand of every censored suffix tree built through scales."""
+    integrands = []
+    build = scales.segment_integrals
+
+    def counted(f, edges, *args, **kwargs):
+        integrands.append(f)
+        return build(f, edges, *args, **kwargs)
+
+    monkeypatch.setattr(scales, "segment_integrals", counted)
+    return integrands
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_one_tree_per_evaluation(geom6, ofa_data, monkeypatch, order):
+    integrands = _count_trees(monkeypatch)
+    ofa_loglik(MIX_SIM, ofa_data, geom6, order=order)
+    assert len(integrands) == 1
+    height = {0: 1, 1: 4, 2: 10}[order]  # ggamma stack rows
+    assert integrands[0](np.array([0.5, 2.0])).shape == (2 * 2 * height, 2)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0])
+def test_single_component_tree_at_boundary_weight(geom6, ofa_data, monkeypatch, eps):
+    integrands = _count_trees(monkeypatch)
+    mix = MixtureParams(eps, MIX_SIM.fines, MIX_SIM.fibers)
+    p = mix.fines if eps == 1.0 else mix.fibers
+    for order in (0, 1):
+        integrands.clear()
+        ofa_loglik(mix, ofa_data, geom6, order=order)
+        assert len(integrands) == 1
+        y = np.array([0.5, 2.0, 7.0])
+        w = 1.0 / (np.pi * geom6.r**2 + 2.0 * geom6.r * y)
+        g = ggd_pdf(y, p)
+        rows = integrands[0](y)
+        assert rows.shape == (2 * (1 + 3 * order), 3)
+        assert np.allclose(rows[0], g * w, rtol=1e-14, atol=0.0)
+        assert np.allclose(rows[1 + 3 * order], g * y * w, rtol=1e-14, atol=0.0)
 
 
 def test_per_point_diagnostics_in_input_order(geom6, ofa_data, tied_ofa_data):

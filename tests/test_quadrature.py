@@ -77,10 +77,10 @@ def test_stacked_integrands_share_tree():
 def test_segment_integrals_sum_matches_whole():
     f = lambda x: np.sin(x) + 1.1
     edges = np.array([0.0, 0.3, 1.4, 2.0, 3.1])
-    segs = segment_integrals(f, edges)
-    assert segs.shape == (1, 4)
+    tree = segment_integrals(f, edges)
+    assert tree.suffix().shape == (1, 5)
     whole = quad(lambda x: np.sin(x) + 1.1, 0.0, 3.1)[0]
-    assert segs.sum() == pytest.approx(whole, abs=1e-10)
+    assert tree.total().sum() == pytest.approx(whole, abs=1e-10)
 
 
 def test_segment_edges_validation():
@@ -123,7 +123,8 @@ def test_many_edges_read_off_a_coarse_tree():
     cfg = QuadratureConfig()
     edges = np.sort(np.random.default_rng(5).uniform(0.0, 40.0, 10_000))
     f, count = _counted(lambda y: np.stack([np.exp(-y), y * np.exp(-y)]))
-    segs = segment_integrals(f, edges, cfg)
+    suffix = segment_integrals(f, edges, cfg).suffix()
+    segs = suffix[:, :-1] - suffix[:, 1:]
     assert count[0] <= 15 * 300
 
     def antiderivative(y):
@@ -133,17 +134,16 @@ def test_many_edges_read_off_a_coarse_tree():
     exact_segs = antiderivative(edges[1:]) - a
     tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(exact_segs.sum(axis=1)))[:, None]
     assert np.all(np.abs(segs - exact_segs) <= tol)
-    suffix = np.cumsum(segs[:, ::-1], axis=1)[:, ::-1]
-    assert np.all(np.abs(suffix - (top - a)) <= tol)
+    assert np.all(np.abs(suffix[:, :-1] - (top - a)) <= tol)
 
 
 def test_few_edges_keep_one_panel_per_segment():
     # with at most 17 edges every edge starts a panel: 16 panels and 5
     # bisections here, the tree of a one-panel-per-segment layout
     f, count = _counted(lambda y: np.exp(-(((y - 0.3) / 0.01) ** 2)))
-    segs = segment_integrals(f, np.linspace(0.0, 1.0, 17))
+    tree = segment_integrals(f, np.linspace(0.0, 1.0, 17))
     assert count[0] == 15 * (16 + 2 * 5)
-    assert segs.sum() == pytest.approx(np.sqrt(np.pi) * 0.01, rel=1e-12)
+    assert tree.total()[0] == pytest.approx(np.sqrt(np.pi) * 0.01, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -164,3 +164,21 @@ def test_heavy_tail_suffix_on_a_sample(p):
     want = x_density_oracle(x, lambda y: component_pdf(y, p), geom.r)
     big = want >= 1e-6
     assert np.all(np.abs(got - want)[big] <= 1e-8 * want[big])
+
+
+def test_tree_reports_its_counts():
+    # the layout of test_few_edges_keep_one_panel_per_segment: 16 starting
+    # panels, 5 bisections, every row within its tolerance
+    tree = segment_integrals(lambda y: np.exp(-(((y - 0.3) / 0.01) ** 2)), np.linspace(0.0, 1.0, 17))
+    assert (tree.n_initial, tree.n_splits) == (16, 5)
+    assert 0.0 < tree.worst_error_ratio <= 1.0
+
+
+def test_suffix_dot_is_the_weighted_sum_of_suffixes():
+    # the adjoint readout (per-panel Chebyshev moments of the weights) equals
+    # reading every suffix and summing
+    edges = np.sort(np.random.default_rng(6).uniform(0.0, 40.0, 2_000))
+    tree = segment_integrals(lambda y: np.stack([np.exp(-y), y * np.exp(-y), np.sin(y) + 1.1]), edges)
+    weights = np.random.default_rng(7).normal(size=(2, edges.size))
+    direct = weights @ tree.suffix().T
+    assert np.allclose(tree.suffix_dot(weights), direct, rtol=1e-12, atol=1e-12 * np.abs(direct).max())

@@ -22,7 +22,7 @@ from fiberfit import (
 )
 from fiberfit.densities import component_pdf
 from fiberfit.quadrature import DEFAULT_CONFIG, segment_integrals
-from fiberfit.scales import _censored_tail_terms, _uncut_mass_stack, k_theta
+from fiberfit.scales import _CensoredStacks, _uncut_mass_stack, k_theta
 from fiberfit.simulate import SimSpec, sample_x
 from fiberfit.summary import component_stat_gradients
 from conftest import (
@@ -166,10 +166,9 @@ def test_density_x_on_a_sample_matches_oracle(mix, geom6):
     # a component may underflow to zero (fines near 2r), the mixture may not
     assert np.all(got[0] >= 0.0) and np.all(got[1] >= 0.0) and np.all(got[2] > 0.0)
     xs = np.unique(x)
-    for p in (mix.fines, mix.fibers):
-        stack_fn = lambda y, p=p: np.atleast_2d(component_pdf(y, p))
-        T, S = _censored_tail_terms(xs, p, geom6, DEFAULT_CONFIG, stack_fn, 1)
-        assert np.all(np.diff(T[0]) <= 0.0) and np.all(np.diff(S[0]) <= 0.0)
+    for parts in ([mix.fines], [mix.fibers], [mix.fines, mix.fibers]):
+        T, S = _CensoredStacks(xs, parts, geom6, DEFAULT_CONFIG, 0).suffix(1)
+        assert np.all(np.diff(T[:, 0]) <= 0.0) and np.all(np.diff(S[:, 0]) <= 0.0)
 
 
 def test_mixture_boundaries(geom6):
