@@ -48,6 +48,7 @@ _CONVERGENCE_TEXT = {
     "max_iter": "Iteration limit reached",
     "line_search_failure": "Line search failure",
     "singular_hessian": "Singular Hessian at the optimum",
+    "hessian_failed": "Hessian evaluation failed at the optimum",
 }
 
 _MODEL_TEXT = {GGAMMA: "Generalized gamma", LOGNORM: "Log normal"}

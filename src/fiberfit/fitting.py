@@ -452,21 +452,24 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
     if not results:
         raise FitError("all optimization starts failed", trace)
 
-    _, _, x_best, best_status, ev = min(results, key=lambda t: (-t[0], t[1]))
+    loglik, _, x_best, best_status, ev = min(results, key=lambda t: (-t[0], t[1]))
     theta_hat = assemble(x_best)
     if ev is None:
-        ev = loglik_of(params_of(theta_hat), 2)
+        ev = order2(x_best) or LikelihoodEvaluation(loglik)
     return _finalize(model, data, cfg, theta_hat, fixed, ev, best_status, trace, len(starts))
 
 
 def _finalize(model, data, cfg, theta_hat, fixed, ev: LikelihoodEvaluation, status, trace, starts_tried):
+    """FitResult at theta_hat; an evaluation without a Hessian gives no covariance and ``hessian_failed``."""
     free = ~fixed
     n_par = model.n_params
     cov_theta = cov_tilde = se_tilde = None
     flagged = False
     convergence = status
-    hess_free = np.asarray(ev.hessian)[np.ix_(free, free)] if np.any(free) else np.zeros((0, 0))
-    if np.any(free):
+    if ev.hessian is None:
+        convergence = "hessian_failed"
+    elif np.any(free):
+        hess_free = np.asarray(ev.hessian)[np.ix_(free, free)]
         try:
             cov_free = np.linalg.inv(-hess_free)
             cov_free = 0.5 * (cov_free + cov_free.T)
@@ -479,7 +482,7 @@ def _finalize(model, data, cfg, theta_hat, fixed, ev: LikelihoodEvaluation, stat
     else:
         cov_theta = np.zeros((n_par, n_par))
 
-    if cov_theta is not None and convergence != "singular_hessian":
+    if cov_theta is not None:
         chain = model.chain_vector(theta_hat)
         chain[fixed & ~np.isfinite(chain)] = 0.0
         cov_tilde = chain[:, None] * cov_theta * chain[None, :]

@@ -27,12 +27,20 @@ Gradients and Hessians are assembled from the mixture structure
 and the per-component censored stacks, rather than transcribing each entry
 of the expanded formulas; finite-difference agreement is enforced in the
 test suite.  The censored stacks of both components come from one
-quadrature tree per evaluation.  Order 0 reads only the value rows at the
-data; order 1 reads those and takes the gradient by the adjoint of the
-readout, summing each derivative row against the weights counts / f_X
-inside the tree (reverse mode, Griewank and Walther, Evaluating Derivatives,
-SIAM 2008); order 2 reads every row at every point, since the outer product
-of the scores needs them.
+quadrature tree per evaluation, and the mixture likelihoods (the censored
+one and the uncensored initialization problem) are one streamed pass over
+fixed-size blocks of the sorted unique values, top block first
+(``scales._CensoredStacks.stream``).  Each block writes its log densities
+and adds its share of the gradient and Hessian sums; no per-point array but
+the log densities spans the data.  What each order reads per point:
+
+* order 0: the value rows T_0 and S_0 of each component;
+* order 1: the same, for f_X and v = counts / f_X; every derivative row is
+  summed against v inside the tree, the adjoint of the readout (reverse
+  mode, Griewank and Walther, Evaluating Derivatives, SIAM 2008);
+* order 2: the value and gradient rows, which the outer product of the
+  scores needs; the Hessian rows are summed against v like the gradient
+  rows at order 1.
 """
 
 from __future__ import annotations
@@ -184,7 +192,10 @@ def _weighted_fsum(values, counts) -> float:
     rounding (:func:`_exact_sum`), so the result equals math.fsum over the
     expanded terms.  Exact unless a product overflows or its error
     underflows, which cannot happen for log densities and integer counts.
+    Unit counts (all values distinct) need no products.
     """
+    if np.all(counts == 1.0):
+        return _exact_sum(values)
     p = counts * values
     vh, vl = _split(values)
     ch, cl = _split(counts)
@@ -192,13 +203,13 @@ def _weighted_fsum(values, counts) -> float:
     return _exact_sum(np.concatenate([p, e]))
 
 
-def _symmetric_hessian(d2_sum, score, w):
-    """d2_sum - sum_k w_k score_k score_k^T, upper triangle mirrored.
+def _symmetric_hessian(d2_sum, outer):
+    """d2_sum - outer (sum_k w_k score_k score_k^T), upper triangle mirrored.
 
     Mirroring makes the result exactly symmetric, which the matrix product
     alone does not guarantee.
     """
-    hess = np.triu(d2_sum - (w * score) @ score.T)
+    hess = np.triu(d2_sum - outer)
     return hess + np.triu(hess, 1).T
 
 
@@ -224,66 +235,65 @@ def _split_stack(stack, cn: int, order: int):
     return f, grad, hess
 
 
-class _PlainStacks:
-    """Uncensored density stacks of the live components, the interface of ``scales._CensoredStacks``."""
-
-    def __init__(self, x, parts, order: int):
-        self._rows = [_stack_rows(p, order)(x) for p in parts]
-
-    def values(self):
-        return [g[0] for g in self._rows]
-
-    def rows(self):
-        return self._rows
-
-    def dots(self, v):
-        return [g[1:] @ v for g in self._rows]
-
-
 def _mixture_eval(mix: MixtureParams, stacks_of, data: Dataset, order: int) -> LikelihoodEvaluation:
-    """Mixture log likelihood and count-weighted derivative sums.
+    """Mixture log likelihood and count-weighted derivative sums, streamed over blocks of the data.
 
-    stacks_of(parts) returns the density stacks of the live components over
-    the unique data values on the relevant scale (censored for the full
-    likelihood, plain densities for the uncensored initialization problem):
-    per-point value rows (``values``), per-point rows of every order
-    (``rows``, order 2) and weighted sums of the derivative rows (``dots``).
-    A component with zero weight is not evaluated.  At order 1 the gradient
-    is sum_k v_k (eps coordinate, fines and fibers derivative rows) with
-    v = counts / f_X, so the derivative rows are only ever summed.
+    stacks_of(parts) returns the ``scales._CensoredStacks`` of the live
+    components over the unique data values (censored for the full
+    likelihood, plain densities for the uncensored initialization problem);
+    a component with zero weight is not evaluated.  Each block of points,
+    top block first, gives f_X and v = counts / f_X there and adds its share
+    of every sum: the derivative rows are summed against v (``dot``), and at
+    order 2 the value and gradient rows read per point give the scores and
+    their weighted outer product.
     """
     eps, w = mix.eps, data.counts
     cn = _n_coords(mix.fines)
     live = (eps > 0.0, eps < 1.0)
     stacks = stacks_of([p for p, on in zip((mix.fines, mix.fibers), live) if on])
-    zero = np.zeros((_stack_height(cn, order), data.unique.size))
+    n_read = 1 + cn if order >= 2 else 1
+    de = eps - eps * eps
+    log_f = np.empty(data.unique.size)
+    mix_dot, dots = 0.0, np.zeros((2, _stack_height(cn, order) - 1))  # (f_n - f_b) @ v, derivative rows @ v
+    score_sum, outer = np.zeros(1 + 2 * cn), np.zeros((1 + 2 * cn, 1 + 2 * cn))  # order 2: w score, w score score'
 
-    def both(found, absent):
-        """(fines, fibers) entries, ``absent`` for a component that was not evaluated."""
-        found = iter(found)
-        return [next(found) if on else absent for on in live]
+    def both(found):
+        """(fines, fibers) entries, zeros for a component that was not evaluated."""
+        if all(live):
+            return found
+        return [found[0] if on else np.zeros_like(found[0]) for on in live]
 
-    if order >= 2:
-        (f_n, d_n, h_n), (f_b, d_b, h_b) = (_split_stack(g, cn, order) for g in both(stacks.rows(), zero))
-    else:
-        f_n, f_b = both(stacks.values(), zero[0])
-    fc = np.maximum(eps * f_n + (1.0 - eps) * f_b, _TINY)
+    def visit(block, rows, dot):
+        nonlocal mix_dot
+        r_n, r_b = both(rows)
+        f_n, f_b = r_n[0], r_b[0]
+        fc = np.maximum(eps * f_n + (1.0 - eps) * f_b, _TINY)
+        log_f[block] = np.log(fc)
+        if order == 0:
+            return
+        wb = w[block]
+        v = wb / fc
+        mix_dot += (f_n - f_b) @ v
+        dots[...] += both(dot(v))
+        if order >= 2:
+            score = np.concatenate([[de * (f_n - f_b)], eps * r_n[1:], (1.0 - eps) * r_b[1:]]) / fc
+            score_sum[...] += score @ wb
+            outer[...] += (wb * score) @ score.T
+
+    stacks.stream(n_read, visit)
     grad = hess = None
-    de, v = eps - eps * eps, w / fc
     if order == 1:
-        d_n, d_b = both(stacks.dots(v), zero[1:, 0])
-        grad = np.concatenate([[de * ((f_n - f_b) @ v)], eps * d_n, (1.0 - eps) * d_b])
+        grad = np.concatenate([[de * mix_dot], eps * dots[0], (1.0 - eps) * dots[1]])
     if order >= 2:
-        score = np.concatenate([[de * (f_n - f_b)], eps * d_n, (1.0 - eps) * d_b]) / fc
-        grad = score @ w
+        grad = score_sum
         d2_sum = np.zeros((1 + 2 * cn, 1 + 2 * cn))
-        d2_sum[0, 0] = de * (1.0 - 2.0 * eps) * ((f_n - f_b) @ v)
-        d2_sum[0, 1 : 1 + cn] = de * (d_n @ v)
-        d2_sum[0, 1 + cn :] = -de * (d_b @ v)
-        d2_sum[1 : 1 + cn, 1 : 1 + cn] = eps * _packed_to_full(h_n @ v, cn)
-        d2_sum[1 + cn :, 1 + cn :] = (1.0 - eps) * _packed_to_full(h_b @ v, cn)
-        hess = _symmetric_hessian(d2_sum, score, w)
-    return _evaluation(np.log(fc), grad, hess, data)
+        d2_sum[0, 0] = de * (1.0 - 2.0 * eps) * mix_dot
+        d2_sum[0, 1 : 1 + cn] = de * dots[0, :cn]
+        d2_sum[0, 1 + cn :] = -de * dots[1, :cn]
+        d2_sum[1 : 1 + cn, 1 : 1 + cn] = eps * _packed_to_full(dots[0, cn:], cn)
+        d2_sum[1 + cn :, 1 + cn :] = (1.0 - eps) * _packed_to_full(dots[1, cn:], cn)
+        hess = _symmetric_hessian(d2_sum, outer)
+    return _evaluation(log_f, grad, hess, data)
 
 
 def _censored_stacks(x, parts, geom, cfg, order):
@@ -336,7 +346,7 @@ def init_loglik(
     params = _as_params(theta)
     x = data.unique
     if isinstance(params, MixtureParams):
-        return _mixture_eval(params, lambda parts: _PlainStacks(x, parts, order), data, order)
+        return _mixture_eval(params, lambda parts: _CensoredStacks(x, parts, None, cfg, order), data, order)
 
     f, d, h = _plain_parts(x, params, order)
     fc = np.maximum(f, _TINY)
@@ -346,7 +356,7 @@ def init_loglik(
         score = d / fc
         grad = score @ w
     if order >= 2:
-        hess = _symmetric_hessian(_packed_to_full(h @ (w / fc), _n_coords(params)), score, w)
+        hess = _symmetric_hessian(_packed_to_full(h @ (w / fc), _n_coords(params)), (w * score) @ score.T)
     return _evaluation(np.log(fc), grad, hess, data)
 
 
@@ -404,5 +414,5 @@ def micro_loglik(
     if order >= 2:
         norm_term = _packed_to_full(kint[1 + cn :], cn) / k0 - np.outer(kj / k0, kj / k0)
         d2_sum = _packed_to_full(h @ (w / fc), cn) - n * norm_term
-        hess = _symmetric_hessian(d2_sum, score, w)
+        hess = _symmetric_hessian(d2_sum, (w * score) @ score.T)
     return _evaluation(per_point, grad, hess, data)

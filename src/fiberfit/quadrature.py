@@ -8,13 +8,16 @@ component is too large, so value, gradient and Hessian integrals of a
 likelihood share one subdivision tree.  ``segment_integrals`` grows its tree
 from a few panels however many edges it is given and returns it as a
 :class:`PanelTree`, which reads only what its caller asks for: the whole
-integral (``total``, no per-edge work), the suffix integral from every edge
-(``suffix``, the sums of the panels above plus the exact antiderivative of
-the degree-14 interpolant through the panel's 15 Kronrod node values,
-anchored at the panel top), or weighted sums of the suffixes over the edges
-(``suffix_dot``, the adjoint of that readout: per-panel Chebyshev moments of
-the weights against the antiderivative coefficients, so a gradient of a sum
-over the data needs no per-edge derivative rows).
+integral (``total``, no per-edge work), the suffix integral from each edge
+of a range (``suffix``, the sums of the panels above plus the exact
+antiderivative of the degree-14 interpolant through the panel's 15 Kronrod
+node values, anchored at the panel top), or weighted sums of the suffixes
+over a range of edges (``suffix_dot``, the adjoint of that readout:
+per-panel Chebyshev moments of the weights against the antiderivative
+coefficients, so a gradient of a sum over the data needs no per-edge
+derivative rows).  Both readouts take an edge range [start, stop), the
+whole range by default, and build the Chebyshev basis of that range only,
+so a caller streaming over blocks of edges never holds one for all of them.
 
 Endpoint behaviour: panels never evaluate their endpoints (Kronrod nodes are
 interior), so integrable inverse-square-root singularities converge under
@@ -157,7 +160,10 @@ class PanelTree:
     above each one.  ``n_initial`` and ``n_splits`` count the starting panels
     and the bisections, and ``worst_error_ratio`` is the largest summed
     |K - G| of a stack row over that row's tolerance.  Nothing is read off
-    the interpolants until :meth:`suffix` or :meth:`suffix_dot` asks.
+    the interpolants until :meth:`suffix` or :meth:`suffix_dot` asks, and
+    both read a range of edges [start, stop) through a Chebyshev basis built
+    for that range only, so a caller that streams over the edges in blocks
+    keeps its working set at the size of one block.
     """
 
     def __init__(self, edges, lo, hi, K, vals, n_initial: int, n_splits: int, worst_error_ratio: float):
@@ -167,62 +173,77 @@ class PanelTree:
         for arr in (edges, lo, hi, K, above):
             arr.flags.writeable = False
         self.n_initial, self.n_splits, self.worst_error_ratio = n_initial, n_splits, worst_error_ratio
-        self._vals, self._readout = vals, None
+        self._vals, self._coef, self._block = vals, None, None
 
     def total(self):
         """Integral of each row over the whole edge range, (m,)."""
         return self.K.sum(axis=1)
 
-    def _read(self):
-        """The edges' Chebyshev basis, their runs and the panel coefficients.
+    def _coefficients(self):
+        """Per panel the coefficients (m, panels, 16) of the integral from t to the last edge.
 
-        Returns the basis (16, edges) at each edge's position t in its panel,
-        the runs (panel, first edge, end) of edges sharing a panel, and per
-        panel the coefficients (m, panels, 16) of the integral from t to the
-        last edge: the interpolant integrated from t to the panel top, plus
-        the panels above in the constant term.
+        The interpolant integrated from t to the panel top, plus the panels
+        above in the constant term.
         """
-        if self._readout is None:
-            pan = np.searchsorted(self.lo, self.edges, side="right") - 1
-            half = 0.5 * (self.hi - self.lo)
-            t = np.clip((self.edges - self.lo[pan] - half[pan]) / half[pan], -1.0, 1.0)
+        if self._coef is None:
+            self._coef = (self._vals @ _TO_TOP.T) * (0.5 * (self.hi - self.lo))[:, None]
+            self._coef[..., 0] += self.above
+        return self._coef
+
+    def _read(self, start: int, stop: int):
+        """The Chebyshev basis (16, stop - start) of edges [start, stop) in their panels, and their runs.
+
+        A run (panel, first, end) lists the edges sharing a panel, counted
+        from ``start``.  The last range read is kept, so a value readout and
+        a weighted sum over the same block build the basis once.
+        """
+        if self._block is None or self._block[:2] != (start, stop):
+            self._block = None  # release the last block's basis before building this one
+            e = self.edges[start:stop]
+            pan = np.searchsorted(self.lo, e, side="right") - 1
+            half = 0.5 * (self.hi - self.lo)[pan]
+            t = np.clip((e - self.lo[pan] - half) / half, -1.0, 1.0)
+            basis = np.empty((16, t.size))
+            basis[0], basis[1], t2 = 1.0, t, 2.0 * t
+            for k in range(2, 16):  # chebvander's recurrence, row by row
+                np.multiply(basis[k - 1], t2, out=basis[k])
+                basis[k] -= basis[k - 2]
             starts = np.flatnonzero(np.diff(pan, prepend=-1))
             runs = list(zip(pan[starts].tolist(), starts.tolist(), [*starts[1:].tolist(), pan.size]))
-            coef = (self._vals @ _TO_TOP.T) * half[:, None]
-            coef[..., 0] += self.above
-            self._readout = np.ascontiguousarray(chebvander(t, 15).T), runs, coef
-        return self._readout
+            self._block = (start, stop, basis, runs)
+        return self._block[2:]
 
-    def suffix(self, rows=slice(None), n=None):
-        """int from each of the first n edges (all by default) to the last edge, (rows, n).
+    def suffix(self, rows=slice(None), start: int = 0, stop: int | None = None):
+        """int from each edge in [start, stop) (all by default) to the last edge, (rows, stop - start).
 
         The panels above an edge's own panel plus the rest of that panel,
         read off the interpolant's antiderivative anchored at the panel top.
         """
-        basis, runs, coef = self._read()
-        n = basis.shape[1] if n is None else n
-        coef = coef[rows]
-        out = np.empty((coef.shape[0], n))
+        stop = self.edges.size if stop is None else stop
+        basis, runs = self._read(start, stop)
+        first, last = runs[0][0], runs[-1][0] + 1
+        coef = self._coefficients()[:, first:last][rows]
+        out = np.empty((coef.shape[0], stop - start))
         for p, s, e in runs:
-            if s >= n:
-                break
-            np.matmul(coef[:, p], basis[:, s : min(e, n)], out=out[:, s : min(e, n)])
+            np.matmul(coef[:, p - first], basis[:, s:e], out=out[:, s:e])
         return out
 
-    def suffix_dot(self, weights):
-        """sum_i a_i suffix(e_i) over the edges for every row, (n_weights, m).
+    def suffix_dot(self, weights, start: int = 0, stop: int | None = None):
+        """sum_i a_i suffix(e_i) over the edges in [start, stop) for every row, (n_weights, m).
 
-        ``weights`` is (n_weights, edges).  The per-panel Chebyshev moments of
-        the weights meet the panel coefficients, so no edge is read row by
-        row; the constant moment is the panel's total weight, which carries
-        the panels above.
+        ``weights`` is (n_weights, stop - start).  The per-panel Chebyshev
+        moments of the weights meet the panel coefficients, so no edge is read
+        row by row; the constant moment is the panel's total weight, which
+        carries the panels above.
         """
+        stop = self.edges.size if stop is None else stop
         a = np.asarray(weights, dtype=float)
-        basis, runs, coef = self._read()
-        moments = np.empty((len(runs), 16, a.shape[0]))
-        for j, (_, s, e) in enumerate(runs):
-            np.matmul(basis[:, s:e], a[:, s:e].T, out=moments[j])
-        return np.einsum("pkw,rpk->wr", moments, coef[:, [p for p, _, _ in runs]])
+        basis, runs = self._read(start, stop)
+        first, last = runs[0][0], runs[-1][0] + 1
+        moments = np.zeros((last - first, 16, a.shape[0]))
+        for p, s, e in runs:
+            np.matmul(basis[:, s:e], a[:, s:e].T, out=moments[p - first])
+        return np.einsum("pkw,rpk->wr", moments, self._coefficients()[:, first:last])
 
 
 def segment_integrals(f, edges, cfg: QuadratureConfig = DEFAULT_CONFIG) -> PanelTree:

@@ -32,9 +32,14 @@ tolerance is abs_tol F(hi).
 The censored part of f_X is a pair of suffix integrals of the density over
 t(y) = pi r^2 + 2 r y and y / t(y).  One quadrature tree per evaluation
 serves every stack row of both mixture components (a component with zero
-weight is left out), with the data points as edges; the likelihood reads
-the value rows at the points and sums the derivative rows against its
-weights inside the tree (``_CensoredStacks``).
+weight is left out), with the data points as edges (``_CensoredStacks``).
+Everything per point is then one streamed pass over blocks of at most
+_BLOCK points, top block first: each block reads the rows it needs off the
+tree over its own edge range, evaluates the direct stack rows, p_uc and
+the kernel weights at its own points, and sums the derivative rows against
+the likelihood's weights inside the tree.  The same pass gives
+:func:`density_x_component`, :func:`density_x_mixture` and the
+likelihoods.
 
 Expensive per-parameter constants (the W-moment integrals, k_theta, tail
 truncation points) are memoized on the frozen parameter dataclasses, so a
@@ -214,8 +219,11 @@ def density_v(v, p_fibers: ComponentParams, geom: CoreGeometry, cfg: QuadratureC
     return float(out) if np.ndim(v) == 0 else out
 
 
+_BLOCK = 8192  # points per block of the streamed pass over the data
+
+
 class _CensoredStacks:
-    """Observed-scale (X) density stacks of live mixture components at sorted unique points.
+    """Observed-scale (X) density stacks of live mixture components, streamed over sorted unique points.
 
     For each component's density stack rows g_q (``_stack_rows`` at ``order``)
 
@@ -226,24 +234,25 @@ class _CensoredStacks:
     root = sqrt(4 r^2 - x^2).  U is the largest truncation point of the
     components, and one quadrature tree serves every row of every component:
     its edges are the points below U plus geometric edges from the largest of
-    them to U; points at or beyond U get T = S = 0.  The value rows T_0 and S_0
-    are clamped nonnegative and nonincreasing in x (an interpolant readout can
-    dip below).  Sums of the derivative rows against weights (:meth:`dots`)
-    take the adjoint of the readout, so no derivative row is read per point.
+    them to U; points at or beyond U get T = S = 0.  With ``geom`` None there
+    is no censoring: every cell counts as uncut, f_q = g_q, and no tree is
+    built (the initialization problem).
+
+    Everything per point is computed one block of at most _BLOCK points at a
+    time (:meth:`stream`), so the only arrays of the data's length are the
+    tree's edges and the caller's output.
     """
 
-    def __init__(self, x, parts, geom: CoreGeometry, cfg: QuadratureConfig, order: int):
-        r = geom.r
-        self.x = x
+    def __init__(self, x, parts, geom: CoreGeometry | None, cfg: QuadratureConfig, order: int):
+        self.x, self.geom = x, geom
         self.stacks = [_stack_rows(p, order) for p in parts]
         self.height = _stack_height(_n_coords(parts[0]), order)
-        self.puc = _prob_uncut_unchecked(x, r)
-        root = np.sqrt(np.clip(4.0 * r * r - x * x, 0.0, None))
-        self.kernel = np.stack([8.0 * r * r - 3.0 * x * x, x]) / root  # c1 and c2
-        self._g = None
+        self.n_in, self.tree = 0, None
+        if geom is None:
+            return
+        r = geom.r
         u = max(component_tail(p, cfg.tail_cutoff) for p in parts)
         self.n_in = int(np.searchsorted(x, u))
-        self.tree = None
         if self.n_in == 0:
             return
         top = x[self.n_in - 1]
@@ -259,64 +268,87 @@ class _CensoredStacks:
 
         self.tree = segment_integrals(integrand, edges, cfg)
 
-    def suffix(self, n_rows: int, comps=None):
-        """(T, S) of the first n_rows stack rows of components comps (all by default) at every point.
+    def suffix(self, n_rows: int, start: int = 0, stop: int | None = None, top=None):
+        """(T, S) of the first n_rows stack rows at the points [start, stop) (all by default).
 
         Each is (components, n_rows, points); tree row 2 h i + h j + q holds
         integral j (T, S) of stack row q of component i, h the stack height.
+        An interpolant readout can dip below, so the value rows are kept
+        nonnegative and nonincreasing in x: each is the running maximum from
+        the top, with ``top`` (components, 2, 1) the largest value rows above
+        the range (zero by default), updated in place, so that blocks read top
+        block first carry it from one to the next.
         """
-        comps = np.arange(len(self.stacks)) if comps is None else np.asarray(comps)
-        k, h, n = comps.size, self.height, self.x.size
-        rows = (2 * h * comps[:, None, None] + h * np.arange(2)[:, None] + np.arange(n_rows)).ravel()
-        TS = self.tree.suffix(rows, self.n_in) if self.tree is not None else np.empty((rows.size, 0))
-        if self.n_in < n:
-            TS = np.concatenate([TS, np.zeros((rows.size, n - self.n_in))], axis=1)
-        TS = TS.reshape(k, 2, n_rows, n)
-        # an interpolant readout can dip below: keep the value rows >= 0 and nonincreasing
-        val = np.maximum(TS[:, :, 0], 0.0)
+        k, h = len(self.stacks), self.height
+        stop = self.x.size if stop is None else stop
+        top = np.zeros((k, 2, 1)) if top is None else top
+        rows = (2 * h * np.arange(k)[:, None, None] + h * np.arange(2)[:, None] + np.arange(n_rows)).ravel()
+        inside = max(min(stop, self.n_in) - start, 0)
+        TS = self.tree.suffix(rows, start, start + inside) if inside else np.empty((rows.size, 0))
+        if inside < stop - start:  # points at or beyond U
+            TS = np.concatenate([TS, np.zeros((rows.size, stop - start - inside))], axis=1)
+        TS = TS.reshape(k, 2, n_rows, stop - start)
+        val = np.maximum(TS[:, :, 0], top)
         if np.any(val[..., :-1] < val[..., 1:]):
             val = np.maximum.accumulate(val[..., ::-1], axis=-1)[..., ::-1]
-        TS[:, :, 0] = val
+        TS[:, :, 0], top[...] = val, val[..., :1]
         return TS[:, 0], TS[:, 1]
 
-    def _direct(self):
-        """Density stack rows of each component at the points, computed once."""
-        if self._g is None:
-            self._g = [stack(self.x) for stack in self.stacks]
-        return self._g
-
-    def values(self):
-        """The X-scale density of each component at the points."""
-        T, S = self.suffix(1)
-        c1, c2 = self.kernel
-        return [g[0] * self.puc + c1 * t[0] + c2 * s[0] for g, t, s in zip(self._direct(), T, S)]
-
-    def rows(self):
-        """Every X-scale stack row of each component at the points, value row first."""
-        c1, c2 = self.kernel
-        out = []
-        for i, stack in enumerate(self.stacks):  # in place, one component at a time: order-2 stacks are large
-            f = stack(self.x)
-            f *= self.puc
-            (t,), (s,) = self.suffix(self.height, [i])
+    def _block(self, start: int, stop: int, n_rows: int, top):
+        """(rows, dot) of the points [start, stop); see :meth:`stream`."""
+        x = self.x[start:stop]
+        g = [stack(x) for stack in self.stacks]
+        if self.geom is None:
+            return [gi[:n_rows] for gi in g], lambda v: [gi[1:] @ v for gi in g]
+        r = self.geom.r
+        puc = _prob_uncut_unchecked(x, r)
+        root = np.sqrt(np.clip(4.0 * r * r - x * x, 0.0, None))
+        c1, c2 = (8.0 * r * r - 3.0 * x * x) / root, x / root
+        rows = []
+        for gi, t, s in zip(g, *self.suffix(n_rows, start, stop, top)):
+            f = gi[:n_rows] * puc
             f += np.multiply(t, c1, out=t)
             f += np.multiply(s, c2, out=s)
-            out.append(f)
-        return out
+            rows.append(f)
+        inside = min(stop, self.n_in) - start
 
-    def dots(self, v):
-        """sum_k v_k f_q(x_k) over the derivative rows q >= 1 of each component.
+        def dot(v):
+            out = [gi[1:] @ (v * puc) for gi in g]
+            if inside <= 0:
+                return out
+            a = np.stack([v[:inside] * c1[:inside], v[:inside] * c2[:inside]])
+            TS = self.tree.suffix_dot(a, start, start + inside).reshape(2, len(g), 2, self.height)
+            return [o + TS[0, i, 0, 1:] + TS[1, i, 1, 1:] for i, o in enumerate(out)]
 
-        The adjoint of the readout: the weights v c1 and v c2 are summed
-        against the suffix rows inside the tree (``PanelTree.suffix_dot``).
+        return rows, dot
+
+    def stream(self, n_rows: int, visit):
+        """Call visit(block, rows, dot) for every block of at most _BLOCK points, top block first.
+
+        ``block`` is the slice of the points, ``rows`` the first n_rows
+        X-scale stack rows of each component there (value row first), and
+        ``dot(v)``, for weights v on the block, gives the sums sum_k v_k
+        f_q(x_k) over the derivative rows q >= 1 of each component.  ``dot``
+        takes the adjoint of the readout: the weights v c1 and v c2 are summed
+        against the suffix rows inside the tree (``PanelTree.suffix_dot``), so
+        no derivative row past n_rows is read per point.  A block's arrays are
+        released when ``visit`` returns, before the next block is built.
         """
-        out = [g[1:] @ (v * self.puc) for g in self._direct()]
-        if self.tree is None:
-            return out
-        a = np.zeros((2, self.tree.edges.size))
-        a[:, : self.n_in] = v[: self.n_in] * self.kernel[:, : self.n_in]
-        TS = self.tree.suffix_dot(a).reshape(2, len(out), 2, self.height)
-        return [o + TS[0, i, 0, 1:] + TS[1, i, 1, 1:] for i, o in enumerate(out)]
+        n = self.x.size
+        top = np.zeros((len(self.stacks), 2, 1))
+        for start in range((n - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):
+            stop = min(start + _BLOCK, n)
+            visit(slice(start, stop), *self._block(start, stop, n_rows, top))
+
+    def mixture_density(self, weights):
+        """sum_i weights_i f_i at every point, f_i the X-scale density of live component i."""
+        out = np.empty(self.x.size)
+
+        def visit(block, rows, dot):
+            out[block] = sum(wt * f[0] for wt, f in zip(weights, rows))
+
+        self.stream(1, visit)
+        return out
 
 
 def _x_points(x, geom: CoreGeometry):
@@ -330,7 +362,7 @@ def _x_points(x, geom: CoreGeometry):
 def density_x_component(x, p: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig = DEFAULT_CONFIG):
     """Density of the observed (cut or uncut) lengths of one component."""
     xu, inv = _x_points(x, geom)
-    out = _CensoredStacks(xu, [p], geom, cfg, 0).values()[0][inv]
+    out = _CensoredStacks(xu, [p], geom, cfg, 0).mixture_density([1.0])[inv]
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
@@ -343,7 +375,7 @@ def density_x_mixture(x, mix: MixtureParams, geom: CoreGeometry, cfg: Quadrature
     xu, inv = _x_points(x, geom)
     live = [(wt, p) for wt, p in ((mix.eps, mix.fines), (1.0 - mix.eps, mix.fibers)) if wt > 0.0]
     stacks = _CensoredStacks(xu, [p for _, p in live], geom, cfg, 0)
-    out = sum(wt * f for (wt, _), f in zip(live, stacks.values()))[inv]
+    out = stacks.mixture_density([wt for wt, _ in live])[inv]
     return float(out[0]) if np.ndim(x) == 0 else out
 
 

@@ -20,6 +20,7 @@ from fiberfit import (
     micro_loglik,
     sample_v,
     sample_x,
+    summary_stats,
 )
 from fiberfit.cli import main
 from conftest import MIX_SIM
@@ -366,3 +367,23 @@ def test_fit_json_lists_every_start(tmp_path):
         assert isinstance(s["n_iter"], int) and s["n_iter"] >= 0
     competing = [s["loglik"] for s in starts if s["status"] not in ("duplicate", "error")]
     assert blob["loglik"] == pytest.approx(max(competing), abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", [31, 2])
+def test_failed_hessian_at_the_estimate_keeps_the_fit(seed):
+    # a narrow lognormal fines component whose order-2 censored-tail
+    # quadrature does not converge at the end point, while every order-1
+    # evaluation of the optimizer does: the estimate stands without a covariance
+    geom = CoreGeometry(6.0)
+    truth = MixtureParams(0.3, LognParams(-2.0, 0.5), LognParams(0.9, 0.25))
+    data = Dataset(sample_x(SimSpec("X", truth, geom, 500, seed=seed)), "X")
+    model = ModelSpec("lognorm", "ofa", geom)
+    result = fit(data, model, FitConfig(par_start=(0.02, -3.2, 0.05, 0.2, 1.2), n_starts=1))
+    assert result.convergence == "hessian_failed"
+    assert result.cov_theta is None and result.cov_tilde is None and result.se_tilde is None
+    assert [t.status for t in result.trace] == ["success"]
+    assert result.loglik == result.trace[0].loglik and np.isfinite(result.loglik)
+    stats = summary_stats(result)
+    assert stats.convergence == "hessian_failed"
+    with pytest.raises(ValueError):
+        covariance_original_scale(result)

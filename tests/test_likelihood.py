@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,12 @@ from fiberfit import (
     ofa_loglik,
 )
 from fiberfit import scales
+from fiberfit.densities import _n_coords, _packed_to_full, _stack_rows
+from fiberfit.geometry import prob_uncut
 from fiberfit.likelihood import _exact_sum, _weighted_fsum
+from fiberfit.quadrature import DEFAULT_CONFIG
+from fiberfit.scales import _BLOCK
+from fiberfit.simulate import SimSpec, sample_x
 from conftest import MIX_SIM, fd_gradient, fd_jacobian, rel_err
 
 
@@ -61,6 +67,20 @@ def ofa_data():
         [0.1 * rng.gamma(2.0, 1.0, 20) ** (1 / 1.5), 2.0 * rng.gamma(2.2, 1.0, 30) ** (1 / 2.8)]
     )
     return Dataset(np.clip(x, 1e-3, 11.9), "X")
+
+
+@pytest.fixture(scope="module")
+def blocks_data():
+    # exact samples of the benchmark mixture around one and two blocks, and
+    # a tied sample with more distinct values than one block holds
+    geom = CoreGeometry(6.0)
+    out = {n: Dataset(sample_x(SimSpec("X", MIX_SIM, geom, n, seed=40 + i)), "X")
+           for i, n in enumerate((_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1))}
+    tied = Dataset(np.clip(np.round(sample_x(SimSpec("X", MIX_SIM, geom, 3 * _BLOCK, seed=44)), 4), 1e-4, 11.9999), "X")
+    assert _BLOCK < tied.unique.size < tied.n
+    out["tied"] = tied
+    assert all(d.unique.size == n for n, d in out.items() if n != "tied")
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -264,9 +284,9 @@ def test_micro_rejects_mixture(geom25, micro_data):
         micro_loglik(GgdParams(2, 2, 2), Dataset(micro_data.values, "X"), geom25)
 
 
-def test_permutation_invariance_exact(geom6, ofa_data, tied_ofa_data):
+def test_permutation_invariance_exact(geom6, ofa_data, tied_ofa_data, blocks_data):
     rng = np.random.default_rng(12)
-    for data in (ofa_data, tied_ofa_data):
+    for data in (ofa_data, tied_ofa_data, blocks_data[2 * _BLOCK + 1]):
         shuffled = Dataset(data.values[rng.permutation(data.n)], "X")
         for order in (1, 2):
             ev = ofa_loglik(MIX_SIM, data, geom6, order=order)
@@ -276,8 +296,8 @@ def test_permutation_invariance_exact(geom6, ofa_data, tied_ofa_data):
             assert order == 1 or np.array_equal(ev.hessian, ev2.hessian)
 
 
-def test_doubling_exact(geom6, ofa_data, tied_ofa_data):
-    for data in (ofa_data, tied_ofa_data):
+def test_doubling_exact(geom6, ofa_data, tied_ofa_data, blocks_data):
+    for data in (ofa_data, tied_ofa_data, blocks_data[2 * _BLOCK + 1]):
         doubled = Dataset(np.concatenate([data.values, data.values]), "X")
         for order in (1, 2):
             ev = ofa_loglik(MIX_SIM, data, geom6, order=order)
@@ -451,3 +471,84 @@ def test_fd_agreement_lognormal_battery(geom6):
             lambda tt: micro_loglik(LognParams(tt[0], np.exp(tt[1])), v, geom6).loglik, tm, h=1e-5
         )
         assert rel_err(evm.gradient, fdm) < 1e-4
+
+
+def _whole_array_reference(mix, data, geom, order):
+    """(loglik, per-point terms, gradient, Hessian) from whole-array reads of the suffix tree.
+
+    Every stack row of both components is read at every unique point at
+    once through ``PanelTree.suffix()`` and the mixture is assembled per
+    point, as the streamed evaluation never does: the value rows clamped by
+    one reverse running maximum over all points, the scores and the
+    Hessian rows summed per point.
+    """
+    x, w, eps, r = data.unique, data.counts, mix.eps, geom.r
+    parts, cn = (mix.fines, mix.fibers), _n_coords(mix.fines)
+    stacks = scales._CensoredStacks(x, list(parts), geom, DEFAULT_CONFIG, order)
+    h = stacks.height
+    TS = np.zeros((2 * 2 * h, x.size))
+    TS[:, : stacks.n_in] = stacks.tree.suffix()[:, : stacks.n_in]
+    TS = TS.reshape(2, 2, h, x.size)
+    TS[:, :, 0] = np.maximum.accumulate(np.maximum(TS[:, :, 0, ::-1], 0.0), axis=-1)[..., ::-1]
+    root = np.sqrt(4.0 * r * r - x * x)
+    puc = prob_uncut(x, geom)
+    f = [_stack_rows(p, order)(x) * puc + (8.0 * r * r - 3.0 * x * x) / root * TS[i, 0] + x / root * TS[i, 1]
+         for i, p in enumerate(parts)]
+    fc = eps * f[0][0] + (1.0 - eps) * f[1][0]
+    per_point = np.log(fc)
+    loglik = math.fsum((w * per_point).tolist())
+    if order == 0:
+        return loglik, per_point[data.inverse], None, None
+    de, v = eps - eps * eps, w / fc
+    score = np.concatenate([[de * (f[0][0] - f[1][0])], eps * f[0][1 : 1 + cn], (1.0 - eps) * f[1][1 : 1 + cn]]) / fc
+    grad = score @ w
+    if order == 1:
+        return loglik, per_point[data.inverse], grad, None
+    d2 = np.zeros((1 + 2 * cn, 1 + 2 * cn))
+    d2[0, 0] = de * (1.0 - 2.0 * eps) * ((f[0][0] - f[1][0]) @ v)
+    d2[0, 1 : 1 + cn] = d2[1 : 1 + cn, 0] = de * (f[0][1 : 1 + cn] @ v)
+    d2[0, 1 + cn :] = d2[1 + cn :, 0] = -de * (f[1][1 : 1 + cn] @ v)
+    d2[1 : 1 + cn, 1 : 1 + cn] = eps * _packed_to_full(f[0][1 + cn :] @ v, cn)
+    d2[1 + cn :, 1 + cn :] = (1.0 - eps) * _packed_to_full(f[1][1 + cn :] @ v, cn)
+    return loglik, per_point[data.inverse], grad, d2 - (w * score) @ score.T
+
+
+def _close(a, b, tol):
+    return np.abs(a - b).max() <= tol * (1.0 + np.abs(b).max())
+
+
+@pytest.mark.parametrize("mix", [MIX_SIM, MIX_LOGN], ids=["ggamma", "lognormal"])
+def test_order2_hessian_equals_per_point_reference(geom6, ofa_data, tied_ofa_data, blocks_data, mix):
+    # the Hessian rows enter only through sums against counts / f_X inside
+    # the tree; reading them at every point gives the same Hessian
+    for data in (ofa_data, tied_ofa_data, blocks_data[2 * _BLOCK + 1]):
+        hess = ofa_loglik(mix, data, geom6, order=2).hessian
+        assert _close(hess, _whole_array_reference(mix, data, geom6, 2)[3], 1e-10)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_streamed_blocks_match_whole_array_reference(geom6, blocks_data, order):
+    for data in blocks_data.values():
+        ev = ofa_loglik(MIX_SIM, data, geom6, order=order)
+        loglik, per_point, grad, hess = _whole_array_reference(MIX_SIM, data, geom6, order)
+        assert abs(ev.loglik - loglik) <= 1e-12 * abs(loglik)
+        assert np.all(np.abs(ev.per_point_loglik - per_point) <= 4.0 * np.spacing(np.abs(per_point)))
+        assert order == 0 or _close(ev.gradient, grad, 1e-10)
+        assert order < 2 or _close(ev.hessian, hess, 1e-10)
+
+
+def test_evaluation_working_set_is_bounded():
+    # n = 20 000 unique points of the benchmark mixture: every per-point
+    # quantity lives one block at a time, so the traced peak stays far below
+    # the whole-array temporaries (8.3 MB at order 1, 16.2 MB at order 2)
+    geom = CoreGeometry(6.0)
+    data = Dataset(sample_x(SimSpec("X", MIX_SIM, geom, 20_000, seed=1001)), "X")
+    for order, limit in ((1, 4e6), (2, 8e6)):
+        ofa_loglik(MIX_SIM, data, geom, order=order)  # fills the per-parameter caches
+        tracemalloc.start()
+        try:
+            ofa_loglik(MIX_SIM, data, geom, order=order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit

@@ -22,7 +22,7 @@ from fiberfit import (
 )
 from fiberfit.densities import component_pdf
 from fiberfit.quadrature import DEFAULT_CONFIG, segment_integrals
-from fiberfit.scales import _CensoredStacks, _uncut_mass_stack, k_theta
+from fiberfit.scales import _BLOCK, _CensoredStacks, _uncut_mass_stack, k_theta
 from fiberfit.simulate import SimSpec, sample_x
 from fiberfit.summary import component_stat_gradients
 from conftest import (
@@ -169,6 +169,41 @@ def test_density_x_on_a_sample_matches_oracle(mix, geom6):
     for parts in ([mix.fines], [mix.fibers], [mix.fines, mix.fibers]):
         T, S = _CensoredStacks(xs, parts, geom6, DEFAULT_CONFIG, 0).suffix(1)
         assert np.all(np.diff(T[:, 0]) <= 0.0) and np.all(np.diff(S[:, 0]) <= 0.0)
+
+
+def test_density_x_across_blocks_matches_oracle(geom6):
+    # 2 B + 1 points: the streamed pass reads three blocks, top block first,
+    # carrying the clamp of the value rows across the block boundaries
+    x = sample_x(SimSpec("X", MIX_SIM, geom6, 2 * _BLOCK + 1, seed=43))
+    want = [x_density_oracle(x, lambda y, p=p: component_pdf(y, p), geom6.r) for p in (MIX_SIM.fines, MIX_SIM.fibers)]
+    got = [density_x_component(x, p, geom6) for p in (MIX_SIM.fines, MIX_SIM.fibers)]
+    got.append(density_x_mixture(x, MIX_SIM, geom6))
+    want.append(MIX_SIM.eps * want[0] + (1.0 - MIX_SIM.eps) * want[1])
+    for g, w in zip(got, want):
+        big = w >= 1e-6
+        assert np.all(np.abs(g - w)[big] <= 1e-8 * w[big])
+        assert np.all(np.abs(g - w) <= 1e-10)
+
+
+def test_value_rows_read_in_blocks_equal_the_whole_range(geom6):
+    # top block first, each block's clamp starts from the largest value rows
+    # above it, so reading block by block gives the whole-range clamp (to
+    # within an ulp of each row's size: a block's readout products sum in
+    # another order)
+    x = np.unique(sample_x(SimSpec("X", MIX_SIM, geom6, 2 * _BLOCK + 1, seed=43)))
+    stacks = _CensoredStacks(x, [MIX_SIM.fines, MIX_SIM.fibers], geom6, DEFAULT_CONFIG, 1)
+    top, blocks = np.zeros((2, 2, 1)), []
+    for start in range(2 * _BLOCK, -1, -_BLOCK):
+        blocks.insert(0, stacks.suffix(2, start, min(start + _BLOCK, x.size), top))
+    for got, want in zip((np.concatenate(b, axis=-1) for b in zip(*blocks)), stacks.suffix(2)):
+        assert np.all(np.abs(got - want) <= 4.0 * np.spacing(np.abs(want).max(axis=-1, keepdims=True)))
+        assert np.all(np.diff(got[:, 0], axis=-1) <= 0.0) and np.all(got[:, 0] >= 0.0)
+    assert np.array_equal(top[:, :, 0], np.stack([blocks[0][0][:, 0, 0], blocks[0][1][:, 0, 0]], axis=1))
+    # a carried maximum above a block's readout raises its value rows, and only those
+    top = np.full((2, 2, 1), 1e6)
+    (Tb, Sb), (T, S) = stacks.suffix(2, 0, 10, top), stacks.suffix(2, 0, 10)
+    assert np.all(Tb[:, 0] == 1e6) and np.all(Sb[:, 0] == 1e6) and np.all(T[:, 0] < 1.0)
+    assert np.array_equal(Tb[:, 1], T[:, 1]) and np.array_equal(Sb[:, 1], S[:, 1])
 
 
 def test_mixture_boundaries(geom6):
