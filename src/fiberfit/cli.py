@@ -146,30 +146,23 @@ def _write_csv(path: Path, xs, fs):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _fmt_table(header_cells, rows, label_width=10) -> list:
-    widths = [max(len(h) + 1, 10) for h in header_cells]
+def _fmt_table(header_cells, rows, digits=6, label_width=10) -> list:
+    """Header line and one line per (label, cells) row; every column is at
+    least one character wider than its widest entry, so no two cells touch."""
+    text = [["" if c is None else f"{c:.{digits}f}" for c in cells] for _, cells in rows]
+    widths = [max(10, 1 + max(len(h), *(len(t[j]) for t in text))) for j, h in enumerate(header_cells)]
     lines = [" " * label_width + "".join(h.rjust(w) for h, w in zip(header_cells, widths))]
-    for label, cells in rows:
-        lines.append(
-            label.ljust(label_width)
-            + "".join(("" if c is None else f"{c:.6f}").rjust(w) for c, w in zip(cells, widths))
-        )
+    for (label, _), cells in zip(rows, text):
+        lines.append(label.ljust(label_width) + "".join(c.rjust(w) for c, w in zip(cells, widths)))
     return lines
 
 
 def _stats_table(title: str, stats) -> list:
-    header = ["Mean", "Std.dev.", "Skewness", "Kurtosis"]
-    est = [stats.mean, stats.sd, stats.skewness, stats.kurtosis]
+    rows = [("Estimate", [stats.mean, stats.sd, stats.skewness, stats.kurtosis])]
     ses = [stats.se_mean, stats.se_sd, stats.se_skewness, stats.se_kurtosis]
-    lines = [title]
-    widths = [max(len(h) + 1, 10) for h in header]
-    lines.append(" " * 10 + "".join(h.rjust(w) for h, w in zip(header, widths)))
-    lines.append("Estimate".ljust(10) + "".join(f"{v:.5f}".rjust(w) for v, w in zip(est, widths)))
     if all(s is not None for s in ses):
-        lines.append(
-            "Std. Error".ljust(10) + "".join(f"{v:.5f}".rjust(w) for v, w in zip(ses, widths))
-        )
-    return lines
+        rows.append(("Std. Error", ses))
+    return [title] + _fmt_table(["Mean", "Std.dev.", "Skewness", "Kurtosis"], rows, digits=5)
 
 
 def format_summary(result, stats: SummaryStats) -> str:

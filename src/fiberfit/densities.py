@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv, gammaln, log_ndtr, ndtri_exp
+from scipy.special import gammainc, gammainccinv, gammaincinv, gammaln, log_ndtr, ndtri, ndtri_exp
 
 from .special import digamma, log_gamma, trigamma
 
@@ -467,17 +467,21 @@ def _ggd_standard_form(p: GgdParams):
 class _Family:
     """One Y-scale length family: parameter class, coordinate names, theta
     transform kinds ('log'/'id'), density stack (f, grad, packed Hessian) and
-    public pdf, tail_seed(p) (log of a crude high quantile that seeds the
-    truncation search), standard_form(p) ((a, c, log CDF, quantile) of the
-    standardized log length s = c (log y - a)) and sample(rng, p, n)."""
+    public pdf, standard_form(p) ((a, c, log CDF, quantile) of the
+    standardized log length s = c (log y - a)), tail_quantile(p, q) (s at
+    survival q of the law y^3 f_Y / E(Y^3), the heaviest of the laws y^j f_Y,
+    j = 0..3, integrated to y = inf; each stays in its family: generalized
+    gamma k -> k + j / d, lognormal mu -> mu + j sigma^2), log_moment(p, j)
+    (log E(Y^j)) and sample(rng, p, n)."""
 
     params: type
     names: tuple
     kinds: tuple
     stack: Callable
     pdf: Callable
-    tail_seed: Callable
     standard_form: Callable
+    tail_quantile: Callable
+    log_moment: Callable
     sample: Callable
 
     @property
@@ -488,14 +492,16 @@ class _Family:
 FAMILIES = {
     GGAMMA: _Family(
         GgdParams, ("b", "d", "k"), ("log", "log", "log"), _ggd_stack, ggd_pdf,
-        tail_seed=lambda p: np.log(p.b) + np.log(p.k + 10.0 / p.d) / p.d,
         standard_form=_ggd_standard_form,
+        tail_quantile=lambda p, q: np.log(gammainccinv(p.k + 3.0 / p.d, q)),
+        log_moment=lambda p, j: j * np.log(p.b) + gammaln(p.k + j / p.d) - gammaln(p.k),
         sample=lambda rng, p, n: p.b * rng.gamma(shape=p.k, scale=1.0, size=n) ** (1.0 / p.d),
     ),
     LOGNORM: _Family(
         LognParams, ("mu", "sigma"), ("id", "log"), _logn_stack, logn_pdf,
-        tail_seed=lambda p: p.mu + 8.0 * p.sigma,
         standard_form=lambda p: (p.mu, 1.0 / p.sigma, log_ndtr, ndtri_exp),
+        tail_quantile=lambda p, q: 3.0 * p.sigma - ndtri(q),
+        log_moment=lambda p, j: j * p.mu + 0.5 * (j * p.sigma) ** 2,
         sample=lambda rng, p, n: np.exp(p.mu + p.sigma * rng.standard_normal(n)),
     ),
 }

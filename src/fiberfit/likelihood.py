@@ -377,12 +377,9 @@ def micro_loglik(
     theta (it is often dropped when only the maximizer matters) but is kept
     here so the reported value is the absolute log likelihood.  The
     normalizer and its derivatives share one quadrature pass, the same
-    integral as :func:`scales.k_theta`: in log length t = log y, standardized
-    to s = d (t - log b) or (t - mu) / sigma, up to hi = min(2r, U), on panels
-    ending at the quantiles of s at fixed probabilities times F(hi) (the mass
-    below hi) and at the images of the 16 equal y-panel ends, from the
-    quantile at tail_cutoff F(hi) with y halved, converged to an absolute
-    tolerance of abs_tol F(hi).
+    integral as :func:`scales.k_theta`: in standardized log length on
+    quantile panels, up to 2r, converged to an absolute tolerance of
+    abs_tol F(2r), F(2r) the mass below 2r (``scales._log_length_integrals``).
     """
     p = _as_params(theta)
     if isinstance(p, MixtureParams):

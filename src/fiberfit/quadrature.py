@@ -24,12 +24,13 @@ interior), so integrable inverse-square-root singularities converge under
 plain bisection; callers integrating against the cut-length kernel in the
 observed variable should still substitute x = 2r sin(phi) for efficiency.
 Densities that are nearly singular at y = 0 (y^(dk-1) with small d k, a
-lognormal with large sigma) are not bisected toward 0: the microscopy
-normalizer integrates them in log length t = log y, where they are smooth
-with exponential tails, from the quantile at tail_cutoff F(hi) (y halved) to
-hi, on panels ending at quantiles of the component and at the logs of 16
-equal y-panel ends, with the absolute tolerance scaled by the mass below hi
-to abs_tol F(hi) (``scales._uncut_mass_stack``).
+lognormal with large sigma) or spread over many decades of y are not
+integrated in y: every package integral of them that reaches a tail runs in
+standardized log length, where they are smooth with exponential tails,
+between closed-form quantiles of the component, on panels ending at
+quantiles of the component and at the logs of 16 equal y-panel ends of
+(0, 2r] (``scales._log_length_integrals``).  ``integrate`` over (a, inf)
+maps the range onto (0, 1) and truncates nothing.
 """
 
 from __future__ import annotations
@@ -99,8 +100,9 @@ _WG = np.array(
 class QuadratureConfig:
     """Tolerances and limits for the adaptive engine.
 
-    tail_cutoff bounds the survival mass neglected when a semi-infinite
-    integral is truncated.
+    tail_cutoff is the survival mass past the quantile that ends an integral
+    of a density over a range that reaches y = inf (and, as a share of the
+    mass below 2r, the mass below the quantile that starts one from y = 0).
     """
 
     abs_tol: float = 1e-10
@@ -144,12 +146,6 @@ def _eval_panels(f, lo, hi):
     vals = vals.reshape(m, lo.size, _XK.size)
     KG = vals @ _KG_WEIGHTS
     return KG[..., 0] * half, np.abs(KG[..., 1]) * half, vals
-
-
-def _geometric_edges(start: float, stop: float, min_panels: int):
-    """Edges from start (excluded) to stop, geometric, at least 4 per decade."""
-    n = max(min_panels, int(np.ceil(4.0 * np.log10(stop / start))))
-    return start * (stop / start) ** (np.arange(1, n + 1) / n)
 
 
 class PanelTree:
@@ -315,42 +311,29 @@ def segment_integrals(f, edges, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Panel
     return PanelTree(edges, lo[order], hi[order], K[:, order], vals, n_initial, splits, float((err_m / tol_m).max()))
 
 
-def _truncation_point(f, a: float, tail_start: float, cfg: QuadratureConfig) -> float:
-    """Double an upper limit until the integrand is negligible past it."""
-    u = max(tail_start, a + 1e-6, 1e-6)
-    for _ in range(80):
-        val = np.max(np.abs(np.asarray(f(np.array([u])), dtype=float)))
-        if val * max(u, 1.0) < cfg.tail_cutoff:
-            return u
-        u *= 2.0
-    raise QuadratureError("could not find an integrable tail truncation point", np.inf)
-
-
 def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG, *, tail_start=None):
     """Adaptive integral of f over (a, b); b may be +inf.
 
     ``f`` must accept an ndarray of points and return values (or an (m, n)
     stack, in which case an (m,) array is returned).  For b = inf the range
-    is truncated where the integrand's magnitude, scaled by the abscissa,
-    falls below cfg.tail_cutoff; ``tail_start`` seeds the doubling search
-    (use a scale comparable to the integrand's mean).
+    is mapped onto (0, 1) by y = a + tail_start u / (1 - u), so ``tail_start``
+    is the scale of the map (default 2 |a| + 1; use a scale comparable to
+    the integrand's mean).  The integrand must be integrable at infinity:
+    nothing is truncated, and panels are bisected toward u = 1 as needed.
     """
     if not np.isfinite(a):
         raise ValueError("lower limit must be finite")
     if b <= a:
         raise ValueError("upper limit must exceed lower limit")
 
+    g = f
     if np.isinf(b):
-        seed = tail_start if tail_start is not None else 2.0 * abs(a) + 1.0
-        u = _truncation_point(f, a, seed, cfg)
-        # quadratic clustering toward a over the bulk, then geometric panels
-        # out to the truncation point when the tail spans many decades
-        head_end = min(u, max(2.0 * seed, 2.0 * abs(a) + 1.0))
-        t = np.linspace(0.0, 1.0, 17)
-        edges = a + (head_end - a) * t * t
-        if u > head_end * (1.0 + 1e-12):
-            edges = np.concatenate([edges, _geometric_edges(head_end, u, 8)])
-    else:
-        edges = np.linspace(a, b, 9)
-    vals = segment_integrals(f, edges, cfg).total()
+        scale = tail_start if tail_start is not None else 2.0 * abs(a) + 1.0
+
+        def g(u):
+            rest = 1.0 - u
+            return np.asarray(f(a + scale * u / rest), dtype=float) * (scale / (rest * rest))
+
+        a, b = 0.0, 1.0
+    vals = segment_integrals(g, np.linspace(a, b, 9), cfg).total()
     return float(vals[0]) if vals.size == 1 else vals

@@ -19,32 +19,28 @@ component or mixture to the other three scales:
 E(W) of a component solves 1 / (pi r + 2 E(W)) = int f_Y(y) / (pi r + 2 y) dy;
 its W moments and their theta-gradients share one memoized quadrature pass.
 
-k_theta and its theta-derivatives (the microscopy normalizer) are one
-integral in log length, shared by :func:`k_theta` and the microscopy
-likelihood: with t = log y standardized to s = d (t - log b) (generalized
-gamma) or (t - mu) / sigma (lognormal), int_{s_lo}^{s(hi)} g(s) p_uc(e^t) ds
-over the density g of s and its derivative rows, hi = min(2r, U).  Panels end
-at the quantiles of s at fixed probabilities times F(hi), the component's
-mass below hi, and at the images of the 16 equal y-panel ends hi j / 16;
-s_lo is the quantile at tail_cutoff F(hi) with y halved, and the absolute
-tolerance is abs_tol F(hi).
+Every integral of the density stack rows (f_Y and its theta-derivatives)
+that reaches a tail runs in standardized log length between closed-form
+quantiles (:func:`_log_length_integrals`): the W moments, the microscopy
+normalizer k_theta = int_0^2r f_Y p_uc and its derivative rows, and the
+censored tail past the largest data point.
 
 The censored part of f_X is a pair of suffix integrals of the density over
-t(y) = pi r^2 + 2 r y and y / t(y).  One quadrature tree per evaluation
-serves every stack row of both mixture components (a component with zero
-weight is left out), with the data points as edges (``_CensoredStacks``).
-Everything per point is then one streamed pass over blocks of at most
-_BLOCK points, top block first: each block reads the rows it needs off the
-tree over its own edge range, evaluates the direct stack rows, p_uc and
-the kernel weights at its own points, and sums the derivative rows against
-the likelihood's weights inside the tree.  The same pass gives
-:func:`density_x_component`, :func:`density_x_mixture` and the
-likelihoods.
+t(y) = pi r^2 + 2 r y and y / t(y).  One quadrature tree in y per
+evaluation serves every stack row of both mixture components (a component
+with zero weight is left out) between the data points, which are its only
+edges; past the largest point each row adds a constant, one log-length
+integral per component (``_CensoredStacks``).  Everything per point is
+then one streamed pass over blocks of at most _BLOCK points, top block
+first: each block reads the rows it needs off the tree over its own edge
+range, evaluates the direct stack rows, p_uc and the kernel weights at its
+own points, and sums the derivative rows against the likelihood's weights
+inside the tree.  The same pass gives :func:`density_x_component`,
+:func:`density_x_mixture` and the likelihoods.
 
-Expensive per-parameter constants (the W-moment integrals, k_theta, tail
-truncation points) are memoized on the frozen parameter dataclasses, so a
-likelihood evaluation computes each once regardless of the number of data
-points.
+Expensive per-parameter constants (the W-moment integrals, k_theta) are
+memoized on the frozen parameter dataclasses, so a likelihood evaluation
+computes each once regardless of the number of data points.
 """
 
 from __future__ import annotations
@@ -65,11 +61,10 @@ from .densities import (
     component_pdf,
 )
 from .geometry import CoreGeometry, _prob_uncut_unchecked
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _geometric_edges, integrate, segment_integrals
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureError, segment_integrals
 
 __all__ = [
     "ScaleDensity",
-    "component_tail",
     "mean_w_component",
     "moment_w",
     "density_w_component",
@@ -85,27 +80,52 @@ __all__ = [
 _SCALES = ("W", "Y", "X", "V")
 _COMPONENTS = ("fines", "fibers", "mixture")
 
+# probabilities whose quantiles end the panels in log length: geometric
+# toward both tails, where the log-length densities decay exponentially
+_EDGE_LOG_PROBS = np.log([1e-8, 1e-5, 1e-3, 0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98, 0.999, 1 - 1e-5, 1 - 1e-8])
 
-_TAIL_CAP = 1e15  # beyond this the neglected mass is accepted; such shapes
-# only arise transiently at extreme optimizer iterates
 
+def _log_length_integrals(p: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig, order: int, weights, quad,
+                          lo: float = 0.0, hi: float = np.inf):
+    """int_lo^hi w_i(y) g_q(y) dy for weight rows w_i and density stack rows g_q, (weights, stack height).
 
-@lru_cache(maxsize=512)
-def component_tail(p: ComponentParams, tail_cutoff: float = DEFAULT_CONFIG.tail_cutoff) -> float:
-    """Upper truncation point U with survival mass past U below tail_cutoff.
-
-    Seeded from a crude high quantile of the component (b (k + 10/d)^(1/d)
-    for the generalized gamma, exp(mu + 8 sigma) for the lognormal) and
-    doubled until pdf(U) * U drops below the cutoff.
+    ``weights(ly)`` gives the weight rows at ly = log y.  The integral runs
+    in the standardized log length s = c (log y - a) (``_Family.standard_form``),
+    where the rows, those of the density of s (see ``_ggd_stack``), are
+    smooth with exponential tails.  Every weight varies on the scale of the
+    core, so with F(2r) the mass below 2r, panels end at the quantiles at
+    the probabilities _EDGE_LOG_PROBS times F(2r), at the images of the 16
+    equal y-panel ends 2r j / 16, and at the quantiles at _EDGE_LOG_PROBS
+    above 2r.  The limits are the larger of lo and the quantile at
+    tail_cutoff F(2r), and the smaller of hi and ``_Family.tail_quantile``
+    at tail_cutoff.  The absolute tolerance is abs_tol F(hi), so a normalizer
+    far below abs_tol is resolved relative to itself; a range that holds no
+    mass gives zeros.  ``quad`` is ``segment_integrals`` under the name the
+    caller imported, so that the call sites can be instrumented apart.
     """
-    log_start = FAMILIES[p.family].tail_seed(p)
-    u = float(np.exp(min(log_start, np.log(_TAIL_CAP))))
-    u = max(u, 1e-6)
-    while u < _TAIL_CAP:
-        if component_pdf(u, p) * max(u, 1.0) < tail_cutoff:
-            return u
-        u = min(u * 2.0, _TAIL_CAP)
-    return _TAIL_CAP
+    fam, r = FAMILIES[p.family], geom.r
+    a, c, log_cdf, quantile = fam.standard_form(p)
+    ends = c * (np.log(2.0 * r * np.arange(1, 17) / 16.0) - a)
+    s_top = c * (np.log(hi) - a)
+    log_mass, log_top = log_cdf(np.array([ends[-1], s_top]))
+    log_mass = max(log_mass, _LOG_UNDERFLOW)
+    s_lo = float(quantile(np.log(cfg.tail_cutoff) + log_mass))
+    if lo > 0.0:
+        s_lo = max(s_lo, c * (np.log(lo) - a))
+    s_hi = min(s_top, float(fam.tail_quantile(p, cfg.tail_cutoff)))
+    n_rows = _stack_height(_n_coords(p), order)
+    if not (s_lo < s_hi and log_top > _LOG_UNDERFLOW):
+        return np.zeros((len(weights(np.zeros(1))), n_rows))
+    probs = _EDGE_LOG_PROBS
+    s = np.concatenate([quantile(probs + log_mass), ends, quantile(probs[probs > log_mass]), [s_lo, s_hi]])
+    edges = np.unique(np.clip(s, s_lo, s_hi))
+    stack = _stack_rows(p, order, standardized=True)
+
+    def integrand(s):
+        return (weights(a + s / c)[:, None] * stack(s)).reshape(-1, s.size)
+
+    tol = replace(cfg, abs_tol=cfg.abs_tol * np.exp(log_top))
+    return quad(integrand, edges, tol).total().reshape(-1, n_rows)
 
 
 @lru_cache(maxsize=512)
@@ -113,33 +133,48 @@ def _weighted_moment_integrals(p: ComponentParams, geom: CoreGeometry, cfg: Quad
     """J[m] = int y^m f / (pi r + 2 y) and the same with f's theta-gradient.
 
     Returns read-only (J, Jg) with J of shape (5,) for m = 0..4 and Jg of
-    shape (5, n_coords); one quadrature tree serves all rows.
+    shape (5, n_coords); one quadrature tree in log length serves all rows
+    (:func:`_log_length_integrals`).  Row m >= 1 is integrated with its
+    weight divided by E(Y^(m - 1)), which makes the integrand at most 1/2
+    times the density of the law y^(m - 1) f_Y, and multiplied back
+    afterwards; a row that overflows double range reads inf or nan, which
+    :func:`_w_moments` rejects.  Past the cap e^700 on a scaled weight the
+    density has underflowed, unless the moment itself overflows.
     """
-    cn = _n_coords(p)
-    stack = _stack_rows(p, 1)  # rows: f, then df/dtheta_j
-    pir = np.pi * geom.r
-    u = component_tail(p, cfg.tail_cutoff)
+    log_pir, m = np.log(np.pi * geom.r), np.arange(5)
+    log_scale = FAMILIES[p.family].log_moment(p, np.maximum(m - 1, 0))
 
-    def integrand(y):
-        base = stack(y) / (pir + 2.0 * y)
-        return np.concatenate([base * y**m for m in range(5)], axis=0)
+    def weights(ly):  # y^m / (pi r + 2 y) / E(Y^(m - 1))
+        return np.exp(np.minimum(m[:, None] * ly - np.logaddexp(log_pir, np.log(2.0) + ly) - log_scale[:, None], 700.0))
 
-    flat = integrate(integrand, 0.0, np.inf, cfg, tail_start=u)
-    flat = flat.reshape(5, 1 + cn)
+    flat = _log_length_integrals(p, geom, cfg, 1, weights, segment_integrals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        flat *= np.exp(log_scale)[:, None]
     flat.flags.writeable = False
     return flat[:, 0], flat[:, 1:]
 
 
+def _w_moments(p: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig, m: int):
+    """Rows 0..m of (J, Jg) (see :func:`_weighted_moment_integrals`), checked finite."""
+    J, Jg = (arr[: m + 1] for arr in _weighted_moment_integrals(p, geom, cfg))
+    if not (J[0] > 0.0 and np.all(np.isfinite(J)) and np.all(np.isfinite(Jg))):
+        raise QuadratureError(f"W moments up to order {m} overflow double range", np.inf)
+    return J, Jg
+
+
 def mean_w_component(p: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Expected cell length on the W (standing tree) scale for one component."""
-    return float(0.5 / _weighted_moment_integrals(p, geom, cfg)[0][0] - 0.5 * (np.pi * geom.r))
+    return float(0.5 / _w_moments(p, geom, cfg, 0)[0][0] - 0.5 * (np.pi * geom.r))
 
 
 def moment_w(m: int, p: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """m-th raw moment of the component's W-scale distribution, m in 1..4."""
+    """m-th raw moment of the component's W-scale distribution, m in 1..4.
+
+    Raises QuadratureError when the moment overflows double range.
+    """
     if m not in (1, 2, 3, 4):
         raise ValueError("moment order m must be one of 1, 2, 3, 4")
-    J = _weighted_moment_integrals(p, geom, cfg)[0]
+    J = _w_moments(p, geom, cfg, m)[0]
     return float(J[m] / J[0])  # (pi r + 2 E(W)) J[m], since pi r J[0] + 2 J[1] = 1
 
 
@@ -154,58 +189,16 @@ def density_w_component(w, p: ComponentParams, geom: CoreGeometry, cfg: Quadratu
     return float(out) if np.ndim(w) == 0 else out
 
 
-# probabilities, as shares of the mass below the upper limit, whose quantiles
-# end the normalizer's panels: geometric toward both tails, where the
-# log-length densities decay exponentially
-_EDGE_LOG_PROBS = np.log([1e-8, 1e-5, 1e-3, 0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98, 0.999, 1 - 1e-5, 1 - 1e-8])
-_LOW_SHIFT = np.log(2.0)  # the lower limit is the tail quantile of y halved
-
-
 def _uncut_mass_stack(p: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig, order: int, quad):
-    """int_0^hi g_q(y) p_uc(y) dy for the density stack rows g_q, hi = min(2r, U).
-
-    Integrated in log length, standardized to s = d (log y - log b)
-    (generalized gamma) or (log y - mu) / sigma (lognormal): the rows are
-    those of the density of s (see ``_ggd_stack``), which are smooth with
-    exponential tails where f_Y itself can be nearly singular at y = 0.
-    Panels end at the quantiles of s at the probabilities _EDGE_LOG_PROBS
-    scaled by F(hi), the component's mass below hi, and at the images of the
-    16 equal y-panel ends hi j / 16, which resolve p_uc.  The lower limit is
-    the quantile at tail_cutoff F(hi) with y halved.  The absolute tolerance
-    is abs_tol F(hi), so the normalizer is resolved relative to its own size
-    even when that is below abs_tol; a mass below hi that underflows gives
-    zeros.  ``quad`` is the segment integrator (``segment_integrals``),
-    passed by each caller under the name it imported so that the two call
-    sites can be instrumented apart.
-    """
-    hi = min(2.0 * geom.r, component_tail(p, cfg.tail_cutoff))
-    a, c, log_cdf, quantile = FAMILIES[p.family].standard_form(p)
-    ends = c * (np.log(hi * np.arange(1, 17) / 16.0) - a)
-    log_mass = float(log_cdf(ends[-1]))
-    if not log_mass > _LOG_UNDERFLOW:
-        return np.zeros(_stack_height(_n_coords(p), order))
-    s_lo = float(quantile(np.log(cfg.tail_cutoff) + log_mass)) - c * _LOW_SHIFT
-    s = np.concatenate([quantile(_EDGE_LOG_PROBS + log_mass), ends])
-    edges = np.unique(np.concatenate([[s_lo], np.clip(s, s_lo, ends[-1])]))
-    stack, r = _stack_rows(p, order, standardized=True), geom.r
-
-    def integrand(s):
-        return stack(s) * _prob_uncut_unchecked(np.exp(a + s / c), r)
-
-    tol = replace(cfg, abs_tol=cfg.abs_tol * np.exp(log_mass))
-    return quad(integrand, edges, tol).total()
+    """int_0^2r g_q(y) p_uc(y) dy for the density stack rows g_q: the microscopy normalizer and its derivatives."""
+    r = geom.r
+    return _log_length_integrals(p, geom, cfg, order, lambda ly: _prob_uncut_unchecked(np.exp(ly), r)[None], quad,
+                                 hi=2.0 * r)[0]
 
 
 @lru_cache(maxsize=512)
 def k_theta(p: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Probability that a core cell from f_Y is uncut: int_0^2r f_Y p_uc.
-
-    The value row of the microscopy likelihood's normalizer: integrated in
-    standardized log length up to hi = min(2r, U), on panels ending at
-    quantiles scaled by F(hi) and at the images of 16 equal y-panel ends,
-    from the quantile at tail_cutoff F(hi) (y halved), to an absolute
-    tolerance of abs_tol F(hi) (see :func:`_uncut_mass_stack`).
-    """
+    """Probability that a core cell from f_Y is uncut: int_0^2r f_Y p_uc (see :func:`_uncut_mass_stack`)."""
     return float(_uncut_mass_stack(p, geom, cfg, 0, segment_integrals)[0])
 
 
@@ -228,15 +221,16 @@ class _CensoredStacks:
     For each component's density stack rows g_q (``_stack_rows`` at ``order``)
 
         f_q(x) = p_uc(x) g_q(x) + c1(x) T_q(x) + c2(x) S_q(x),
-        T_q(x) = int_x^U g_q(y) / t(y) dy,   S_q(x) = int_x^U y g_q(y) / t(y) dy,
+        T_q(x) = int_x^inf g_q(y) / t(y) dy,   S_q(x) = int_x^inf y g_q(y) / t(y) dy,
 
     with t(y) = pi r^2 + 2 r y, c1 = (8 r^2 - 3 x^2) / root, c2 = x / root and
-    root = sqrt(4 r^2 - x^2).  U is the largest truncation point of the
-    components, and one quadrature tree serves every row of every component:
-    its edges are the points below U plus geometric edges from the largest of
-    them to U; points at or beyond U get T = S = 0.  With ``geom`` None there
-    is no censoring: every cell counts as uncut, f_q = g_q, and no tree is
-    built (the initialization problem).
+    root = sqrt(4 r^2 - x^2).  One quadrature tree in y serves every row of
+    every component between the points, which are its only edges; the rest
+    of each integral, from the largest point to y = inf, is a constant per
+    row (``tail``), one log-length integral per component
+    (:func:`_log_length_integrals`).  With ``geom`` None there is no
+    censoring: every cell counts as uncut, f_q = g_q, and no tree is built
+    (the initialization problem).
 
     Everything per point is computed one block of at most _BLOCK points at a
     time (:meth:`stream`), so the only arrays of the data's length are the
@@ -247,26 +241,29 @@ class _CensoredStacks:
         self.x, self.geom = x, geom
         self.stacks = [_stack_rows(p, order) for p in parts]
         self.height = _stack_height(_n_coords(parts[0]), order)
-        self.n_in, self.tree = 0, None
+        self.tail = self.tree = None
         if geom is None:
             return
         r = geom.r
-        u = max(component_tail(p, cfg.tail_cutoff) for p in parts)
-        self.n_in = int(np.searchsorted(x, u))
-        if self.n_in == 0:
+        log_pir2, log_2r = np.log(np.pi * r * r), np.log(2.0 * r)
+
+        def weights(ly):  # 1 / t(y) and y / t(y)
+            lw = -np.logaddexp(log_pir2, log_2r + ly)
+            return np.exp(np.stack([lw, ly + lw]))
+
+        # tree row 2 h i + h j + q: integral j (T, S) of stack row q of component i
+        self.tail = np.concatenate(
+            [_log_length_integrals(p, geom, cfg, order, weights, segment_integrals, lo=x[-1]).ravel() for p in parts]
+        )
+        if x.size < 2:
             return
-        top = x[self.n_in - 1]
-        if u / max(top, 1e-300) > 1.0 + 1e-12:
-            edges = np.concatenate([x[: self.n_in], _geometric_edges(top, u, 24)])
-        else:
-            edges = np.concatenate([x[: self.n_in], [u]])
 
         def integrand(y):
             w = 1.0 / (np.pi * r * r + 2.0 * r * y)
             g = np.concatenate([stack(y) for stack in self.stacks], axis=0).reshape(len(parts), 1, -1, y.size)
             return np.concatenate([g * w, g * (y * w)], axis=1).reshape(-1, y.size)
 
-        self.tree = segment_integrals(integrand, edges, cfg)
+        self.tree = segment_integrals(integrand, x, cfg)
 
     def suffix(self, n_rows: int, start: int = 0, stop: int | None = None, top=None):
         """(T, S) of the first n_rows stack rows at the points [start, stop) (all by default).
@@ -283,10 +280,8 @@ class _CensoredStacks:
         stop = self.x.size if stop is None else stop
         top = np.zeros((k, 2, 1)) if top is None else top
         rows = (2 * h * np.arange(k)[:, None, None] + h * np.arange(2)[:, None] + np.arange(n_rows)).ravel()
-        inside = max(min(stop, self.n_in) - start, 0)
-        TS = self.tree.suffix(rows, start, start + inside) if inside else np.empty((rows.size, 0))
-        if inside < stop - start:  # points at or beyond U
-            TS = np.concatenate([TS, np.zeros((rows.size, stop - start - inside))], axis=1)
+        TS = np.zeros((rows.size, stop - start)) if self.tree is None else self.tree.suffix(rows, start, stop)
+        TS += self.tail[rows, None]
         TS = TS.reshape(k, 2, n_rows, stop - start)
         val = np.maximum(TS[:, :, 0], top)
         if np.any(val[..., :-1] < val[..., 1:]):
@@ -310,15 +305,14 @@ class _CensoredStacks:
             f += np.multiply(t, c1, out=t)
             f += np.multiply(s, c2, out=s)
             rows.append(f)
-        inside = min(stop, self.n_in) - start
 
         def dot(v):
-            out = [gi[1:] @ (v * puc) for gi in g]
-            if inside <= 0:
-                return out
-            a = np.stack([v[:inside] * c1[:inside], v[:inside] * c2[:inside]])
-            TS = self.tree.suffix_dot(a, start, start + inside).reshape(2, len(g), 2, self.height)
-            return [o + TS[0, i, 0, 1:] + TS[1, i, 1, 1:] for i, o in enumerate(out)]
+            a = np.stack([v * c1, v * c2])
+            TS = a.sum(axis=1)[:, None] * self.tail
+            if self.tree is not None:
+                TS += self.tree.suffix_dot(a, start, stop)
+            TS = TS.reshape(2, len(g), 2, self.height)
+            return [gi[1:] @ (v * puc) + TS[0, i, 0, 1:] + TS[1, i, 1, 1:] for i, gi in enumerate(g)]
 
         return rows, dot
 

@@ -28,7 +28,7 @@ from .densities import ComponentParams, MixtureParams, _n_coords
 from .geometry import CoreGeometry
 from .fitting import FitResult, MICROSCOPY
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
-from .scales import _weighted_moment_integrals
+from .scales import _w_moments
 
 __all__ = [
     "ComponentStats",
@@ -72,10 +72,11 @@ def component_stat_gradients(p: ComponentParams, geom: CoreGeometry, cfg: Quadra
 
     Returns a dict mapping ``mean``/``sd``/``skewness``/``kurtosis`` to
     (value, gradient over the component's own theta coordinates), plus
-    ``_moment_parts`` internals reused by the tree-level statistics.
+    ``_moment_parts`` internals reused by the tree-level statistics.  Raises
+    QuadratureError when a moment overflows double range.
     """
     pir = np.pi * geom.r
-    J, Jg = _weighted_moment_integrals(p, geom, cfg)
+    J, Jg = _w_moments(p, geom, cfg, 4)
 
     i0 = J[0]
     mu = 0.5 / i0 - 0.5 * pir

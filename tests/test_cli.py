@@ -5,8 +5,19 @@ import sys
 import numpy as np
 import pytest
 
-from fiberfit import CoreGeometry, GgdParams, MixtureParams, ScaleDensity
-from fiberfit.cli import main
+from fiberfit import (
+    CoreGeometry,
+    GgdParams,
+    LognParams,
+    MixtureParams,
+    QuadratureError,
+    ScaleDensity,
+    SimSpec,
+    sample_x,
+    scales,
+)
+from fiberfit.cli import _stats_table, main
+from fiberfit.summary import ComponentStats
 
 
 def run_cli(*args):
@@ -47,16 +58,25 @@ def test_density_needs_r_for_censored_scales():
     assert run_cli("density", "--scale", "w", "--par", "1.8,2.7,2.6", "--at", "1.0") == 2
 
 
-def test_integral_failure_is_exit_3(capsys):
-    # the W-scale mean of this heavy-tailed shape does not converge: a typed
-    # error and exit code 3, not a traceback
-    rc = run_cli(
-        "density", "--scale", "w", "--model", "ggamma", "--par", "0.5,0.3,0.2",
-        "--r", "2.5", "--at", "1",
-    )
-    assert rc == 3
+W_MEAN_HEAVY = ("density", "--scale", "w", "--model", "ggamma", "--par", "0.5,0.3,0.2", "--r", "2.5", "--at", "1")
+
+
+def test_integral_failure_is_exit_3(capsys, monkeypatch):
+    # a W-moment integral that does not converge: a typed error and exit
+    # code 3, not a traceback
+    def fail(*args):
+        raise QuadratureError("quadrature did not converge within max_subdivisions", 3.3e-5)
+
+    monkeypatch.setattr(scales, "_weighted_moment_integrals", fail)
+    assert run_cli(*W_MEAN_HEAVY) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_heavy_shape_w_density_exits_0(capsys):
+    # f_Y ~ y^(dk - 1) is nearly singular at 0 here; its W mean converges in log length
+    assert run_cli(*W_MEAN_HEAVY) == 0
+    assert np.isfinite(float(capsys.readouterr().out))
 
 
 def test_density_grid_and_csv(tmp_path):
@@ -179,6 +199,36 @@ def test_fit_end_to_end_and_roundtrip(tmp_path):
     rows2 = curve2.read_text().splitlines()[1:]
     fs2 = np.array([float(r.split(",")[1]) for r in rows2])
     assert np.abs(fs2 - fs[:40]).max() < 1e-12
+
+
+def _stats_rows(lines):
+    """The Estimate / Std. Error rows of every summary-statistics table, split on whitespace."""
+    rows, in_stats = [], False
+    for line in lines:
+        in_stats = line.startswith("Summary statistics") or (in_stats and line != "")
+        if in_stats and line.startswith(("Estimate", "Std. Error")):
+            rows.append(line.split())
+    return rows
+
+
+def test_summary_cells_never_touch(tmp_path):
+    # a lognormal OFA fit whose fibers W skewness and kurtosis, 13.32297 and
+    # 1028.44519, once ran together as "13.322971028.44519"
+    geom = CoreGeometry(6.0)
+    truth = MixtureParams(0.3, LognParams(-2.0, 0.5), LognParams(0.9, 0.25))
+    data, out = tmp_path / "x.txt", tmp_path / "fit"
+    x = sample_x(SimSpec("X", truth, geom, 500, seed=31))
+    data.write_text("\n".join(repr(float(v)) for v in x) + "\n")
+    assert run_cli("fit", "--data", str(data), "--data-type", "ofa", "--model", "lognorm", "--r", "6",
+                   "--starts", "1", "--par-start=0.02,-3.2,0.05,0.2,1.2", "--out", str(out)) == 0
+    rows = _stats_rows((out / "summary.txt").read_text().splitlines())
+    wide = ComponentStats(13.32297, 3.5, 13.32297, 1028.44519, 0.1, 0.4, 1.9, 1028.44519)
+    rows += _stats_rows(_stats_table("Summary statistics for FIBER lengths in the standing tree:", wide))
+    assert len(rows) == 6
+    for row in rows:
+        label = 2 if row[0] == "Std." else 1
+        assert len(row) == label + 4
+        [float(v) for v in row[label:]]
 
 
 def test_fit_fixed_parameters_recorded(tmp_path):

@@ -320,37 +320,42 @@ def test_adjoint_gradient_equals_order2_gradient(geom6, ofa_data, tied_ofa_data,
         assert np.abs(g1 - g2).max() <= 1e-10 * (1.0 + np.abs(g2).max())
 
 
-def _count_trees(monkeypatch):
-    """Record the integrand of every censored suffix tree built through scales."""
-    integrands = []
+def _count_trees(monkeypatch, data):
+    """Record the integrand of every censored suffix tree built through scales.
+
+    A suffix tree has the data points as its edges; every other call is a
+    log-length tail integral past the largest point, counted in ``tails``.
+    """
+    integrands, tails = [], []
     build = scales.segment_integrals
 
     def counted(f, edges, *args, **kwargs):
-        integrands.append(f)
+        (integrands if np.array_equal(edges, data.unique) else tails).append(f)
         return build(f, edges, *args, **kwargs)
 
     monkeypatch.setattr(scales, "segment_integrals", counted)
-    return integrands
+    return integrands, tails
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_one_tree_per_evaluation(geom6, ofa_data, monkeypatch, order):
-    integrands = _count_trees(monkeypatch)
+    integrands, tails = _count_trees(monkeypatch, ofa_data)
     ofa_loglik(MIX_SIM, ofa_data, geom6, order=order)
-    assert len(integrands) == 1
+    assert len(integrands) == 1 and len(tails) <= 2  # at most one tail per component
     height = {0: 1, 1: 4, 2: 10}[order]  # ggamma stack rows
     assert integrands[0](np.array([0.5, 2.0])).shape == (2 * 2 * height, 2)
 
 
 @pytest.mark.parametrize("eps", [0.0, 1.0])
 def test_single_component_tree_at_boundary_weight(geom6, ofa_data, monkeypatch, eps):
-    integrands = _count_trees(monkeypatch)
+    integrands, tails = _count_trees(monkeypatch, ofa_data)
     mix = MixtureParams(eps, MIX_SIM.fines, MIX_SIM.fibers)
     p = mix.fines if eps == 1.0 else mix.fibers
     for order in (0, 1):
         integrands.clear()
+        tails.clear()
         ofa_loglik(mix, ofa_data, geom6, order=order)
-        assert len(integrands) == 1
+        assert len(integrands) == 1 and len(tails) <= 1
         y = np.array([0.5, 2.0, 7.0])
         w = 1.0 / (np.pi * geom6.r**2 + 2.0 * geom6.r * y)
         g = ggd_pdf(y, p)
@@ -477,7 +482,8 @@ def _whole_array_reference(mix, data, geom, order):
     """(loglik, per-point terms, gradient, Hessian) from whole-array reads of the suffix tree.
 
     Every stack row of both components is read at every unique point at
-    once through ``PanelTree.suffix()`` and the mixture is assembled per
+    once through ``PanelTree.suffix()`` plus the tail constants past the
+    largest point, and the mixture is assembled per
     point, as the streamed evaluation never does: the value rows clamped by
     one reverse running maximum over all points, the scores and the
     Hessian rows summed per point.
@@ -486,9 +492,7 @@ def _whole_array_reference(mix, data, geom, order):
     parts, cn = (mix.fines, mix.fibers), _n_coords(mix.fines)
     stacks = scales._CensoredStacks(x, list(parts), geom, DEFAULT_CONFIG, order)
     h = stacks.height
-    TS = np.zeros((2 * 2 * h, x.size))
-    TS[:, : stacks.n_in] = stacks.tree.suffix()[:, : stacks.n_in]
-    TS = TS.reshape(2, 2, h, x.size)
+    TS = (stacks.tree.suffix() + stacks.tail[:, None]).reshape(2, 2, h, x.size)
     TS[:, :, 0] = np.maximum.accumulate(np.maximum(TS[:, :, 0, ::-1], 0.0), axis=-1)[..., ::-1]
     root = np.sqrt(4.0 * r * r - x * x)
     puc = prob_uncut(x, geom)

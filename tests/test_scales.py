@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import gammainc, gammaln, ndtr
 
 from fiberfit import (
     CoreGeometry,
@@ -19,6 +21,7 @@ from fiberfit import (
     moment_w,
     prob_uncut,
     tree_composition,
+    QuadratureError,
 )
 from fiberfit.densities import component_pdf
 from fiberfit.quadrature import DEFAULT_CONFIG, segment_integrals
@@ -50,8 +53,42 @@ def test_mean_w_heavy_tail_shares_the_summary_integral(geom25):
     # u = (y / b)^d ~ gamma(k)
     p = GgdParams(3.62, 0.0786, 5.73)
     mean = mean_w_component(p, geom25)
-    assert mean == pytest.approx(3038.10492704816, rel=1e-7)
+    assert mean == pytest.approx(3038.10492704816, rel=1e-8)
     assert mean == component_stat_gradients(p, geom25)["mean"][0]
+
+
+# E(W) and E(W^m), m = 1..4, at r = 2.5: mpmath at 25 digits, J[m] = int
+# y^m f_Y / (pi r + 2 y) dy integrated in s = log u, u = (y / b)^d ~ gamma(k)
+W_MOMENTS_MPMATH = {
+    # f_Y ~ y^(dk - 1) is nearly singular at y = 0
+    GgdParams(0.5, 0.3, 0.2): (0.096531293874951278, 1.1320786469756428, 118.62028310700819, 62034.004888978999),
+    # d = 0.0786: the mass spreads over hundreds of decades of y
+    GgdParams(3.62, 0.0786, 5.73): (
+        3038.1049270481559, 1.8884402080992996e17, 2.5270193669663294e35, 7.7843129021002416e55
+    ),
+}
+
+
+@pytest.mark.parametrize("p", list(W_MOMENTS_MPMATH), ids=str)
+def test_w_moments_of_heavy_shapes_match_mpmath(p, geom25):
+    mean, *higher = W_MOMENTS_MPMATH[p]
+    assert mean_w_component(p, geom25) == pytest.approx(mean, rel=1e-8)
+    assert moment_w(1, p, geom25) == pytest.approx(mean, rel=1e-8)
+    for m, want in enumerate(higher, start=2):
+        assert moment_w(m, p, geom25) == pytest.approx(want, rel=1e-8)
+
+
+def test_overflowing_w_moment_raises_typed_error(geom25):
+    # E(Y) = b Gamma(k + 1/d) / Gamma(k) is near e^80000, E(W) is near 7e16
+    p = GgdParams(50.0, 1e-4, 18.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(mean_w_component(p, geom25))
+        assert np.isfinite(moment_w(1, p, geom25))
+        with pytest.raises(QuadratureError, match="overflow"):
+            moment_w(2, p, geom25)
+        with pytest.raises(QuadratureError, match="overflow"):
+            component_stat_gradients(p, geom25)
 
 
 def test_mean_w_flattens_to_y_mean():
@@ -122,6 +159,36 @@ def test_density_x_component_normalizes(geom25):
     p = GgdParams(2.0, 2.0, 2.0)
     val = x_scale_integral_oracle(lambda x: density_x_component(x, p, geom25), 2.5)
     assert val == pytest.approx(1.0, abs=1e-6)
+
+
+def _x_mass(p, r, x_lo=1e-9):
+    """int_0^2r f_X for one component: 16-point Gauss-Legendre panels in
+    log x on (x_lo, r) and in phi = arcsin(x / 2r) on (r, 2r), where the
+    endpoint factor cancels, plus F_Y(x_lo) for the mass below x_lo (the cut
+    mass there is below 4 x_lo / (pi r))."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+
+    def panels(lo, hi, n):
+        e = np.linspace(lo, hi, n + 1)
+        mid, half = 0.5 * (e[1:] + e[:-1]), 0.5 * np.diff(e)
+        return (mid[:, None] + half[:, None] * nodes).ravel(), (half[:, None] * weights).ravel()
+
+    t, wt = panels(np.log(x_lo), np.log(r), 64)
+    phi, wp = panels(np.pi / 6.0, np.pi / 2.0, 32)
+    x = np.concatenate([np.exp(t), 2.0 * r * np.sin(phi)])
+    jac = np.concatenate([wt * np.exp(t), wp * 2.0 * r * np.cos(phi)])
+    if isinstance(p, GgdParams):
+        below = gammainc(p.k, (x_lo / p.b) ** p.d)
+    else:
+        below = ndtr((np.log(x_lo) - p.mu) / p.sigma)
+    return density_x_component(x, p, CoreGeometry(r)) @ jac + below
+
+
+@pytest.mark.parametrize("p, r", [(GgdParams(3.62, 0.0786, 5.73), 2.5), *BATTERY], ids=str)
+def test_censored_mass_is_one(p, r):
+    # the censored part of f_X reaches y = inf: at d = 0.0786 the survival
+    # past 1e15 mm is 0.0053, so no truncation of y may drop it
+    assert _x_mass(p, r) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_density_x_fines_tail_only(geom6):
@@ -298,6 +365,24 @@ def _uncut_mass_oracle(p, r):
     return sum(quad_oracle(g, a, b, epsabs=0.0, epsrel=1e-12, limit=1000) for a, b in zip(cuts[:-1], cuts[1:]))
 
 
+def _w_mass_oracle(p, r):
+    """J0 = int f_Y / (pi r + 2 y), so that E(W) = 1 / (2 J0) - pi r / 2, by
+    scipy quad in the same variable as :func:`_uncut_mass_oracle`, over the
+    whole line.  Breakpoints: the mode, and where y = r/64, r/8, r, 8r, 64r,
+    around the knee of the weight."""
+    if isinstance(p, GgdParams):
+        mode = np.log(p.k)
+        dens = lambda s: np.exp(p.k * s - np.exp(min(s, 700.0)) - gammaln(p.k))
+        ly_of, var_of = (lambda s: np.log(p.b) + s / p.d), (lambda y: p.d * np.log(y / p.b))
+    else:
+        mode = 0.0
+        dens = lambda z: np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+        ly_of, var_of = (lambda z: p.mu + p.sigma * z), (lambda y: (np.log(y) - p.mu) / p.sigma)
+    g = lambda s: dens(s) * np.exp(-np.logaddexp(np.log(np.pi * r), np.log(2.0) + ly_of(s)))
+    cuts = [-np.inf] + sorted({mode} | {var_of(r * f) for f in (1 / 64, 1 / 8, 1.0, 8.0, 64.0)}) + [np.inf]
+    return sum(quad_oracle(g, a, b, epsabs=0.0, epsrel=1e-12, limit=1000) for a, b in zip(cuts[:-1], cuts[1:]))
+
+
 @pytest.mark.parametrize(
     "p",
     [
@@ -323,6 +408,11 @@ def test_uncut_mass_matches_oracle(p, geom25):
     # the value row of the stack the microscopy objective integrates
     got = _uncut_mass_stack(p, geom25, DEFAULT_CONFIG, 1, segment_integrals)[0]
     assert abs(got - want) <= 1e-8 * want
+    # E(W) from the same log-length integrator, up to its closed-form upper
+    # limit: J0 = 1 / (pi r + 2 E(W)) is finite, and within the quadrature
+    # contract max(abs_tol, rel_tol J0) of the oracle
+    j0, want = 0.5 / (mean_w_component(p, geom25) + 0.5 * np.pi * geom25.r), _w_mass_oracle(p, geom25.r)
+    assert abs(j0 - want) <= max(DEFAULT_CONFIG.abs_tol, DEFAULT_CONFIG.rel_tol * want)
 
 
 def test_scale_density_dispatch_and_validation(geom25):
