@@ -72,6 +72,13 @@ class RunManifest:
         path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
 
+def _manifest(args, started: str, t0: float, input_digest=None, seed=None) -> RunManifest:
+    """Manifest of this run: every parsed option but the handler, and the seconds since t0."""
+    options = {k: v for k, v in vars(args).items() if k != "func"}
+    elapsed = round(time.perf_counter() - t0, 3)
+    return RunManifest(args.command, options, input_digest, seed, __version__, started, elapsed)
+
+
 def _digest(path: Path) -> str:
     return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -179,20 +186,12 @@ def format_summary(result, stats: SummaryStats) -> str:
     names = list(model.param_names)
     est = list(result.theta_tilde)
     ses = list(result.se_tilde) if result.se_tilde is not None else [None] * len(est)
+    # b1 -> b_fines, sigma2 -> sig_fibers; a microscopy component is the fibers
+    suffix = {"1": "_fines", "2": "_fibers"}
+    names = [n if n == "eps" else n.rstrip("12").replace("sigma", "sig") + suffix.get(n[-1], "_fibers") for n in names]
     if not is_micro:  # component parameters first, proportion last
         order = list(range(1, len(names))) + [0]
-        disp = {
-            "eps": "eps", "b1": "b_fines", "d1": "d_fines", "k1": "k_fines",
-            "b2": "b_fibers", "d2": "d_fibers", "k2": "k_fibers",
-            "mu1": "mu_fines", "sigma1": "sig_fines",
-            "mu2": "mu_fibers", "sigma2": "sig_fibers",
-        }
-        names = [disp[names[i]] for i in order]
-        est = [est[i] for i in order]
-        ses = [ses[i] for i in order]
-    else:
-        disp = {"b": "b_fibers", "d": "d_fibers", "k": "k_fibers", "mu": "mu_fibers", "sigma": "sig_fibers"}
-        names = [disp[n] for n in names]
+        names, est, ses = ([v[i] for i in order] for v in (names, est, ses))
 
     lines.append("Model parameters:")
     rows = [("Estimate", est)]
@@ -222,13 +221,7 @@ def _fit_json(result, stats: SummaryStats, seed) -> dict:
         return None if a is None else np.asarray(a).tolist()
 
     def stats_block(cs):
-        if cs is None:
-            return None
-        return {
-            "mean": cs.mean, "sd": cs.sd, "skewness": cs.skewness, "kurtosis": cs.kurtosis,
-            "se_mean": cs.se_mean, "se_sd": cs.se_sd,
-            "se_skewness": cs.se_skewness, "se_kurtosis": cs.se_kurtosis,
-        }
+        return None if cs is None else asdict(cs)
 
     return {
         "model": result.model.family,
@@ -396,15 +389,7 @@ def _cmd_fit(args) -> int:
     (out / "fit.json").write_text(json.dumps(_fit_json(result, stats, args.seed), indent=2) + "\n")
     for scale_name, (xs, fs) in _density_curves(result).items():
         _write_csv(out / f"density_{scale_name}.csv", xs, fs)
-    RunManifest(
-        command="fit",
-        options={k: (v if not isinstance(v, Path) else str(v)) for k, v in vars(args).items() if k != "func"},
-        input_digest=_digest(data_path),
-        seed=args.seed,
-        version=__version__,
-        started_utc=started,
-        elapsed_s=round(time.perf_counter() - t0, 3),
-    ).write(out / "manifest.json")
+    _manifest(args, started, t0, _digest(data_path), args.seed).write(out / "manifest.json")
     sys.stdout.write(text)
     return 0
 
@@ -454,15 +439,7 @@ def _cmd_density(args) -> int:
         out = Path(args.out)
         _ensure_out(out, args.force, directory=False)
         _write_csv(out, pts, vals)
-        RunManifest(
-            command="density",
-            options={k: v for k, v in vars(args).items() if k != "func"},
-            input_digest=None,
-            seed=None,
-            version=__version__,
-            started_utc=started,
-            elapsed_s=round(time.perf_counter() - t0, 3),
-        ).write(out.with_name(out.name + ".manifest.json"))
+        _manifest(args, started, t0).write(out.with_name(out.name + ".manifest.json"))
     if args.svg is not None:
         svg_path = Path(args.svg)
         _ensure_out(svg_path, args.force, directory=False)
@@ -494,15 +471,7 @@ def _cmd_simulate(args) -> int:
     out = Path(args.out)
     _ensure_out(out, args.force, directory=False)
     out.write_text("\n".join(repr(float(v)) for v in values) + "\n")
-    RunManifest(
-        command="simulate",
-        options={k: v for k, v in vars(args).items() if k != "func"},
-        input_digest=None,
-        seed=args.seed,
-        version=__version__,
-        started_utc=started,
-        elapsed_s=round(time.perf_counter() - t0, 3),
-    ).write(out.with_name(out.name + ".manifest.json"))
+    _manifest(args, started, t0, seed=args.seed).write(out.with_name(out.name + ".manifest.json"))
     return 0
 
 
@@ -515,10 +484,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("fit", help="maximum likelihood fit of a length-distribution model")
-    p_fit.add_argument("--data", required=True, help="text file, one length (mm) per line, # comments")
+    p_fit.add_argument("--data", required=True, help="text file, one length per line in the unit of --r, # comments")
     p_fit.add_argument("--data-type", choices=["ofa", "microscopy"], default="ofa")
     p_fit.add_argument("--model", choices=list(FAMILIES), default=GGAMMA)
-    p_fit.add_argument("--r", type=float, required=True, help="increment core radius (mm)")
+    p_fit.add_argument("--r", type=float, required=True, help="increment core radius, in any length unit")
     p_fit.add_argument("--lower", help="original-scale lower bounds, CSV")
     p_fit.add_argument("--upper", help="original-scale upper bounds, CSV")
     p_fit.add_argument("--par-start", dest="par_start", help="original-scale starting values, CSV")

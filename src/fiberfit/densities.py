@@ -463,6 +463,12 @@ def _ggd_standard_form(p: GgdParams):
     return np.log(p.b), p.d, log_cdf, quantile
 
 
+def _ggd_seed(m, v):
+    """k = 2, with b and d matching E log Y = log b + psi(k) / d and sd log Y = sqrt(psi'(k)) / d."""
+    d = np.sqrt(trigamma(2.0)) / v
+    return (m - digamma(2.0) / d, np.log(d), np.log(2.0))
+
+
 @dataclass(frozen=True)
 class _Family:
     """One Y-scale length family: parameter class, coordinate names, theta
@@ -472,7 +478,13 @@ class _Family:
     survival q of the law y^3 f_Y / E(Y^3), the heaviest of the laws y^j f_Y,
     j = 0..3, integrated to y = inf; each stays in its family: generalized
     gamma k -> k + j / d, lognormal mu -> mu + j sigma^2), log_moment(p, j)
-    (log E(Y^j)) and sample(rng, p, n)."""
+    (log E(Y^j)), sample(rng, p, n), default ``bounds`` ((lo, hi) per
+    coordinate on the original scale, for lengths in units of the data scale)
+    and seed(m, v) (theta of the member whose log length has mean m and sd v).
+
+    The first coordinate is the location of log Y (log b, or mu) and the only
+    one that carries the length unit: lengths in units c times smaller shift
+    its theta by log c and leave every other coordinate unchanged."""
 
     params: type
     names: tuple
@@ -483,6 +495,8 @@ class _Family:
     tail_quantile: Callable
     log_moment: Callable
     sample: Callable
+    bounds: tuple
+    seed: Callable
 
     @property
     def size(self) -> int:
@@ -496,6 +510,8 @@ FAMILIES = {
         tail_quantile=lambda p, q: np.log(gammainccinv(p.k + 3.0 / p.d, q)),
         log_moment=lambda p, j: j * np.log(p.b) + gammaln(p.k + j / p.d) - gammaln(p.k),
         sample=lambda rng, p, n: p.b * rng.gamma(shape=p.k, scale=1.0, size=n) ** (1.0 / p.d),
+        bounds=((1e-4, 50.0),) * 3,
+        seed=_ggd_seed,
     ),
     LOGNORM: _Family(
         LognParams, ("mu", "sigma"), ("id", "log"), _logn_stack, logn_pdf,
@@ -503,5 +519,7 @@ FAMILIES = {
         tail_quantile=lambda p, q: 3.0 * p.sigma - ndtri(q),
         log_moment=lambda p, j: j * p.mu + 0.5 * (j * p.sigma) ** 2,
         sample=lambda rng, p, n: np.exp(p.mu + p.sigma * rng.standard_normal(n)),
+        bounds=((-10.0, 10.0), (1e-3, 10.0)),
+        seed=lambda m, v: (m, np.log(v)),
     ),
 }

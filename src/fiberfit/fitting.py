@@ -7,6 +7,13 @@ values come from maximizing the uncensored mixture likelihood (cheap, no
 integrals), then the censored likelihood is maximized by L-BFGS-B with the
 analytic gradient, best of ``n_starts`` jittered restarts.
 
+Both stages solve the unitless problem, lengths and r divided by s0 =
+median(data), and map back by one theta shift (log s0 on log b or mu) and a
+log likelihood n log s0 lower, so a fit is the same in any length unit.
+Default bounds (the family table's) are relative to s0, and one seed rule
+(``ModelSpec.seed``) serves every model.  Fines is the component with the
+smaller Y-scale mean.
+
 Each optimum is found once.  A start that converges is polished by one
 projected Newton step on its order-2 evaluation (kept only if the log
 likelihood rises), and that evaluation, which also gives the covariance,
@@ -24,7 +31,7 @@ though it has no finite logit.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -32,9 +39,6 @@ from scipy.special import chdtri
 
 from .densities import (
     FAMILIES,
-    GGAMMA,
-    LOGNORM,
-    GgdParams,
     ParamVector,
     _kinds,
     _params_from_values,
@@ -106,17 +110,32 @@ class ModelSpec:
         return len(self.param_names)
 
     def default_bounds(self):
-        lo, hi = [], []
-        for kind, name in zip(self.transforms, self.param_names):
-            if kind == "logit":
-                lo.append(1e-4), hi.append(1.0 - 1e-4)
-            elif kind == "id":
-                lo.append(-10.0), hi.append(10.0)
-            elif name.startswith("sigma"):
-                lo.append(1e-3), hi.append(10.0)
-            else:
-                lo.append(1e-4), hi.append(50.0)
-        return np.array(lo), np.array(hi)
+        """Original-scale (lower, upper), for lengths in units of the data scale (see :func:`fit`)."""
+        comp = FAMILIES[self.family].bounds
+        pairs = comp if self.data_type == MICROSCOPY else ((1e-4, 1.0 - 1e-4),) + comp + comp
+        lo, hi = np.array(pairs).T
+        return lo, hi
+
+    def seed(self, lengths) -> np.ndarray:
+        """Theta whose components match the mean and sd of their log lengths (``_Family.seed``).
+
+        A mixture splits the sorted log lengths at their 20th percentile: fines
+        below, fibers above, eps the share below.
+        """
+        seed = FAMILIES[self.family].seed
+        logs = np.sort(np.log(lengths))  # sorted sums do not depend on data order
+
+        def part(x):
+            return seed(x.mean(), max(x.std(), 1e-3))
+
+        if self.data_type == MICROSCOPY:
+            return np.array(part(logs))
+        split = logs[max(1, int(0.2 * logs.size)) - 1]
+        low, high = logs[logs <= split], logs[logs > split]
+        if high.size == 0:  # degenerate tiny samples
+            high = low + 1.0
+        share = min(low.size / logs.size, 1.0 - 1e-6)
+        return np.array([np.log(share / (1.0 - share)), *part(low), *part(high)])
 
     def to_theta(self, original) -> np.ndarray:
         """Original scale to theta; a boundary proportion maps to -inf/+inf (valid only when fixed)."""
@@ -138,7 +157,7 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Options for :func:`fit`; bounds and starting values on the original scale."""
+    """Options for :func:`fit`; bounds and starting values on the original scale, in data units."""
 
     lower: tuple | None = None
     upper: tuple | None = None
@@ -208,17 +227,36 @@ def _prepare_masks(model: ModelSpec, cfg: FitConfig):
     return fixed, start
 
 
-def _bounds_theta(model: ModelSpec, cfg: FitConfig):
-    lo, hi = model.default_bounds()
-    if cfg.lower is not None:
-        lo = np.asarray(cfg.lower, dtype=float)
-    if cfg.upper is not None:
-        hi = np.asarray(cfg.upper, dtype=float)
-    if lo.size != model.n_params or hi.size != model.n_params:
-        raise ValueError(f"bounds must have {model.n_params} entries")
-    if np.any(lo >= hi):
+def _unitless(data: Dataset, model: ModelSpec):
+    """(dataset, model, theta shift, log s0) of the problem in units of s0 = median(data).
+
+    Lengths and r are divided by s0.  Only the first coordinate of each
+    component carries the unit (``densities._Family``), so theta in data units
+    is the unitless theta plus ``shift``, log s0 there and 0 elsewhere, and
+    the log likelihood in data units is the unitless one minus n log s0.
+    """
+    log_s0 = float(np.log(s0 := np.median(data.values)))
+    size = FAMILIES[model.family].size
+    shift = np.zeros(model.n_params)
+    shift[model.n_params % size :: size] = log_s0  # after eps, if any: one slot per component
+    unit_model = replace(model, geom=CoreGeometry(model.geom.r / s0))
+    return Dataset(data.values / s0, data.scale), unit_model, shift, log_s0
+
+
+def _bounds_theta(model: ModelSpec, cfg: FitConfig, shift):
+    """Unitless theta box: the default bounds, or user bounds in data units shifted in."""
+    box = []
+    for user, default in zip((cfg.lower, cfg.upper), model.default_bounds()):
+        if user is None:
+            box.append(model.to_theta(default))
+            continue
+        user = np.asarray(user, dtype=float)
+        if user.size != model.n_params:
+            raise ValueError(f"bounds must have {model.n_params} entries")
+        box.append(model.to_theta(user) - shift)
+    if np.any(box[0] >= box[1]):
         raise ValueError("lower bounds must be strictly below upper bounds")
-    return model.to_theta(lo), model.to_theta(hi)
+    return box
 
 
 def _loglik_fn(model: ModelSpec, data: Dataset, cfg: FitConfig):
@@ -228,79 +266,65 @@ def _loglik_fn(model: ModelSpec, data: Dataset, cfg: FitConfig):
 
 
 def initialize(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> ParamVector:
-    """Starting values for the censored fit.
+    """Starting values for the censored fit, in data units.
 
     A user-supplied ``par_start`` is encoded and returned as-is.  Otherwise
-    the uncensored mixture likelihood is maximized: the generalized-gamma
-    mixture starts from the fixed default (eps, b1, d1, k1, b2, d2, k2) =
-    (0.5, 0.01, 0.1, 10, 2, 2, 2) on the transformed scale; the lognormal
-    mixture seeds itself by splitting the log-lengths at their 20th
-    percentile; microscopy components start from moment matching.  If the
-    initialization optimizer fails the seed itself is returned with a warning.
+    the uncensored likelihood of the lengths divided by s0 = median(data) is
+    maximized from :meth:`ModelSpec.seed`, the one seed rule of every model
+    (each component matches the mean and sd of its log lengths; a mixture
+    splits them at their 20th percentile), and the optimum is shifted back to
+    data units.  If the initialization optimizer fails the seed itself is
+    returned with a warning.
     """
     fixed, start = _prepare_masks(model, cfg)
     if start is not None:
         return model.param_vector(model.to_theta(start), tuple(fixed))
 
-    x = data.values
-    if model.data_type == MICROSCOPY:
-        logs = np.log(x)
-        if model.family == LOGNORM:
-            # closed-form uncensored MLE
-            theta0 = np.array([logs.mean(), np.log(max(logs.std(), 1e-3))])
-        else:
-            d0, k0 = 2.0, 2.0
-            b0 = float(x.mean()) / GgdParams(1.0, d0, k0).mean()
-            theta0 = model.to_theta([b0, d0, k0])
-    elif model.family == GGAMMA:
-        theta0 = np.array([0.0, np.log(0.01), np.log(0.1), np.log(10.0), np.log(2.0), np.log(2.0), np.log(2.0)])
-    else:
-        logs = np.sort(np.log(x))
-        split = logs[max(1, int(0.2 * logs.size)) - 1]
-        low, high = logs[logs <= split], logs[logs > split]
-        if high.size == 0:  # degenerate tiny samples
-            high = low + 1.0
-        theta0 = np.array(
-            [
-                _logit_clipped(low.size / logs.size),
-                low.mean(),
-                np.log(max(low.std(), 1e-3)),
-                high.mean(),
-                np.log(max(high.std(), 1e-3)),
-            ]
-        )
+    # without par_start nothing is fixed (FitConfig)
+    unit_data, _, shift, _ = _unitless(data, model)
+    lo_t, hi_t = _bounds_theta(model, cfg, shift)
+    theta0 = np.clip(model.seed(unit_data.values), lo_t, hi_t)
 
-    lo_t, hi_t = _bounds_theta(model, cfg)
-    theta0 = np.clip(theta0, lo_t, hi_t)
-    free = ~fixed
-
-    def objective(tf):
-        theta = theta0.copy()
-        theta[free] = tf
-        params = model.params_from_original(model.from_theta(theta))
-        ev = init_loglik(params, data, cfg.quad, order=1)
-        return -ev.loglik, -ev.gradient[free]
+    def objective(theta):
+        ev = init_loglik(model.params_from_original(model.from_theta(theta)), unit_data, cfg.quad, order=1)
+        return -ev.loglik, -ev.gradient
 
     try:
-        res = minimize(
+        theta = minimize(
             objective,
-            theta0[free],
+            theta0,
             jac=True,
             method="L-BFGS-B",
-            bounds=list(zip(lo_t[free], hi_t[free])),
+            bounds=list(zip(lo_t, hi_t)),
             options={"maxiter": cfg.max_iter, "gtol": cfg.grad_tol},
-        )
-        theta = theta0.copy()
-        theta[free] = res.x
+        ).x
     except (EvaluationError, FloatingPointError) as exc:
-        log.warning("initialization optimizer failed (%s); falling back to the default seed", exc)
+        log.warning("initialization optimizer failed (%s); falling back to the seed", exc)
         theta = theta0
-    return model.param_vector(theta, tuple(fixed))
+    return model.param_vector(theta + shift)
 
 
-def _logit_clipped(p: float) -> float:
-    p = min(max(p, 1e-6), 1.0 - 1e-6)
-    return float(np.log(p / (1.0 - p)))
+def _fines_first(model: ModelSpec, theta, fixed, hessian, trace):
+    """Relabel a mixture so that fines is the component with the smaller Y-scale mean.
+
+    Swapping the labels maps eps to 1 - eps, so logit eps to its negative,
+    and exchanges the component blocks: theta, the fixed mask, the Hessian
+    and each start's theta0 follow (label switching, Stephens 2000, JRSS-B
+    62:795).  Returns (theta, fixed, hessian, trace).
+    """
+    if model.data_type == MICROSCOPY:
+        return theta, fixed, hessian, trace
+    mix = model.params_from_original(model.from_theta(theta))
+    if not mix.fines.mean() > mix.fibers.mean():
+        return theta, fixed, hessian, trace
+    size = FAMILIES[model.family].size
+    perm = np.r_[0, 1 + size : 1 + 2 * size, 1 : 1 + size]
+    sign = np.ones(model.n_params)
+    sign[0] = -1.0
+    if hessian is not None:
+        hessian = sign[:, None] * np.asarray(hessian)[np.ix_(perm, perm)] * sign[None, :]
+    trace = [replace(rec, theta0=sign * rec.theta0[perm]) for rec in trace]
+    return sign * theta[perm], fixed[perm], hessian, trace
 
 
 _STATUS = {0: "success", 1: "max_iter", 2: "line_search_failure"}
@@ -325,6 +349,8 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
     The covariance of theta-hat is the inverse negative analytic Hessian at
     the maximizer, from the order-2 evaluation the start already made, and
     the original-scale covariance follows by the delta method.
+    All of this runs on the unitless problem (module docstring); a mixture
+    is then relabeled so that fines is the component with the smaller mean.
     """
     expected_scale = "X" if model.data_type == OFA else "V"
     if data.scale != expected_scale:
@@ -334,10 +360,20 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
     data.validate_support(model.geom)
 
     fixed, _ = _prepare_masks(model, cfg)
-    lo_t, hi_t = _bounds_theta(model, cfg)
-    theta_init = np.array(initialize(data, model, cfg).values)
+    theta_start = np.array(initialize(data, model, cfg).values)
+    unit_data, unit_model, shift, log_s0 = _unitless(data, model)
+    lo_t, hi_t = _bounds_theta(model, cfg, shift)
+    theta_init = theta_start - shift
     free = ~fixed
-    loglik_of = _loglik_fn(model, data, cfg)
+    loglik_of = _loglik_fn(unit_model, unit_data, cfg)
+
+    def to_data_units(theta):
+        return np.where(fixed, theta_start, theta + shift)  # fixed values exactly as given
+
+    def finish(theta, ev, status, trace, starts_tried):
+        theta, mask, hessian, trace = _fines_first(model, to_data_units(theta), fixed, ev.hessian, trace)
+        loglik = ev.loglik - data.n * log_s0
+        return _finalize(model, data, theta, mask, loglik, hessian, status, trace, starts_tried)
 
     def assemble(tf):
         theta = theta_init.copy()
@@ -356,8 +392,7 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
         return -ev.loglik
 
     if not np.any(free):
-        ev = loglik_of(params_of(theta_init), 2)
-        return _finalize(model, data, cfg, theta_init, fixed, ev, "success", [], 0)
+        return finish(theta_init, loglik_of(params_of(theta_init), 2), "success", [], 0)
 
     rng = np.random.default_rng(cfg.seed)
     starts = [np.clip(theta_init[free], lo_t[free], hi_t[free])]
@@ -420,6 +455,10 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
 
     trace, results = [], []  # results: (loglik, start index, x, status, order-2 evaluation or None)
     bounds = list(zip(lo_t[free], hi_t[free]))
+
+    def record(idx, t0, loglik, status, n_iter, message):
+        theta0 = to_data_units(assemble(t0))
+        trace.append(StartRecord(idx, theta0, loglik - data.n * log_s0, status, n_iter, message))
     for idx, t0 in enumerate(starts):
         entered.clear()
         try:
@@ -433,11 +472,11 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
                 options={"maxiter": cfg.max_iter, "gtol": cfg.grad_tol},
             )
         except (EvaluationError, FloatingPointError, np.linalg.LinAlgError) as exc:
-            trace.append(StartRecord(idx, assemble(t0), -np.inf, "error", 0, str(exc)))
+            record(idx, t0, -np.inf, "error", 0, str(exc))
             continue
         if entered:
             message = f"entered the basin of start {entered[0]}"
-            trace.append(StartRecord(idx, assemble(t0), -res.fun, "duplicate", res.nit, message))
+            record(idx, t0, -res.fun, "duplicate", res.nit, message)
             continue
         status = _STATUS.get(res.status, "line_search_failure")
         x, loglik = res.x, -res.fun
@@ -447,29 +486,28 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
             loglik = ev.loglik
             if factor is not None:
                 known.append((idx, x, loglik, factor))
-        trace.append(StartRecord(idx, assemble(t0), loglik, status, res.nit, str(res.message)))
+        record(idx, t0, loglik, status, res.nit, str(res.message))
         results.append((loglik, idx, x, status, ev))
     if not results:
         raise FitError("all optimization starts failed", trace)
 
     loglik, _, x_best, best_status, ev = min(results, key=lambda t: (-t[0], t[1]))
-    theta_hat = assemble(x_best)
     if ev is None:
         ev = order2(x_best) or LikelihoodEvaluation(loglik)
-    return _finalize(model, data, cfg, theta_hat, fixed, ev, best_status, trace, len(starts))
+    return finish(assemble(x_best), ev, best_status, trace, len(starts))
 
 
-def _finalize(model, data, cfg, theta_hat, fixed, ev: LikelihoodEvaluation, status, trace, starts_tried):
-    """FitResult at theta_hat; an evaluation without a Hessian gives no covariance and ``hessian_failed``."""
+def _finalize(model, data, theta_hat, fixed, loglik, hessian, status, trace, starts_tried):
+    """FitResult at theta_hat; no Hessian gives no covariance and ``hessian_failed``."""
     free = ~fixed
     n_par = model.n_params
     cov_theta = cov_tilde = se_tilde = None
     flagged = False
     convergence = status
-    if ev.hessian is None:
+    if hessian is None:
         convergence = "hessian_failed"
     elif np.any(free):
-        hess_free = np.asarray(ev.hessian)[np.ix_(free, free)]
+        hess_free = np.asarray(hessian)[np.ix_(free, free)]
         try:
             cov_free = np.linalg.inv(-hess_free)
             cov_free = 0.5 * (cov_free + cov_free.T)
@@ -497,7 +535,7 @@ def _finalize(model, data, cfg, theta_hat, fixed, ev: LikelihoodEvaluation, stat
         model=model,
         theta_hat=model.param_vector(theta_hat, tuple(fixed)),
         theta_tilde=model.from_theta(theta_hat),
-        loglik=ev.loglik,
+        loglik=loglik,
         cov_theta=cov_theta,
         cov_tilde=cov_tilde,
         se_tilde=se_tilde,

@@ -93,7 +93,7 @@ class EvaluationError(RuntimeError):
 
 @dataclass
 class Dataset:
-    """Observed lengths (mm) tagged with their population scale.
+    """Observed lengths, in any one unit, tagged with their population scale.
 
     scale "X" marks OFA data (every cell in the core, cut or uncut);
     scale "V" marks microscopy data (uncut fibers only).

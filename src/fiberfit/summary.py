@@ -71,8 +71,7 @@ def component_stat_gradients(p: ComponentParams, geom: CoreGeometry, cfg: Quadra
     """Values and theta-gradients of the component's W-scale statistics.
 
     Returns a dict mapping ``mean``/``sd``/``skewness``/``kurtosis`` to
-    (value, gradient over the component's own theta coordinates), plus
-    ``_moment_parts`` internals reused by the tree-level statistics.  Raises
+    (value, gradient over the component's own theta coordinates).  Raises
     QuadratureError when a moment overflows double range.
     """
     pir = np.pi * geom.r
@@ -170,16 +169,8 @@ def _se(grad, cov) -> float | None:
 
 
 def _component_stats(stats, cov) -> ComponentStats:
-    return ComponentStats(
-        mean=stats["mean"][0],
-        sd=stats["sd"][0],
-        skewness=stats["skewness"][0],
-        kurtosis=stats["kurtosis"][0],
-        se_mean=_se(stats["mean"][1], cov),
-        se_sd=_se(stats["sd"][1], cov),
-        se_skewness=_se(stats["skewness"][1], cov),
-        se_kurtosis=_se(stats["kurtosis"][1], cov),
-    )
+    values = {name: value for name, (value, _) in stats.items()}
+    return ComponentStats(**values, **{f"se_{name}": _se(grad, cov) for name, (_, grad) in stats.items()})
 
 
 def summary_stats(
@@ -193,20 +184,9 @@ def summary_stats(
     cov = fit.cov_theta if fit.convergence != "singular_hessian" else None
     params = fit.model.params_from_original(fit.theta_tilde)
 
-    if fit.model.data_type == MICROSCOPY:
-        stats_b = component_stat_gradients(params, geom, cfg)
-        fibers = _component_stats(stats_b, cov)
-        return SummaryStats(
-            fibers=fibers,
-            fines=None,
-            eps_tilde=None,
-            se_eps_tilde=None,
-            mean_w_overall=None,
-            se_mean_w_overall=None,
-            loglik=fit.loglik,
-            n=fit.n,
-            convergence=fit.convergence,
-        )
+    if fit.model.data_type == MICROSCOPY:  # no fines and no tree-scale fields
+        fibers = _component_stats(component_stat_gradients(params, geom, cfg), cov)
+        return SummaryStats(fibers, *(None,) * 5, loglik=fit.loglik, n=fit.n, convergence=fit.convergence)
 
     tree = tree_stat_gradients(params, geom, cfg)
     return SummaryStats(
@@ -235,20 +215,13 @@ def summary_ses(
     """
     if fit.cov_theta is None or fit.convergence == "singular_hessian":
         raise ValueError("no covariance available: fit did not produce a usable Hessian")
-    geom = geom if geom is not None else fit.model.geom
-    cov = fit.cov_theta
-    params = fit.model.params_from_original(fit.theta_tilde)
-
+    stats = summary_stats(fit, geom, cfg)
     out = {}
-    if fit.model.data_type == MICROSCOPY:
-        for name, (_, grad) in component_stat_gradients(params, geom, cfg).items():
-            out[f"fibers.{name}"] = _se(grad, cov)
-        return out
-
-    tree = tree_stat_gradients(params, geom, cfg)
     for comp in ("fines", "fibers"):
-        for name, (_, grad) in tree[comp].items():
-            out[f"{comp}.{name}"] = _se(grad, cov)
-    out["eps_tilde"] = _se(tree["eps_tilde"][1], cov)
-    out["mean_w"] = _se(tree["mean_w"][1], cov)
+        if (cs := getattr(stats, comp)) is not None:
+            for name in ("mean", "sd", "skewness", "kurtosis"):
+                out[f"{comp}.{name}"] = getattr(cs, f"se_{name}")
+    if stats.eps_tilde is not None:
+        out["eps_tilde"] = stats.se_eps_tilde
+        out["mean_w"] = stats.se_mean_w_overall
     return out

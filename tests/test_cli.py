@@ -213,14 +213,15 @@ def _stats_rows(lines):
 
 def test_summary_cells_never_touch(tmp_path):
     # a lognormal OFA fit whose fibers W skewness and kurtosis, 13.32297 and
-    # 1028.44519, once ran together as "13.322971028.44519"
+    # 1028.44519, once ran together as "13.322971028.44519"; its start leads to
+    # an interior optimum with standard errors, where the fines sigma is 0.0044
     geom = CoreGeometry(6.0)
     truth = MixtureParams(0.3, LognParams(-2.0, 0.5), LognParams(0.9, 0.25))
     data, out = tmp_path / "x.txt", tmp_path / "fit"
     x = sample_x(SimSpec("X", truth, geom, 500, seed=31))
     data.write_text("\n".join(repr(float(v)) for v in x) + "\n")
     assert run_cli("fit", "--data", str(data), "--data-type", "ofa", "--model", "lognorm", "--r", "6",
-                   "--starts", "1", "--par-start=0.02,-3.2,0.05,0.2,1.2", "--out", str(out)) == 0
+                   "--starts", "1", "--par-start=0.02,-3.2,0.05,0.2,1.3", "--out", str(out)) == 0
     rows = _stats_rows((out / "summary.txt").read_text().splitlines())
     wide = ComponentStats(13.32297, 3.5, 13.32297, 1028.44519, 0.1, 0.4, 1.9, 1028.44519)
     rows += _stats_rows(_stats_table("Summary statistics for FIBER lengths in the standing tree:", wide))

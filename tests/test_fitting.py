@@ -11,9 +11,11 @@ from fiberfit import (
     LognParams,
     MixtureParams,
     ModelSpec,
+    ParamVector,
     SimSpec,
     covariance_original_scale,
     decode,
+    digamma,
     fit,
     initialize,
     init_loglik,
@@ -22,13 +24,12 @@ from fiberfit import (
     sample_v,
     sample_x,
     summary_stats,
+    trigamma,
 )
 from fiberfit import fitting
 from fiberfit.cli import main
 from fiberfit.likelihood import EvaluationError
 from conftest import MIX_SIM
-
-GGD_DEFAULT_START = (0.5, 0.01, 0.1, 10.0, 2.0, 2.0, 2.0)
 
 
 @pytest.fixture(scope="module")
@@ -76,10 +77,24 @@ def test_fit_config_validation():
         FitConfig(fixed_mask=(True, False, False))  # no par_start
 
 
-def test_initialize_default_start_decodes():
-    m = ModelSpec("ggamma", "ofa", CoreGeometry(6.0))
-    theta0 = np.array([0.0, np.log(0.01), np.log(0.1), np.log(10.0)] + [np.log(2.0)] * 3)
-    assert np.allclose(m.from_theta(theta0), GGD_DEFAULT_START, rtol=1e-12)
+def test_initialize_seed_matches_log_moments():
+    # every component seed has the mean and sd of its log lengths: all of them
+    # for microscopy, the lower 20% and the rest for a mixture
+    x = sample_x(SimSpec("X", MIX_SIM, CoreGeometry(6.0), 1000, seed=3))
+    logs = np.sort(np.log(x))
+    parts = [logs, logs[:200], logs[200:]]
+    for family in ("ggamma", "lognorm"):
+        comps = [decode(ParamVector(family, ModelSpec(family, "microscopy", CoreGeometry(6.0)).seed(x)))]
+        mix = decode(ParamVector(family, ModelSpec(family, "ofa", CoreGeometry(6.0)).seed(x)))
+        assert mix.eps == pytest.approx(0.2, rel=1e-12)
+        for p, part in zip(comps + [mix.fines, mix.fibers], parts):
+            if family == "ggamma":
+                log_mean = np.log(p.b) + digamma(p.k) / p.d
+                log_sd = np.sqrt(trigamma(p.k)) / p.d
+            else:
+                log_mean, log_sd = p.mu, p.sigma
+            assert log_mean == pytest.approx(part.mean(), rel=1e-12)
+            assert log_sd == pytest.approx(part.std(), rel=1e-12)
 
 
 def test_initialize_returns_par_start_unchanged():
@@ -98,8 +113,7 @@ def test_initialize_recovers_separation():
     eps_hat = decode(pv).eps
     assert abs(eps_hat - MIX_SIM.eps) < 0.15
     # initialization maximizes the uncensored problem: no worse than the seed
-    theta0 = model.to_theta(np.array(GGD_DEFAULT_START))
-    l_seed = init_loglik(model.params_from_original(np.array(GGD_DEFAULT_START)), data).loglik
+    l_seed = init_loglik(decode(ParamVector("ggamma", model.seed(data.values))), data).loglik
     l_init = init_loglik(decode(pv), data).loglik
     assert l_init >= l_seed - 1e-9
 
@@ -246,8 +260,9 @@ def test_objective_never_leaves_box(micro_fit):
     finally:
         ft.micro_loglik = old
     assert seen
+    s0 = np.median(data.values)  # the optimizer sees lengths in units of s0
     for params in seen:
-        vals = np.array([params.b, params.d, params.k])
+        vals = np.array([params.b * s0, params.d, params.k])
         assert np.all(vals >= lo - 1e-9) and np.all(vals <= hi + 1e-9)
 
 
@@ -312,19 +327,45 @@ def test_worse_first_optimum_does_not_hide_the_better_one():
 
 def test_start_stopped_short_is_no_known_optimum():
     # L-BFGS-B ends start 0 with ``success`` on a flat ridge of this poorly
-    # identified ggamma mixture, 0.018 below the maximum, where -H is positive
+    # identified ggamma mixture, 0.022 below the maximum, where -H is positive
     # definite but its Newton model still predicts a gain above 1e-6; starts
     # that enter that point's ellipsoid on their way to the maximum must not
     # stop there.  Where L-BFGS-B stops on the ridge depends on the last bits
     # of the gradient, so par_start has to be chosen again whenever the
-    # likelihood's rounding changes.
+    # likelihood's rounding changes.  The maximum has b1 at its lower bound,
+    # 1e-4 times the median length.
     geom = CoreGeometry(6.0)
     data = Dataset(sample_x(SimSpec("X", MIX_SIM, geom, 500, seed=1)), "X")
     model = ModelSpec("ggamma", "ofa", geom)
-    res = fit(data, model, FitConfig(par_start=(0.31, 8.21, 2.99, 2.99, 2.0, 2.81, 2.31), n_starts=5, seed=0))
-    maximum = -458.2836678831045  # best of these starts run alone
+    res = fit(data, model, FitConfig(par_start=(0.31, 8.0, 2.95, 3.27, 2.0, 2.82, 2.14), n_starts=5, seed=0))
+    maximum = -458.2918103230642  # best of these starts run alone
     assert res.trace[0].status == "success" and res.trace[0].loglik < maximum - 0.01
     assert res.loglik >= maximum - 1e-6
+
+
+def test_fines_is_the_shorter_component():
+    # a start with the labels swapped reaches the same optimum with eps 0.712
+    # and the long component as fines; the result is relabeled: eps -> 1 - eps,
+    # the component blocks of theta-hat, cov_theta, the fixed mask and every
+    # start's theta0 exchanged
+    geom = CoreGeometry(6.0)
+    data = Dataset(sample_x(SimSpec("X", MIX_SIM, geom, 2000, seed=21)), "X")
+    model = ModelSpec("ggamma", "ofa", geom)
+    ref = fit(data, model, FitConfig(n_starts=1))
+    swapped_start = (0.7, 2.0, 2.8, 2.2, 0.1, 1.5, 2.0)
+    res = fit(data, model, FitConfig(par_start=swapped_start, n_starts=1))
+    assert ref.theta_tilde[0] == pytest.approx(0.2879, abs=1e-4)
+    assert res.loglik == pytest.approx(ref.loglik, rel=1e-12)
+    assert np.allclose(res.theta_tilde, ref.theta_tilde, rtol=1e-5)
+    assert np.allclose(res.cov_theta, ref.cov_theta, rtol=1e-4, atol=1e-5 * np.abs(ref.cov_theta).max())
+    assert np.allclose(model.from_theta(res.trace[0].theta0), (0.3, 0.1, 1.5, 2.0, 2.0, 2.8, 2.2), rtol=1e-12)
+    stats = summary_stats(res)
+    assert stats.fines.mean < stats.fibers.mean and stats.eps_tilde == pytest.approx(0.334, abs=1e-3)
+
+    fixed = fit(data, model, FitConfig(par_start=swapped_start, fixed_mask=(False, False, True) + (False,) * 4, n_starts=1))
+    assert fixed.theta_hat.fixed_mask == (False,) * 5 + (True, False)
+    assert fixed.theta_tilde[5] == 2.8 and fixed.cov_theta[5, 5] == 0.0
+    assert fixed.theta_tilde[0] < 0.5
 
 
 @pytest.mark.parametrize("family", ["ggamma", "lognorm"])
