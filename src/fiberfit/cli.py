@@ -220,9 +220,6 @@ def _fit_json(result, stats: SummaryStats, seed) -> dict:
     def arr(a):
         return None if a is None else np.asarray(a).tolist()
 
-    def stats_block(cs):
-        return None if cs is None else asdict(cs)
-
     return {
         "model": result.model.family,
         "data_type": result.model.data_type,
@@ -248,13 +245,7 @@ def _fit_json(result, stats: SummaryStats, seed) -> dict:
             for rec in result.trace
         ],
         "seed": seed,
-        "summary": {
-            "fibers": stats_block(stats.fibers),
-            "fines": stats_block(stats.fines),
-            "eps_tilde": stats.eps_tilde,
-            "se_eps_tilde": stats.se_eps_tilde,
-            "mean_w_overall": stats.mean_w_overall,
-        },
+        "summary": {k: v for k, v in asdict(stats).items() if k not in ("loglik", "n", "convergence")},
     }
 
 

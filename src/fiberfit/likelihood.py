@@ -26,11 +26,14 @@ Gradients and Hessians are assembled from the mixture structure
 
 and the per-component censored stacks, rather than transcribing each entry
 of the expanded formulas; finite-difference agreement is enforced in the
-test suite.  The censored stacks of both components come from one
-quadrature tree per evaluation, and the mixture likelihoods (the censored
-one and the uncensored initialization problem) are one streamed pass over
-fixed-size blocks of the sorted unique values, top block first
-(``scales._CensoredStacks.stream``).  Each block writes its log densities
+test suite.  Every likelihood is one assembly (``_mixture_eval``): a single
+streamed pass over fixed-size blocks of the sorted unique values, top block
+first (``scales._CensoredStacks.stream``), whose censored stacks of both
+components come from one quadrature tree per evaluation.  The
+initialization problem is that pass uncensored; a single component is the
+pass with all weight on it, its block of the result kept; the microscopy
+likelihood adds log p_uc, -n log k_theta and the normalizer's derivative
+terms to the single-component pass.  Each block writes its log densities
 and adds its share of the gradient and Hessian sums; no per-point array but
 the log densities spans the data.  What each order reads per point:
 
@@ -40,7 +43,8 @@ the log densities spans the data.  What each order reads per point:
   mode, Griewank and Walther, Evaluating Derivatives, SIAM 2008);
 * order 2: the value and gradient rows, which the outer product of the
   scores needs; the Hessian rows are summed against v like the gradient
-  rows at order 1.
+  rows at order 1.  Scores whose sums overflow double range raise
+  EvaluationError.
 """
 
 from __future__ import annotations
@@ -51,13 +55,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .densities import (
+    _TINY,
     ComponentParams,
     MixtureParams,
     ParamVector,
     _n_coords,
     _packed_to_full,
     _stack_height,
-    _stack_rows,
     decode,
 )
 from .geometry import CoreGeometry, _prob_uncut_unchecked
@@ -73,8 +77,6 @@ __all__ = [
     "init_loglik",
     "micro_loglik",
 ]
-
-_TINY = 1e-300
 
 
 class DataValidationError(ValueError):
@@ -228,45 +230,37 @@ def _as_params(theta):
     raise TypeError(f"cannot interpret {type(theta).__name__} as parameters")
 
 
-def _split_stack(stack, cn: int, order: int):
-    f = stack[0]
-    grad = stack[1 : 1 + cn] if order >= 1 else None
-    hess = stack[1 + cn :] if order >= 2 else None
-    return f, grad, hess
+def _mixture_eval(mix: MixtureParams, data: Dataset, geom: CoreGeometry | None, cfg: QuadratureConfig, order: int):
+    """Per-unique log f_X and the count-weighted gradient and Hessian sums, streamed over blocks of the data.
 
-
-def _mixture_eval(mix: MixtureParams, stacks_of, data: Dataset, order: int) -> LikelihoodEvaluation:
-    """Mixture log likelihood and count-weighted derivative sums, streamed over blocks of the data.
-
-    stacks_of(parts) returns the ``scales._CensoredStacks`` of the live
-    components over the unique data values (censored for the full
-    likelihood, plain densities for the uncensored initialization problem);
-    a component with zero weight is not evaluated.  Each block of points,
-    top block first, gives f_X and v = counts / f_X there and adds its share
-    of every sum: the derivative rows are summed against v (``dot``), and at
-    order 2 the value and gradient rows read per point give the scores and
-    their weighted outer product.
+    The one likelihood assembly.  The ``scales._CensoredStacks`` of the live
+    components are censored on ``geom``, or plain densities with ``geom``
+    None (the uncensored initialization problem); a component with zero
+    weight is not evaluated, and its value row reads as 0.  Each block of
+    points, top block first, gives f_X and v = counts / f_X there and adds
+    its share of every sum: the derivative rows are summed against v
+    (``dot``), and at order 2 the value and gradient rows read per point give
+    the scores and their weighted outer product; scores that overflow double
+    range raise EvaluationError.  Returns (log_f, grad, hess), the last two
+    None above ``order``.
     """
     eps, w = mix.eps, data.counts
     cn = _n_coords(mix.fines)
-    live = (eps > 0.0, eps < 1.0)
-    stacks = stacks_of([p for p, on in zip((mix.fines, mix.fibers), live) if on])
+    live = [i for i, on in enumerate((eps > 0.0, eps < 1.0)) if on]
+    try:
+        stacks = _CensoredStacks(data.unique, [(mix.fines, mix.fibers)[i] for i in live], geom, cfg, order)
+    except QuadratureError as exc:
+        raise EvaluationError(f"censored-tail integral failed: {exc}") from exc
     n_read = 1 + cn if order >= 2 else 1
     de = eps - eps * eps
     log_f = np.empty(data.unique.size)
     mix_dot, dots = 0.0, np.zeros((2, _stack_height(cn, order) - 1))  # (f_n - f_b) @ v, derivative rows @ v
     score_sum, outer = np.zeros(1 + 2 * cn), np.zeros((1 + 2 * cn, 1 + 2 * cn))  # order 2: w score, w score score'
 
-    def both(found):
-        """(fines, fibers) entries, zeros for a component that was not evaluated."""
-        if all(live):
-            return found
-        return [found[0] if on else np.zeros_like(found[0]) for on in live]
-
     def visit(block, rows, dot):
         nonlocal mix_dot
-        r_n, r_b = both(rows)
-        f_n, f_b = r_n[0], r_b[0]
+        f_n = rows[0][0] if eps > 0.0 else 0.0
+        f_b = rows[-1][0] if eps < 1.0 else 0.0
         fc = np.maximum(eps * f_n + (1.0 - eps) * f_b, _TINY)
         log_f[block] = np.log(fc)
         if order == 0:
@@ -274,17 +268,25 @@ def _mixture_eval(mix: MixtureParams, stacks_of, data: Dataset, order: int) -> L
         wb = w[block]
         v = wb / fc
         mix_dot += (f_n - f_b) @ v
-        dots[...] += both(dot(v))
+        for i, d in zip(live, dot(v)):
+            dots[i] += d
         if order >= 2:
-            score = np.concatenate([[de * (f_n - f_b)], eps * r_n[1:], (1.0 - eps) * r_b[1:]]) / fc
-            score_sum[...] += score @ wb
-            outer[...] += (wb * score) @ score.T
+            score = np.zeros((1 + 2 * cn, wb.size))  # a dead component's block stays 0
+            score[0] = de * (f_n - f_b)
+            for i, r in zip(live, rows):
+                score[1 + i * cn : 1 + (i + 1) * cn] = (eps, 1.0 - eps)[i] * r[1:]
+            with np.errstate(over="ignore", invalid="ignore"):
+                score /= fc
+                score_sum[...] += score @ wb
+                outer[...] += (wb * score) @ score.T
 
     stacks.stream(n_read, visit)
     grad = hess = None
     if order == 1:
         grad = np.concatenate([[de * mix_dot], eps * dots[0], (1.0 - eps) * dots[1]])
     if order >= 2:
+        if not (np.all(np.isfinite(score_sum)) and np.all(np.isfinite(outer))):
+            raise EvaluationError("the order-2 scores overflow double range")
         grad = score_sum
         d2_sum = np.zeros((1 + 2 * cn, 1 + 2 * cn))
         d2_sum[0, 0] = de * (1.0 - 2.0 * eps) * mix_dot
@@ -293,20 +295,14 @@ def _mixture_eval(mix: MixtureParams, stacks_of, data: Dataset, order: int) -> L
         d2_sum[1 : 1 + cn, 1 : 1 + cn] = eps * _packed_to_full(dots[0, cn:], cn)
         d2_sum[1 + cn :, 1 + cn :] = (1.0 - eps) * _packed_to_full(dots[1, cn:], cn)
         hess = _symmetric_hessian(d2_sum, outer)
-    return _evaluation(log_f, grad, hess, data)
+    return log_f, grad, hess
 
 
-def _censored_stacks(x, parts, geom, cfg, order):
-    try:
-        return _CensoredStacks(x, parts, geom, cfg, order)
-    except QuadratureError as exc:
-        raise EvaluationError(f"censored-tail integral failed: {exc}") from exc
-
-
-def _plain_parts(x, p: ComponentParams, order):
-    cn = _n_coords(p)
-    stack = _stack_rows(p, order)(x)
-    return _split_stack(stack, cn, order)
+def _component_eval(p: ComponentParams, data: Dataset, cfg: QuadratureConfig, order: int):
+    """Uncensored (log_f, grad, hess) of one component: the mixture pass with all its weight on p."""
+    log_f, grad, hess = _mixture_eval(MixtureParams(1.0, p, p), data, None, cfg, order)
+    own = slice(1, 1 + _n_coords(p))
+    return log_f, None if grad is None else grad[own], None if hess is None else hess[own, own]
 
 
 def ofa_loglik(
@@ -328,7 +324,7 @@ def ofa_loglik(
     if data.scale != "X":
         raise ValueError("OFA likelihood requires a dataset on the X scale")
     data.validate_support(geom)
-    return _mixture_eval(mix, lambda parts: _censored_stacks(data.unique, parts, geom, cfg, order), data, order)
+    return _evaluation(*_mixture_eval(mix, data, geom, cfg, order), data)
 
 
 def init_loglik(
@@ -344,20 +340,9 @@ def init_loglik(
     geometry is involved and no integrals are required.
     """
     params = _as_params(theta)
-    x = data.unique
     if isinstance(params, MixtureParams):
-        return _mixture_eval(params, lambda parts: _CensoredStacks(x, parts, None, cfg, order), data, order)
-
-    f, d, h = _plain_parts(x, params, order)
-    fc = np.maximum(f, _TINY)
-    w = data.counts
-    grad = hess = None
-    if order >= 1:
-        score = d / fc
-        grad = score @ w
-    if order >= 2:
-        hess = _symmetric_hessian(_packed_to_full(h @ (w / fc), _n_coords(params)), (w * score) @ score.T)
-    return _evaluation(np.log(fc), grad, hess, data)
+        return _evaluation(*_mixture_eval(params, data, None, cfg, order), data)
+    return _evaluation(*_component_eval(params, data, cfg, order), data)
 
 
 def micro_loglik(
@@ -387,29 +372,17 @@ def micro_loglik(
     if data.scale != "V":
         raise ValueError("microscopy likelihood requires a dataset on the V scale")
     data.validate_support(geom)
-    v = data.unique
-    w = data.counts
-    n = data.n
-    cn = _n_coords(p)
-
-    f, d, h = _plain_parts(v, p, order)
-
+    log_f, grad, hess = _component_eval(p, data, cfg, order)
     try:
         kint = _uncut_mass_stack(p, geom, cfg, order, segment_integrals)
     except QuadratureError as exc:
         raise EvaluationError(f"uncut-probability normalizer failed: {exc}") from exc
     k0 = max(float(kint[0]), _TINY)
-
-    fc = np.maximum(f, _TINY)
-    log_puc = np.log(np.maximum(_prob_uncut_unchecked(v, geom.r), _TINY))
-    per_point = np.log(fc) + log_puc - np.log(k0)
-    grad = hess = None
+    log_puc = np.log(np.maximum(_prob_uncut_unchecked(data.unique, geom.r), _TINY))
+    n, cn = data.n, _n_coords(p)
+    kj = kint[1 : 1 + cn] / k0
     if order >= 1:
-        kj = kint[1 : 1 + cn]
-        score = d / fc
-        grad = score @ w - n * kj / k0
+        grad = grad - n * kj
     if order >= 2:
-        norm_term = _packed_to_full(kint[1 + cn :], cn) / k0 - np.outer(kj / k0, kj / k0)
-        d2_sum = _packed_to_full(h @ (w / fc), cn) - n * norm_term
-        hess = _symmetric_hessian(d2_sum, (w * score) @ score.T)
-    return _evaluation(per_point, grad, hess, data)
+        hess = hess - n * (_packed_to_full(kint[1 + cn :], cn) / k0 - np.outer(kj, kj))
+    return _evaluation(log_f + log_puc - np.log(k0), grad, hess, data)

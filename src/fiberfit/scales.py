@@ -230,7 +230,8 @@ class _CensoredStacks:
     row (``tail``), one log-length integral per component
     (:func:`_log_length_integrals`).  With ``geom`` None there is no
     censoring: every cell counts as uncut, f_q = g_q, and no tree is built
-    (the initialization problem).
+    (the initialization problem, and the data part of the microscopy
+    likelihood).
 
     Everything per point is computed one block of at most _BLOCK points at a
     time (:meth:`stream`), so the only arrays of the data's length are the

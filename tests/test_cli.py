@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from fiberfit import (
     scales,
 )
 from fiberfit.cli import _stats_table, main
-from fiberfit.summary import ComponentStats
+from fiberfit.summary import ComponentStats, SummaryStats
 
 
 def run_cli(*args):
@@ -246,6 +247,23 @@ def test_fit_fixed_parameters_recorded(tmp_path):
     assert blob["fixed"] == [False, False, True, False, False, True, False]
     assert blob["estimates_original"][2] == 1.0
     assert blob["estimates_original"][5] == 1.0
+
+
+def test_fit_json_summary_lists_every_statistic(tmp_path):
+    # the summary block holds every SummaryStats field but the fit-level
+    # loglik, n and convergence, in field order
+    data = tmp_path / "x.txt"
+    assert run_cli("simulate", "--scale", "x", "--par", "0.3,0.1,1.5,2.0,2.0,2.8,2.2",
+                   "--r", "6", "--n", "300", "--seed", "6", "--out", str(data)) == 0
+    out = tmp_path / "fit"
+    assert run_cli("fit", "--data", str(data), "--model", "ggamma", "--r", "6",
+                   "--starts", "1", "--out", str(out)) == 0
+    summary = json.loads((out / "fit.json").read_text())["summary"]
+    names = [f.name for f in fields(SummaryStats) if f.name not in ("loglik", "n", "convergence")]
+    assert list(summary) == names
+    for component in ("fines", "fibers"):
+        assert list(summary[component]) == [f.name for f in fields(ComponentStats)]
+    assert summary["se_mean_w_overall"] > 0.0
 
 
 def test_svg_rendering(tmp_path):

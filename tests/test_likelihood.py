@@ -10,6 +10,7 @@ from fiberfit import (
     CoreGeometry,
     Dataset,
     DataValidationError,
+    EvaluationError,
     GgdParams,
     LognParams,
     MixtureParams,
@@ -411,6 +412,64 @@ def test_micro_and_single_component_init_tied_data(geom25, tied_micro_data, p):
     fd2 = fd_jacobian(lambda t: init_loglik(unpack(t), data, order=1).gradient, t0, h=1e-4)
     assert rel_err(ev.hessian, fd2) < 1e-4
     assert np.array_equal(ev.hessian, ev.hessian.T)
+
+
+@pytest.mark.parametrize("p", [GgdParams(2.4, 3.3, 1.5), LognParams(0.9, 0.35)])
+def test_micro_is_the_component_pass_plus_normalizer_terms(geom25, tied_micro_data, p):
+    # micro_loglik = init_loglik of the same component + sum counts log p_uc
+    # - n log k_theta, its derivatives corrected by the normalizer's rows
+    data, n, cn = tied_micro_data, tied_micro_data.n, _n_coords(p)
+    log_puc = math.fsum(np.log(prob_uncut(data.values, geom25)).tolist())
+    for order in (0, 1, 2):
+        micro, init = micro_loglik(p, data, geom25, order=order), init_loglik(p, data, order=order)
+        kint = scales._uncut_mass_stack(p, geom25, DEFAULT_CONFIG, order, scales.segment_integrals)
+        kj = kint[1 : 1 + cn] / kint[0]
+        assert micro.loglik == pytest.approx(init.loglik + log_puc - n * np.log(kint[0]), rel=1e-12, abs=0.0)
+        if order >= 1:
+            assert rel_err(micro.gradient, init.gradient - n * kj) < 1e-12
+        if order >= 2:
+            norm = _packed_to_full(kint[1 + cn :], cn) / kint[0] - np.outer(kj, kj)
+            assert rel_err(micro.hessian, init.hessian - n * norm) < 1e-12
+
+
+@pytest.mark.parametrize("p", [GgdParams(2.4, 3.3, 1.5), LognParams(0.9, 0.35)])
+def test_single_component_is_the_mixture_block_of_a_boundary_weight(tied_micro_data, p):
+    # all weight on one slot: that slot's block is the single-component
+    # evaluation, and the eps coordinate and the other slot read zero
+    data, cn = tied_micro_data, _n_coords(p)
+    q = GgdParams(0.1, 1.5, 2.0) if isinstance(p, GgdParams) else LognParams(-2.0, 0.5)
+    for mix, own in ((MixtureParams(1.0, p, q), slice(1, 1 + cn)), (MixtureParams(0.0, q, p), slice(1 + cn, None))):
+        rest = np.ones(1 + 2 * cn, dtype=bool)
+        rest[own] = False
+        for order in (0, 1, 2):
+            single, both = init_loglik(p, data, order=order), init_loglik(mix, data, order=order)
+            assert both.loglik == single.loglik
+            assert np.array_equal(both.per_point_loglik, single.per_point_loglik)
+            if order >= 1:
+                assert rel_err(both.gradient[own], single.gradient) < 1e-12
+                assert np.all(both.gradient[rest] == 0.0)
+            if order >= 2:
+                assert rel_err(both.hessian[own, own], single.hessian) < 1e-12
+                assert np.all(both.hessian[rest] == 0.0) and np.all(both.hessian[:, rest] == 0.0)
+
+
+def test_order2_score_overflow_is_an_evaluation_error():
+    # a far-off trial point of a fit of sample_x seed 5009 of the benchmark
+    # mixture (n = 300) in units of its median: orders 0 and 1 evaluate, but
+    # the order-2 scores and their outer product overflow double range
+    x = sample_x(SimSpec("X", MIX_SIM, CoreGeometry(6.0), 300, seed=5009))
+    geom = CoreGeometry(6.0 / np.median(x))
+    assert geom.r == 3.796059116019238
+    data = Dataset(x / np.median(x), "X")
+    mix = MixtureParams(
+        0.2686952185445467,
+        GgdParams(0.00014965085371900774, 5.729221465768613, 49.99999999999999),
+        GgdParams(0.9639011670067588, 40.46722140081125, 0.2915675200207461),
+    )
+    for order in (0, 1):
+        assert ofa_loglik(mix, data, geom, order=order).loglik == pytest.approx(-92873.504, abs=1e-3)
+    with pytest.raises(EvaluationError, match="overflow"):
+        ofa_loglik(mix, data, geom, order=2)
 
 
 def test_weighted_fsum_exact_for_large_counts():
