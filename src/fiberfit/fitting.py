@@ -54,6 +54,7 @@ from .likelihood import (
     ofa_loglik,
 )
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
+from .scales import _CensoredPoints
 
 log = logging.getLogger(__name__)
 
@@ -362,6 +363,7 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
     fixed, _ = _prepare_masks(model, cfg)
     theta_start = np.array(initialize(data, model, cfg).values)
     unit_data, unit_model, shift, log_s0 = _unitless(data, model)
+    unit_data._points = _CensoredPoints(unit_data.unique, unit_model.geom.r)  # lives as long as this fit
     lo_t, hi_t = _bounds_theta(model, cfg, shift)
     theta_init = theta_start - shift
     free = ~fixed

@@ -10,14 +10,17 @@ Three likelihoods are provided:
   microscopy data (uncut fibers, X population V), including the
   -n log k_theta normalizer so reported values are absolute.
 
-Every evaluation is pure.  Densities are evaluated once per distinct
-value, and every data sum runs over the sorted unique values weighted by
-their counts.  The log likelihood is exactly rounded: it is the correctly
-rounded sum of Dekker's error-free products count * log f, so it equals
-math.fsum of the per-point terms bit for bit.  Because every sum runs over
-one sorted array, results do not depend on data order, and because doubling
-a count
-scales each product by exactly 2, duplicating a dataset doubles the log
+Every evaluation is pure: what the censored pass computes from the data
+and r alone (kernel constants, readout bases, log p_uc) is kept across the
+evaluations of one fit on the dataset ``fitting.fit`` builds
+(``Dataset._points``), and reading it back gives the same bits as computing
+it afresh.  Densities are evaluated once per distinct value, and every
+data sum runs over the sorted unique values weighted by their counts.  The
+log likelihood is exactly rounded: it is the correctly rounded sum of
+Dekker's error-free products count * log f, so it equals math.fsum of the
+per-point terms bit for bit.  Because every sum runs over one sorted array,
+results do not depend on data order, and because doubling a count scales
+each product by exactly 2, duplicating a dataset doubles the log
 likelihood, gradient and Hessian exactly.
 
 Gradients and Hessians are assembled from the mixture structure
@@ -64,9 +67,9 @@ from .densities import (
     _stack_height,
     decode,
 )
-from .geometry import CoreGeometry, _prob_uncut_unchecked
+from .geometry import CoreGeometry
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureError, segment_integrals
-from .scales import _CensoredStacks, _uncut_mass_stack
+from .scales import _CensoredPoints, _CensoredStacks, _uncut_mass_stack
 
 __all__ = [
     "Dataset",
@@ -103,7 +106,11 @@ class Dataset:
     The likelihoods work on the collapsed form computed at construction:
     ``unique`` holds the sorted distinct values, ``counts`` (float) how often
     each occurs, and ``inverse`` the position in ``unique`` of each entry of
-    ``values``, so ``unique[inverse]`` reproduces ``values``.
+    ``values``, so ``unique[inverse]`` reproduces ``values``.  ``values`` is
+    a copy of the input, and all four arrays are read-only, so the collapsed
+    form always describes ``values``.  ``_points`` is None unless
+    ``fitting.fit`` attached the per-point constants of its evaluations
+    (``scales._CensoredPoints``) to the unitless dataset it builds.
     """
 
     values: np.ndarray
@@ -111,9 +118,10 @@ class Dataset:
     unique: np.ndarray = field(init=False, repr=False, compare=False)
     counts: np.ndarray = field(init=False, repr=False, compare=False)
     inverse: np.ndarray = field(init=False, repr=False, compare=False)
+    _points: _CensoredPoints | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float).ravel()
+        arr = np.array(self.values, dtype=float).ravel()
         if arr.size < 1:
             raise ValueError("dataset must contain at least one value")
         if self.scale not in ("X", "V"):
@@ -124,6 +132,8 @@ class Dataset:
         self.values = arr
         self.unique, self.inverse, counts = np.unique(arr, return_inverse=True, return_counts=True)
         self.counts = counts.astype(float)
+        for a in (self.values, self.unique, self.counts, self.inverse):
+            a.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -230,6 +240,12 @@ def _as_params(theta):
     raise TypeError(f"cannot interpret {type(theta).__name__} as parameters")
 
 
+def _points_of(data: Dataset, geom: CoreGeometry) -> _CensoredPoints:
+    """The per-point constants of ``data`` on ``geom``: those a fit attached, else fresh ones."""
+    held = data._points
+    return held if held is not None and held.r == geom.r else _CensoredPoints(data.unique, geom.r)
+
+
 def _mixture_eval(mix: MixtureParams, data: Dataset, geom: CoreGeometry | None, cfg: QuadratureConfig, order: int):
     """Per-unique log f_X and the count-weighted gradient and Hessian sums, streamed over blocks of the data.
 
@@ -248,7 +264,8 @@ def _mixture_eval(mix: MixtureParams, data: Dataset, geom: CoreGeometry | None, 
     cn = _n_coords(mix.fines)
     live = [i for i, on in enumerate((eps > 0.0, eps < 1.0)) if on]
     try:
-        stacks = _CensoredStacks(data.unique, [(mix.fines, mix.fibers)[i] for i in live], geom, cfg, order)
+        parts = [(mix.fines, mix.fibers)[i] for i in live]
+        stacks = _CensoredStacks(data.unique, parts, geom, cfg, order, None if geom is None else _points_of(data, geom))
     except QuadratureError as exc:
         raise EvaluationError(f"censored-tail integral failed: {exc}") from exc
     n_read = 1 + cn if order >= 2 else 1
@@ -378,7 +395,7 @@ def micro_loglik(
     except QuadratureError as exc:
         raise EvaluationError(f"uncut-probability normalizer failed: {exc}") from exc
     k0 = max(float(kint[0]), _TINY)
-    log_puc = np.log(np.maximum(_prob_uncut_unchecked(data.unique, geom.r), _TINY))
+    log_puc = _points_of(data, geom).log_puc
     n, cn = data.n, _n_coords(p)
     kj = kint[1 : 1 + cn] / k0
     if order >= 1:

@@ -16,8 +16,10 @@ over a range of edges (``suffix_dot``, the adjoint of that readout:
 per-panel Chebyshev moments of the weights against the antiderivative
 coefficients, so a gradient of a sum over the data needs no per-edge
 derivative rows).  Both readouts take an edge range [start, stop), the
-whole range by default, and build the Chebyshev basis of that range only,
-so a caller streaming over blocks of edges never holds one for all of them.
+whole range by default, through the Chebyshev basis of that range.  The
+basis depends only on the edges and the panels: a tree keeps the last range
+it read, or, once told to (``PanelTree.keep_bases``), every range in a dict
+that trees with the same edges and panels can share.
 
 Endpoint behaviour: panels never evaluate their endpoints (Kronrod nodes are
 interior), so integrable inverse-square-root singularities converge under
@@ -157,9 +159,8 @@ class PanelTree:
     and the bisections, and ``worst_error_ratio`` is the largest summed
     |K - G| of a stack row over that row's tolerance.  Nothing is read off
     the interpolants until :meth:`suffix` or :meth:`suffix_dot` asks, and
-    both read a range of edges [start, stop) through a Chebyshev basis built
-    for that range only, so a caller that streams over the edges in blocks
-    keeps its working set at the size of one block.
+    both read a range of edges [start, stop) through the Chebyshev basis of
+    that range (:meth:`_read`).
     """
 
     def __init__(self, edges, lo, hi, K, vals, n_initial: int, n_splits: int, worst_error_ratio: float):
@@ -169,7 +170,7 @@ class PanelTree:
         for arr in (edges, lo, hi, K, above):
             arr.flags.writeable = False
         self.n_initial, self.n_splits, self.worst_error_ratio = n_initial, n_splits, worst_error_ratio
-        self._vals, self._coef, self._block = vals, None, None
+        self._vals, self._coef, self._bases, self._keep = vals, None, {}, False
 
     def total(self):
         """Integral of each row over the whole edge range, (m,)."""
@@ -186,15 +187,28 @@ class PanelTree:
             self._coef[..., 0] += self.above
         return self._coef
 
+    def keep_bases(self, bases: dict):
+        """Read through ``bases`` and keep every range read there, not only the last.
+
+        ``bases`` maps (start, stop) to the basis and runs of that range
+        (:meth:`_read`), which depend only on the edges and the panels, so one
+        dict serves every tree with the same edges, lo and hi.
+        """
+        self._bases, self._keep = bases, True
+
     def _read(self, start: int, stop: int):
         """The Chebyshev basis (16, stop - start) of edges [start, stop) in their panels, and their runs.
 
         A run (panel, first, end) lists the edges sharing a panel, counted
-        from ``start``.  The last range read is kept, so a value readout and
-        a weighted sum over the same block build the basis once.
+        from ``start``.  By default only the last range read is kept, so a
+        value readout and a weighted sum over the same block build the basis
+        once and a caller streaming over blocks holds one block's basis; after
+        :meth:`keep_bases` every range read is kept.
         """
-        if self._block is None or self._block[:2] != (start, stop):
-            self._block = None  # release the last block's basis before building this one
+        got = self._bases.get((start, stop))
+        if got is None:
+            if not self._keep:
+                self._bases.clear()  # release the last block's basis before building this one
             e = self.edges[start:stop]
             pan = np.searchsorted(self.lo, e, side="right") - 1
             half = 0.5 * (self.hi - self.lo)[pan]
@@ -206,8 +220,9 @@ class PanelTree:
                 basis[k] -= basis[k - 2]
             starts = np.flatnonzero(np.diff(pan, prepend=-1))
             runs = list(zip(pan[starts].tolist(), starts.tolist(), [*starts[1:].tolist(), pan.size]))
-            self._block = (start, stop, basis, runs)
-        return self._block[2:]
+            basis.flags.writeable = False
+            got = self._bases[start, stop] = (basis, runs)
+        return got
 
     def suffix(self, rows=slice(None), start: int = 0, stop: int | None = None):
         """int from each edge in [start, stop) (all by default) to the last edge, (rows, stop - start).

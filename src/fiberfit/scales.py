@@ -33,10 +33,16 @@ edges; past the largest point each row adds a constant, one log-length
 integral per component (``_CensoredStacks``).  Everything per point is
 then one streamed pass over blocks of at most _BLOCK points, top block
 first: each block reads the rows it needs off the tree over its own edge
-range, evaluates the direct stack rows, p_uc and the kernel weights at its
-own points, and sums the derivative rows against the likelihood's weights
-inside the tree.  The same pass gives :func:`density_x_component`,
-:func:`density_x_mixture` and the likelihoods.
+range, evaluates the direct stack rows at its own points, and sums the
+derivative rows against the likelihood's weights inside the tree.  The same
+pass gives :func:`density_x_component`, :func:`density_x_mixture` and the
+likelihoods.
+
+What a block needs of the points and r alone (p_uc and the kernel weights,
+and its Chebyshev readout basis for the tree's panels) comes from a
+``_CensoredPoints`` object.  ``fitting.fit`` keeps one for all the
+evaluations of a fit, whose trees mostly share one set of panels; every
+other caller gets a fresh one, which holds one block's basis at a time.
 
 Expensive per-parameter constants (the W-moment integrals, k_theta) are
 memoized on the frozen parameter dataclasses, so a likelihood evaluation
@@ -52,6 +58,7 @@ import numpy as np
 
 from .densities import (
     _LOG_UNDERFLOW,
+    _TINY,
     FAMILIES,
     ComponentParams,
     MixtureParams,
@@ -215,6 +222,65 @@ def density_v(v, p_fibers: ComponentParams, geom: CoreGeometry, cfg: QuadratureC
 _BLOCK = 8192  # points per block of the streamed pass over the data
 
 
+class _CensoredPoints:
+    """What the censored pass computes from the sorted unique points x and r alone, kept across evaluations.
+
+    It holds, each computed when first asked for:
+
+    * per block [start, stop) of the streamed pass, the kernel constants
+      p_uc, c1 and c2 at the block's points (:meth:`kernel`);
+    * log p_uc at every point, the microscopy likelihood's constant term
+      (:attr:`log_puc`);
+    * the panels (lo, hi) of the last suffix tree and the Chebyshev readout
+      bases of every block for those panels (:meth:`share`).
+
+    ``fitting.fit`` attaches one to the unitless dataset it builds
+    (``Dataset._points``), so the evaluations of one fit share it and it dies
+    with the fit; every other evaluation makes a fresh one.
+    """
+
+    def __init__(self, x, r: float):
+        self.x, self.r = x, r
+        self._kernel, self._log_puc, self._layout, self._bases = {}, None, None, {}
+
+    def kernel(self, start: int, stop: int):
+        """(p_uc, c1, c2) at the points [start, stop), see :class:`_CensoredStacks`; read-only."""
+        got = self._kernel.get((start, stop))
+        if got is None:
+            x, r = self.x[start:stop], self.r
+            root = np.sqrt(np.clip(4.0 * r * r - x * x, 0.0, None))
+            got = (_prob_uncut_unchecked(x, r), (8.0 * r * r - 3.0 * x * x) / root, x / root)
+            for arr in got:
+                arr.flags.writeable = False
+            self._kernel[start, stop] = got
+        return got
+
+    @property
+    def log_puc(self):
+        """log max(p_uc, _TINY) at every point, read-only."""
+        if self._log_puc is None:
+            self._log_puc = np.log(np.maximum(_prob_uncut_unchecked(self.x, self.r), _TINY))
+            self._log_puc.flags.writeable = False
+        return self._log_puc
+
+    def share(self, tree):
+        """Let a suffix tree over the points read through the bases held for its panels.
+
+        A tree whose lo and hi equal the held layout exactly reads through the
+        held bases and keeps there every block it builds
+        (``PanelTree.keep_bases``).  Any other tree, after a split, replaces
+        the held layout and its bases, and reads one block at a time as a
+        lone tree does.  A layout's bases are so kept from its second tree on,
+        and an evaluation that makes a fresh object holds no more than one
+        block's basis.
+        """
+        held = self._layout
+        if held is not None and np.array_equal(tree.lo, held[0]) and np.array_equal(tree.hi, held[1]):
+            tree.keep_bases(self._bases)
+        else:
+            self._layout, self._bases = (tree.lo, tree.hi), {}
+
+
 class _CensoredStacks:
     """Observed-scale (X) density stacks of live mixture components, streamed over sorted unique points.
 
@@ -233,19 +299,23 @@ class _CensoredStacks:
     (the initialization problem, and the data part of the microscopy
     likelihood).
 
-    Everything per point is computed one block of at most _BLOCK points at a
-    time (:meth:`stream`), so the only arrays of the data's length are the
-    tree's edges and the caller's output.
+    Everything per point that depends on the parameters is computed one
+    block of at most _BLOCK points at a time (:meth:`stream`).  What depends
+    on the points and r alone, the kernel constants p_uc, c1 and c2 and the
+    tree's readout bases, comes from ``points`` (:class:`_CensoredPoints`; a
+    fresh one by default), which a fit keeps for all its evaluations.
     """
 
-    def __init__(self, x, parts, geom: CoreGeometry | None, cfg: QuadratureConfig, order: int):
-        self.x, self.geom = x, geom
+    def __init__(self, x, parts, geom: CoreGeometry | None, cfg: QuadratureConfig, order: int,
+                 points: _CensoredPoints | None = None):
+        self.x = x
         self.stacks = [_stack_rows(p, order) for p in parts]
         self.height = _stack_height(_n_coords(parts[0]), order)
-        self.tail = self.tree = None
+        self.tail = self.tree = self.points = None
         if geom is None:
             return
         r = geom.r
+        self.points = _CensoredPoints(x, r) if points is None else points
         log_pir2, log_2r = np.log(np.pi * r * r), np.log(2.0 * r)
 
         def weights(ly):  # 1 / t(y) and y / t(y)
@@ -265,6 +335,7 @@ class _CensoredStacks:
             return np.concatenate([g * w, g * (y * w)], axis=1).reshape(-1, y.size)
 
         self.tree = segment_integrals(integrand, x, cfg)
+        self.points.share(self.tree)
 
     def suffix(self, n_rows: int, start: int = 0, stop: int | None = None, top=None):
         """(T, S) of the first n_rows stack rows at the points [start, stop) (all by default).
@@ -292,14 +363,10 @@ class _CensoredStacks:
 
     def _block(self, start: int, stop: int, n_rows: int, top):
         """(rows, dot) of the points [start, stop); see :meth:`stream`."""
-        x = self.x[start:stop]
-        g = [stack(x) for stack in self.stacks]
-        if self.geom is None:
+        g = [stack(self.x[start:stop]) for stack in self.stacks]
+        if self.points is None:
             return [gi[:n_rows] for gi in g], lambda v: [gi[1:] @ v for gi in g]
-        r = self.geom.r
-        puc = _prob_uncut_unchecked(x, r)
-        root = np.sqrt(np.clip(4.0 * r * r - x * x, 0.0, None))
-        c1, c2 = (8.0 * r * r - 3.0 * x * x) / root, x / root
+        puc, c1, c2 = self.points.kernel(start, stop)
         rows = []
         for gi, t, s in zip(g, *self.suffix(n_rows, start, stop, top)):
             f = gi[:n_rows] * puc
