@@ -20,8 +20,17 @@ All densities are evaluated in log space internally so that extreme shapes
 respect to theta, i.e. they already include the chain factors of the
 transform.  ``*_grad_theta`` returns shape (3,)/(2,) for scalar input and
 (n, 3)/(n, 2) for vector input; ``*_hess_theta`` returns (3, 3)/(2, 2) or
-(n, 3, 3)/(n, 2, 2).  Packed Hessian rows are in row-major upper-triangle
-order, the order of ``np.triu_indices``.
+(n, 3, 3)/(n, 2, 2).
+
+Each family has one stack kernel (``_Family.stack``) that writes every row
+it is asked for into a single (height, n) array: row 0 the density, then
+the c theta-gradient rows (order >= 1), then the c (c + 1) / 2 packed
+Hessian rows (order 2) in row-major upper-triangle order, the order of
+``np.triu_indices``.  The value row is one exp(log f); the score rows of
+log f are formed in place, the Hessian rows built from them, and both
+scaled by f last.  The underflow and overflow masks run only when some lane
+has log f <= -700 or > 700.  The quadrature integrands read these rows as
+they are, and the public functions slice them.
 """
 
 from __future__ import annotations
@@ -31,7 +40,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammainc, gammainccinv, gammaincinv, gammaln, log_ndtr, ndtri, ndtri_exp, psi, zeta
+from scipy.special import gammainc, gammainccinv, gammaincinv, gammaln, log_ndtr, ndtri, ndtri_exp, psi
+
+from .special import _trigamma
 
 __all__ = [
     "GgdParams",
@@ -240,16 +251,54 @@ def decode(theta: ParamVector):
 
 
 # ---------------------------------------------------------------------------
-# density stacks: value, theta-gradient and packed theta-Hessian in one pass
+# density stacks: value, theta-gradient and packed theta-Hessian rows in one array
 # ---------------------------------------------------------------------------
 
 
-def _ggd_stack(y, p: GgdParams, order: int, standardized: bool = False):
-    """Evaluate the GGD density and its theta-derivatives at strictly positive y.
+def _stack_height(cn: int, order: int) -> int:
+    return 1 + (cn if order >= 1 else 0) + (cn * (cn + 1) // 2 if order >= 2 else 0)
 
-    Returns (f, grad, hess_packed); grad has shape (3, n), hess (6, n) in
-    row-major upper-triangle order.  Entries are None beyond the requested
-    order.
+
+def _exp_row(f, cap: float):
+    """f <- exp(f) in place for log densities f; the live lanes (f > 0), or None when all are.
+
+    Only when some lane is at or below _LOG_UNDERFLOW, above 700 or nan do
+    the masks run: such a lane reads 0 below the underflow limit and
+    exp(min(logf, cap)) above it.
+    """
+    if f.size == 0 or (f.min() > _LOG_UNDERFLOW and f.max() <= 700.0):
+        np.exp(f, out=f)
+        return None
+    f[...] = np.where(f > _LOG_UNDERFLOW, np.exp(np.minimum(f, cap)), 0.0)
+    return f > 0.0
+
+
+def _scale_rows(out, cn: int, order: int):
+    """Turn the log-derivative rows of a stack with f in row 0 into derivative rows of f.
+
+    Rows 1..cn hold the scores g_i = d log f / d theta_i and, at order 2,
+    the rows after them the packed second derivatives h_ij of log f; they
+    become f (g_i g_j) + f h_ij, from the unscaled scores, and then f g_i.
+    """
+    f, g = out[0], out[1 : 1 + cn]
+    if order >= 2:
+        h = out[1 + cn :]
+        h *= f
+        gg = np.empty_like(f)
+        for row, i, j in zip(h, *_triu(cn)):
+            np.multiply(g[i], g[j], out=gg)
+            gg *= f
+            row += gg
+    g *= f
+
+
+def _ggd_stack(y, p: GgdParams, order: int, standardized: bool = False):
+    """Rows of the GGD density and its theta-derivatives at strictly positive y.
+
+    Returns one array of shape (height,) + y.shape, height
+    ``_stack_height(3, order)``: row 0 the density, rows 1-3 (order >= 1)
+    its theta-gradient, rows 4-9 (order 2) its packed theta-Hessian in
+    row-major upper-triangle order.
 
     With ``standardized`` the input is the standardized log length
     s = d (log y - log b) = log u, u = (y/b)^d gamma(k)-distributed, and the
@@ -258,7 +307,9 @@ def _ggd_stack(y, p: GgdParams, order: int, standardized: bool = False):
     itself is never formed.
     """
     y = np.asarray(y, dtype=float)
+    shape, y = y.shape, y.ravel()
     b, d, k = p.b, p.d, p.k
+    out = np.empty((_stack_height(3, order), y.size))
     if standardized:
         L = y
     else:
@@ -267,37 +318,36 @@ def _ggd_stack(y, p: GgdParams, order: int, standardized: bool = False):
     with np.errstate(over="ignore"):
         c1 = np.exp(L)
     head = k * L if standardized else np.log(d) - d * k * np.log(b) + (d * k - 1.0) * ly
-    logf = head - c1 - gammaln(k)
-    f = np.where(logf > _LOG_UNDERFLOW, np.exp(np.minimum(logf, 700.0)), 0.0)
-    if order < 1:
-        return f, None, None
-
-    psi_k = psi(k)
-    live = f > 0.0
-    c1s = np.where(live, c1, 0.0)  # keeps 0 * inf out of masked lanes
-    Ls = np.where(live, L, 0.0)
-    gb = d * (c1s - k)
-    gd = 1.0 + Ls * (k - c1s)
-    gk = k * (Ls - psi_k)
-    grad = f * np.stack([gb, gd, gk])
-    if order < 2:
-        return f, grad, None
-
-    psi1_k = zeta(2.0, k)  # trigamma: polygamma(1, k) computes this value at 7 times the cost
-    hlog = np.stack(
-        [
-            -d * d * c1s,                             # (b, b)
-            d * (c1s - k) + d * c1s * Ls,             # (b, d)
-            np.full_like(Ls, -d * k),                 # (b, k)
-            Ls * (k - c1s) - c1s * Ls * Ls,           # (d, d)
-            k * Ls,                                   # (d, k)
-            k * Ls - k * psi_k - k * k * psi1_k,      # (k, k)
-        ]
-    )
-    i, j = _triu(3)
-    g = np.stack([gb, gd, gk])
-    hess = f * (g[i] * g[j]) + f * hlog
-    return f, grad, hess
+    f = np.subtract(head, c1, out=out[0])
+    f -= gammaln(k)
+    live = _exp_row(f, 700.0)
+    if order >= 1:
+        if live is not None:  # keeps 0 * inf out of dead lanes
+            c1, L = np.where(live, c1, 0.0), np.where(live, L, 0.0)
+        psi_k = psi(k)
+        gb, gd, gk = out[1:4]
+        np.subtract(c1, k, out=gb)
+        gb *= d                                  # d (c1 - k)
+        np.subtract(k, c1, out=gd)
+        gd *= L                                  # L (k - c1), 1 added below
+        np.subtract(L, psi_k, out=gk)
+        gk *= k                                  # k (L - psi(k))
+        if order >= 2:
+            h = out[4:]
+            np.multiply(c1, -d * d, out=h[0])    # (b, b)
+            np.multiply(c1, d, out=h[1])
+            h[1] *= L
+            h[1] += gb                           # (b, d): d (c1 - k) + d c1 L
+            h[2] = -d * k                        # (b, k)
+            np.multiply(c1, L, out=h[3])
+            h[3] *= L
+            np.subtract(gd, h[3], out=h[3])      # (d, d): L (k - c1) - c1 L L
+            np.multiply(L, k, out=h[4])          # (d, k)
+            np.subtract(h[4], k * psi_k, out=h[5])
+            h[5] -= k * k * _trigamma(k)         # (k, k)
+        gd += 1.0
+    _scale_rows(out, 3, order)
+    return out.reshape(out.shape[:1] + shape)
 
 
 def _logn_stack(y, p: LognParams, order: int, standardized: bool = False):
@@ -307,51 +357,36 @@ def _logn_stack(y, p: LognParams, order: int, standardized: bool = False):
     phi(z) = sigma y f(y).
     """
     y = np.asarray(y, dtype=float)
+    shape, y = y.shape, y.ravel()
     mu, sig = p.mu, p.sigma
     if standardized:
         z, head = y, 0.0
     else:
-        if np.any(y <= 0.0):
-            raise ValueError("lognormal support is (0, inf)")
         ly = np.log(y)
         z, head = (ly - mu) / sig, -ly - np.log(sig)
-    logf = head - 0.5 * np.log(2.0 * np.pi) - 0.5 * z * z
-    f = np.where(logf > _LOG_UNDERFLOW, np.exp(logf), 0.0)
-    if order < 1:
-        return f, None, None
-
-    gmu = z / sig
-    gth = z * z - 1.0
-    grad = f * np.stack([gmu, gth])
-    if order < 2:
-        return f, grad, None
-
-    hlog = np.stack(
-        [
-            np.broadcast_to(-1.0 / sig**2, y.shape),  # (mu, mu)
-            -2.0 * z / sig,                           # (mu, th)
-            -2.0 * z * z,                             # (th, th)
-        ]
-    )
-    i, j = _triu(2)
-    g = np.stack([gmu, gth])
-    hess = f * (g[i] * g[j]) + f * hlog
-    return f, grad, hess
-
-
-def _stack_height(cn: int, order: int) -> int:
-    return 1 + (cn if order >= 1 else 0) + (cn * (cn + 1) // 2 if order >= 2 else 0)
+    out = np.empty((_stack_height(2, order), y.size))
+    f = np.multiply(0.5, z, out=out[0])
+    f *= z
+    np.subtract(head - 0.5 * np.log(2.0 * np.pi), f, out=f)
+    _exp_row(f, np.inf)
+    if order >= 1:
+        np.divide(z, sig, out=out[1])            # mu
+        np.multiply(z, z, out=out[2])
+        out[2] -= 1.0                            # log sigma
+        if order >= 2:
+            h = out[3:]
+            h[0] = -1.0 / sig**2                 # (mu, mu)
+            np.multiply(-2.0, z, out=h[1])
+            np.multiply(h[1], z, out=h[2])       # (th, th): -2 z z
+            h[1] /= sig                          # (mu, th): -2 z / sigma
+    _scale_rows(out, 2, order)
+    return out.reshape(out.shape[:1] + shape)
 
 
 def _stack_rows(p: ComponentParams, order: int, standardized: bool = False):
-    """y -> (stack, n) rows: density, then grad rows, then packed Hessian rows."""
+    """y -> the (height, n) stack rows of p: density, then grad rows, then packed Hessian rows."""
     stack = FAMILIES[p.family].stack
-
-    def fn(y):
-        rows = stack(y, p, order, standardized)[: order + 1]  # (f, grad, hess) up to order
-        return np.concatenate([np.atleast_2d(r) for r in rows])
-
-    return fn
+    return lambda y: stack(y, p, order, standardized)
 
 
 def _n_coords(p: ComponentParams) -> int:
@@ -399,12 +434,12 @@ def _checked(y, p: ComponentParams, order: int):
     arr = np.asarray(y, dtype=float)
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         raise ValueError("y must be finite and strictly positive")
-    out = FAMILIES[p.family].stack(arr, p, order)[order]
+    rows, cn = FAMILIES[p.family].stack(arr, p, order), _n_coords(p)
     if order == 0:
-        return float(out) if np.ndim(y) == 0 else out
+        return float(rows[0]) if np.ndim(y) == 0 else rows[0]
     if order == 1:
-        return out.T
-    return np.moveaxis(_packed_to_full(out, _n_coords(p)), -1, 0)
+        return rows[1:].T
+    return np.moveaxis(_packed_to_full(rows[1 + cn :], cn), -1, 0)
 
 
 def logn_pdf(y, p: LognParams):
@@ -460,14 +495,15 @@ def _ggd_standard_form(p: GgdParams):
 
 def _ggd_seed(m, v):
     """k = 2, with b and d matching E log Y = log b + psi(k) / d and sd log Y = sqrt(psi'(k)) / d."""
-    d = np.sqrt(zeta(2.0, 2.0)) / v  # trigamma(2)
+    d = np.sqrt(_trigamma(2.0)) / v
     return (m - psi(2.0) / d, np.log(d), np.log(2.0))
 
 
 @dataclass(frozen=True)
 class _Family:
     """One Y-scale length family: parameter class, coordinate names, theta
-    transform kinds ('log'/'id'), density stack (f, grad, packed Hessian) and
+    transform kinds ('log'/'id'), density stack kernel (stack(y, p, order,
+    standardized): one array of value, gradient and packed Hessian rows) and
     public pdf, standard_form(p) ((a, c, log CDF, quantile) of the
     standardized log length s = c (log y - a)), tail_quantile(p, q) (s at
     survival q of the law y^3 f_Y / E(Y^3), the heaviest of the laws y^j f_Y,

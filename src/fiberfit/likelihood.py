@@ -107,8 +107,9 @@ class Dataset:
     ``unique`` holds the sorted distinct values, ``counts`` (float) how often
     each occurs, and ``inverse`` the position in ``unique`` of each entry of
     ``values``, so ``unique[inverse]`` reproduces ``values``.  ``values`` is
-    a copy of the input, and all four arrays are read-only, so the collapsed
-    form always describes ``values``.  ``_points`` is None unless
+    a copy of the input, all four arrays are read-only, and no field but
+    ``_points`` can be reassigned after construction, so the collapsed form
+    always describes ``values``.  ``_points`` is None unless
     ``fitting.fit`` attached the per-point constants of its evaluations
     (``scales._CensoredPoints``) to the unitless dataset it builds.
     """
@@ -129,11 +130,17 @@ class Dataset:
         bad = np.nonzero(~np.isfinite(arr) | (arr <= 0.0))[0]
         if bad.size:
             raise DataValidationError("lengths must be finite and positive", bad)
-        self.values = arr
-        self.unique, self.inverse, counts = np.unique(arr, return_inverse=True, return_counts=True)
-        self.counts = counts.astype(float)
-        for a in (self.values, self.unique, self.counts, self.inverse):
+        unique, inverse, counts = np.unique(arr, return_inverse=True, return_counts=True)
+        counts = counts.astype(float)
+        for a in (arr, unique, counts, inverse):
             a.flags.writeable = False
+        self.values, self.unique, self.counts = arr, unique, counts
+        self.inverse = inverse  # set last: from here on only _points may be assigned
+
+    def __setattr__(self, name, value):
+        if name != "_points" and "inverse" in self.__dict__:
+            raise AttributeError(f"Dataset.{name} cannot be reassigned; build a new Dataset")
+        super().__setattr__(name, value)
 
     @property
     def n(self) -> int:

@@ -331,8 +331,13 @@ class _CensoredStacks:
 
         def integrand(y):
             w = 1.0 / (np.pi * r * r + 2.0 * r * y)
-            g = np.concatenate([stack(y) for stack in self.stacks], axis=0).reshape(len(parts), 1, -1, y.size)
-            return np.concatenate([g * w, g * (y * w)], axis=1).reshape(-1, y.size)
+            yw = y * w
+            out = np.empty((len(parts), 2, self.height, y.size))
+            for (t, s), stack in zip(out, self.stacks):
+                g = stack(y)
+                np.multiply(g, w, out=t)
+                np.multiply(g, yw, out=s)
+            return out.reshape(-1, y.size)
 
         self.tree = segment_integrals(integrand, x, cfg)
         self.points.share(self.tree)

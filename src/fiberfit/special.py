@@ -35,6 +35,11 @@ def digamma(k):
     return _as_input(_sp.psi(_validated(k)), k)
 
 
+def _trigamma(k):
+    """Psi1(k) = zeta(2, k), unchecked: the bits of polygamma(1, k) at about a seventh of its cost."""
+    return _sp.zeta(2.0, k)
+
+
 def trigamma(k):
     """Psi1(k) = d/dk Psi(k) for k > 0."""
-    return _as_input(_sp.polygamma(1, _validated(k)), k)
+    return _as_input(_trigamma(_validated(k)), k)

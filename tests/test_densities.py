@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaln, polygamma, psi
 
 from fiberfit import (
     GgdParams,
@@ -16,6 +17,7 @@ from fiberfit import (
     logn_hess_theta,
     logn_pdf,
 )
+from fiberfit.densities import _stack_rows
 from conftest import fd_gradient, fd_jacobian, rel_err
 
 # golden density values
@@ -226,3 +228,119 @@ def test_vector_shapes():
     pl = LognParams(0.0, 1.0)
     assert logn_grad_theta(y, pl).shape == (3, 2)
     assert logn_hess_theta(y, pl).shape == (3, 2, 2)
+
+
+# ---------------------------------------------------------------------------
+# kernel oracle: the stack rows, formula by formula, as separate arrays
+# ---------------------------------------------------------------------------
+
+
+def _ref_ggd_rows(y, p, order, standardized):
+    """Reference GGD stack: the row formulas evaluated one array at a time, then stacked."""
+    b, d, k = p.b, p.d, p.k
+    if standardized:
+        L = y
+    else:
+        ly = np.log(y)
+        L = d * (ly - np.log(b))
+    with np.errstate(over="ignore"):
+        c1 = np.exp(L)
+    head = k * L if standardized else np.log(d) - d * k * np.log(b) + (d * k - 1.0) * ly
+    logf = head - c1 - gammaln(k)
+    f = np.where(logf > -700.0, np.exp(np.minimum(logf, 700.0)), 0.0)
+    if order < 1:
+        return np.array([f])
+    psi_k = psi(k)
+    live = f > 0.0
+    c1s = np.where(live, c1, 0.0)
+    Ls = np.where(live, L, 0.0)
+    g = [d * (c1s - k), 1.0 + Ls * (k - c1s), k * (Ls - psi_k)]
+    rows = [f] + [f * gi for gi in g]
+    if order < 2:
+        return np.array(rows)
+    hlog = [
+        -d * d * c1s,
+        d * (c1s - k) + d * c1s * Ls,
+        np.full_like(Ls, -d * k),
+        Ls * (k - c1s) - c1s * Ls * Ls,
+        k * Ls,
+        k * Ls - k * psi_k - k * k * polygamma(1, k),
+    ]
+    i, j = np.triu_indices(3)
+    return np.array(rows + [f * (g[a] * g[c]) + f * h for a, c, h in zip(i, j, hlog)])
+
+
+def _ref_logn_rows(y, p, order, standardized):
+    """Reference lognormal stack, theta = (mu, log sigma)."""
+    mu, sig = p.mu, p.sigma
+    if standardized:
+        z, head = y, 0.0
+    else:
+        ly = np.log(y)
+        z, head = (ly - mu) / sig, -ly - np.log(sig)
+    logf = head - 0.5 * np.log(2.0 * np.pi) - 0.5 * z * z
+    f = np.where(logf > -700.0, np.exp(logf), 0.0)
+    if order < 1:
+        return np.array([f])
+    g = [z / sig, z * z - 1.0]
+    rows = [f] + [f * gi for gi in g]
+    if order < 2:
+        return np.array(rows)
+    hlog = [np.broadcast_to(-1.0 / sig**2, np.shape(y)), -2.0 * z / sig, -2.0 * z * z]
+    i, j = np.triu_indices(2)
+    return np.array(rows + [f * (g[a] * g[c]) + f * h for a, c, h in zip(i, j, hlog)])
+
+
+_REF_ROWS = {"ggamma": _ref_ggd_rows, "lognorm": _ref_logn_rows}
+
+
+def _oracle_inputs(rng, standardized):
+    """A seeded mix of ordinary lanes and extreme ones, plus 0-d and empty inputs."""
+    if standardized:  # s > 709.8 overflows exp(s); s << 0 leaves only the k s term
+        lanes = np.concatenate([rng.uniform(-40.0, 8.0, 40), [-800.0, -300.0, 0.0, 50.0, 709.0, 720.0, 800.0]])
+    else:  # subnormal and huge lengths push log f far below -700 and, for GGD, above 700
+        lanes = np.concatenate([np.exp(rng.uniform(-30.0, 30.0, 40)), [5e-324, 1e-310, 1e-300, 1e-30, 1e30, 1e300]])
+    return [lanes, np.asarray(lanes[3]), np.asarray(lanes[-1]), np.empty(0)]
+
+
+@pytest.mark.parametrize("standardized", [False, True])
+@pytest.mark.parametrize("family", ["ggamma", "lognorm"])
+def test_stack_kernels_match_row_formulas_bit_for_bit(family, standardized):
+    rng = np.random.default_rng(20261019)
+    checked = masked = 0
+    for _ in range(60):
+        if family == "ggamma":
+            p = GgdParams(*np.exp(rng.uniform(-9.0, 4.0, 3)))
+        else:
+            p = LognParams(rng.uniform(-10.0, 10.0), np.exp(rng.uniform(-7.0, 2.3)))
+        for y in _oracle_inputs(rng, standardized):
+            for order in (0, 1, 2):
+                got = _stack_rows(p, order, standardized)(y)
+                want = _REF_ROWS[family](y, p, order, standardized)
+                assert got.shape == want.shape == (want.shape[0],) + y.shape
+                assert np.array_equal(got, want, equal_nan=True), (p, order, y)
+                checked += 1
+                masked += bool(np.any(want[0] == 0.0))
+    assert checked == 60 * 4 * 3 and masked > 0
+
+
+@pytest.mark.parametrize("family", ["ggamma", "lognorm"])
+def test_public_density_layout_from_the_stack(family):
+    rng = np.random.default_rng(7)
+    fns = {"ggamma": (ggd_pdf, ggd_grad_theta, ggd_hess_theta), "lognorm": (logn_pdf, logn_grad_theta, logn_hess_theta)}
+    p = GgdParams(1.8, 2.7, 2.6) if family == "ggamma" else LognParams(-0.3, 0.7)
+    pdf, grad, hess = (lambda y, fn=fn: fn(y, p) for fn in fns[family])
+    cn = 3 if family == "ggamma" else 2
+    y = np.concatenate([np.exp(rng.uniform(-4.0, 3.0, 9)), [1e-300, 1e300]])
+    ref = _REF_ROWS[family](y, p, 2, False)
+    i, j = np.triu_indices(cn)
+    full = np.zeros((y.size, cn, cn))
+    full[:, i, j] = ref[1 + cn :].T
+    full[:, j, i] = ref[1 + cn :].T
+    assert np.array_equal(pdf(y), ref[0]) and pdf(y).shape == (y.size,)
+    assert np.array_equal(grad(y), ref[1 : 1 + cn].T) and grad(y).shape == (y.size, cn)
+    assert np.array_equal(hess(y), full) and hess(y).shape == (y.size, cn, cn)
+    assert isinstance(pdf(1.3), float) and pdf(1.3) == pdf(np.array([1.3]))[0]
+    assert grad(1.3).shape == (cn,) and np.array_equal(grad(1.3), grad(np.array([1.3]))[0])
+    assert hess(1.3).shape == (cn, cn) and np.array_equal(hess(1.3), hess(np.array([1.3]))[0])
+    assert pdf(np.empty(0)).shape == (0,) and grad(np.empty(0)).shape == (0, cn) and hess(np.empty(0)).shape == (0, cn, cn)

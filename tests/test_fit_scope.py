@@ -170,3 +170,14 @@ def test_dataset_owns_a_read_only_copy_of_its_values():
     for arr in (data.values, data.unique, data.counts, data.inverse):
         with pytest.raises(ValueError):
             arr[0] = 1.0
+
+
+def test_dataset_fields_cannot_be_reassigned():
+    data = Dataset(np.array([1.0, 2.0]), "X")
+    for name, value in [("values", np.array([5.0, 6.0, 7.0])), ("scale", "V"), ("unique", np.array([5.0])),
+                        ("counts", np.array([3.0])), ("inverse", np.array([0]))]:
+        with pytest.raises(AttributeError):
+            setattr(data, name, value)
+    assert data.n == 2 and data.scale == "X" and np.array_equal(data.unique[data.inverse], data.values)
+    data._points = scales._CensoredPoints(data.unique, 6.0)  # what fit attaches stays assignable
+    data._points = None

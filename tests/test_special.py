@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import polygamma
 
 from fiberfit import digamma, log_gamma, trigamma
 
@@ -64,3 +65,9 @@ def test_array_input_round_trip():
     out = log_gamma(arr)
     assert isinstance(out, np.ndarray) and out.shape == arr.shape
     assert isinstance(log_gamma(3.0), float)
+
+
+def test_trigamma_equals_polygamma_bit_for_bit():
+    k = np.concatenate([np.geomspace(1e-6, 1e6, 241), np.linspace(0.05, 60.0, 240), [1.0, 2.0, 0.5, 1e-300]])
+    assert np.array_equal(trigamma(k), polygamma(1, k))
+    assert all(trigamma(float(v)) == float(polygamma(1, v)) for v in k[::16])
