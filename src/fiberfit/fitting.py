@@ -14,6 +14,28 @@ Default bounds (the family table's) are relative to s0, and one seed rule
 (``ModelSpec.seed``) serves every model.  Fines is the component with the
 smaller Y-scale mean.
 
+The initialization and the censored fit's first start (the initialization's
+end point, with no ``par_start``) run L-BFGS-B in z = (u - u0) / D.  u
+replaces each all-free generalized gamma component's (log b, log d, log k)
+by (m, log s, log k), m = log b + psi(k) / d and s = sqrt(psi'(k)) / d the
+mean and sd of log Y (Prentice 1974, Biometrika 61:539; Lawless 1980,
+Technometrics 22:409), in which the three are far less correlated; eps and
+lognormal coordinates stay theta.  u0 is the start's u.  The
+initialization takes D = 1; the censored start takes D_i = 1 / sqrt(B_ii),
+B the count-weighted outer product of the scores in u (BHHH), from one
+order-2 evaluation at the start, so that z is in units of standard errors.
+The z gradient is D J' grad_theta with the analytic J = d theta / d u.  The
+z box is the corner bounding box of the theta box's image, and every
+evaluation reads theta clipped into the theta box.  At the box, theta takes
+over: when an accepted iterate's theta leaves the box, the end point lies
+on a face or the z run ends without success, L-BFGS-B on theta goes on from
+the clipped point on the exact box, and a start on a face runs in theta
+from the outset.  Bound-constrained optima, the Newton polish, the basin
+stop and the covariance therefore stay in theta, and later (jittered)
+starts, ``par_start`` starts and ``grad_mode="finite_difference"`` run in
+theta throughout.  On n = 20 000 OFA samples this halves the censored and
+initialization evaluations of a fit.
+
 Each optimum is found once.  A start that converges is polished by one
 projected Newton step on its order-2 evaluation (kept only if the log
 likelihood rises), and that evaluation, which also gives the covariance,
@@ -32,13 +54,15 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
+from itertools import product
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import chdtri
+from scipy.special import chdtri, psi, zeta
 
 from .densities import (
     FAMILIES,
+    GGAMMA,
     ParamVector,
     _kinds,
     _params_from_values,
@@ -55,6 +79,7 @@ from .likelihood import (
 )
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .scales import _CensoredPoints
+from .special import _trigamma
 
 log = logging.getLogger(__name__)
 
@@ -266,23 +291,152 @@ def _loglik_fn(model: ModelSpec, data: Dataset, cfg: FitConfig):
     return lambda params, order: micro_loglik(params, data, model.geom, cfg.quad, order)
 
 
-def initialize(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> ParamVector:
+def _lbfgsb(objective, x0, lo, hi, cfg: FitConfig, jac=True, callback=None, max_iter=None):
+    """scipy's L-BFGS-B on the box [lo, hi] with the fit's iteration budget and gradient tolerance."""
+    return minimize(
+        objective,
+        x0,
+        jac=jac,
+        method="L-BFGS-B",
+        bounds=list(zip(lo, hi)),
+        callback=callback,
+        options={"maxiter": cfg.max_iter if max_iter is None else max_iter, "gtol": cfg.grad_tol},
+    )
+
+
+def _loc_scale(t):
+    """(m, log s, log k) of generalized gamma theta (log b, log d, log k), per column of ``t``.
+
+    m = E log Y = log b + psi(k) / d and s = sd log Y = sqrt(psi'(k)) / d,
+    the location and scale of log Y (Prentice 1974, Biometrika 61:539;
+    Lawless 1980, Technometrics 22:409).
+    """
+    k = np.exp(t[2])
+    return np.array([t[0] + psi(k) * np.exp(-t[1]), 0.5 * np.log(_trigamma(k)) - t[1], t[2]])
+
+
+def _loc_scale_inverse(u):
+    """(theta, J = d theta / d u) of generalized gamma (m, log s, log k); psi'' = -2 zeta(3, k)."""
+    k = np.exp(u[2])
+    p0, p1, p2 = psi(k), _trigamma(k), -2.0 * zeta(3.0, k)
+    inv_d = np.exp(u[1]) / np.sqrt(p1)
+    theta = np.array([u[0] - p0 * inv_d, 0.5 * np.log(p1) - u[1], u[2]])
+    jac = np.array([
+        [1.0, -p0 * inv_d, -k * inv_d * (p1 - 0.5 * p0 * p2 / p1)],
+        [0.0, -1.0, 0.5 * k * p2 / p1],
+        [0.0, 0.0, 1.0],
+    ])
+    return theta, jac
+
+
+class _Coords:
+    """Optimizer coordinates z = (u - u0) / D of one start's free theta (module docstring).
+
+    u is the free theta with each all-free generalized gamma component in
+    (m, log s, log k) (:func:`_loc_scale`), u0 the start's u, and ``scale``
+    the positive D, 1 unless :meth:`scale_by` sets it.  The z box is the
+    corner bounding box of the image of the theta box [lo, hi]: m and log s
+    are each monotone in every theta coordinate, so the corners hold their
+    extremes.
+    """
+
+    def __init__(self, model: ModelSpec, free, x0, lo, hi):
+        position = np.cumsum(free) - 1  # of each theta coordinate in the free vector
+        firsts = range(model.n_params % 3, model.n_params, 3) if model.family == GGAMMA else ()
+        self.blocks = [position[i] for i in firsts if free[i : i + 3].all()]
+        self.x0, self.lo, self.hi = x0, lo, hi
+        self.interior = bool(np.all(x0 > lo) and np.all(x0 < hi))
+        self.u0, ulo, uhi = self.u_of(x0), lo.copy(), hi.copy()
+        self.curved = np.zeros(x0.size, dtype=bool)  # log b and log d, which the z box does not bound
+        for i in self.blocks:
+            image = _loc_scale(np.array(list(product(*zip(lo[i : i + 3], hi[i : i + 3])))).T)
+            ulo[i : i + 3], uhi[i : i + 3] = image.min(axis=1), image.max(axis=1)
+            self.curved[i : i + 2] = True
+        self.ubox = (ulo, uhi)
+        self.scale = np.ones(x0.size)
+
+    def u_of(self, x):
+        u = np.array(x, dtype=float)
+        for i in self.blocks:
+            u[i : i + 3] = _loc_scale(u[i : i + 3])
+        return u
+
+    def theta(self, z):
+        """(free theta, J = d theta / d u) at z."""
+        x = self.u0 + self.scale * np.asarray(z)
+        jac = np.eye(x.size)
+        for i in self.blocks:
+            x[i : i + 3], jac[i : i + 3, i : i + 3] = _loc_scale_inverse(x[i : i + 3])
+        return x, jac
+
+    def scale_by(self, outer):
+        """D_i = 1 / sqrt(BHHH_ii), where BHHH = J' outer J, the scores' outer product in u at u0.
+
+        ``outer`` is the theta outer product (``LikelihoodEvaluation._score_outer``);
+        D_i stays 1 where BHHH_ii is not positive and finite.
+        """
+        jac = self.theta(np.zeros(self.u0.size))[1]
+        diag = np.einsum("ji,jk,ki->i", jac, outer, jac)
+        ok = np.isfinite(diag) & (diag > 0.0)
+        self.scale = 1.0 / np.sqrt(np.where(ok, diag, 1.0))
+
+    def objective(self, objective):
+        """(value, z-gradient D J' g) of ``objective`` (value, theta gradient g) at theta clipped into the box."""
+
+        def scaled(z):
+            x, jac = self.theta(z)
+            value, g = objective(np.clip(x, self.lo, self.hi))
+            return value, self.scale * (jac.T @ g)
+
+        return scaled
+
+    def minimize(self, objective, cfg: FitConfig):
+        """L-BFGS-B in z from z = 0, handed over to theta at the box; the result's ``x`` is theta.
+
+        L-BFGS-B on theta runs instead from a start on a face of the theta box,
+        and goes on, with what is left of the iteration budget, from the end
+        point clipped into the box when an accepted iterate's theta leaves the
+        box, the end point lies on a face, or the z run ends without success.
+        """
+        if not self.interior:
+            return _lbfgsb(objective, self.x0, self.lo, self.hi, cfg)
+
+        def leave(intermediate_result):
+            x = self.theta(intermediate_result.x)[0][self.curved]
+            if np.any(x < self.lo[self.curved]) or np.any(x > self.hi[self.curved]):
+                raise StopIteration  # ends the run with status 99
+
+        zlo, zhi = ((bound - self.u0) / self.scale for bound in self.ubox)
+        res = _lbfgsb(self.objective(objective), np.zeros(self.u0.size), zlo, zhi, cfg, callback=leave)
+        x = self.theta(res.x)[0]
+        on_face = np.any(res.x <= zlo) or np.any(res.x >= zhi) or np.any(x <= self.lo) or np.any(x >= self.hi)
+        res.x = np.clip(x, self.lo, self.hi)
+        if (res.status == 0 and not on_face) or res.nit >= cfg.max_iter:
+            return res
+        out = _lbfgsb(objective, res.x, self.lo, self.hi, cfg, max_iter=cfg.max_iter - res.nit)
+        out.nit += res.nit
+        return out
+
+
+def initialize(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig(), *, _unit=None) -> ParamVector:
     """Starting values for the censored fit, in data units.
 
     A user-supplied ``par_start`` is encoded and returned as-is.  Otherwise
     the uncensored likelihood of the lengths divided by s0 = median(data) is
     maximized from :meth:`ModelSpec.seed`, the one seed rule of every model
     (each component matches the mean and sd of its log lengths; a mixture
-    splits them at their 20th percentile), and the optimum is shifted back to
-    data units.  If the initialization optimizer fails the seed itself is
-    returned with a warning.
+    splits them at their 20th percentile), by L-BFGS-B in the unscaled
+    optimizer coordinates (D = 1, module docstring), and the optimum is
+    shifted back to data units.  If the initialization optimizer fails the
+    seed itself is returned with a warning.  ``_unit`` is :func:`fit`'s
+    unitless problem, so that it is built once per fit.
     """
     fixed, start = _prepare_masks(model, cfg)
     if start is not None:
         return model.param_vector(model.to_theta(start), tuple(fixed))
 
     # without par_start nothing is fixed (FitConfig)
-    unit_data, _, shift, _ = _unitless(data, model)
+    unit_data, _, shift, _ = _unit or _unitless(data, model)
     lo_t, hi_t = _bounds_theta(model, cfg, shift)
     theta0 = np.clip(model.seed(unit_data.values), lo_t, hi_t)
 
@@ -291,14 +445,7 @@ def initialize(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) ->
         return -ev.loglik, -ev.gradient
 
     try:
-        theta = minimize(
-            objective,
-            theta0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=list(zip(lo_t, hi_t)),
-            options={"maxiter": cfg.max_iter, "gtol": cfg.grad_tol},
-        ).x
+        theta = _Coords(model, ~fixed, theta0, lo_t, hi_t).minimize(objective, cfg).x
     except (EvaluationError, FloatingPointError) as exc:
         log.warning("initialization optimizer failed (%s); falling back to the seed", exc)
         theta = theta0
@@ -361,8 +508,8 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
     data.validate_support(model.geom)
 
     fixed, _ = _prepare_masks(model, cfg)
-    theta_start = np.array(initialize(data, model, cfg).values)
-    unit_data, unit_model, shift, log_s0 = _unitless(data, model)
+    unit = unit_data, unit_model, shift, log_s0 = _unitless(data, model)
+    theta_start = np.array(initialize(data, model, cfg, _unit=unit).values)
     unit_data._points = _CensoredPoints(unit_data.unique, unit_model.geom.r)  # lives as long as this fit
     lo_t, hi_t = _bounds_theta(model, cfg, shift)
     theta_init = theta_start - shift
@@ -455,8 +602,17 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
                 entered.append(index)
                 raise StopIteration
 
+    def minimize_start(idx, t0):
+        """L-BFGS-B from one start: the initialize output in z with the BHHH scale, any other start in theta."""
+        if idx > 0 or cfg.par_start is not None or not analytic:
+            jac = True if analytic else None
+            return _lbfgsb(objective, t0, lo_t[free], hi_t[free], cfg, jac=jac, callback=stop_in_known_basin)
+        coords = _Coords(model, free, t0, lo_t[free], hi_t[free])
+        if coords.interior and (ev := order2(t0)) is not None:
+            coords.scale_by(ev._score_outer[np.ix_(free, free)])
+        return coords.minimize(objective, cfg)
+
     trace, results = [], []  # results: (loglik, start index, x, status, order-2 evaluation or None)
-    bounds = list(zip(lo_t[free], hi_t[free]))
 
     def record(idx, t0, loglik, status, n_iter, message):
         theta0 = to_data_units(assemble(t0))
@@ -464,15 +620,7 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
     for idx, t0 in enumerate(starts):
         entered.clear()
         try:
-            res = minimize(
-                objective,
-                t0,
-                jac=True if analytic else None,
-                method="L-BFGS-B",
-                bounds=bounds,
-                callback=stop_in_known_basin,
-                options={"maxiter": cfg.max_iter, "gtol": cfg.grad_tol},
-            )
+            res = minimize_start(idx, t0)
         except (EvaluationError, FloatingPointError, np.linalg.LinAlgError) as exc:
             record(idx, t0, -np.inf, "error", 0, str(exc))
             continue

@@ -96,7 +96,7 @@ class EvaluationError(RuntimeError):
     """A likelihood integral failed to converge."""
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
     """Observed lengths, in any one unit, tagged with their population scale.
 
@@ -109,7 +109,8 @@ class Dataset:
     ``values``, so ``unique[inverse]`` reproduces ``values``.  ``values`` is
     a copy of the input, all four arrays are read-only, and no field but
     ``_points`` can be reassigned after construction, so the collapsed form
-    always describes ``values``.  ``_points`` is None unless
+    always describes ``values``.  Two datasets are equal only when they are
+    the same object.  ``_points`` is None unless
     ``fitting.fit`` attached the per-point constants of its evaluations
     (``scales._CensoredPoints``) to the unitless dataset it builds.
     """
@@ -162,6 +163,8 @@ class LikelihoodEvaluation:
     gradient: np.ndarray | None = None
     hessian: np.ndarray | None = None
     per_point_loglik: np.ndarray | None = None
+    # order 2: sum of count * score score' over the points, in the gradient's coordinates
+    _score_outer: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 _SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's constant for splitting a double
@@ -232,10 +235,10 @@ def _symmetric_hessian(d2_sum, outer):
     return hess + np.triu(hess, 1).T
 
 
-def _evaluation(per_point, grad, hess, data: Dataset) -> LikelihoodEvaluation:
+def _evaluation(per_point, grad, hess, outer, data: Dataset) -> LikelihoodEvaluation:
     """Weight per-unique-value log terms by counts; per-point terms in input order."""
     loglik = _weighted_fsum(per_point, data.counts)
-    return LikelihoodEvaluation(loglik, grad, hess, per_point[data.inverse])
+    return LikelihoodEvaluation(loglik, grad, hess, per_point[data.inverse], outer)
 
 
 def _as_params(theta):
@@ -264,8 +267,9 @@ def _mixture_eval(mix: MixtureParams, data: Dataset, geom: CoreGeometry | None, 
     its share of every sum: the derivative rows are summed against v
     (``dot``), and at order 2 the value and gradient rows read per point give
     the scores and their weighted outer product; scores that overflow double
-    range raise EvaluationError.  Returns (log_f, grad, hess), the last two
-    None above ``order``.
+    range raise EvaluationError.  Returns (log_f, grad, hess, outer), outer
+    the count-weighted outer product of the scores (the BHHH matrix, Berndt,
+    Hall, Hall and Hausman 1974), each None above the order that forms it.
     """
     eps, w = mix.eps, data.counts
     cn = _n_coords(mix.fines)
@@ -319,14 +323,14 @@ def _mixture_eval(mix: MixtureParams, data: Dataset, geom: CoreGeometry | None, 
         d2_sum[1 : 1 + cn, 1 : 1 + cn] = eps * _packed_to_full(dots[0, cn:], cn)
         d2_sum[1 + cn :, 1 + cn :] = (1.0 - eps) * _packed_to_full(dots[1, cn:], cn)
         hess = _symmetric_hessian(d2_sum, outer)
-    return log_f, grad, hess
+    return log_f, grad, hess, outer if order >= 2 else None
 
 
 def _component_eval(p: ComponentParams, data: Dataset, cfg: QuadratureConfig, order: int):
-    """Uncensored (log_f, grad, hess) of one component: the mixture pass with all its weight on p."""
-    log_f, grad, hess = _mixture_eval(MixtureParams(1.0, p, p), data, None, cfg, order)
+    """Uncensored (log_f, grad, hess, outer) of one component: the mixture pass with all its weight on p."""
+    log_f, *sums = _mixture_eval(MixtureParams(1.0, p, p), data, None, cfg, order)
     own = slice(1, 1 + _n_coords(p))
-    return log_f, None if grad is None else grad[own], None if hess is None else hess[own, own]
+    return (log_f, *(None if a is None else a[own] if a.ndim == 1 else a[own, own] for a in sums))
 
 
 def ofa_loglik(
@@ -396,7 +400,7 @@ def micro_loglik(
     if data.scale != "V":
         raise ValueError("microscopy likelihood requires a dataset on the V scale")
     data.validate_support(geom)
-    log_f, grad, hess = _component_eval(p, data, cfg, order)
+    log_f, grad, hess, outer = _component_eval(p, data, cfg, order)
     try:
         kint = _uncut_mass_stack(p, geom, cfg, order, segment_integrals)
     except QuadratureError as exc:
@@ -405,8 +409,9 @@ def micro_loglik(
     log_puc = _points_of(data, geom).log_puc
     n, cn = data.n, _n_coords(p)
     kj = kint[1 : 1 + cn] / k0
+    if order >= 2:  # each point's score is its component score minus kj
+        hess = hess - n * (_packed_to_full(kint[1 + cn :], cn) / k0 - np.outer(kj, kj))
+        outer = outer - np.outer(kj, grad) - np.outer(grad, kj) + n * np.outer(kj, kj)
     if order >= 1:
         grad = grad - n * kj
-    if order >= 2:
-        hess = hess - n * (_packed_to_full(kint[1 + cn :], cn) / k0 - np.outer(kj, kj))
-    return _evaluation(log_f + log_puc - np.log(k0), grad, hess, data)
+    return _evaluation(log_f + log_puc - np.log(k0), grad, hess, outer, data)

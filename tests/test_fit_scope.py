@@ -181,3 +181,9 @@ def test_dataset_fields_cannot_be_reassigned():
     assert data.n == 2 and data.scale == "X" and np.array_equal(data.unique[data.inverse], data.values)
     data._points = scales._CensoredPoints(data.unique, 6.0)  # what fit attaches stays assignable
     data._points = None
+
+
+def test_datasets_are_equal_only_to_themselves():
+    a, b = Dataset(np.array([1.0, 2.0])), Dataset(np.array([1.0, 2.0]))
+    assert a == a and not a == b and a != b  # no elementwise array comparison
+    assert len({a, b, a}) == 2
