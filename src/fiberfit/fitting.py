@@ -22,8 +22,10 @@ mean and sd of log Y (Prentice 1974, Biometrika 61:539; Lawless 1980,
 Technometrics 22:409), in which the three are far less correlated; eps and
 lognormal coordinates stay theta.  u0 is the start's u.  The
 initialization takes D = 1; the censored start takes D_i = 1 / sqrt(B_ii),
-B the count-weighted outer product of the scores in u (BHHH), from one
-order-2 evaluation at the start, so that z is in units of standard errors.
+B the count-weighted outer product of the scores in u (BHHH), so that z is
+in units of standard errors.  B comes from one scores pass at the start, an
+order-1 evaluation that also sums the outer product and reads no Hessian
+row; its value and gradient answer the z run's first evaluation.
 The z gradient is D J' grad_theta with the analytic J = d theta / d u.  The
 z box is the corner bounding box of the theta box's image, and every
 evaluation reads theta clipped into the theta box.  At the box, theta takes
@@ -35,6 +37,22 @@ stop and the covariance therefore stay in theta, and later (jittered)
 starts, ``par_start`` starts and ``grad_mode="finite_difference"`` run in
 theta throughout.  On n = 20 000 OFA samples this halves the censored and
 initialization evaluations of a fit.
+
+A fit on many distinct values, more than one streamed block of them
+(``scales._BLOCK`` = 8 192), is coarse to fine.  The sorted distinct
+unitless values are cut into _GROUPS = 1 024 contiguous groups of equal
+count, a tied value never split, and each group becomes its count-median
+value carrying the group's count (:func:`_grouped`; grouped data, Heitjan
+1989, Statistical Science 4:164).  The initialization and the first start's
+z run go to convergence on the groups, and the z run on every point starts
+from that optimum with its own BHHH scale.  A grouped run that fails or
+ends on a face is dropped with a warning, and the first start then runs on
+every point from the initialization's end point.  Later starts, the polish,
+the basin stop and the covariance use every point, so the estimate and its
+standard errors are the full data's.  On n = 20 000 OFA samples the first
+start's order-1 evaluations on every point fall from about 21 to 9, for
+about 20 on the groups.  At or below 8 192 distinct values nothing runs on
+groups.
 
 Each optimum is found once.  A start that converges is polished by one
 projected Newton step on its order-2 evaluation (kept only if the log
@@ -78,7 +96,7 @@ from .likelihood import (
     ofa_loglik,
 )
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
-from .scales import _CensoredPoints
+from .scales import _BLOCK, _CensoredPoints
 from .special import _trigamma
 
 log = logging.getLogger(__name__)
@@ -266,7 +284,45 @@ def _unitless(data: Dataset, model: ModelSpec):
     shift = np.zeros(model.n_params)
     shift[model.n_params % size :: size] = log_s0  # after eps, if any: one slot per component
     unit_model = replace(model, geom=CoreGeometry(model.geom.r / s0))
-    return Dataset(data.values / s0, data.scale), unit_model, shift, log_s0
+    # division keeps the distinct values sorted, and merges only those it rounds to one value
+    unique = data.unique / s0
+    new = np.r_[True, unique[1:] != unique[:-1]]
+    counts = np.add.reduceat(data.counts, np.flatnonzero(new))
+    unit_data = Dataset._from_counts(unique[new], counts, data.scale, (np.cumsum(new) - 1)[data.inverse])
+    return unit_data, unit_model, shift, log_s0
+
+
+_GROUPS = 1024  # groups of the coarse first start on many distinct values (fit)
+
+
+def _grouped(data: Dataset) -> Dataset:
+    """The data in _GROUPS contiguous groups of equal count, each its count-median value carrying the group's count.
+
+    The sorted distinct values are cut where the points below them cross a
+    multiple of n / _GROUPS, so that groups of distinct values hold
+    floor or ceil(n / _GROUPS) points each and a tied value is never split
+    (a value with more points than that leaves fewer groups).  A group's
+    value is the one at which its cumulative count reaches half its count.
+    """
+    below = np.cumsum(data.counts) - data.counts  # points below each distinct value, exact integers
+    label = below.astype(np.int64) * _GROUPS // data.n
+    first = np.flatnonzero(np.r_[True, label[1:] != label[:-1]])
+    counts = np.add.reduceat(data.counts, first)
+    median = np.searchsorted(below + data.counts, below[first] + 0.5 * counts)
+    return Dataset._from_counts(data.unique[median], counts, data.scale)
+
+
+def _coarse(unit):
+    """The unitless problem (:func:`_unitless`) on its groups (:func:`_grouped`) above _BLOCK distinct values.
+
+    At or below one streamed block of distinct values it is returned as it is.
+    """
+    unit_data, unit_model = unit[:2]
+    if unit_data.unique.size <= _BLOCK:
+        return unit
+    grouped = _grouped(unit_data)
+    grouped._points = _CensoredPoints(grouped.unique, unit_model.geom.r)  # lives as long as the fit
+    return (grouped, *unit[1:])
 
 
 def _bounds_theta(model: ModelSpec, cfg: FitConfig, shift):
@@ -287,8 +343,8 @@ def _bounds_theta(model: ModelSpec, cfg: FitConfig, shift):
 
 def _loglik_fn(model: ModelSpec, data: Dataset, cfg: FitConfig):
     if model.data_type == OFA:
-        return lambda params, order: ofa_loglik(params, data, model.geom, cfg.quad, order)
-    return lambda params, order: micro_loglik(params, data, model.geom, cfg.quad, order)
+        return lambda params, order, **kw: ofa_loglik(params, data, model.geom, cfg.quad, order, **kw)
+    return lambda params, order, **kw: micro_loglik(params, data, model.geom, cfg.quad, order, **kw)
 
 
 def _lbfgsb(objective, x0, lo, hi, cfg: FitConfig, jac=True, callback=None, max_iter=None):
@@ -337,7 +393,9 @@ class _Coords:
     the positive D, 1 unless :meth:`scale_by` sets it.  The z box is the
     corner bounding box of the image of the theta box [lo, hi]: m and log s
     are each monotone in every theta coordinate, so the corners hold their
-    extremes.
+    extremes.  ``first``, when set, is the (value, theta gradient) of the
+    objective at :meth:`start`, which answers the z run's first evaluation
+    there.
     """
 
     def __init__(self, model: ModelSpec, free, x0, lo, hi):
@@ -354,6 +412,7 @@ class _Coords:
             self.curved[i : i + 2] = True
         self.ubox = (ulo, uhi)
         self.scale = np.ones(x0.size)
+        self.first = None
 
     def u_of(self, x):
         u = np.array(x, dtype=float)
@@ -369,6 +428,10 @@ class _Coords:
             x[i : i + 3], jac[i : i + 3, i : i + 3] = _loc_scale_inverse(x[i : i + 3])
         return x, jac
 
+    def start(self):
+        """The theta every z run evaluates first: that of z = 0 (x0 up to the u round trip), clipped into the box."""
+        return np.clip(self.theta(np.zeros(self.u0.size))[0], self.lo, self.hi)
+
     def scale_by(self, outer):
         """D_i = 1 / sqrt(BHHH_ii), where BHHH = J' outer J, the scores' outer product in u at u0.
 
@@ -381,11 +444,16 @@ class _Coords:
         self.scale = 1.0 / np.sqrt(np.where(ok, diag, 1.0))
 
     def objective(self, objective):
-        """(value, z-gradient D J' g) of ``objective`` (value, theta gradient g) at theta clipped into the box."""
+        """(value, z-gradient D J' g) of ``objective`` (value, theta gradient g) at theta clipped into the box.
+
+        A first call at z = 0 takes ``first`` when that is set.
+        """
+        first = [] if self.first is None else [self.first]
 
         def scaled(z):
             x, jac = self.theta(z)
-            value, g = objective(np.clip(x, self.lo, self.hi))
+            value, g = first.pop() if first and not np.any(z) else objective(np.clip(x, self.lo, self.hi))
+            first.clear()
             return value, self.scale * (jac.T @ g)
 
         return scaled
@@ -427,16 +495,18 @@ def initialize(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig(), *,
     (each component matches the mean and sd of its log lengths; a mixture
     splits them at their 20th percentile), by L-BFGS-B in the unscaled
     optimizer coordinates (D = 1, module docstring), and the optimum is
-    shifted back to data units.  If the initialization optimizer fails the
-    seed itself is returned with a warning.  ``_unit`` is :func:`fit`'s
-    unitless problem, so that it is built once per fit.
+    shifted back to data units.  On more than 8 192 distinct values all of
+    this runs on their 1 024 groups (:func:`_grouped`, module docstring).  If
+    the initialization optimizer fails the seed itself is returned with a
+    warning.  ``_unit`` is :func:`fit`'s unitless problem, grouped or not,
+    so that it is built once per fit.
     """
     fixed, start = _prepare_masks(model, cfg)
     if start is not None:
         return model.param_vector(model.to_theta(start), tuple(fixed))
 
     # without par_start nothing is fixed (FitConfig)
-    unit_data, _, shift, _ = _unit or _unitless(data, model)
+    unit_data, _, shift, _ = _unit or _coarse(_unitless(data, model))
     lo_t, hi_t = _bounds_theta(model, cfg, shift)
     theta0 = np.clip(model.seed(unit_data.values), lo_t, hi_t)
 
@@ -499,6 +569,8 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
     the original-scale covariance follows by the delta method.
     All of this runs on the unitless problem (module docstring); a mixture
     is then relabeled so that fines is the component with the smaller mean.
+    On more than 8 192 distinct values the first start converges on 1 024
+    groups of the data before it runs on every point (module docstring).
     """
     expected_scale = "X" if model.data_type == OFA else "V"
     if data.scale != expected_scale:
@@ -509,7 +581,9 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
 
     fixed, _ = _prepare_masks(model, cfg)
     unit = unit_data, unit_model, shift, log_s0 = _unitless(data, model)
-    theta_start = np.array(initialize(data, model, cfg, _unit=unit).values)
+    coarse = unit if cfg.par_start is not None else _coarse(unit)
+    grouped = None if coarse is unit else coarse[0]
+    theta_start = np.array(initialize(data, model, cfg, _unit=coarse).values)
     unit_data._points = _CensoredPoints(unit_data.unique, unit_model.geom.r)  # lives as long as this fit
     lo_t, hi_t = _bounds_theta(model, cfg, shift)
     theta_init = theta_start - shift
@@ -534,11 +608,16 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
 
     analytic = cfg.grad_mode == "analytic"
 
-    def objective(tf):
-        ev = loglik_of(params_of(assemble(tf)), 1 if analytic else 0)
-        if analytic:
-            return -ev.loglik, -np.asarray(ev.gradient)[free]
-        return -ev.loglik
+    def objective_on(loglik):
+        def objective(tf):
+            ev = loglik(params_of(assemble(tf)), 1 if analytic else 0)
+            if analytic:
+                return -ev.loglik, -np.asarray(ev.gradient)[free]
+            return -ev.loglik
+
+        return objective
+
+    objective = objective_on(loglik_of)
 
     if not np.any(free):
         return finish(theta_init, loglik_of(params_of(theta_init), 2), "success", [], 0)
@@ -602,15 +681,48 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
                 entered.append(index)
                 raise StopIteration
 
+    def scaled_run(t0, loglik):
+        """The z run from t0 on ``loglik``'s data, scaled by the BHHH matrix of one scores pass at its start."""
+        coords = _Coords(model, free, t0, lo_t[free], hi_t[free])
+        if coords.interior:
+            x0 = coords.start()
+            try:
+                ev = loglik(params_of(assemble(x0)), 1, _scores=True)
+            except (EvaluationError, FloatingPointError):
+                ev = None
+            if ev is not None:
+                coords.scale_by(ev._score_outer[np.ix_(free, free)])
+                coords.first = (-ev.loglik, -ev.gradient[free])
+        return coords.minimize(objective_on(loglik), cfg)
+
+    def coarse_run(t0):
+        """The z run on the groups from t0, or None with a warning when it fails or ends on a face."""
+        try:
+            res = scaled_run(t0, _loglik_fn(unit_model, grouped, cfg))
+            if res.status == 0 and np.all(res.x > lo_t[free]) and np.all(res.x < hi_t[free]):
+                return res
+            reason = "ended on a face of the box" if res.status == 0 else f"ended with {res.message}"
+        except (EvaluationError, FloatingPointError, np.linalg.LinAlgError) as exc:
+            reason = f"failed ({exc})"
+        log.warning("the first start on %d groups %s; it runs on every point from its start",
+                    grouped.unique.size, reason)
+        return None
+
     def minimize_start(idx, t0):
-        """L-BFGS-B from one start: the initialize output in z with the BHHH scale, any other start in theta."""
+        """L-BFGS-B from one start: the initialize output in z with the BHHH scale, any other start in theta.
+
+        On many distinct values the z run goes first to convergence on the
+        groups, and the run on every point starts from its end point.
+        """
         if idx > 0 or cfg.par_start is not None or not analytic:
             jac = True if analytic else None
             return _lbfgsb(objective, t0, lo_t[free], hi_t[free], cfg, jac=jac, callback=stop_in_known_basin)
-        coords = _Coords(model, free, t0, lo_t[free], hi_t[free])
-        if coords.interior and (ev := order2(t0)) is not None:
-            coords.scale_by(ev._score_outer[np.ix_(free, free)])
-        return coords.minimize(objective, cfg)
+        coarse = None if grouped is None else coarse_run(t0)
+        if coarse is None:
+            return scaled_run(t0, loglik_of)
+        res = scaled_run(coarse.x, loglik_of)
+        res.nit += coarse.nit
+        return res
 
     trace, results = [], []  # results: (loglik, start index, x, status, order-2 evaluation or None)
 

@@ -48,6 +48,9 @@ the log densities spans the data.  What each order reads per point:
   scores needs; the Hessian rows are summed against v like the gradient
   rows at order 1.  Scores whose sums overflow double range raise
   EvaluationError.
+* the scores pass (order 1 with ``_scores``, which scales the fit's first
+  start): the value and gradient rows for the outer product of the scores,
+  as at order 2, with the order-1 value and gradient and no Hessian row.
 """
 
 from __future__ import annotations
@@ -113,6 +116,8 @@ class Dataset:
     the same object.  ``_points`` is None unless
     ``fitting.fit`` attached the per-point constants of its evaluations
     (``scales._CensoredPoints``) to the unitless dataset it builds.
+    :meth:`_from_counts` builds a dataset from sorted distinct values and
+    their counts without sorting the points again.
     """
 
     values: np.ndarray
@@ -132,11 +137,38 @@ class Dataset:
         if bad.size:
             raise DataValidationError("lengths must be finite and positive", bad)
         unique, inverse, counts = np.unique(arr, return_inverse=True, return_counts=True)
-        counts = counts.astype(float)
-        for a in (arr, unique, counts, inverse):
+        self._collapsed(arr, unique, counts.astype(float), inverse)
+
+    def _collapsed(self, values, unique, counts, inverse):
+        for a in (values, unique, counts, inverse):
             a.flags.writeable = False
-        self.values, self.unique, self.counts = arr, unique, counts
+        self.values, self.unique, self.counts = values, unique, counts
         self.inverse = inverse  # set last: from here on only _points may be assigned
+
+    @classmethod
+    def _from_counts(cls, unique, counts, scale: str = "X", inverse=None):
+        """The dataset of sorted distinct values ``unique`` occurring ``counts`` times, without sorting again.
+
+        ``values`` is ``unique[inverse]``; with ``inverse`` None each value is
+        repeated by its count, in sorted order.  Given the ``np.unique`` output
+        of some data, the result equals ``Dataset`` of those data.
+        """
+        unique, counts = np.array(unique, dtype=float), np.array(counts, dtype=float)
+        if unique.ndim != 1 or unique.size < 1 or counts.shape != unique.shape:
+            raise ValueError("unique and counts must be nonempty and of one length")
+        if scale not in ("X", "V"):
+            raise ValueError("scale must be 'X' (OFA) or 'V' (microscopy)")
+        bad = np.nonzero(~np.isfinite(unique) | (unique <= 0.0))[0]
+        if bad.size:
+            raise DataValidationError("lengths must be finite and positive", bad)
+        if np.any(unique[1:] <= unique[:-1]) or np.any(counts < 1.0) or np.any(counts % 1.0):
+            raise ValueError("unique must be strictly increasing and counts positive integers")
+        if inverse is None:
+            inverse = np.repeat(np.arange(unique.size), counts.astype(np.intp))
+        data = cls.__new__(cls)
+        data.scale, data._points = scale, None
+        data._collapsed(unique[inverse], unique, counts, np.array(inverse, dtype=np.intp))
+        return data
 
     def __setattr__(self, name, value):
         if name != "_points" and "inverse" in self.__dict__:
@@ -256,7 +288,8 @@ def _points_of(data: Dataset, geom: CoreGeometry) -> _CensoredPoints:
     return held if held is not None and held.r == geom.r else _CensoredPoints(data.unique, geom.r)
 
 
-def _mixture_eval(mix: MixtureParams, data: Dataset, geom: CoreGeometry | None, cfg: QuadratureConfig, order: int):
+def _mixture_eval(mix: MixtureParams, data: Dataset, geom: CoreGeometry | None, cfg: QuadratureConfig, order: int,
+                  scores: bool = False):
     """Per-unique log f_X and the count-weighted gradient and Hessian sums, streamed over blocks of the data.
 
     The one likelihood assembly.  The ``scales._CensoredStacks`` of the live
@@ -270,6 +303,9 @@ def _mixture_eval(mix: MixtureParams, data: Dataset, geom: CoreGeometry | None, 
     range raise EvaluationError.  Returns (log_f, grad, hess, outer), outer
     the count-weighted outer product of the scores (the BHHH matrix, Berndt,
     Hall, Hall and Hausman 1974), each None above the order that forms it.
+    ``scores`` at order 1 is the scores pass: it reads the gradient rows per
+    point for outer as order 2 does, and reads no Hessian row; its log_f
+    and grad are those of order 1 bit for bit.
     """
     eps, w = mix.eps, data.counts
     cn = _n_coords(mix.fines)
@@ -279,7 +315,8 @@ def _mixture_eval(mix: MixtureParams, data: Dataset, geom: CoreGeometry | None, 
         stacks = _CensoredStacks(data.unique, parts, geom, cfg, order, None if geom is None else _points_of(data, geom))
     except QuadratureError as exc:
         raise EvaluationError(f"censored-tail integral failed: {exc}") from exc
-    n_read = 1 + cn if order >= 2 else 1
+    scores = order >= 2 or (scores and order == 1)
+    n_read = 1 + cn if scores else 1
     de = eps - eps * eps
     log_f = np.empty(data.unique.size)
     mix_dot, dots = 0.0, np.zeros((2, _stack_height(cn, order) - 1))  # (f_n - f_b) @ v, derivative rows @ v
@@ -298,7 +335,7 @@ def _mixture_eval(mix: MixtureParams, data: Dataset, geom: CoreGeometry | None, 
         mix_dot += (f_n - f_b) @ v
         for i, d in zip(live, dot(v)):
             dots[i] += d
-        if order >= 2:
+        if scores:
             score = np.zeros((1 + 2 * cn, wb.size))  # a dead component's block stays 0
             score[0] = de * (f_n - f_b)
             for i, r in zip(live, rows):
@@ -310,11 +347,11 @@ def _mixture_eval(mix: MixtureParams, data: Dataset, geom: CoreGeometry | None, 
 
     stacks.stream(n_read, visit)
     grad = hess = None
+    if scores and not (np.all(np.isfinite(score_sum)) and np.all(np.isfinite(outer))):
+        raise EvaluationError("the scores overflow double range")
     if order == 1:
         grad = np.concatenate([[de * mix_dot], eps * dots[0], (1.0 - eps) * dots[1]])
     if order >= 2:
-        if not (np.all(np.isfinite(score_sum)) and np.all(np.isfinite(outer))):
-            raise EvaluationError("the order-2 scores overflow double range")
         grad = score_sum
         d2_sum = np.zeros((1 + 2 * cn, 1 + 2 * cn))
         d2_sum[0, 0] = de * (1.0 - 2.0 * eps) * mix_dot
@@ -323,12 +360,12 @@ def _mixture_eval(mix: MixtureParams, data: Dataset, geom: CoreGeometry | None, 
         d2_sum[1 : 1 + cn, 1 : 1 + cn] = eps * _packed_to_full(dots[0, cn:], cn)
         d2_sum[1 + cn :, 1 + cn :] = (1.0 - eps) * _packed_to_full(dots[1, cn:], cn)
         hess = _symmetric_hessian(d2_sum, outer)
-    return log_f, grad, hess, outer if order >= 2 else None
+    return log_f, grad, hess, outer if scores else None
 
 
-def _component_eval(p: ComponentParams, data: Dataset, cfg: QuadratureConfig, order: int):
+def _component_eval(p: ComponentParams, data: Dataset, cfg: QuadratureConfig, order: int, scores: bool = False):
     """Uncensored (log_f, grad, hess, outer) of one component: the mixture pass with all its weight on p."""
-    log_f, *sums = _mixture_eval(MixtureParams(1.0, p, p), data, None, cfg, order)
+    log_f, *sums = _mixture_eval(MixtureParams(1.0, p, p), data, None, cfg, order, scores)
     own = slice(1, 1 + _n_coords(p))
     return (log_f, *(None if a is None else a[own] if a.ndim == 1 else a[own, own] for a in sums))
 
@@ -339,12 +376,16 @@ def ofa_loglik(
     geom: CoreGeometry,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     order: int = 0,
+    *,
+    _scores: bool = False,
 ) -> LikelihoodEvaluation:
     """Censored-mixture log likelihood of OFA data on the X scale.
 
     ``theta`` is a mixture ParamVector or MixtureParams.  With order >= 1 the
     analytic theta-gradient is attached, with order >= 2 the Hessian as well
-    (coordinate order: eps coordinate, fines block, fibers block).
+    (coordinate order: eps coordinate, fines block, fibers block).  Order 2,
+    and order 1 with ``_scores`` (the scores pass, ``_mixture_eval``), also
+    attach the scores' outer product.
     """
     mix = _as_params(theta)
     if not isinstance(mix, MixtureParams):
@@ -352,7 +393,7 @@ def ofa_loglik(
     if data.scale != "X":
         raise ValueError("OFA likelihood requires a dataset on the X scale")
     data.validate_support(geom)
-    return _evaluation(*_mixture_eval(mix, data, geom, cfg, order), data)
+    return _evaluation(*_mixture_eval(mix, data, geom, cfg, order, _scores), data)
 
 
 def init_loglik(
@@ -379,6 +420,8 @@ def micro_loglik(
     geom: CoreGeometry,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     order: int = 0,
+    *,
+    _scores: bool = False,
 ) -> LikelihoodEvaluation:
     """Conditional log likelihood of microscopy data (uncut fibers).
 
@@ -393,6 +436,7 @@ def micro_loglik(
     integral as :func:`scales.k_theta`: in standardized log length on
     quantile panels, up to 2r, converged to an absolute tolerance of
     abs_tol F(2r), F(2r) the mass below 2r (``scales._log_length_integrals``).
+    ``_scores`` is :func:`ofa_loglik`'s.
     """
     p = _as_params(theta)
     if isinstance(p, MixtureParams):
@@ -400,7 +444,7 @@ def micro_loglik(
     if data.scale != "V":
         raise ValueError("microscopy likelihood requires a dataset on the V scale")
     data.validate_support(geom)
-    log_f, grad, hess, outer = _component_eval(p, data, cfg, order)
+    log_f, grad, hess, outer = _component_eval(p, data, cfg, order, _scores)
     try:
         kint = _uncut_mass_stack(p, geom, cfg, order, segment_integrals)
     except QuadratureError as exc:
@@ -409,8 +453,9 @@ def micro_loglik(
     log_puc = _points_of(data, geom).log_puc
     n, cn = data.n, _n_coords(p)
     kj = kint[1 : 1 + cn] / k0
-    if order >= 2:  # each point's score is its component score minus kj
+    if order >= 2:
         hess = hess - n * (_packed_to_full(kint[1 + cn :], cn) / k0 - np.outer(kj, kj))
+    if outer is not None:  # each point's score is its component score minus kj
         outer = outer - np.outer(kj, grad) - np.outer(grad, kj) + n * np.outer(kj, kj)
     if order >= 1:
         grad = grad - n * kj
