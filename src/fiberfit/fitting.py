@@ -44,15 +44,26 @@ unitless values are cut into _GROUPS = 1 024 contiguous groups of equal
 count, a tied value never split, and each group becomes its count-median
 value carrying the group's count (:func:`_grouped`; grouped data, Heitjan
 1989, Statistical Science 4:164).  The initialization and the first start's
-z run go to convergence on the groups, and the z run on every point starts
-from that optimum with its own BHHH scale.  A grouped run that fails or
-ends on a face is dropped with a warning, and the first start then runs on
-every point from the initialization's end point.  Later starts, the polish,
-the basin stop and the covariance use every point, so the estimate and its
-standard errors are the full data's.  On n = 20 000 OFA samples the first
-start's order-1 evaluations on every point fall from about 21 to 9, for
-about 20 on the groups.  At or below 8 192 distinct values nothing runs on
-groups.
+z run go to convergence on the groups, about 1 SE from the full-data
+optimum, and Newton steps in u on every point finish the start there.  Each
+step makes one order-2 evaluation, solves (J' (-H) J) du = J' g with D = 1
+and J = d theta / d u at the current point, maps u + du back to theta and is
+kept only if the log likelihood rises; the steps end once the predicted gain
+(J' g) du / 2 is at most 1e-6, and the point and its order-2 evaluation go
+on to the polish.  In u the curved (log b, log d, log k) ridge is nearly
+straight, so two or three steps suffice where theta steps can lower the log
+likelihood.  When -J' H J has no Cholesky factor, an evaluation fails, a
+step leaves the theta box or does not raise the log likelihood, or
+_NEWTON_STEPS steps do not converge, the z run on every point starts from
+the grouped optimum with its own BHHH scale instead.  A grouped run that
+fails or ends on a face is dropped with a warning, and the first start then
+runs on every point from the initialization's end point.  Later starts, the
+polish, the basin stop and the covariance use every point, so the estimate
+and its standard errors are the full data's.  On n = 20 000 OFA samples the
+first start makes no order-1 evaluation on every point (the full-data path
+makes about 21) and 3-4 order-2 ones before the polish's, for about 20
+order-1 evaluations on the groups.  At or below 8 192 distinct values
+nothing runs on groups.
 
 Each optimum is found once.  A start that converges is polished by one
 projected Newton step on its order-2 evaluation (kept only if the log
@@ -75,7 +86,8 @@ from dataclasses import dataclass, field, replace
 from itertools import product
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.linalg import cho_solve
+from scipy.optimize import OptimizeResult, minimize
 from scipy.special import chdtri, psi, zeta
 
 from .densities import (
@@ -548,6 +560,16 @@ def _fines_first(model: ModelSpec, theta, fixed, hessian, trace):
 _STATUS = {0: "success", 1: "max_iter", 2: "line_search_failure"}
 _BASIN_TAIL = 0.01  # chi-square upper tail probability of the basin ellipsoid
 _NEWTON_GAIN_TOL = 1e-6  # largest log-likelihood gain a known optimum's Newton model may predict
+_NEWTON_STEPS = 5  # most Newton steps in u of the first start's finish on every point
+
+
+def _cholesky(a):
+    """Lower Cholesky factor of ``a``, or None when it has none (a NaN matrix factors without raising)."""
+    try:
+        factor = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+    return factor if np.all(np.isfinite(factor)) else None
 
 
 def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitResult:
@@ -570,7 +592,11 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
     All of this runs on the unitless problem (module docstring); a mixture
     is then relabeled so that fines is the component with the smaller mean.
     On more than 8 192 distinct values the first start converges on 1 024
-    groups of the data before it runs on every point (module docstring).
+    groups of the data and ends with Newton steps on every point in the
+    log-location-scale coordinates u, each kept only if the log likelihood
+    rises, until their predicted gain is at most 1e-6; if they stop short,
+    the z run on every point starts from the grouped optimum (module
+    docstring).  The start's message names its finish.
     """
     expected_scale = "X" if model.data_type == OFA else "V"
     if data.scale != expected_scale:
@@ -638,11 +664,7 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
         return -np.asarray(ev.hessian)[np.ix_(free, free)]
 
     def neg_hessian_factor(ev):
-        try:
-            factor = np.linalg.cholesky(neg_hessian(ev))
-        except np.linalg.LinAlgError:
-            return None
-        return factor if np.all(np.isfinite(factor)) else None  # a NaN Hessian factors without raising
+        return _cholesky(neg_hessian(ev))
 
     def newton_step(tf, ev):
         """Newton step holding the coordinates pinned at a bound, and the gain it predicts."""
@@ -708,11 +730,46 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
                     grouped.unique.size, reason)
         return None
 
+    def newton_finish(t0):
+        """(point, order-2 evaluation, steps) of Newton steps in u on every point from t0, or why they stopped.
+
+        Each step solves (J' (-H) J) du = J' g at the current point (u with
+        D = 1, J = d theta / d u there), maps u + du back to theta and is kept
+        only if the log likelihood rises.  The steps end once the predicted
+        gain (J' g) du / 2 is at most _NEWTON_GAIN_TOL.
+        """
+        x, ev = t0, order2(t0)
+        for steps in range(_NEWTON_STEPS + 1):
+            if ev is None:
+                return "an order-2 evaluation failed"
+            coords = _Coords(model, free, x, lo_t[free], hi_t[free])
+            jac = coords.theta(np.zeros(x.size))[1]
+            g = jac.T @ np.asarray(ev.gradient)[free]
+            factor = _cholesky(jac.T @ neg_hessian(ev) @ jac)
+            if factor is None:
+                return "-H has no Cholesky factor"
+            step = cho_solve((factor, True), g)
+            if 0.5 * float(g @ step) <= _NEWTON_GAIN_TOL:
+                return x, ev, steps
+            if steps == _NEWTON_STEPS:
+                break
+            x_new = coords.theta(step)[0]
+            if not np.all((x_new > lo_t[free]) & (x_new < hi_t[free])):
+                return "a step left the box"
+            ev_new = order2(x_new)
+            if ev_new is not None and not ev_new.loglik > ev.loglik:
+                return "a step did not raise the log likelihood"
+            x, ev = x_new, ev_new
+        return f"no convergence in {_NEWTON_STEPS} steps"
+
     def minimize_start(idx, t0):
         """L-BFGS-B from one start: the initialize output in z with the BHHH scale, any other start in theta.
 
         On many distinct values the z run goes first to convergence on the
-        groups, and the run on every point starts from its end point.
+        groups, and Newton steps on every point (:func:`newton_finish`) end
+        the start; when they stop short, the z run on every point starts from
+        the grouped optimum instead.  A Newton finish hands its order-2
+        evaluation on as the result's ``ev``.
         """
         if idx > 0 or cfg.par_start is not None or not analytic:
             jac = True if analytic else None
@@ -720,9 +777,16 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
         coarse = None if grouped is None else coarse_run(t0)
         if coarse is None:
             return scaled_run(t0, loglik_of)
-        res = scaled_run(coarse.x, loglik_of)
-        res.nit += coarse.nit
-        return res
+        finished = newton_finish(coarse.x)
+        if isinstance(finished, str):
+            res = scaled_run(coarse.x, loglik_of)
+            res.nit += coarse.nit
+            res.message = f"Newton finish on every point stopped ({finished}); z run: {res.message}"
+            return res
+        x, ev, steps = finished
+        plural = "s" * (steps != 1)
+        message = f"Newton finish on every point: {steps} step{plural} after {coarse.nit} grouped iterations"
+        return OptimizeResult(x=x, fun=-ev.loglik, status=0, nit=coarse.nit + steps, message=message, ev=ev)
 
     trace, results = [], []  # results: (loglik, start index, x, status, order-2 evaluation or None)
 
@@ -742,7 +806,7 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
             continue
         status = _STATUS.get(res.status, "line_search_failure")
         x, loglik = res.x, -res.fun
-        ev = order2(x) if status == "success" else None
+        ev = (res.get("ev") or order2(x)) if status == "success" else None
         if ev is not None:
             x, ev, factor = polish(x, ev)
             loglik = ev.loglik

@@ -2,11 +2,12 @@
 
 Above one streamed block of distinct values (``scales._BLOCK`` = 8 192) the
 initialization and the first start's z run converge on 1 024 equal-count
-groups of the unitless data, and the z run on every point starts from that
-optimum.  The groups must be equal-count, whole in their ties and made of
-data values; fits must reach the optimum of the full-data path, with fewer
-evaluations on every point, and not depend on data order; smaller data must
-never touch groups.  The unitless dataset is built from the distinct values
+groups of the unitless data, and Newton steps on every point finish the
+start from that optimum (the z run on every point when they stop short).
+The groups must be equal-count, whole in their ties and made of data values;
+fits must reach the optimum of the full-data path, with fewer evaluations on
+every point, and not depend on data order; smaller data must never touch
+groups.  The unitless dataset is built from the distinct values
 and must equal the one built from every point.
 """
 
@@ -165,8 +166,8 @@ def test_large_fits_reach_the_full_path_optimum_with_few_full_evaluations(seed, 
     assert res.convergence == "success"
     assert res.loglik == pytest.approx(FULL_PATH[seed], abs=1e-7)
     full = [order for size, order in calls if size == 20_000]
-    assert full.count(1) <= 12  # the full-data path makes about 21
-    assert full.count(2) == 2  # the polish and its Newton step; no BHHH order-2 evaluation
+    assert full.count(1) == 0  # the full-data path makes about 21
+    assert full.count(2) <= 5  # the Newton finish, the polish and its Newton step
     assert [order for size, order in calls if size == fitting._GROUPS] == [1] * (len(calls) - len(full))
 
 
@@ -190,10 +191,12 @@ def test_shuffled_data_give_the_same_fit_bit_for_bit():
         assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
-def test_microscopy_follows_the_same_rule(monkeypatch):
+@pytest.mark.parametrize("family", ["ggamma", "lognorm"])
+def test_microscopy_follows_the_same_rule(family, monkeypatch):
+    # the lognormal has no (m, log s, log k) block, so its Newton finish steps in theta
     geom = CoreGeometry(2.5)
     data = Dataset(sample_v(SimSpec("V", GgdParams(2.4, 3.3, 1.5), geom, 9_000, seed=2)), "V")
-    model = ModelSpec("ggamma", "microscopy", geom)
+    model = ModelSpec(family, "microscopy", geom)
     sizes = []
     original = fitting.micro_loglik
     monkeypatch.setattr(fitting, "micro_loglik", lambda *a, **k: sizes.append(a[1].unique.size) or original(*a, **k))
@@ -217,6 +220,25 @@ def test_failed_grouped_run_falls_back_to_every_point(monkeypatch, caplog):
     with caplog.at_level(logging.WARNING, logger="fiberfit.fitting"):
         res = fit(_ofa(20_000, 7001), OFA_GGAMMA, FitConfig(n_starts=1))
     assert "failed (injected failure on the groups)" in caplog.text
+    assert res.convergence == "success"
+    assert res.loglik == pytest.approx(FULL_PATH[7001], abs=1e-7)
+
+
+def test_failed_newton_finish_falls_back_to_the_z_run_on_every_point(monkeypatch):
+    original = fitting.ofa_loglik
+    orders = []
+
+    def failing_first_full_order_2(*a, **k):
+        if a[1].unique.size == 20_000:
+            orders.append(a[4])
+            if orders == [2]:
+                raise EvaluationError("injected failure of the first order-2 evaluation on every point")
+        return original(*a, **k)
+
+    monkeypatch.setattr(fitting, "ofa_loglik", failing_first_full_order_2)
+    res = fit(_ofa(20_000, 7001), OFA_GGAMMA, FitConfig(n_starts=1))
+    assert "Newton finish on every point stopped (an order-2 evaluation failed)" in res.trace[0].message
+    assert orders.count(1) > 0  # the z run on every point
     assert res.convergence == "success"
     assert res.loglik == pytest.approx(FULL_PATH[7001], abs=1e-7)
 
