@@ -32,10 +32,10 @@ evaluation reads theta clipped into the theta box.  At the box, theta takes
 over: when an accepted iterate's theta leaves the box, the end point lies
 on a face or the z run ends without success, L-BFGS-B on theta goes on from
 the clipped point on the exact box, and a start on a face runs in theta
-from the outset.  Bound-constrained optima, the Newton polish, the basin
-stop and the covariance therefore stay in theta, and later (jittered)
-starts, ``par_start`` starts and ``grad_mode="finite_difference"`` run in
-theta throughout.  On n = 20 000 OFA samples this halves the censored and
+from the outset.  Bound-constrained optima, the basin stop and the
+covariance therefore stay in theta, and later (jittered) starts,
+``par_start`` starts and ``grad_mode="finite_difference"`` run in theta
+throughout.  On n = 20 000 OFA samples this halves the censored and
 initialization evaluations of a fit.
 
 A fit on many distinct values, more than one streamed block of them
@@ -45,34 +45,35 @@ count, a tied value never split, and each group becomes its count-median
 value carrying the group's count (:func:`_grouped`; grouped data, Heitjan
 1989, Statistical Science 4:164).  The initialization and the first start's
 z run go to convergence on the groups, about 1 SE from the full-data
-optimum, and Newton steps in u on every point finish the start there.  Each
-step makes one order-2 evaluation, solves (J' (-H) J) du = J' g with D = 1
-and J = d theta / d u at the current point, maps u + du back to theta and is
-kept only if the log likelihood rises; the steps end once the predicted gain
-(J' g) du / 2 is at most 1e-6, and the point and its order-2 evaluation go
-on to the polish.  In u the curved (log b, log d, log k) ridge is nearly
-straight, so two or three steps suffice where theta steps can lower the log
-likelihood.  When -J' H J has no Cholesky factor, an evaluation fails, a
-step leaves the theta box or does not raise the log likelihood, or
-_NEWTON_STEPS steps do not converge, the z run on every point starts from
-the grouped optimum with its own BHHH scale instead.  A grouped run that
-fails or ends on a face is dropped with a warning, and the first start then
-runs on every point from the initialization's end point.  Later starts, the
-polish, the basin stop and the covariance use every point, so the estimate
-and its standard errors are the full data's.  On n = 20 000 OFA samples the
-first start makes no order-1 evaluation on every point (the full-data path
-makes about 21) and 3-4 order-2 ones before the polish's, for about 20
-order-1 evaluations on the groups.  At or below 8 192 distinct values
-nothing runs on groups.
+optimum, and Newton steps on every point (below) finish the start there, at
+most _NEWTON_STEPS + 1 of them.  In u the curved (log b, log d, log k) ridge
+is nearly straight, so three or four steps reach a known optimum where
+theta steps can lower the log likelihood.  When they stop short of one, the
+z run on every point starts from the grouped optimum with its own BHHH
+scale instead.  A grouped run that fails or ends on a face is dropped with
+a warning, and the first start then runs on every point from the
+initialization's end point.  Later starts, the Newton steps, the basin stop
+and the covariance use every point, so the estimate and its standard errors
+are the full data's.  On n = 20 000 OFA samples the first start makes no
+order-1 evaluation on every point (the full-data path makes about 21) and
+4-5 order-2 ones, for about 20 order-1 evaluations on the groups.  At or
+below 8 192 distinct values nothing runs on groups.
 
-Each optimum is found once.  A start that converges is polished by one
-projected Newton step on its order-2 evaluation (kept only if the log
-likelihood rises), and that evaluation, which also gives the covariance,
-makes it a known optimum once its Newton model predicts no further gain.
-A later start stops as a duplicate as soon as an iterate enters a known
-optimum's Hessian ellipsoid at the chi-square 0.99 level with a log
-likelihood the quadratic model allows there: the basin test of multi-level
-single linkage (Rinnooy Kan & Timmer 1987, Math. Programming 39:57).
+Each optimum is found once, and one Newton routine (:meth:`_Problem.newton`)
+certifies it.  Each step makes one order-2 evaluation.  From an interior
+point it solves (J' (-H) J) du = J' g in u with D = 1 and J = d theta / d u
+there, and maps u + du back to theta; on a face J selects the coordinates
+not pinned at a bound by their gradient, which the step holds.  The step is
+clipped into the box and kept only if the log likelihood rises, and the
+steps end after the first one taken from a point whose predicted gain
+(J' g) du / 2 is at most 1e-6.  The point is then a known optimum if -H has
+a Cholesky factor and predicts no further gain there; otherwise the start's
+message names the reason.  A converged start takes one step (the polish),
+and the order-2 evaluation it ends on also gives the covariance.  A later
+start stops as a duplicate as soon as an iterate enters a known optimum's
+Hessian ellipsoid at the chi-square 0.99 level with a log likelihood the
+quadratic model allows there: the basin test of multi-level single linkage
+(Rinnooy Kan & Timmer 1987, Math. Programming 39:57).
 
 Fixed parameters are held at their original-scale values and excluded from
 the optimization; a proportion fixed at exactly 0 or 1 is supported even
@@ -86,7 +87,6 @@ from dataclasses import dataclass, field, replace
 from itertools import product
 
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.optimize import OptimizeResult, minimize
 from scipy.special import chdtri, psi, zeta
 
@@ -269,6 +269,11 @@ class FitResult:
 
 
 def _prepare_masks(model: ModelSpec, cfg: FitConfig):
+    """(fixed mask, original-scale ``par_start`` or None), checked before any transform reads them.
+
+    ``par_start`` must lie in the family's domain, and a free proportion
+    strictly between 0 and 1: its logit is an optimizer coordinate.
+    """
     n = model.n_params
     fixed = np.zeros(n, dtype=bool)
     if cfg.fixed_mask is not None:
@@ -280,6 +285,12 @@ def _prepare_masks(model: ModelSpec, cfg: FitConfig):
         start = np.asarray(cfg.par_start, dtype=float)
         if start.size != n:
             raise ValueError(f"par_start must have {n} entries")
+        try:
+            model.params_from_original(start)
+        except ValueError as exc:
+            raise ValueError(f"par_start is outside the model's domain: {exc}") from None
+        if model.data_type == OFA and not fixed[0] and start[0] in (0.0, 1.0):
+            raise ValueError("par_start puts a free proportion at 0 or 1; fix it there or start inside (0, 1)")
     return fixed, start
 
 
@@ -324,19 +335,6 @@ def _grouped(data: Dataset) -> Dataset:
     return Dataset._from_counts(data.unique[median], counts, data.scale)
 
 
-def _coarse(unit):
-    """The unitless problem (:func:`_unitless`) on its groups (:func:`_grouped`) above _BLOCK distinct values.
-
-    At or below one streamed block of distinct values it is returned as it is.
-    """
-    unit_data, unit_model = unit[:2]
-    if unit_data.unique.size <= _BLOCK:
-        return unit
-    grouped = _grouped(unit_data)
-    grouped._points = _CensoredPoints(grouped.unique, unit_model.geom.r)  # lives as long as the fit
-    return (grouped, *unit[1:])
-
-
 def _bounds_theta(model: ModelSpec, cfg: FitConfig, shift):
     """Unitless theta box: the default bounds, or user bounds in data units shifted in."""
     box = []
@@ -351,12 +349,6 @@ def _bounds_theta(model: ModelSpec, cfg: FitConfig, shift):
     if np.any(box[0] >= box[1]):
         raise ValueError("lower bounds must be strictly below upper bounds")
     return box
-
-
-def _loglik_fn(model: ModelSpec, data: Dataset, cfg: FitConfig):
-    if model.data_type == OFA:
-        return lambda params, order, **kw: ofa_loglik(params, data, model.geom, cfg.quad, order, **kw)
-    return lambda params, order, **kw: micro_loglik(params, data, model.geom, cfg.quad, order, **kw)
 
 
 def _lbfgsb(objective, x0, lo, hi, cfg: FitConfig, jac=True, callback=None, max_iter=None):
@@ -498,6 +490,157 @@ class _Coords:
         return out
 
 
+class _Problem:
+    """The unitless problem of one fit (module docstring), built once per :func:`fit`.
+
+    ``data``, ``model``, ``shift`` and ``log_s0`` are :func:`_unitless`'s;
+    ``grouped`` is the data's :func:`_grouped` copy above _BLOCK distinct
+    values without ``par_start``, else None.  Both datasets carry their
+    ``_CensoredPoints``.  ``theta_init``, set by :func:`fit` from
+    :func:`initialize`'s output, holds the fixed coordinates; ``tf`` is the
+    free part of a theta.  It stores no function, so that nothing refers back
+    to it and it dies, with its datasets' constants, when the fit returns.
+    """
+
+    def __init__(self, data: Dataset, model: ModelSpec, cfg: FitConfig):
+        self.cfg = cfg
+        self.fixed, start = _prepare_masks(model, cfg)
+        self.free = ~self.fixed
+        self.data, self.model, self.shift, self.log_s0 = _unitless(data, model)
+        self.lo, self.hi = _bounds_theta(model, cfg, self.shift)
+        self.data._points = _CensoredPoints(self.data.unique, self.model.geom.r)
+        self.grouped = None
+        if start is None and self.data.unique.size > _BLOCK:
+            self.grouped = _grouped(self.data)
+            self.grouped._points = _CensoredPoints(self.grouped.unique, self.model.geom.r)
+        self.theta_init = None
+
+    def theta(self, tf):
+        """The unitless theta of the free coordinates tf, the fixed ones those of ``theta_init``."""
+        theta = self.theta_init.copy()
+        theta[self.free] = tf
+        return theta
+
+    def loglik(self, tf, order, data=None, **kw):
+        """The likelihood evaluation at ``order`` of the free coordinates tf on ``data``, by default every point."""
+        params = self.model.params_from_original(self.model.from_theta(self.theta(tf)))
+        loglik = ofa_loglik if self.model.data_type == OFA else micro_loglik
+        return loglik(params, self.data if data is None else data, self.model.geom, self.cfg.quad, order, **kw)
+
+    def objective(self, tf, data=None):
+        """(-l, -gradient) at the free coordinates tf on ``data``, or -l alone with finite-difference gradients."""
+        if self.cfg.grad_mode == "analytic":
+            ev = self.loglik(tf, 1, data)
+            return -ev.loglik, -np.asarray(ev.gradient)[self.free]
+        return -self.loglik(tf, 0, data).loglik
+
+    def order2(self, tf):
+        """The order-2 evaluation at tf on every point, or None when it fails."""
+        try:
+            return self.loglik(tf, 2)
+        except (EvaluationError, FloatingPointError):
+            return None
+
+    def newton_step(self, tf, ev):
+        """(next point, predicted gain, lower Cholesky factor of -H or None) of one Newton step from tf.
+
+        The step and J are the module docstring's, g and H those of ``ev``.
+        When -H has no Cholesky factor the Newton model is unbounded: no step,
+        gain inf.
+        """
+        lo, hi = self.lo[self.free], self.hi[self.free]
+        g = np.asarray(ev.gradient)[self.free]
+        neg_h = -np.asarray(ev.hessian)[np.ix_(self.free, self.free)]
+        factor = _cholesky(neg_h)
+        if factor is None:
+            return tf, np.inf, None
+        coords = _Coords(self.model, self.free, tf, lo, hi)
+        if coords.interior:
+            jac = coords.theta(np.zeros(tf.size))[1]
+        else:  # the columns of the coordinates that their gradient does not pin at a bound
+            jac = np.eye(tf.size)[:, ~(((tf <= lo) & (g < 0.0)) | ((tf >= hi) & (g > 0.0)))]
+        gu = jac.T @ g
+        du = np.linalg.solve(jac.T @ neg_h @ jac, gu)
+        x = coords.theta(du)[0] if coords.interior else tf + jac @ du
+        return np.clip(x, lo, hi), 0.5 * float(gu @ du), factor
+
+    def newton(self, tf, ev, steps):
+        """At most ``steps`` Newton steps from tf, ``ev`` its order-2 evaluation or None when that failed.
+
+        Returns (point, evaluation, steps taken, outcome), the outcome the lower
+        Cholesky factor of -H when the point is a known optimum (module
+        docstring), else the reason it is not.
+        """
+        if ev is None:
+            return tf, ev, 0, "an order-2 evaluation failed"
+        x, gain, factor = self.newton_step(tf, ev)
+        taken, outcome = 0, f"no convergence in {steps} step{'s' * (steps != 1)}"
+        while taken < steps and factor is not None:
+            taken += 1
+            ev_new = self.order2(x)
+            if ev_new is None or not ev_new.loglik > ev.loglik:
+                outcome = ("an order-2 evaluation failed" if ev_new is None
+                           else "a step did not raise the log likelihood")
+                break
+            tf, ev, converged = x, ev_new, gain <= _NEWTON_GAIN_TOL
+            x, gain, factor = self.newton_step(tf, ev)
+            if converged:
+                break
+        if factor is None:
+            return tf, ev, taken, "-H has no Cholesky factor"
+        return tf, ev, taken, factor if gain <= _NEWTON_GAIN_TOL else outcome
+
+    def scaled_run(self, t0, data):
+        """The z run from t0 on ``data``, scaled by the BHHH matrix of one scores pass at its start."""
+        coords = _Coords(self.model, self.free, t0, self.lo[self.free], self.hi[self.free])
+        if coords.interior:
+            try:
+                ev = self.loglik(coords.start(), 1, data, _scores=True)
+            except (EvaluationError, FloatingPointError):
+                pass
+            else:
+                coords.scale_by(ev._score_outer[np.ix_(self.free, self.free)])
+                coords.first = (-ev.loglik, -ev.gradient[self.free])
+        return coords.minimize(lambda tf: self.objective(tf, data), self.cfg)
+
+    def grouped_run(self, t0):
+        """The z run on the groups from t0, or None with a warning when it fails or ends on a face."""
+        try:
+            res = self.scaled_run(t0, self.grouped)
+            if res.status == 0 and np.all(res.x > self.lo[self.free]) and np.all(res.x < self.hi[self.free]):
+                return res
+            reason = "ended on a face of the box" if res.status == 0 else f"ended with {res.message}"
+        except (EvaluationError, FloatingPointError, np.linalg.LinAlgError) as exc:
+            reason = f"failed ({exc})"
+        log.warning("the first start on %d groups %s; it runs on every point from its start",
+                    self.grouped.unique.size, reason)
+        return None
+
+    def minimize(self, index, t0, callback):
+        """L-BFGS-B from start ``index``: the initialize output in z with the BHHH scale, any other start in theta.
+
+        Starts in theta stop through ``callback``, the basin stop.  A Newton
+        finish on every point after the groups (module docstring) that reaches
+        a known optimum hands on :meth:`newton`'s result as ``newton``.
+        """
+        cfg, lo, hi = self.cfg, self.lo[self.free], self.hi[self.free]
+        analytic = cfg.grad_mode == "analytic"
+        if index > 0 or cfg.par_start is not None or not analytic:
+            return _lbfgsb(self.objective, t0, lo, hi, cfg, jac=True if analytic else None, callback=callback)
+        coarse = None if self.grouped is None else self.grouped_run(t0)
+        if coarse is None:
+            return self.scaled_run(t0, self.data)
+        newton = x, ev, taken, outcome = self.newton(coarse.x, self.order2(coarse.x), _NEWTON_STEPS + 1)
+        if isinstance(outcome, str):
+            res = self.scaled_run(coarse.x, self.data)
+            res.nit += coarse.nit
+            res.message = f"Newton finish on every point stopped ({outcome}); z run: {res.message}"
+            return res
+        steps = f"{taken} step{'s' * (taken != 1)}"
+        message = f"Newton finish on every point: {steps} after {coarse.nit} grouped iterations"
+        return OptimizeResult(x=x, fun=-ev.loglik, status=0, nit=coarse.nit + taken, message=message, newton=newton)
+
+
 def initialize(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig(), *, _unit=None) -> ParamVector:
     """Starting values for the censored fit, in data units.
 
@@ -510,28 +653,28 @@ def initialize(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig(), *,
     shifted back to data units.  On more than 8 192 distinct values all of
     this runs on their 1 024 groups (:func:`_grouped`, module docstring).  If
     the initialization optimizer fails the seed itself is returned with a
-    warning.  ``_unit`` is :func:`fit`'s unitless problem, grouped or not,
-    so that it is built once per fit.
+    warning.  ``_unit`` is :func:`fit`'s :class:`_Problem`, so that the
+    unitless problem is built once per fit.
     """
     fixed, start = _prepare_masks(model, cfg)
     if start is not None:
         return model.param_vector(model.to_theta(start), tuple(fixed))
 
     # without par_start nothing is fixed (FitConfig)
-    unit_data, _, shift, _ = _unit or _coarse(_unitless(data, model))
-    lo_t, hi_t = _bounds_theta(model, cfg, shift)
-    theta0 = np.clip(model.seed(unit_data.values), lo_t, hi_t)
+    problem = _unit or _Problem(data, model, cfg)
+    unit_data = problem.data if problem.grouped is None else problem.grouped
+    theta0 = np.clip(model.seed(unit_data.values), problem.lo, problem.hi)
 
     def objective(theta):
         ev = init_loglik(model.params_from_original(model.from_theta(theta)), unit_data, cfg.quad, order=1)
         return -ev.loglik, -ev.gradient
 
     try:
-        theta = _Coords(model, ~fixed, theta0, lo_t, hi_t).minimize(objective, cfg).x
+        theta = _Coords(model, ~fixed, theta0, problem.lo, problem.hi).minimize(objective, cfg).x
     except (EvaluationError, FloatingPointError) as exc:
         log.warning("initialization optimizer failed (%s); falling back to the seed", exc)
         theta = theta0
-    return model.param_vector(theta + shift)
+    return model.param_vector(theta + problem.shift)
 
 
 def _fines_first(model: ModelSpec, theta, fixed, hessian, trace):
@@ -560,7 +703,7 @@ def _fines_first(model: ModelSpec, theta, fixed, hessian, trace):
 _STATUS = {0: "success", 1: "max_iter", 2: "line_search_failure"}
 _BASIN_TAIL = 0.01  # chi-square upper tail probability of the basin ellipsoid
 _NEWTON_GAIN_TOL = 1e-6  # largest log-likelihood gain a known optimum's Newton model may predict
-_NEWTON_STEPS = 5  # most Newton steps in u of the first start's finish on every point
+_NEWTON_STEPS = 5  # most Newton steps of the first start's finish on every point before the certifying one
 
 
 def _cholesky(a):
@@ -577,26 +720,27 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
 
     The first start is the :func:`initialize` output; the remaining starts
     add seeded N(0, 0.5) jitter on the theta scale, clipped into the box.
-    A converged start takes one projected Newton step from its order-2
-    evaluation (coordinates pinned at a bound held, the rest clipped to the
-    box), kept only if the log likelihood rises.  It becomes a known optimum
-    when its negative Hessian has a Cholesky factor and its Newton step
-    predicts a gain of at most 1e-6.  A later start whose iterate x enters
-    a known optimum's ellipsoid, (x - x_hat)' (-H) (x - x_hat) below the
-    chi-square(p) 0.99 quantile with a log likelihood at least l_hat minus
-    half that quantile, stops with status ``duplicate`` and does not compete
-    for the result.  Ties in log likelihood resolve to the earliest start.
-    The covariance of theta-hat is the inverse negative analytic Hessian at
-    the maximizer, from the order-2 evaluation the start already made, and
-    the original-scale covariance follows by the delta method.
-    All of this runs on the unitless problem (module docstring); a mixture
-    is then relabeled so that fines is the component with the smaller mean.
-    On more than 8 192 distinct values the first start converges on 1 024
-    groups of the data and ends with Newton steps on every point in the
-    log-location-scale coordinates u, each kept only if the log likelihood
-    rises, until their predicted gain is at most 1e-6; if they stop short,
-    the z run on every point starts from the grouped optimum (module
-    docstring).  The start's message names its finish.
+    A converged start takes one Newton step from its order-2 evaluation (in
+    the log-location-scale coordinates u from an interior point, in theta
+    with the coordinates pinned at a bound held on a face), clipped to the
+    box and kept only if the log likelihood rises.  It becomes a known
+    optimum when its negative Hessian has a Cholesky factor and predicts a
+    gain of at most 1e-6 there; otherwise the start's message says why.  A
+    later start whose iterate x enters a known optimum's ellipsoid,
+    (x - x_hat)' (-H) (x - x_hat) below the chi-square(p) 0.99 quantile
+    with a log likelihood at least l_hat minus half that quantile, stops
+    with status ``duplicate`` and does not compete for the result.  Ties in
+    log likelihood resolve to the earliest start.  The covariance of
+    theta-hat is the inverse negative analytic Hessian at the maximizer,
+    from the order-2 evaluation the start already made, and the
+    original-scale covariance follows by the delta method.  All of this
+    runs on the unitless problem (module docstring); a mixture is then
+    relabeled so that fines is the component with the smaller mean.  On
+    more than 8 192 distinct values the first start converges on 1 024
+    groups of the data and the same Newton steps on every point, up to six,
+    finish it; if they stop short of a known optimum, the z run on every
+    point starts from the grouped optimum (module docstring).  The start's
+    message names its finish.
     """
     expected_scale = "X" if model.data_type == OFA else "V"
     if data.scale != expected_scale:
@@ -605,92 +749,28 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
         )
     data.validate_support(model.geom)
 
-    fixed, _ = _prepare_masks(model, cfg)
-    unit = unit_data, unit_model, shift, log_s0 = _unitless(data, model)
-    coarse = unit if cfg.par_start is not None else _coarse(unit)
-    grouped = None if coarse is unit else coarse[0]
-    theta_start = np.array(initialize(data, model, cfg, _unit=coarse).values)
-    unit_data._points = _CensoredPoints(unit_data.unique, unit_model.geom.r)  # lives as long as this fit
-    lo_t, hi_t = _bounds_theta(model, cfg, shift)
-    theta_init = theta_start - shift
-    free = ~fixed
-    loglik_of = _loglik_fn(unit_model, unit_data, cfg)
+    problem = _Problem(data, model, cfg)
+    theta_start = np.array(initialize(data, model, cfg, _unit=problem).values)
+    problem.theta_init = theta_start - problem.shift
+    fixed, free = problem.fixed, problem.free
 
     def to_data_units(theta):
-        return np.where(fixed, theta_start, theta + shift)  # fixed values exactly as given
+        return np.where(fixed, theta_start, theta + problem.shift)  # fixed values exactly as given
 
     def finish(theta, ev, status, trace, starts_tried):
         theta, mask, hessian, trace = _fines_first(model, to_data_units(theta), fixed, ev.hessian, trace)
-        loglik = ev.loglik - data.n * log_s0
+        loglik = ev.loglik - data.n * problem.log_s0
         return _finalize(model, data, theta, mask, loglik, hessian, status, trace, starts_tried)
 
-    def assemble(tf):
-        theta = theta_init.copy()
-        theta[free] = tf
-        return theta
-
-    def params_of(theta):
-        return model.params_from_original(model.from_theta(theta))
-
-    analytic = cfg.grad_mode == "analytic"
-
-    def objective_on(loglik):
-        def objective(tf):
-            ev = loglik(params_of(assemble(tf)), 1 if analytic else 0)
-            if analytic:
-                return -ev.loglik, -np.asarray(ev.gradient)[free]
-            return -ev.loglik
-
-        return objective
-
-    objective = objective_on(loglik_of)
-
     if not np.any(free):
-        return finish(theta_init, loglik_of(params_of(theta_init), 2), "success", [], 0)
+        return finish(problem.theta_init, problem.loglik(problem.theta_init[free], 2), "success", [], 0)
 
     rng = np.random.default_rng(cfg.seed)
-    starts = [np.clip(theta_init[free], lo_t[free], hi_t[free])]
+    lo, hi = problem.lo[free], problem.hi[free]
+    starts = [np.clip(problem.theta_init[free], lo, hi)]
     for _ in range(cfg.n_starts - 1):
         jitter = rng.normal(0.0, 0.5, size=int(free.sum()))
-        starts.append(np.clip(theta_init[free] + jitter, lo_t[free], hi_t[free]))
-
-    def order2(tf):
-        try:
-            return loglik_of(params_of(assemble(tf)), 2)
-        except (EvaluationError, FloatingPointError):
-            return None
-
-    def neg_hessian(ev):
-        return -np.asarray(ev.hessian)[np.ix_(free, free)]
-
-    def neg_hessian_factor(ev):
-        return _cholesky(neg_hessian(ev))
-
-    def newton_step(tf, ev):
-        """Newton step holding the coordinates pinned at a bound, and the gain it predicts."""
-        g = np.asarray(ev.gradient)[free]
-        move = ~(((tf <= lo_t[free]) & (g < 0.0)) | ((tf >= hi_t[free]) & (g > 0.0)))
-        step = np.zeros_like(g)
-        step[move] = np.linalg.solve(neg_hessian(ev)[np.ix_(move, move)], g[move])
-        return step, 0.5 * float(g @ step)
-
-    def polish(tf, ev):
-        """One projected Newton step, kept if the log likelihood rises: (point, evaluation, factor).
-
-        The factor of -H is None, so the point is not a known optimum, when -H is
-        not positive definite or its Newton model still predicts a gain above
-        _NEWTON_GAIN_TOL (L-BFGS-B can end with ``success`` on a flat ridge).
-        """
-        if neg_hessian_factor(ev) is None:
-            return tf, ev, None
-        tf_new = np.clip(tf + newton_step(tf, ev)[0], lo_t[free], hi_t[free])
-        ev_new = order2(tf_new)
-        if ev_new is not None and ev_new.loglik > ev.loglik:
-            tf, ev = tf_new, ev_new
-        factor = neg_hessian_factor(ev)
-        if factor is None or newton_step(tf, ev)[1] > _NEWTON_GAIN_TOL:
-            return tf, ev, None
-        return tf, ev, factor
+        starts.append(np.clip(problem.theta_init[free] + jitter, lo, hi))
 
     chi2 = chdtri(int(free.sum()), _BASIN_TAIL)
     known = []  # (start index, x_hat, loglik_hat, lower Cholesky factor of -H)
@@ -703,100 +783,15 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
                 entered.append(index)
                 raise StopIteration
 
-    def scaled_run(t0, loglik):
-        """The z run from t0 on ``loglik``'s data, scaled by the BHHH matrix of one scores pass at its start."""
-        coords = _Coords(model, free, t0, lo_t[free], hi_t[free])
-        if coords.interior:
-            x0 = coords.start()
-            try:
-                ev = loglik(params_of(assemble(x0)), 1, _scores=True)
-            except (EvaluationError, FloatingPointError):
-                ev = None
-            if ev is not None:
-                coords.scale_by(ev._score_outer[np.ix_(free, free)])
-                coords.first = (-ev.loglik, -ev.gradient[free])
-        return coords.minimize(objective_on(loglik), cfg)
-
-    def coarse_run(t0):
-        """The z run on the groups from t0, or None with a warning when it fails or ends on a face."""
-        try:
-            res = scaled_run(t0, _loglik_fn(unit_model, grouped, cfg))
-            if res.status == 0 and np.all(res.x > lo_t[free]) and np.all(res.x < hi_t[free]):
-                return res
-            reason = "ended on a face of the box" if res.status == 0 else f"ended with {res.message}"
-        except (EvaluationError, FloatingPointError, np.linalg.LinAlgError) as exc:
-            reason = f"failed ({exc})"
-        log.warning("the first start on %d groups %s; it runs on every point from its start",
-                    grouped.unique.size, reason)
-        return None
-
-    def newton_finish(t0):
-        """(point, order-2 evaluation, steps) of Newton steps in u on every point from t0, or why they stopped.
-
-        Each step solves (J' (-H) J) du = J' g at the current point (u with
-        D = 1, J = d theta / d u there), maps u + du back to theta and is kept
-        only if the log likelihood rises.  The steps end once the predicted
-        gain (J' g) du / 2 is at most _NEWTON_GAIN_TOL.
-        """
-        x, ev = t0, order2(t0)
-        for steps in range(_NEWTON_STEPS + 1):
-            if ev is None:
-                return "an order-2 evaluation failed"
-            coords = _Coords(model, free, x, lo_t[free], hi_t[free])
-            jac = coords.theta(np.zeros(x.size))[1]
-            g = jac.T @ np.asarray(ev.gradient)[free]
-            factor = _cholesky(jac.T @ neg_hessian(ev) @ jac)
-            if factor is None:
-                return "-H has no Cholesky factor"
-            step = cho_solve((factor, True), g)
-            if 0.5 * float(g @ step) <= _NEWTON_GAIN_TOL:
-                return x, ev, steps
-            if steps == _NEWTON_STEPS:
-                break
-            x_new = coords.theta(step)[0]
-            if not np.all((x_new > lo_t[free]) & (x_new < hi_t[free])):
-                return "a step left the box"
-            ev_new = order2(x_new)
-            if ev_new is not None and not ev_new.loglik > ev.loglik:
-                return "a step did not raise the log likelihood"
-            x, ev = x_new, ev_new
-        return f"no convergence in {_NEWTON_STEPS} steps"
-
-    def minimize_start(idx, t0):
-        """L-BFGS-B from one start: the initialize output in z with the BHHH scale, any other start in theta.
-
-        On many distinct values the z run goes first to convergence on the
-        groups, and Newton steps on every point (:func:`newton_finish`) end
-        the start; when they stop short, the z run on every point starts from
-        the grouped optimum instead.  A Newton finish hands its order-2
-        evaluation on as the result's ``ev``.
-        """
-        if idx > 0 or cfg.par_start is not None or not analytic:
-            jac = True if analytic else None
-            return _lbfgsb(objective, t0, lo_t[free], hi_t[free], cfg, jac=jac, callback=stop_in_known_basin)
-        coarse = None if grouped is None else coarse_run(t0)
-        if coarse is None:
-            return scaled_run(t0, loglik_of)
-        finished = newton_finish(coarse.x)
-        if isinstance(finished, str):
-            res = scaled_run(coarse.x, loglik_of)
-            res.nit += coarse.nit
-            res.message = f"Newton finish on every point stopped ({finished}); z run: {res.message}"
-            return res
-        x, ev, steps = finished
-        plural = "s" * (steps != 1)
-        message = f"Newton finish on every point: {steps} step{plural} after {coarse.nit} grouped iterations"
-        return OptimizeResult(x=x, fun=-ev.loglik, status=0, nit=coarse.nit + steps, message=message, ev=ev)
-
     trace, results = [], []  # results: (loglik, start index, x, status, order-2 evaluation or None)
 
     def record(idx, t0, loglik, status, n_iter, message):
-        theta0 = to_data_units(assemble(t0))
-        trace.append(StartRecord(idx, theta0, loglik - data.n * log_s0, status, n_iter, message))
+        theta0 = to_data_units(problem.theta(t0))
+        trace.append(StartRecord(idx, theta0, loglik - data.n * problem.log_s0, status, n_iter, message))
     for idx, t0 in enumerate(starts):
         entered.clear()
         try:
-            res = minimize_start(idx, t0)
+            res = problem.minimize(idx, t0, stop_in_known_basin)
         except (EvaluationError, FloatingPointError, np.linalg.LinAlgError) as exc:
             record(idx, t0, -np.inf, "error", 0, str(exc))
             continue
@@ -805,22 +800,23 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
             record(idx, t0, -res.fun, "duplicate", res.nit, message)
             continue
         status = _STATUS.get(res.status, "line_search_failure")
-        x, loglik = res.x, -res.fun
-        ev = (res.get("ev") or order2(x)) if status == "success" else None
-        if ev is not None:
-            x, ev, factor = polish(x, ev)
-            loglik = ev.loglik
-            if factor is not None:
-                known.append((idx, x, loglik, factor))
-        record(idx, t0, loglik, status, res.nit, str(res.message))
+        x, ev, outcome, message = res.x, None, None, str(res.message)
+        if status == "success":
+            x, ev, _, outcome = res.get("newton") or problem.newton(x, problem.order2(x), 1)
+        loglik = -res.fun if ev is None else ev.loglik
+        if isinstance(outcome, str):
+            message += f"; not a known optimum: {outcome}"
+        elif outcome is not None:
+            known.append((idx, x, loglik, outcome))
+        record(idx, t0, loglik, status, res.nit, message)
         results.append((loglik, idx, x, status, ev))
     if not results:
         raise FitError("all optimization starts failed", trace)
 
     loglik, _, x_best, best_status, ev = min(results, key=lambda t: (-t[0], t[1]))
     if ev is None:
-        ev = order2(x_best) or LikelihoodEvaluation(loglik)
-    return finish(assemble(x_best), ev, best_status, trace, len(starts))
+        ev = problem.order2(x_best) or LikelihoodEvaluation(loglik)
+    return finish(problem.theta(x_best), ev, best_status, trace, len(starts))
 
 
 def _finalize(model, data, theta_hat, fixed, loglik, hessian, status, trace, starts_tried):

@@ -153,6 +153,23 @@ def test_fit_data_validation_exit(tmp_path):
     assert rc == 2  # 13.5 outside (0, 12)
 
 
+def test_fit_par_start_outside_the_domain_exits_2(tmp_path):
+    # a negative b once reached a log before any check: a RuntimeWarning, and under
+    # -W error::RuntimeWarning a traceback with exit 1
+    data = tmp_path / "v.txt"
+    assert run_cli("simulate", "--scale", "v", "--par", "2.4,3.3,1.5", "--r", "2.5",
+                   "--n", "100", "--seed", "9", "--out", str(data)) == 0
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "fiberfit.cli", "fit", "--data", str(data),
+         "--data-type", "microscopy", "--model", "ggamma", "--r", "2.5", "--par-start=-2.4,3.3,1.5",
+         "--out", str(tmp_path / "fit")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: par_start") and "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
 def test_fit_end_to_end_and_roundtrip(tmp_path):
     data = tmp_path / "v.txt"
     assert run_cli("simulate", "--scale", "v", "--par", "2.4,3.3,1.5", "--r", "2.5",

@@ -256,3 +256,52 @@ def test_scaled_start_on_the_k_ridge_is_no_worse():
     ref = fit(data, model, FitConfig(par_start=start, n_starts=1))
     assert res.convergence == "success"
     assert res.loglik >= ref.loglik - 1e-6
+
+
+def _near_the_maximum(family, data, distance=0.3):
+    """A _Problem on ``data`` and the free theta ``distance`` standard errors from its one-start maximum, along the covariance."""
+    model = ModelSpec(family, "ofa", GEOM)
+    res = fit(data, model, FitConfig(n_starts=1))
+    problem = fitting._Problem(data, model, FitConfig())
+    direction = np.linalg.cholesky(res.cov_theta) @ np.resize([1.0, -1.0], model.n_params)
+    problem.theta_init = np.array(res.theta_hat.values) - problem.shift + distance * direction / np.sqrt(model.n_params)
+    return problem, problem.theta_init.copy()
+
+
+def test_newton_step_in_u_predicts_the_theta_newton_decrement(unit_data):
+    # J' (-H) J du = J' g gives (J' g) du = g' (-H)^-1 g for any invertible J
+    problem, tf = _near_the_maximum("ggamma", unit_data)
+    ev = problem.loglik(tf, 2)
+    x, gain, factor = problem.newton_step(tf, ev)
+    g, neg_h = ev.gradient, -ev.hessian
+    assert factor is not None and np.allclose(factor @ factor.T, neg_h, rtol=1e-12, atol=1e-12 * np.abs(neg_h).max())
+    assert gain == pytest.approx(0.5 * g @ np.linalg.solve(neg_h, g), rel=1e-9) and gain > 1e-3
+    assert np.all(x > problem.lo) and np.all(x < problem.hi)
+    # x is u + du mapped back: the Newton step in u, not the one in theta
+    coords = fitting._Coords(problem.model, problem.free, tf, problem.lo, problem.hi)
+    jac, du = coords.theta(np.zeros(tf.size))[1], coords.u_of(x) - coords.u0
+    assert np.allclose(jac.T @ neg_h @ jac @ du, jac.T @ g, rtol=1e-8, atol=1e-8 * np.abs(jac.T @ g).max())
+    assert not np.allclose(x, tf + np.linalg.solve(neg_h, g), rtol=0.0, atol=1e-6)
+
+
+def test_newton_step_on_a_face_holds_the_pinned_coordinate(unit_data):
+    problem, tf = _near_the_maximum("ggamma", unit_data, distance=0.0)
+    problem.hi[6] = tf[6] = tf[6] - 0.01  # log k2 capped below the maximum: the gradient pushes it up
+    ev = problem.loglik(tf, 2)
+    assert ev.gradient[6] > 0.0
+    x, gain, factor = problem.newton_step(tf, ev)
+    assert factor is not None and gain > 0.0
+    assert x[6] == tf[6] and np.all(x[:6] != tf[:6])
+    free = np.arange(6)
+    step = np.linalg.solve(-ev.hessian[np.ix_(free, free)], ev.gradient[free])
+    assert np.array_equal(x[:6], np.clip(tf[:6] + step, problem.lo[:6], problem.hi[:6]))  # a theta step
+
+
+def test_newton_step_of_the_lognormal_is_the_theta_step_bit_for_bit(unit_data):
+    # no (m, log s, log k) block: J = I, so the u step is the theta Newton step
+    problem, tf = _near_the_maximum("lognorm", unit_data)
+    ev = problem.loglik(tf, 2)
+    x, gain, _ = problem.newton_step(tf, ev)
+    step = np.linalg.solve(-ev.hessian, ev.gradient)
+    assert np.array_equal(x, np.clip(tf + step, problem.lo, problem.hi))
+    assert gain == 0.5 * float(ev.gradient @ step) and gain > 1e-3

@@ -144,6 +144,24 @@ def test_nothing_held_outlives_the_fit(made, data_type):
     assert _attached(data) == before and data._points is None
 
 
+def test_nothing_held_outlives_a_grouped_fit(made):
+    # above _BLOCK distinct values the fit's problem holds two datasets, the groups
+    # and every point, each with its object; a reference cycle through the problem
+    # would keep both alive until a collection
+    geom = CoreGeometry(6.0)
+    data = Dataset(sample_x(SimSpec("X", MIX_SIM, geom, 20_000, seed=7001)), "X")
+    assert data.unique.size > _BLOCK
+    before = _attached(data)
+    gc.disable()
+    try:
+        result = fit(data, ModelSpec("ggamma", "ofa", geom), FitConfig(n_starts=2))
+        assert len(made) == 2 and all(ref() is None for ref in made)
+    finally:
+        gc.enable()
+    assert result.convergence == "success"
+    assert _attached(data) == before and data._points is None
+
+
 def test_public_calls_attach_nothing(made, geom6):
     data = Dataset(sample_x(SimSpec("X", MIX_SIM, geom6, 300, seed=3)), "X")
     before = _attached(data)

@@ -343,6 +343,41 @@ def test_start_stopped_short_is_no_known_optimum():
     assert res.loglik >= maximum - 1e-6
 
 
+def test_start_stopped_short_names_why_it_is_no_known_optimum():
+    # the same fit as above: start 0 keeps its ``success`` status, and its message
+    # says why its Newton step did not make it a known optimum; the two starts that
+    # reach the maximum are known optima and say nothing more
+    geom = CoreGeometry(6.0)
+    data = Dataset(sample_x(SimSpec("X", MIX_SIM, geom, 500, seed=1)), "X")
+    model = ModelSpec("ggamma", "ofa", geom)
+    res = fit(data, model, FitConfig(par_start=(0.31, 8.0, 2.95, 3.27, 2.0, 2.82, 2.14), n_starts=5, seed=0))
+    first = res.trace[0]
+    assert first.status == "success"
+    reason = first.message.split("; not a known optimum: ")[1]
+    assert reason in ("a step did not raise the log likelihood", "no convergence in 1 step")
+    at_maximum = [rec for rec in res.trace if rec.loglik >= res.loglik - 1e-6]
+    assert at_maximum and all("not a known optimum" not in rec.message for rec in at_maximum)
+
+
+@pytest.mark.parametrize("data_type, par_start, fixed_mask, words", [
+    ("microscopy", (-2.4, 3.3, 1.5), None, "b, d, k must all be finite and strictly positive"),
+    ("microscopy", (2.4, np.nan, 1.5), None, "b, d, k must all be finite and strictly positive"),
+    ("ofa", (1.2, 0.1, 1.5, 2.0, 2.0, 2.8, 2.2), None, "eps must lie in [0, 1]"),
+    ("ofa", (0.0, 0.1, 1.5, 2.0, 2.0, 2.8, 2.2), None, "free proportion at 0 or 1"),
+    ("ofa", (1.0, 0.1, 1.5, 2.0, 2.0, 2.8, 2.2), (False, True) + (False,) * 5, "free proportion at 0 or 1"),
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_par_start_outside_the_domain_is_rejected_before_any_transform(data_type, par_start, fixed_mask, words):
+    geom = CoreGeometry(2.5 if data_type == "microscopy" else 6.0)
+    data = Dataset(np.array([0.4, 0.9, 1.3, 2.0]), "V" if data_type == "microscopy" else "X")
+    model = ModelSpec("ggamma", data_type, geom)
+    cfg = FitConfig(par_start=par_start, fixed_mask=fixed_mask)
+    for call in (initialize, fit):
+        with pytest.raises(ValueError, match="par_start") as exc:
+            call(data, model, cfg)
+        assert words in str(exc.value)
+
+
 def test_fines_is_the_shorter_component():
     # a start with the labels swapped reaches the same optimum with eps 0.712
     # and the long component as fines; the result is relabeled: eps -> 1 - eps,
