@@ -2,7 +2,12 @@
 
 Every invocation writes a run manifest (resolved options, input digest,
 seed, version, timing) next to its outputs so results are traceable.  Exit
-codes: 0 success, 2 validation problem, 3 optimizer or integral failure.
+codes: 0 success, 2 invalid input (``CliError`` or ``ValueError``, which
+includes ``DataValidationError``), 3 optimizer or integral failure
+(``FitError``, ``QuadratureError``, ``EvaluationError``); :func:`main` is the
+only place that maps an error to its code.  The library checks every input
+once; the commands only parse text, call it and write files.  A failed run
+writes nothing: outputs are written once every result they hold exists.
 
 ``fit.json`` lists every optimizer start under ``starts`` (index, status,
 iterations, log likelihood, null for a start that raised).  A start's status
@@ -26,16 +31,16 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .densities import FAMILIES, GGAMMA, LOGNORM, _params_from_values
+from .densities import FAMILIES, GGAMMA, LOGNORM, MixtureParams, _params_from_values
 from .fitting import FitConfig, FitError, ModelSpec, fit
 from .geometry import CoreGeometry
-from .likelihood import DataValidationError, Dataset, EvaluationError
+from .likelihood import Dataset, EvaluationError
 from .quadrature import QuadratureError
 from .scales import ScaleDensity
 from .simulate import SimSpec, sample_v, sample_w, sample_x, sample_y
@@ -58,25 +63,25 @@ class CliError(Exception):
     """Validation failure: message printed to stderr, exit code 2."""
 
 
-@dataclass
-class RunManifest:
-    command: str
-    options: dict
-    input_digest: str | None
-    seed: int | None
-    version: str
-    started_utc: str
-    elapsed_s: float
-
-    def write(self, path: Path):
-        path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
+def _write(path: Path, text: str):
+    """Write ``text`` to ``path``, making its directory first, so that no directory is made without a file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
 
 
-def _manifest(args, started: str, t0: float, input_digest=None, seed=None) -> RunManifest:
-    """Manifest of this run: every parsed option but the handler, and the seconds since t0."""
-    options = {k: v for k, v in vars(args).items() if k != "func"}
-    elapsed = round(time.perf_counter() - t0, 3)
-    return RunManifest(args.command, options, input_digest, seed, __version__, started, elapsed)
+def _write_manifest(path: Path, args, clock, input_digest=None, seed=None):
+    """Write the run's manifest: every parsed option but the handler, and the seconds since :func:`main` started."""
+    started, t0 = clock
+    manifest = {
+        "command": args.command,
+        "options": {k: v for k, v in vars(args).items() if k != "func"},
+        "input_digest": input_digest,
+        "seed": seed,
+        "version": __version__,
+        "started_utc": started,
+        "elapsed_s": round(time.perf_counter() - t0, 3),
+    }
+    _write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _digest(path: Path) -> str:
@@ -121,36 +126,27 @@ def _read_lengths(path: Path) -> np.ndarray:
 
 
 def _build_params(model: str, par: list):
-    """Interpret a parameter list by family and length; returns (params, kind).
-
-    kind is 'mixture' when a full mixture vector was given, else 'single'.
-    """
+    """Component parameters, or mixture parameters when a full mixture vector was given."""
     single_len = FAMILIES[model].size
     mix_len = 1 + 2 * single_len
-    try:
-        if len(par) in (single_len, mix_len):
-            return _params_from_values(model, par), "single" if len(par) == single_len else "mixture"
-    except ValueError as exc:
-        raise CliError(f"invalid parameters: {exc}")
-    raise CliError(
-        f"--par needs {single_len} (single component) or {mix_len} (mixture) values "
-        f"for model {model!r}, got {len(par)}"
-    )
+    if len(par) not in (single_len, mix_len):
+        raise CliError(
+            f"--par needs {single_len} (single component) or {mix_len} (mixture) values "
+            f"for model {model!r}, got {len(par)}"
+        )
+    return _params_from_values(model, par)
 
 
-def _ensure_out(path: Path, force: bool, directory: bool):
+def _refuse_existing(path: Path, force: bool) -> Path:
     if path.exists() and not force:
         raise CliError(f"output {path} exists; pass --force to overwrite")
-    if directory:
-        path.mkdir(parents=True, exist_ok=True)
-    else:
-        path.parent.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _write_csv(path: Path, xs, fs):
     lines = ["length,density"]
     lines += [f"{float(x)!r},{float(f)!r}" for x, f in zip(xs, fs)]
-    path.write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _fmt_table(header_cells, rows, digits=6, label_width=10) -> list:
@@ -322,7 +318,7 @@ def _render_svg(path: Path, xs, fs, data=None, width=640, height=420):
         f"{ticks}"
         "</svg>"
     )
-    path.write_text(svg)
+    _write(path, svg)
 
 
 # ---------------------------------------------------------------------------
@@ -330,57 +326,36 @@ def _render_svg(path: Path, xs, fs, data=None, width=640, height=420):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_fit(args) -> int:
-    started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    t0 = time.perf_counter()
+def _cmd_fit(args, clock) -> int:
     data_path = Path(args.data)
     values = _read_lengths(data_path)
-    scale = "X" if args.data_type == "ofa" else "V"
-    geom = CoreGeometry(args.r)
-    model = ModelSpec(args.model, args.data_type, geom)
-
-    kwargs = {}
-    for name in ("lower", "upper", "par_start"):
-        raw = getattr(args, name)
-        if raw is not None:
-            vals = _parse_floats(raw, name.replace("_", "-"))
-            if len(vals) != model.n_params:
-                raise CliError(f"--{name.replace('_', '-')} needs {model.n_params} values")
-            kwargs[name] = tuple(vals)
+    model = ModelSpec(args.model, args.data_type, CoreGeometry(args.r))
+    kwargs = {
+        name: tuple(_parse_floats(getattr(args, name), name.replace("_", "-")))
+        for name in ("lower", "upper", "par_start")
+        if getattr(args, name) is not None
+    }
     if args.fixed is not None:
-        flags = _parse_bools(args.fixed, "fixed")
-        if len(flags) != model.n_params:
-            raise CliError(f"--fixed needs {model.n_params} entries")
-        kwargs["fixed_mask"] = tuple(flags)
+        kwargs["fixed_mask"] = tuple(_parse_bools(args.fixed, "fixed"))
     cfg = FitConfig(
         n_starts=args.starts,
         grad_mode="analytic" if args.grad == "analytic" else "finite_difference",
         seed=args.seed,
         **kwargs,
     )
+    data = Dataset(values, "X" if args.data_type == "ofa" else "V")
+    out = _refuse_existing(Path(args.out), args.force)
 
-    try:
-        data = Dataset(values, scale)
-        data.validate_support(geom)
-    except (DataValidationError, ValueError) as exc:
-        raise CliError(str(exc))
-
-    out = Path(args.out)
-    _ensure_out(out, args.force, directory=True)
-
-    try:
-        result = fit(data, model, cfg)
-    except FitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-
+    result = fit(data, model, cfg)
     stats = summary_stats(result)
     text = format_summary(result, stats)
-    (out / "summary.txt").write_text(text)
-    (out / "fit.json").write_text(json.dumps(_fit_json(result, stats, args.seed), indent=2) + "\n")
-    for scale_name, (xs, fs) in _density_curves(result).items():
+    fit_json = json.dumps(_fit_json(result, stats, args.seed), indent=2) + "\n"
+    curves = _density_curves(result)
+    _write(out / "summary.txt", text)
+    _write(out / "fit.json", fit_json)
+    for scale_name, (xs, fs) in curves.items():
         _write_csv(out / f"density_{scale_name}.csv", xs, fs)
-    _manifest(args, started, t0, _digest(data_path), args.seed).write(out / "manifest.json")
+    _write_manifest(out / "manifest.json", args, clock, _digest(data_path), args.seed)
     sys.stdout.write(text)
     return 0
 
@@ -395,74 +370,43 @@ def _grid_from_args(args, support) -> np.ndarray:
             pts = np.linspace(float(a), float(b), int(n))
         except ValueError:
             raise CliError("--grid must look like a:b:n")
-    if np.any(pts <= lo) or np.any(pts >= hi):
+    if not np.all((pts > lo) & (pts < hi)):  # NaN too
         raise CliError(f"evaluation points must lie strictly inside ({lo:g}, {hi:g})")
     return pts
 
 
-def _cmd_density(args) -> int:
-    started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    t0 = time.perf_counter()
-    par = _parse_floats(args.par, "par")
-    params, kind = _build_params(args.model, par)
-    component = args.component or ("mixture" if kind == "mixture" else "fibers")
-    if kind == "single" and component == "mixture":
-        raise CliError("a mixture density needs the full parameter vector (eps first)")
-    if kind == "mixture" and component in ("fines", "fibers"):
-        params = getattr(params, component)
-
+def _cmd_density(args, clock) -> int:
+    params = _build_params(args.model, _parse_floats(args.par, "par"))
+    component = args.component or ("mixture" if isinstance(params, MixtureParams) else "fibers")
     scale = args.scale.upper()
     if scale in ("W", "X", "V") and args.r is None:
         raise CliError(f"--r is required for scale {args.scale}")
-    geom = CoreGeometry(args.r if args.r is not None else 1.0)
-    try:
-        density = ScaleDensity(scale, component, params, geom)
-    except ValueError as exc:
-        raise CliError(str(exc))
-
+    density = ScaleDensity(scale, component, params, CoreGeometry(args.r if args.r is not None else 1.0))
     pts = _grid_from_args(args, density.support)
+    out = None if args.out is None else _refuse_existing(Path(args.out), args.force)
+    svg_path = None if args.svg is None else _refuse_existing(Path(args.svg), args.force)
+    overlay = _read_lengths(Path(args.data)) if svg_path is not None and args.data else None
     vals = np.atleast_1d(density.pdf(pts))
 
-    if args.out is None:
+    if out is None:
         for v in vals:
             print(repr(float(v)))
     else:
-        out = Path(args.out)
-        _ensure_out(out, args.force, directory=False)
         _write_csv(out, pts, vals)
-        _manifest(args, started, t0).write(out.with_name(out.name + ".manifest.json"))
-    if args.svg is not None:
-        svg_path = Path(args.svg)
-        _ensure_out(svg_path, args.force, directory=False)
-        overlay = _read_lengths(Path(args.data)) if args.data else None
+        _write_manifest(out.with_name(out.name + ".manifest.json"), args, clock)
+    if svg_path is not None:
         order = np.argsort(pts)
         _render_svg(svg_path, pts[order], vals[order], overlay)
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    t0 = time.perf_counter()
-    if args.n < 1:
-        raise CliError("--n must be a positive integer")
-    par = _parse_floats(args.par, "par")
-    scale = args.scale.upper()
-    params, kind = _build_params(args.model, par)
-    if scale == "X" and kind != "mixture":
-        raise CliError("simulating the X scale requires full mixture parameters")
-    if scale == "V" and kind == "mixture":
-        raise CliError("simulating the V scale requires single fiber-component parameters")
-    geom = CoreGeometry(args.r)
-    try:
-        spec = SimSpec(scale, params, geom, args.n, args.seed)
-        values = {"Y": sample_y, "W": sample_w, "V": sample_v, "X": sample_x}[scale](spec)
-    except ValueError as exc:
-        raise CliError(str(exc))
-
-    out = Path(args.out)
-    _ensure_out(out, args.force, directory=False)
-    out.write_text("\n".join(repr(float(v)) for v in values) + "\n")
-    _manifest(args, started, t0, seed=args.seed).write(out.with_name(out.name + ".manifest.json"))
+def _cmd_simulate(args, clock) -> int:
+    params = _build_params(args.model, _parse_floats(args.par, "par"))
+    spec = SimSpec(args.scale.upper(), params, CoreGeometry(args.r), args.n, args.seed)
+    out = _refuse_existing(Path(args.out), args.force)
+    values = {"Y": sample_y, "W": sample_w, "V": sample_v, "X": sample_x}[spec.scale](spec)
+    _write(out, "\n".join(repr(float(v)) for v in values) + "\n")
+    _write_manifest(out.with_name(out.name + ".manifest.json"), args, clock, seed=args.seed)
     return 0
 
 
@@ -519,21 +463,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the exit code is 0, or that of the error it raised (module docstring)."""
+    clock = (time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()), time.perf_counter())
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "density" and args.grid is None and args.at is None:
         parser.error("density needs --grid or --at")  # exits 2
     try:
-        return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DataValidationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (QuadratureError, EvaluationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return args.func(args, clock)
+    except (CliError, ValueError) as exc:  # DataValidationError is a ValueError
+        message, code = str(exc), 2
+    except (FitError, QuadratureError, EvaluationError) as exc:
+        message, code = str(exc), 3
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -268,32 +268,6 @@ class FitResult:
         return self.model.param_names
 
 
-def _prepare_masks(model: ModelSpec, cfg: FitConfig):
-    """(fixed mask, original-scale ``par_start`` or None), checked before any transform reads them.
-
-    ``par_start`` must lie in the family's domain, and a free proportion
-    strictly between 0 and 1: its logit is an optimizer coordinate.
-    """
-    n = model.n_params
-    fixed = np.zeros(n, dtype=bool)
-    if cfg.fixed_mask is not None:
-        fixed = np.asarray(cfg.fixed_mask, dtype=bool)
-        if fixed.size != n:
-            raise ValueError(f"fixed_mask must have {n} entries")
-    start = None
-    if cfg.par_start is not None:
-        start = np.asarray(cfg.par_start, dtype=float)
-        if start.size != n:
-            raise ValueError(f"par_start must have {n} entries")
-        try:
-            model.params_from_original(start)
-        except ValueError as exc:
-            raise ValueError(f"par_start is outside the model's domain: {exc}") from None
-        if model.data_type == OFA and not fixed[0] and start[0] in (0.0, 1.0):
-            raise ValueError("par_start puts a free proportion at 0 or 1; fix it there or start inside (0, 1)")
-    return fixed, start
-
-
 def _unitless(data: Dataset, model: ModelSpec):
     """(dataset, model, theta shift, log s0) of the problem in units of s0 = median(data).
 
@@ -335,20 +309,49 @@ def _grouped(data: Dataset) -> Dataset:
     return Dataset._from_counts(data.unique[median], counts, data.scale)
 
 
-def _bounds_theta(model: ModelSpec, cfg: FitConfig, shift):
-    """Unitless theta box: the default bounds, or user bounds in data units shifted in."""
-    box = []
-    for user, default in zip((cfg.lower, cfg.upper), model.default_bounds()):
-        if user is None:
-            box.append(model.to_theta(default))
+def _fit_inputs(model: ModelSpec, cfg: FitConfig, shift):
+    """(fixed mask, original-scale ``par_start`` or None, unitless theta box lo, hi) of one fit.
+
+    The one check of ``fixed_mask``, ``par_start``, ``lower`` and ``upper``,
+    made before any transform reads them.  Each must have one entry per
+    parameter, and ``par_start`` and the bounds must lie in the family's
+    domain.  Every bound must map to a finite theta, so a proportion's bound
+    lies strictly inside (0, 1), and so does a free proportion's start: its
+    logit is an optimizer coordinate.  The box is the default bounds, or user
+    bounds in data units shifted in, and must be nonempty.
+    """
+    n = model.n_params
+    fixed = np.zeros(n, dtype=bool) if cfg.fixed_mask is None else np.asarray(cfg.fixed_mask, dtype=bool)
+    if fixed.size != n:
+        raise ValueError(f"fixed_mask must have {n} entries")
+    given = {}
+    for name in ("par_start", "lower", "upper"):
+        if getattr(cfg, name) is None:
             continue
-        user = np.asarray(user, dtype=float)
-        if user.size != model.n_params:
-            raise ValueError(f"bounds must have {model.n_params} entries")
-        box.append(model.to_theta(user) - shift)
+        value = given[name] = np.asarray(getattr(cfg, name), dtype=float)
+        if value.size != n:
+            raise ValueError(f"{name} must have {n} entries")
+        try:
+            model.params_from_original(value)
+        except ValueError as exc:
+            raise ValueError(f"{name} is outside the model's domain: {exc}") from None
+        if model.data_type == OFA and value[0] in (0.0, 1.0):
+            if name != "par_start":
+                raise ValueError(f"{name} puts the proportion at 0 or 1; bounds must lie strictly inside (0, 1)")
+            if not fixed[0]:
+                raise ValueError("par_start puts a free proportion at 0 or 1; fix it there or start inside (0, 1)")
+    box = [
+        model.to_theta(default) if name not in given else model.to_theta(given[name]) - shift
+        for name, default in zip(("lower", "upper"), model.default_bounds())
+    ]
     if np.any(box[0] >= box[1]):
         raise ValueError("lower bounds must be strictly below upper bounds")
-    return box
+    return fixed, given.get("par_start"), *box
+
+
+def _bounds_theta(model: ModelSpec, cfg: FitConfig, shift):
+    """Unitless theta box (lo, hi) of :func:`_fit_inputs`."""
+    return _fit_inputs(model, cfg, shift)[2:]
 
 
 def _lbfgsb(objective, x0, lo, hi, cfg: FitConfig, jac=True, callback=None, max_iter=None):
@@ -493,9 +496,11 @@ class _Coords:
 class _Problem:
     """The unitless problem of one fit (module docstring), built once per :func:`fit`.
 
-    ``data``, ``model``, ``shift`` and ``log_s0`` are :func:`_unitless`'s;
-    ``grouped`` is the data's :func:`_grouped` copy above _BLOCK distinct
-    values without ``par_start``, else None.  Both datasets carry their
+    ``data``, ``model``, ``shift`` and ``log_s0`` are :func:`_unitless`'s,
+    ``fixed``, ``start``, ``lo`` and ``hi`` :func:`_fit_inputs`'s, so the
+    fit's inputs are checked once; ``free`` is ``~fixed``.  ``grouped`` is
+    the data's :func:`_grouped` copy above _BLOCK distinct values without
+    ``par_start``, else None.  Both datasets carry their
     ``_CensoredPoints``.  ``theta_init``, set by :func:`fit` from
     :func:`initialize`'s output, holds the fixed coordinates; ``tf`` is the
     free part of a theta.  It stores no function, so that nothing refers back
@@ -504,13 +509,12 @@ class _Problem:
 
     def __init__(self, data: Dataset, model: ModelSpec, cfg: FitConfig):
         self.cfg = cfg
-        self.fixed, start = _prepare_masks(model, cfg)
-        self.free = ~self.fixed
         self.data, self.model, self.shift, self.log_s0 = _unitless(data, model)
-        self.lo, self.hi = _bounds_theta(model, cfg, self.shift)
+        self.fixed, self.start, self.lo, self.hi = _fit_inputs(model, cfg, self.shift)
+        self.free = ~self.fixed
         self.data._points = _CensoredPoints(self.data.unique, self.model.geom.r)
         self.grouped = None
-        if start is None and self.data.unique.size > _BLOCK:
+        if self.start is None and self.data.unique.size > _BLOCK:
             self.grouped = _grouped(self.data)
             self.grouped._points = _CensoredPoints(self.grouped.unique, self.model.geom.r)
         self.theta_init = None
@@ -654,14 +658,13 @@ def initialize(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig(), *,
     this runs on their 1 024 groups (:func:`_grouped`, module docstring).  If
     the initialization optimizer fails the seed itself is returned with a
     warning.  ``_unit`` is :func:`fit`'s :class:`_Problem`, so that the
-    unitless problem is built once per fit.
+    unitless problem is built, and the inputs checked, once per fit.
     """
-    fixed, start = _prepare_masks(model, cfg)
-    if start is not None:
-        return model.param_vector(model.to_theta(start), tuple(fixed))
+    problem = _unit or _Problem(data, model, cfg)
+    if problem.start is not None:
+        return model.param_vector(model.to_theta(problem.start), tuple(problem.fixed))
 
     # without par_start nothing is fixed (FitConfig)
-    problem = _unit or _Problem(data, model, cfg)
     unit_data = problem.data if problem.grouped is None else problem.grouped
     theta0 = np.clip(model.seed(unit_data.values), problem.lo, problem.hi)
 
@@ -670,7 +673,7 @@ def initialize(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig(), *,
         return -ev.loglik, -ev.gradient
 
     try:
-        theta = _Coords(model, ~fixed, theta0, problem.lo, problem.hi).minimize(objective, cfg).x
+        theta = _Coords(model, problem.free, theta0, problem.lo, problem.hi).minimize(objective, cfg).x
     except (EvaluationError, FloatingPointError) as exc:
         log.warning("initialization optimizer failed (%s); falling back to the seed", exc)
         theta = theta0

@@ -99,6 +99,18 @@ class EvaluationError(RuntimeError):
     """A likelihood integral failed to converge."""
 
 
+def _checked_lengths(values, scale: str):
+    """``values`` after the one check of both Dataset constructors: nonempty, finite and positive, scale X or V."""
+    if values.size < 1:
+        raise ValueError("dataset must contain at least one value")
+    if scale not in ("X", "V"):
+        raise ValueError("scale must be 'X' (OFA) or 'V' (microscopy)")
+    bad = np.nonzero(~np.isfinite(values) | (values <= 0.0))[0]
+    if bad.size:
+        raise DataValidationError("lengths must be finite and positive", bad)
+    return values
+
+
 @dataclass(eq=False)
 class Dataset:
     """Observed lengths, in any one unit, tagged with their population scale.
@@ -128,14 +140,7 @@ class Dataset:
     _points: _CensoredPoints | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float).ravel()
-        if arr.size < 1:
-            raise ValueError("dataset must contain at least one value")
-        if self.scale not in ("X", "V"):
-            raise ValueError("scale must be 'X' (OFA) or 'V' (microscopy)")
-        bad = np.nonzero(~np.isfinite(arr) | (arr <= 0.0))[0]
-        if bad.size:
-            raise DataValidationError("lengths must be finite and positive", bad)
+        arr = _checked_lengths(np.array(self.values, dtype=float).ravel(), self.scale)
         unique, inverse, counts = np.unique(arr, return_inverse=True, return_counts=True)
         self._collapsed(arr, unique, counts.astype(float), inverse)
 
@@ -154,13 +159,9 @@ class Dataset:
         of some data, the result equals ``Dataset`` of those data.
         """
         unique, counts = np.array(unique, dtype=float), np.array(counts, dtype=float)
-        if unique.ndim != 1 or unique.size < 1 or counts.shape != unique.shape:
-            raise ValueError("unique and counts must be nonempty and of one length")
-        if scale not in ("X", "V"):
-            raise ValueError("scale must be 'X' (OFA) or 'V' (microscopy)")
-        bad = np.nonzero(~np.isfinite(unique) | (unique <= 0.0))[0]
-        if bad.size:
-            raise DataValidationError("lengths must be finite and positive", bad)
+        if unique.ndim != 1 or counts.shape != unique.shape:
+            raise ValueError("unique and counts must be one-dimensional and of one length")
+        _checked_lengths(unique, scale)
         if np.any(unique[1:] <= unique[:-1]) or np.any(counts < 1.0) or np.any(counts % 1.0):
             raise ValueError("unique must be strictly increasing and counts positive integers")
         if inverse is None:

@@ -100,8 +100,6 @@ def sample_w(spec: SimSpec) -> np.ndarray:
 
 def sample_v(spec: SimSpec) -> np.ndarray:
     """Uncut fiber lengths in the core: Y draws thinned by p_uc."""
-    if isinstance(spec.params, MixtureParams):
-        raise ValueError("the V scale draws uncut fibers: pass single fiber-component params")
     r = spec.geom.r
     return _rejection(spec, lambda y: _prob_uncut_unchecked(y, r))
 

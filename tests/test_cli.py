@@ -8,6 +8,8 @@ import pytest
 
 from fiberfit import (
     CoreGeometry,
+    EvaluationError,
+    FitError,
     GgdParams,
     LognParams,
     MixtureParams,
@@ -17,12 +19,19 @@ from fiberfit import (
     sample_x,
     scales,
 )
+from fiberfit import cli
 from fiberfit.cli import _stats_table, main
 from fiberfit.summary import ComponentStats, SummaryStats
 
 
 def run_cli(*args):
     return main(list(args))
+
+
+def assert_error(capsys, rc, code, start="error: "):
+    """The exit code of one error class from main's table, its message on stderr and no traceback."""
+    err = capsys.readouterr().err
+    assert rc == code and err.startswith(start) and "Traceback" not in err, (rc, err)
 
 
 def test_density_golden_ggd(capsys):
@@ -44,6 +53,9 @@ def test_density_open_support_rejected(capsys):
     rc = run_cli("density", "--scale", "x", "--par", "1.8,2.7,2.6", "--r", "2.5", "--at", "0")
     assert rc == 2
     assert "strictly inside" in capsys.readouterr().err
+    # a NaN point once passed the support check and printed nan with exit 0
+    rc = run_cli("density", "--scale", "x", "--par", "1.8,2.7,2.6", "--r", "2.5", "--at", "1,nan")
+    assert_error(capsys, rc, 2, "error: evaluation points must lie strictly inside")
 
 
 def test_density_v_fines_rejected(capsys):
@@ -69,9 +81,7 @@ def test_integral_failure_is_exit_3(capsys, monkeypatch):
         raise QuadratureError("quadrature did not converge within max_subdivisions", 3.3e-5)
 
     monkeypatch.setattr(scales, "_weighted_moment_integrals", fail)
-    assert run_cli(*W_MEAN_HEAVY) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert_error(capsys, run_cli(*W_MEAN_HEAVY), 3)
 
 
 def test_heavy_shape_w_density_exits_0(capsys):
@@ -130,7 +140,7 @@ def test_simulate_deterministic(tmp_path):
     assert manifest["command"] == "simulate" and manifest["seed"] == 7
 
 
-def test_simulate_rejects_bad_specs(tmp_path):
+def test_simulate_rejects_bad_specs(tmp_path, capsys):
     out = tmp_path / "x.txt"
     assert run_cli("simulate", "--scale", "v", "--par", "2.4,3.3,1.5", "--r", "2.5",
                    "--n", "0", "--out", str(out)) == 2
@@ -138,6 +148,11 @@ def test_simulate_rejects_bad_specs(tmp_path):
                    "--n", "5", "--out", str(out)) == 2
     assert run_cli("simulate", "--scale", "v", "--par", "0.3,0.1,1.5,2,2,2.8,2.2",
                    "--r", "2.5", "--n", "5", "--out", str(out)) == 2
+    capsys.readouterr()
+    # a ValueError of the library: --par outside the family's domain
+    rc = run_cli("simulate", "--scale", "v", "--par=-2.4,3.3,1.5", "--r", "2.5", "--n", "5", "--out", str(out))
+    assert_error(capsys, rc, 2, "error: b, d, k must all be finite and strictly positive")
+    assert not out.exists()
 
 
 def test_fit_requires_r():
@@ -146,28 +161,61 @@ def test_fit_requires_r():
     assert exc.value.code == 2
 
 
-def test_fit_data_validation_exit(tmp_path):
-    data = tmp_path / "bad.txt"
+def test_fit_data_validation_exit(tmp_path, capsys):
+    data, out = tmp_path / "bad.txt", tmp_path / "o"
     data.write_text("1.0\n2.0\n# comment\n13.5\n")
-    rc = run_cli("fit", "--data", str(data), "--r", "6", "--out", str(tmp_path / "o"))
-    assert rc == 2  # 13.5 outside (0, 12)
+    rc = run_cli("fit", "--data", str(data), "--r", "6", "--out", str(out))
+    # a DataValidationError: 13.5 outside (0, 12)
+    assert_error(capsys, rc, 2, "error: observed lengths must lie strictly inside (0, 2r)")
+    data.write_text("1.0\n2.0,\n")
+    rc = run_cli("fit", "--data", str(data), "--r", "6", "--out", str(out))
+    assert_error(capsys, rc, 2, f"error: {data}:2: not a number")  # a CliError
+    assert not out.exists()
 
 
 def test_fit_par_start_outside_the_domain_exits_2(tmp_path):
     # a negative b once reached a log before any check: a RuntimeWarning, and under
-    # -W error::RuntimeWarning a traceback with exit 1
-    data = tmp_path / "v.txt"
+    # -W error::RuntimeWarning a traceback with exit 1; so did a bound of 0 or
+    # below, and a NaN bound was rejected without naming the bound
+    data, out = tmp_path / "v.txt", tmp_path / "fit"
     assert run_cli("simulate", "--scale", "v", "--par", "2.4,3.3,1.5", "--r", "2.5",
                    "--n", "100", "--seed", "9", "--out", str(data)) == 0
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "fiberfit.cli", "fit", "--data", str(data),
-         "--data-type", "microscopy", "--model", "ggamma", "--r", "2.5", "--par-start=-2.4,3.3,1.5",
-         "--out", str(tmp_path / "fit")],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: par_start") and "Traceback" not in proc.stderr
-    assert "RuntimeWarning" not in proc.stderr
+    for flag in ("--par-start=-2.4,3.3,1.5", "--lower=-1,0.1,0.1", "--lower=0,0.1,0.1",
+                 "--lower=nan,0.1,0.1", "--upper=50,inf,50"):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "fiberfit.cli", "fit", "--data", str(data),
+             "--data-type", "microscopy", "--model", "ggamma", "--r", "2.5", flag, "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        name = flag[2:].split("=")[0].replace("-", "_")
+        assert proc.stderr.startswith(f"error: {name}") and "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert not out.exists()  # a failed run writes nothing
+
+
+@pytest.mark.parametrize("error", [FitError("all optimization starts failed", []),
+                                   EvaluationError("censored-tail integral failed")])
+def test_failed_fit_writes_nothing(tmp_path, capsys, monkeypatch, error):
+    # --out was once made before the fit, so a failed run left an empty
+    # directory that the corrected rerun could only replace with --force
+    data, out = tmp_path / "v.txt", tmp_path / "fit"
+    assert run_cli("simulate", "--scale", "v", "--par", "2.4,3.3,1.5", "--r", "2.5",
+                   "--n", "100", "--seed", "9", "--out", str(data)) == 0
+    args = ("fit", "--data", str(data), "--data-type", "microscopy", "--model", "ggamma", "--r", "2.5",
+            "--starts", "1", "--out", str(out))
+
+    def fail(*_):
+        raise error
+
+    monkeypatch.setattr(cli, "fit", fail)
+    assert_error(capsys, run_cli(*args), 3, f"error: {error}")
+    assert not out.exists()
+    out.mkdir()
+    assert_error(capsys, run_cli(*args), 2, "error: output")  # refused before the fit
+    out.rmdir()
+    monkeypatch.undo()
+    assert run_cli(*args) == 0 and (out / "fit.json").is_file()
 
 
 def test_fit_end_to_end_and_roundtrip(tmp_path):

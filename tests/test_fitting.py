@@ -378,6 +378,29 @@ def test_par_start_outside_the_domain_is_rejected_before_any_transform(data_type
         assert words in str(exc.value)
 
 
+@pytest.mark.parametrize("data_type, family, name, bound, words", [
+    ("microscopy", "ggamma", "lower", (-1.0, 0.1, 0.1), "b, d, k must all be finite and strictly positive"),
+    ("microscopy", "ggamma", "lower", (0.0, 0.1, 0.1), "b, d, k must all be finite and strictly positive"),
+    ("microscopy", "ggamma", "lower", (np.nan, 0.1, 0.1), "b, d, k must all be finite and strictly positive"),
+    ("microscopy", "ggamma", "upper", (50.0, np.inf, 50.0), "b, d, k must all be finite and strictly positive"),
+    ("microscopy", "lognorm", "upper", (np.inf, 10.0), "mu must be finite"),
+    ("microscopy", "ggamma", "upper", (50.0, 50.0), "upper must have 3 entries"),
+    ("ofa", "ggamma", "lower", (0.0, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1), "proportion at 0 or 1"),
+    ("ofa", "ggamma", "upper", (1.0, 9.0, 9.0, 9.0, 9.0, 9.0, 9.0), "proportion at 0 or 1"),
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bounds_outside_the_domain_are_rejected_before_any_transform(data_type, family, name, bound, words):
+    # every bound must map to a finite theta: a bound of 0 on a positive
+    # parameter once reached a log and meant "unbounded" after a warning
+    geom = CoreGeometry(2.5 if data_type == "microscopy" else 6.0)
+    data = Dataset(np.array([0.4, 0.9, 1.3, 2.0]), "V" if data_type == "microscopy" else "X")
+    model = ModelSpec(family, data_type, geom)
+    for call in (initialize, fit):
+        with pytest.raises(ValueError, match=f"^{name}") as exc:
+            call(data, model, FitConfig(**{name: bound}))
+        assert words in str(exc.value)
+
+
 def test_fines_is_the_shorter_component():
     # a start with the labels swapped reaches the same optimum with eps 0.712
     # and the long component as fines; the result is relabeled: eps -> 1 - eps,
