@@ -3,17 +3,21 @@
 Every invocation writes a run manifest (resolved options, input digest,
 seed, version, timing) next to its outputs so results are traceable.  Exit
 codes: 0 success, 2 invalid input (``CliError`` or ``ValueError``, which
-includes ``DataValidationError``), 3 optimizer or integral failure
-(``FitError``, ``QuadratureError``, ``EvaluationError``); :func:`main` is the
-only place that maps an error to its code.  The library checks every input
-once; the commands only parse text, call it and write files.  A failed run
-writes nothing: outputs are written once every result they hold exists.
+includes ``DataValidationError`` and the samplers' ``SamplingError``), 3
+optimizer or integral failure (``FitError``, ``QuadratureError``,
+``EvaluationError``); :func:`main` is the only place that maps an error to
+its code.  The library checks every input once; the commands only parse
+text, call it and write files.  A failed run writes nothing: outputs are
+written once every result they hold exists.
 
-``fit.json`` lists every optimizer start under ``starts`` (index, status,
-iterations, log likelihood, null for a start that raised).  A start's status
-is one of ``success``, ``max_iter``, ``line_search_failure``, ``error`` (the
-likelihood could not be evaluated) or ``duplicate`` (stopped on entering the
-basin of an optimum an earlier start found).
+``--starts`` is the most optimizer starts a fit runs: the later ones run
+only when the first start is not a known optimum or ``--par-start`` is
+given.  ``fit.json`` lists every start that ran under ``starts`` (index,
+status, iterations, log likelihood, null for a start that raised), and
+``starts_tried`` counts them.  A start's status is one of ``success``,
+``max_iter``, ``line_search_failure``, ``error`` (the likelihood could not
+be evaluated) or ``duplicate`` (stopped on entering the basin of an optimum
+an earlier start found).
 """
 
 from __future__ import annotations
@@ -428,7 +432,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--par-start", dest="par_start", help="original-scale starting values, CSV")
     p_fit.add_argument("--fixed", help="per-parameter fixed flags, CSV of true/false")
     p_fit.add_argument("--grad", choices=["analytic", "fd"], default="analytic")
-    p_fit.add_argument("--starts", type=int, default=5)
+    p_fit.add_argument("--starts", type=int, default=5,
+                       help="most optimizer starts; starts 2.. run only when the first is not a known optimum "
+                            "or --par-start is given")
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--out", required=True, help="output directory")
     p_fit.add_argument("--force", action="store_true")

@@ -419,10 +419,10 @@ class _CensoredStacks:
 
 
 def _x_points(x, geom: CoreGeometry):
-    """Sorted unique observed lengths and the inverse map, checked against (0, 2r)."""
+    """Sorted unique observed lengths and the inverse map, each checked to be finite and inside (0, 2r)."""
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(arr <= 0.0) or np.any(arr >= 2.0 * geom.r):
-        raise ValueError("x must lie strictly inside (0, 2r)")
+    if not np.all((arr > 0.0) & (arr < 2.0 * geom.r)):  # a NaN fails both comparisons
+        raise ValueError("x must be finite and lie strictly inside (0, 2r)")
     return np.unique(arr, return_inverse=True)
 
 

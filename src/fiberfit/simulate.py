@@ -24,11 +24,15 @@ import numpy as np
 from .densities import FAMILIES, ComponentParams, MixtureParams
 from .geometry import CoreGeometry, _prob_uncut_unchecked, cut_kernel_cdf
 
-__all__ = ["SimSpec", "sample_y", "sample_w", "sample_v", "sample_x"]
+__all__ = ["SimSpec", "SamplingError", "sample_y", "sample_w", "sample_v", "sample_x"]
 
 _CHUNK = 8192
 _MIN_ACCEPT = 1e-4
 _ACCEPT_AUDIT = 100_000
+
+
+class SamplingError(ValueError, RuntimeError):
+    """The parameters and geometry make a sampler hopeless: an input problem, so also a ValueError."""
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,7 @@ def _rejection(spec: SimSpec, weight_fn) -> np.ndarray:
         got += take
         proposed += _CHUNK
         if proposed >= _ACCEPT_AUDIT and got / proposed < _MIN_ACCEPT:
-            raise RuntimeError(
+            raise SamplingError(
                 f"rejection acceptance rate {got / proposed:.2e} is below {_MIN_ACCEPT}; "
                 "review the parameters and geometry"
             )

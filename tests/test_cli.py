@@ -155,6 +155,15 @@ def test_simulate_rejects_bad_specs(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_with_a_hopeless_rejection_rate_exits_2(tmp_path, capsys):
+    # lengths near 1e6 against r = 1 accept about 1e-5 of the W proposals:
+    # an input problem, once a bare RuntimeError and a traceback with exit 1
+    out = tmp_path / "w.txt"
+    rc = run_cli("simulate", "--scale", "w", "--par", "1e6,1,1", "--r", "1", "--n", "10", "--out", str(out))
+    assert_error(capsys, rc, 2, "error: rejection acceptance rate")
+    assert not out.exists()
+
+
 def test_fit_requires_r():
     with pytest.raises(SystemExit) as exc:
         run_cli("fit", "--data", "nofile.txt", "--out", "nowhere")

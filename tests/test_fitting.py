@@ -40,6 +40,11 @@ def micro_fit():
     return fit(data, model, FitConfig(n_starts=3, seed=1)), data, model
 
 
+def _initial(data, model):
+    """The :func:`initialize` output on the original scale: a par_start where the default fit would start."""
+    return tuple(model.from_theta(initialize(data, model).values))
+
+
 def test_model_spec_validation():
     geom = CoreGeometry(2.5)
     with pytest.raises(ValueError):
@@ -125,7 +130,7 @@ def test_micro_fit_recovers_truth(micro_fit):
     assert np.all(np.abs(res.theta_tilde - truth) < 4.0 * res.se_tilde)
     ll_truth = micro_loglik(GgdParams(2.4, 3.3, 1.5), data, model.geom).loglik
     assert res.loglik >= ll_truth
-    assert res.starts_tried == 3
+    assert res.starts_tried == 1  # the first start is a known optimum
     assert res.cov_theta.shape == (3, 3)
 
 
@@ -135,7 +140,8 @@ def test_micro_fit_runs_every_start():
     geom = CoreGeometry(2.5)
     data = Dataset(sample_v(SimSpec("V", GgdParams(2.4, 3.3, 1.5), geom, 300, seed=7000)), "V")
     model = ModelSpec("ggamma", "microscopy", geom)
-    res = fit(data, model, FitConfig())
+    # a par_start runs every start, even after a known optimum
+    res = fit(data, model, FitConfig(par_start=_initial(data, model)))
     statuses = [rec.status for rec in res.trace]
     assert len(statuses) == 5 and set(statuses) <= {"success", "duplicate"}
     assert statuses[0] == "success"
@@ -144,6 +150,50 @@ def test_micro_fit_runs_every_start():
     for rec in res.trace:
         alone = fit(data, model, FitConfig(par_start=tuple(model.from_theta(rec.theta0)), n_starts=1))
         assert alone.trace[0].status == "success"
+
+
+def test_known_first_optimum_ends_the_fit():
+    # the first start is a known optimum, so the default fit runs it alone; the
+    # literals are the 5-start fit's, whose four later starts all stopped in
+    # the first start's basin
+    geom = CoreGeometry(2.5)
+    data = Dataset(sample_v(SimSpec("V", GgdParams(2.4, 3.3, 1.5), geom, 300, seed=7000)), "V")
+    res = fit(data, ModelSpec("ggamma", "microscopy", geom), FitConfig())
+    assert res.starts_tried == 1 and [rec.index for rec in res.trace] == [0]
+    assert res.convergence == "success" and "not a known optimum" not in res.trace[0].message
+    assert res.loglik == pytest.approx(-285.1507386653608, rel=1e-13)
+    assert np.allclose(res.theta_tilde, [2.07180999317687, 2.69336482526248, 2.1909126973761928], rtol=1e-10, atol=0)
+    cov_tilde = [[0.24873990589145786, 0.35560881079452245, -0.4476112113384536],
+                 [0.35560881079452245, 0.5247011468291358, -0.6426903691149226],
+                 [-0.4476112113384536, -0.6426903691149226, 0.8111629750457028]]
+    assert np.allclose(res.cov_tilde, cov_tilde, rtol=1e-8, atol=0)
+
+
+def test_uncertified_first_start_runs_the_later_starts():
+    # start 0 ends ``line_search_failure`` ("ABNORMAL") on this ggamma fit, whose
+    # maximum has k on its upper bound, so it is no known optimum: every later
+    # start runs, start 1 reaches ``success`` 1.8e-11 higher and the rest stop in
+    # its basin.  The records are those of the fit that always ran every start.
+    geom = CoreGeometry(2.5)
+    data = Dataset(sample_v(SimSpec("V", GgdParams(2.4, 3.3, 1.5), geom, 300, seed=3090)), "V")
+    res = fit(data, ModelSpec("ggamma", "microscopy", geom), FitConfig())
+    assert res.starts_tried == 5
+    assert res.convergence == "success" and res.loglik >= -280.5245003765465 - 1e-9
+    records = [(rec.index, rec.status, rec.n_iter) for rec in res.trace]
+    assert records == [(0, "line_search_failure", 10), (1, "success", 134), (2, "duplicate", 111),
+                       (3, "duplicate", 145), (4, "duplicate", 93)]
+    logliks = [-280.5245003765645, -280.5245003765465, -280.5343182422069, -280.5345960574213, -280.5344159584768]
+    assert np.allclose([rec.loglik for rec in res.trace], logliks, rtol=1e-12, atol=0)
+
+
+def test_par_start_runs_every_start():
+    # a user's start may sit in a poor basin, so a known optimum there ends nothing
+    geom = CoreGeometry(2.5)
+    data = Dataset(sample_v(SimSpec("V", GgdParams(2.4, 3.3, 1.5), geom, 300, seed=7000)), "V")
+    model = ModelSpec("ggamma", "microscopy", geom)
+    res = fit(data, model, FitConfig(par_start=_initial(data, model), n_starts=3))
+    assert res.starts_tried == 3 and [rec.index for rec in res.trace] == [0, 1, 2]
+    assert res.trace[0].status == "success" and "not a known optimum" not in res.trace[0].message
 
 
 def test_fit_rejects_scale_mismatch(micro_fit):
@@ -435,7 +485,8 @@ def test_basin_stop_loses_no_optimum(family):
     stopped = alone_iters = dup_iters = 0
     for seed in range(10):
         data = Dataset(sample_v(SimSpec("V", GgdParams(2.4, 3.3, 1.5), geom, 300, seed=seed)), "V")
-        res = fit(data, model, FitConfig())
+        # a par_start runs every start, so that the basin stop runs too
+        res = fit(data, model, FitConfig(par_start=_initial(data, model)))
         assert res.trace[0].status == "success" and res.starts_tried == 5
         best_alone = -np.inf
         for rec in res.trace:
@@ -456,8 +507,11 @@ def test_fit_json_lists_every_start(tmp_path):
     v = sample_v(SimSpec("V", GgdParams(2.4, 3.3, 1.5), geom, 300, seed=7000))
     path.write_text("\n".join(repr(float(x)) for x in v) + "\n")
     out = tmp_path / "fit"
+    model = ModelSpec("ggamma", "microscopy", geom)
+    # a --par-start runs every start, even after a known optimum
+    par_start = ",".join(repr(float(x)) for x in _initial(Dataset(v, "V"), model))
     rc = main(["fit", "--data", str(path), "--data-type", "microscopy", "--model", "ggamma",
-               "--r", "2.5", "--starts", "4", "--seed", "0", "--out", str(out)])
+               "--r", "2.5", "--starts", "4", "--seed", "0", f"--par-start={par_start}", "--out", str(out)])
     assert rc == 0
     blob = json.loads((out / "fit.json").read_text())
     starts = blob["starts"]

@@ -214,6 +214,20 @@ def test_density_x_domain(geom25):
         density_x_component(5.0, p, geom25)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_density_x_rejects_a_nonfinite_length(geom25, bad):
+    # one NaN once became a quadrature edge and turned every point's density into NaN
+    p = GgdParams(1.8, 2.7, 2.6)
+    mix = MixtureParams(0.3, GgdParams(0.1, 1.5, 2.0), p)
+    with pytest.raises(ValueError, match="finite"):
+        density_x_component([bad, 1.0], p, geom25)
+    with pytest.raises(ValueError, match="finite"):
+        density_x_mixture([bad, 1.0], mix, geom25)
+    with pytest.raises(ValueError, match="finite"):
+        ScaleDensity("X", "fibers", p, geom25).pdf([bad, 1.0])
+    assert density_x_component([1.0], p, geom25)[0] == pytest.approx(0.332, abs=1e-3)
+
+
 @pytest.mark.parametrize("mix", [MIX_SIM, MIX_LOGN_R6], ids=["ggamma", "lognormal"])
 def test_density_x_on_a_sample_matches_oracle(mix, geom6):
     # every sample point is a suffix-integral edge; the grid adds points in
