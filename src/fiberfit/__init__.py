@@ -52,7 +52,7 @@ from .likelihood import (
     micro_loglik,
     ofa_loglik,
 )
-from .quadrature import QuadratureConfig, QuadratureError, integrate
+from .quadrature import QuadratureConfig, QuadratureError
 from .scales import (
     ScaleDensity,
     density_v,
@@ -96,7 +96,6 @@ __all__ = [
     "logn_hess_theta",
     "QuadratureConfig",
     "QuadratureError",
-    "integrate",
     "ScaleDensity",
     "mean_w_component",
     "moment_w",

@@ -129,18 +129,6 @@ def _read_lengths(path: Path) -> np.ndarray:
     return np.array(values)
 
 
-def _build_params(model: str, par: list):
-    """Component parameters, or mixture parameters when a full mixture vector was given."""
-    single_len = FAMILIES[model].size
-    mix_len = 1 + 2 * single_len
-    if len(par) not in (single_len, mix_len):
-        raise CliError(
-            f"--par needs {single_len} (single component) or {mix_len} (mixture) values "
-            f"for model {model!r}, got {len(par)}"
-        )
-    return _params_from_values(model, par)
-
-
 def _refuse_existing(path: Path, force: bool) -> Path:
     if path.exists() and not force:
         raise CliError(f"output {path} exists; pass --force to overwrite")
@@ -341,12 +329,7 @@ def _cmd_fit(args, clock) -> int:
     }
     if args.fixed is not None:
         kwargs["fixed_mask"] = tuple(_parse_bools(args.fixed, "fixed"))
-    cfg = FitConfig(
-        n_starts=args.starts,
-        grad_mode="analytic" if args.grad == "analytic" else "finite_difference",
-        seed=args.seed,
-        **kwargs,
-    )
+    cfg = FitConfig(n_starts=args.starts, seed=args.seed, **kwargs)
     data = Dataset(values, "X" if args.data_type == "ofa" else "V")
     out = _refuse_existing(Path(args.out), args.force)
 
@@ -374,13 +357,15 @@ def _grid_from_args(args, support) -> np.ndarray:
             pts = np.linspace(float(a), float(b), int(n))
         except ValueError:
             raise CliError("--grid must look like a:b:n")
+    if pts.size == 0:
+        raise CliError("no evaluation points")
     if not np.all((pts > lo) & (pts < hi)):  # NaN too
         raise CliError(f"evaluation points must lie strictly inside ({lo:g}, {hi:g})")
     return pts
 
 
 def _cmd_density(args, clock) -> int:
-    params = _build_params(args.model, _parse_floats(args.par, "par"))
+    params = _params_from_values(args.model, _parse_floats(args.par, "par"))
     component = args.component or ("mixture" if isinstance(params, MixtureParams) else "fibers")
     scale = args.scale.upper()
     if scale in ("W", "X", "V") and args.r is None:
@@ -405,7 +390,7 @@ def _cmd_density(args, clock) -> int:
 
 
 def _cmd_simulate(args, clock) -> int:
-    params = _build_params(args.model, _parse_floats(args.par, "par"))
+    params = _params_from_values(args.model, _parse_floats(args.par, "par"))
     spec = SimSpec(args.scale.upper(), params, CoreGeometry(args.r), args.n, args.seed)
     out = _refuse_existing(Path(args.out), args.force)
     values = {"Y": sample_y, "W": sample_w, "V": sample_v, "X": sample_x}[spec.scale](spec)
@@ -431,7 +416,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--upper", help="original-scale upper bounds, CSV")
     p_fit.add_argument("--par-start", dest="par_start", help="original-scale starting values, CSV")
     p_fit.add_argument("--fixed", help="per-parameter fixed flags, CSV of true/false")
-    p_fit.add_argument("--grad", choices=["analytic", "fd"], default="analytic")
     p_fit.add_argument("--starts", type=int, default=5,
                        help="most optimizer starts; starts 2.. run only when the first is not a known optimum "
                             "or --par-start is given")

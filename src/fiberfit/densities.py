@@ -221,10 +221,14 @@ def _original_values(params) -> tuple:
 
 
 def _params_from_values(family: str, v):
-    """Component or mixture parameters from original-scale coordinates."""
+    """Component or mixture parameters from original-scale coordinates, by the length of ``v``."""
     fam = FAMILIES[family]
     if len(v) == fam.size:
         return fam.params(*v)
+    if len(v) != 1 + 2 * fam.size:
+        raise ValueError(
+            f"{family} parameters need {fam.size} (component) or {1 + 2 * fam.size} (mixture) values, got {len(v)}"
+        )
     return MixtureParams(v[0], fam.params(*v[1 : 1 + fam.size]), fam.params(*v[1 + fam.size :]))
 
 

@@ -35,10 +35,9 @@ over: when an accepted iterate's theta leaves the box, the end point lies
 on a face or the z run ends without success, L-BFGS-B on theta goes on from
 the clipped point on the exact box, and a start on a face runs in theta
 from the outset.  Bound-constrained optima, the basin stop and the
-covariance therefore stay in theta, and later (jittered) starts,
-``par_start`` starts and ``grad_mode="finite_difference"`` run in theta
-throughout.  On n = 20 000 OFA samples this halves the censored and
-initialization evaluations of a fit.
+covariance therefore stay in theta, and later (jittered) starts and
+``par_start`` starts run in theta throughout.  On n = 20 000 OFA samples
+this halves the censored and initialization evaluations of a fit.
 
 A fit on many distinct values, more than one streamed block of them
 (``scales._BLOCK`` = 8 192), is coarse to fine.  The sorted distinct
@@ -114,7 +113,7 @@ from .likelihood import (
     micro_loglik,
     ofa_loglik,
 )
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
+from .quadrature import DEFAULT_CONFIG
 from .scales import _BLOCK, _CensoredPoints
 from .special import _trigamma
 
@@ -231,15 +230,9 @@ class FitConfig:
     par_start: tuple | None = None
     fixed_mask: tuple | None = None
     n_starts: int = 5
-    grad_mode: str = "analytic"
-    max_iter: int = 500
-    grad_tol: float = 1e-7
     seed: int = 0
-    quad: QuadratureConfig = DEFAULT_CONFIG
 
     def __post_init__(self):
-        if self.grad_mode not in ("analytic", "finite_difference"):
-            raise ValueError("grad_mode must be 'analytic' or 'finite_difference'")
         if self.n_starts < 1:
             raise ValueError("n_starts must be at least 1")
         if self.fixed_mask is not None and any(self.fixed_mask):
@@ -360,21 +353,20 @@ def _fit_inputs(model: ModelSpec, cfg: FitConfig, shift):
     return fixed, given.get("par_start"), *box
 
 
-def _bounds_theta(model: ModelSpec, cfg: FitConfig, shift):
-    """Unitless theta box (lo, hi) of :func:`_fit_inputs`."""
-    return _fit_inputs(model, cfg, shift)[2:]
+_MAX_ITER = 500  # L-BFGS-B iterations of one start, the z run and its theta continuation together
+_GRAD_TOL = 1e-7  # L-BFGS-B projected-gradient tolerance
 
 
-def _lbfgsb(objective, x0, lo, hi, cfg: FitConfig, jac=True, callback=None, max_iter=None):
-    """scipy's L-BFGS-B on the box [lo, hi] with the fit's iteration budget and gradient tolerance."""
+def _lbfgsb(objective, x0, lo, hi, callback=None, max_iter=_MAX_ITER):
+    """scipy's L-BFGS-B with the analytic gradient on the box [lo, hi]; ``objective`` returns (value, gradient)."""
     return minimize(
         objective,
         x0,
-        jac=jac,
+        jac=True,
         method="L-BFGS-B",
         bounds=list(zip(lo, hi)),
         callback=callback,
-        options={"maxiter": cfg.max_iter if max_iter is None else max_iter, "gtol": cfg.grad_tol},
+        options={"maxiter": max_iter, "gtol": _GRAD_TOL},
     )
 
 
@@ -476,7 +468,7 @@ class _Coords:
 
         return scaled
 
-    def minimize(self, objective, cfg: FitConfig):
+    def minimize(self, objective):
         """L-BFGS-B in z from z = 0, handed over to theta at the box; the result's ``x`` is theta.
 
         L-BFGS-B on theta runs instead from a start on a face of the theta box,
@@ -485,7 +477,7 @@ class _Coords:
         box, the end point lies on a face, or the z run ends without success.
         """
         if not self.interior:
-            return _lbfgsb(objective, self.x0, self.lo, self.hi, cfg)
+            return _lbfgsb(objective, self.x0, self.lo, self.hi)
 
         def leave(intermediate_result):
             x = self.theta(intermediate_result.x)[0][self.curved]
@@ -493,13 +485,13 @@ class _Coords:
                 raise StopIteration  # ends the run with status 99
 
         zlo, zhi = ((bound - self.u0) / self.scale for bound in self.ubox)
-        res = _lbfgsb(self.objective(objective), np.zeros(self.u0.size), zlo, zhi, cfg, callback=leave)
+        res = _lbfgsb(self.objective(objective), np.zeros(self.u0.size), zlo, zhi, callback=leave)
         x = self.theta(res.x)[0]
         on_face = np.any(res.x <= zlo) or np.any(res.x >= zhi) or np.any(x <= self.lo) or np.any(x >= self.hi)
         res.x = np.clip(x, self.lo, self.hi)
-        if (res.status == 0 and not on_face) or res.nit >= cfg.max_iter:
+        if (res.status == 0 and not on_face) or res.nit >= _MAX_ITER:
             return res
-        out = _lbfgsb(objective, res.x, self.lo, self.hi, cfg, max_iter=cfg.max_iter - res.nit)
+        out = _lbfgsb(objective, res.x, self.lo, self.hi, max_iter=_MAX_ITER - res.nit)
         out.nit += res.nit
         return out
 
@@ -519,7 +511,6 @@ class _Problem:
     """
 
     def __init__(self, data: Dataset, model: ModelSpec, cfg: FitConfig):
-        self.cfg = cfg
         self.data, self.model, self.shift, self.log_s0 = _unitless(data, model)
         self.fixed, self.start, self.lo, self.hi = _fit_inputs(model, cfg, self.shift)
         self.free = ~self.fixed
@@ -540,14 +531,12 @@ class _Problem:
         """The likelihood evaluation at ``order`` of the free coordinates tf on ``data``, by default every point."""
         params = self.model.params_from_original(self.model.from_theta(self.theta(tf)))
         loglik = ofa_loglik if self.model.data_type == OFA else micro_loglik
-        return loglik(params, self.data if data is None else data, self.model.geom, self.cfg.quad, order, **kw)
+        return loglik(params, self.data if data is None else data, self.model.geom, DEFAULT_CONFIG, order, **kw)
 
     def objective(self, tf, data=None):
-        """(-l, -gradient) at the free coordinates tf on ``data``, or -l alone with finite-difference gradients."""
-        if self.cfg.grad_mode == "analytic":
-            ev = self.loglik(tf, 1, data)
-            return -ev.loglik, -np.asarray(ev.gradient)[self.free]
-        return -self.loglik(tf, 0, data).loglik
+        """(-l, -gradient) at the free coordinates tf on ``data``."""
+        ev = self.loglik(tf, 1, data)
+        return -ev.loglik, -np.asarray(ev.gradient)[self.free]
 
     def order2(self, tf):
         """The order-2 evaluation at tf on every point, or None when it fails."""
@@ -616,7 +605,7 @@ class _Problem:
             else:
                 coords.scale_by(ev._score_outer[np.ix_(self.free, self.free)])
                 coords.first = (-ev.loglik, -ev.gradient[self.free])
-        return coords.minimize(lambda tf: self.objective(tf, data), self.cfg)
+        return coords.minimize(lambda tf: self.objective(tf, data))
 
     def grouped_run(self, t0):
         """The z run on the groups from t0, or None with a warning when it fails or ends on a face."""
@@ -638,10 +627,8 @@ class _Problem:
         finish on every point after the groups (module docstring) that reaches
         a known optimum hands on :meth:`newton`'s result as ``newton``.
         """
-        cfg, lo, hi = self.cfg, self.lo[self.free], self.hi[self.free]
-        analytic = cfg.grad_mode == "analytic"
-        if index > 0 or cfg.par_start is not None or not analytic:
-            return _lbfgsb(self.objective, t0, lo, hi, cfg, jac=True if analytic else None, callback=callback)
+        if index > 0 or self.start is not None:
+            return _lbfgsb(self.objective, t0, self.lo[self.free], self.hi[self.free], callback=callback)
         coarse = None if self.grouped is None else self.grouped_run(t0)
         if coarse is None:
             return self.scaled_run(t0, self.data)
@@ -680,11 +667,11 @@ def initialize(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig(), *,
     theta0 = np.clip(model.seed(unit_data.values), problem.lo, problem.hi)
 
     def objective(theta):
-        ev = init_loglik(model.params_from_original(model.from_theta(theta)), unit_data, cfg.quad, order=1)
+        ev = init_loglik(model.params_from_original(model.from_theta(theta)), unit_data, DEFAULT_CONFIG, order=1)
         return -ev.loglik, -ev.gradient
 
     try:
-        theta = _Coords(model, problem.free, theta0, problem.lo, problem.hi).minimize(objective, cfg).x
+        theta = _Coords(model, problem.free, theta0, problem.lo, problem.hi).minimize(objective).x
     except (EvaluationError, FloatingPointError) as exc:
         log.warning("initialization optimizer failed (%s); falling back to the seed", exc)
         theta = theta0

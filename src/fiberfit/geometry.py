@@ -30,13 +30,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CoreGeometry:
-    """Increment core of radius ``r`` (mm); 2r is the longest observable length."""
+    """Increment core of radius ``r`` (mm); 2r is the longest observable length.
+
+    The closed forms square r, so r must keep r^2 a normal double and 8 r^2
+    finite: roughly 1.5e-154 <= r <= 4.7e153.
+    """
 
     r: float
 
     def __post_init__(self):
         if not np.isfinite(self.r) or self.r <= 0.0:
             raise ValueError("core radius r must be finite and positive")
+        r = float(self.r)  # a Python float squares without an overflow warning
+        if r * r < np.finfo(float).tiny or not np.isfinite(8.0 * r * r):
+            raise ValueError(
+                f"core radius r = {r:g} is outside about [1.5e-154, 4.7e153], where r^2 and 8 r^2 are normal"
+            )
 
     @property
     def diameter(self) -> float:

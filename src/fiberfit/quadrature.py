@@ -31,8 +31,7 @@ integrated in y: every package integral of them that reaches a tail runs in
 standardized log length, where they are smooth with exponential tails,
 between closed-form quantiles of the component, on panels ending at
 quantiles of the component and at the logs of 16 equal y-panel ends of
-(0, 2r] (``scales._log_length_integrals``).  ``integrate`` over (a, inf)
-maps the range onto (0, 1) and truncates nothing.
+(0, 2r] (``scales._log_length_integrals``).
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebvander
 
-__all__ = ["PanelTree", "QuadratureConfig", "QuadratureError", "integrate", "segment_integrals"]
+__all__ = ["PanelTree", "QuadratureConfig", "QuadratureError", "segment_integrals"]
 
 # 15-point Kronrod nodes on (-1, 1) and weights, with the embedded 7-point
 # Gauss weights on the odd-indexed nodes (QUADPACK dqk15 constants).
@@ -325,30 +324,3 @@ def segment_integrals(f, edges, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Panel
     vals = np.concatenate(blocks, axis=1)[:, row[order]]
     return PanelTree(edges, lo[order], hi[order], K[:, order], vals, n_initial, splits, float((err_m / tol_m).max()))
 
-
-def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG, *, tail_start=None):
-    """Adaptive integral of f over (a, b); b may be +inf.
-
-    ``f`` must accept an ndarray of points and return values (or an (m, n)
-    stack, in which case an (m,) array is returned).  For b = inf the range
-    is mapped onto (0, 1) by y = a + tail_start u / (1 - u), so ``tail_start``
-    is the scale of the map (default 2 |a| + 1; use a scale comparable to
-    the integrand's mean).  The integrand must be integrable at infinity:
-    nothing is truncated, and panels are bisected toward u = 1 as needed.
-    """
-    if not np.isfinite(a):
-        raise ValueError("lower limit must be finite")
-    if b <= a:
-        raise ValueError("upper limit must exceed lower limit")
-
-    g = f
-    if np.isinf(b):
-        scale = tail_start if tail_start is not None else 2.0 * abs(a) + 1.0
-
-        def g(u):
-            rest = 1.0 - u
-            return np.asarray(f(a + scale * u / rest), dtype=float) * (scale / (rest * rest))
-
-        a, b = 0.0, 1.0
-    vals = segment_integrals(g, np.linspace(a, b, 9), cfg).total()
-    return float(vals[0]) if vals.size == 1 else vals

@@ -58,6 +58,19 @@ def test_density_open_support_rejected(capsys):
     assert_error(capsys, rc, 2, "error: evaluation points must lie strictly inside")
 
 
+def test_density_without_a_usable_answer_is_exit_2(capsys):
+    # each of these once exited 0, printing nan or nothing
+    base = ("density", "--scale", "x", "--par", "1.8,2.7,2.6")
+    for args, message in [
+        (("--par", "1,2", "--r", "2.5", "--at", "1"), "error: ggamma parameters need 3"),
+        (("--r", "1e-300", "--at", "1e-301"), "error: core radius r = 1e-300"),
+        (("--r", "1e200", "--at", "1"), "error: core radius r = 1e+200"),
+        (("--r", "2.5", "--grid", "1:2:0"), "error: no evaluation points"),
+        (("--r", "2.5", "--at", ","), "error: no evaluation points"),
+    ]:
+        assert_error(capsys, run_cli(*base, *args), 2, message)
+
+
 def test_density_v_fines_rejected(capsys):
     rc = run_cli(
         "density", "--scale", "v", "--component", "fines", "--par", "1.8,2.7,2.6",

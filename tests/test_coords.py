@@ -60,7 +60,7 @@ def unit_data():
 
 def _coords_and_objective(family, x0, data, scale):
     model = ModelSpec(family, "ofa", GEOM)
-    lo, hi = fitting._bounds_theta(model, FitConfig(), np.zeros(model.n_params))
+    lo, hi = fitting._fit_inputs(model, FitConfig(), np.zeros(model.n_params))[2:]
     coords = fitting._Coords(model, np.ones(model.n_params, dtype=bool), np.array(x0), lo, hi)
     coords.scale = scale
 
@@ -126,7 +126,7 @@ def test_round_trip_at_the_default_box_corners():
 
 def test_z_box_is_the_corner_bounding_box():
     model = ModelSpec("ggamma", "ofa", GEOM)
-    lo, hi = fitting._bounds_theta(model, FitConfig(), np.zeros(7))
+    lo, hi = fitting._fit_inputs(model, FitConfig(), np.zeros(7))[2:]
     x0 = np.array(POINTS["ggamma"][0])
     coords = fitting._Coords(model, np.ones(7, dtype=bool), x0, lo, hi)
     ulo, uhi = coords.ubox
@@ -141,7 +141,7 @@ def test_z_box_is_the_corner_bounding_box():
 
 def test_only_all_free_ggamma_components_are_mapped():
     model = ModelSpec("ggamma", "ofa", GEOM)
-    lo, hi = fitting._bounds_theta(model, FitConfig(), np.zeros(7))
+    lo, hi = fitting._fit_inputs(model, FitConfig(), np.zeros(7))[2:]
     x0 = np.array(POINTS["ggamma"][0])
     assert fitting._Coords(model, np.ones(7, dtype=bool), x0, lo, hi).blocks == [1, 4]
     free = np.array([True, True, False, True, True, True, True])  # d1 fixed: fines stays theta
@@ -149,7 +149,7 @@ def test_only_all_free_ggamma_components_are_mapped():
     assert coords.blocks == [3]
     assert np.array_equal(coords.theta(np.zeros(6))[0][:3], x0[[0, 1, 3]])
     logn = ModelSpec("lognorm", "ofa", GEOM)
-    lo, hi = fitting._bounds_theta(logn, FitConfig(), np.zeros(5))
+    lo, hi = fitting._fit_inputs(logn, FitConfig(), np.zeros(5))[2:]
     assert fitting._Coords(logn, np.ones(5, dtype=bool), np.array(POINTS["lognorm"][0]), lo, hi).blocks == []
 
 

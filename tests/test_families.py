@@ -43,6 +43,16 @@ def test_model_spec_transforms_equal_encode_decode(family):
 
 
 @pytest.mark.parametrize("family", list(FAMILIES))
+def test_parameter_vector_of_wrong_length_is_a_value_error(family):
+    # a vector of neither a component's nor a mixture's length once raised TypeError inside the params class
+    size = FAMILIES[family].size
+    model = ModelSpec(family, "microscopy", GEOM)
+    for n in (0, size - 1, size + 1, 2 * size + 2):
+        with pytest.raises(ValueError, match=f"{family} parameters need {size} .* or {2 * size + 1} .*got {n}"):
+            model.params_from_original(np.ones(n))
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
 def test_chain_vector_is_the_derivative_of_from_theta(family):
     _, mixes = random_points(family, 2)
     model = ModelSpec(family, "ofa", GEOM)

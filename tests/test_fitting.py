@@ -75,8 +75,6 @@ def test_chain_vector_fixtures():
 
 def test_fit_config_validation():
     with pytest.raises(ValueError):
-        FitConfig(grad_mode="auto")
-    with pytest.raises(ValueError):
         FitConfig(n_starts=0)
     with pytest.raises(ValueError):
         FitConfig(fixed_mask=(True, False, False))  # no par_start
@@ -314,13 +312,6 @@ def test_objective_never_leaves_box(micro_fit):
     for params in seen:
         vals = np.array([params.b * s0, params.d, params.k])
         assert np.all(vals >= lo - 1e-9) and np.all(vals <= hi + 1e-9)
-
-
-def test_finite_difference_mode_agrees(micro_fit):
-    _, data, model = micro_fit
-    res_fd = fit(data, model, FitConfig(n_starts=1, seed=1, grad_mode="finite_difference"))
-    res_an = fit(data, model, FitConfig(n_starts=1, seed=1))
-    assert res_fd.loglik == pytest.approx(res_an.loglik, abs=1e-4)
 
 
 def test_covariance_original_scale_chain(micro_fit):

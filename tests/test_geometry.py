@@ -10,9 +10,12 @@ P_UC_AT_R = 0.23890840472380189
 
 def test_core_geometry_validation():
     assert CoreGeometry(2.5).diameter == 5.0
-    for bad in (0.0, -1.0, np.inf, np.nan):
+    # r^2 underflows below ~1.5e-154 and 8 r^2 overflows above ~4.7e153
+    for bad in (0.0, -1.0, np.inf, np.nan, 1e-300, 1.4e-154, 4.8e153, 1e200):
         with pytest.raises(ValueError):
             CoreGeometry(bad)
+    for good in (1.5e-154, 4.7e153):
+        assert CoreGeometry(good).r == good
 
 
 def test_area_factor_values():

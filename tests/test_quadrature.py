@@ -11,12 +11,16 @@ from fiberfit import (
     QuadratureError,
     density_x_component,
     ggd_pdf,
-    integrate,
 )
 from fiberfit.densities import component_pdf
 from fiberfit.quadrature import segment_integrals
 from fiberfit.simulate import SimSpec, sample_x
 from conftest import x_density_oracle
+
+
+def integral(f, a, b, cfg=QuadratureConfig()):
+    """The integral of f (or of each row of its stack) over (a, b), from 8 starting panels."""
+    return segment_integrals(f, np.linspace(a, b, 9), cfg).total()
 
 
 def test_config_validation():
@@ -31,24 +35,25 @@ def test_config_validation():
 
 def test_polynomial_exactness():
     # a 15-point Kronrod panel integrates low-degree polynomials exactly
-    val = integrate(lambda x: 3.0 * x**2, 0.0, 2.0)
+    val = integral(lambda x: 3.0 * x**2, 0.0, 2.0)[0]
     assert val == pytest.approx(8.0, rel=1e-14)
 
 
 def test_ggd_normalization():
+    # (y / b)^d is gamma(k) distributed; beyond y = 20 it exceeds 1 000, a tail below 1e-400
     p = GgdParams(2.4, 3.3, 1.5)
-    val = integrate(lambda y: ggd_pdf(y, p), 0.0, np.inf, tail_start=3.0)
+    val = integral(lambda y: ggd_pdf(y, p), 0.0, 20.0)[0]
     assert val == pytest.approx(1.0, abs=1e-8)
 
 
 def test_inverse_sqrt_endpoint_singularity():
-    val = integrate(lambda x: 1.0 / np.sqrt(np.clip(4.0 - x * x, 1e-300, None)), 0.0, 2.0)
+    val = integral(lambda x: 1.0 / np.sqrt(np.clip(4.0 - x * x, 1e-300, None)), 0.0, 2.0)[0]
     assert val == pytest.approx(np.pi / 2.0, abs=2e-8)
 
 
 def test_oscillatory_against_quadpack():
     f = lambda x: np.cos(7.0 * x) * np.exp(-0.3 * x)
-    mine = integrate(f, 0.0, 10.0)
+    mine = integral(f, 0.0, 10.0)[0]
     ref = quad(f, 0.0, 10.0, limit=200)[0]
     assert mine == pytest.approx(ref, abs=1e-10)
 
@@ -61,7 +66,7 @@ def test_cut_kernel_total_mass_beyond_diameter():
 
     r = 1.0
     geom = CoreGeometry(r)
-    val = integrate(lambda x: cut_kernel(x, 5.0 * r, geom), 1e-13, 2.0 * r)
+    val = integral(lambda x: cut_kernel(x, 5.0 * r, geom), 1e-13, 2.0 * r)[0]
     assert val == pytest.approx(1.0, abs=1e-8)
 
 
@@ -69,7 +74,8 @@ def test_stacked_integrands_share_tree():
     def stack(y):
         return np.stack([np.exp(-y), y * np.exp(-y), y * y * np.exp(-y)])
 
-    vals = integrate(stack, 0.0, np.inf, tail_start=1.0)
+    # the tail beyond y = 60 holds below 4e-23 of each
+    vals = integral(stack, 0.0, 60.0)
     assert vals.shape == (3,)
     assert np.allclose(vals, [1.0, 1.0, 2.0], atol=1e-9)
 
@@ -95,15 +101,8 @@ def test_max_subdivisions_raises_with_estimate():
     # a spike the coarse panels cannot resolve within 10 splits
     f = lambda x: 1.0 / np.sqrt(np.clip(np.abs(x - 0.7071), 1e-300, None))
     with pytest.raises(QuadratureError) as err:
-        integrate(f, 0.0, 1.0, cfg)
+        integral(f, 0.0, 1.0, cfg)
     assert err.value.error_estimate > 0.0
-
-
-def test_bad_limits():
-    with pytest.raises(ValueError):
-        integrate(lambda x: x, np.inf, 1.0)
-    with pytest.raises(ValueError):
-        integrate(lambda x: x, 1.0, 0.0)
 
 
 def _counted(f):
