@@ -1,13 +1,13 @@
-"""Box-constrained quasi-Newton maximum likelihood fitting.
+"""Box-constrained maximum likelihood fitting.
 
 The optimizer works on the unconstrained theta scale (logit for the fines
 proportion, log for positive parameters) with user bounds supplied on the
 original scale and transformed internally.  Fitting is two-stage: starting
 values come from maximizing the uncensored mixture likelihood (cheap, no
-integrals), then the censored likelihood is maximized by L-BFGS-B with the
-analytic gradient, best of at most ``n_starts`` jittered restarts: the
-later starts run only when the first is no known optimum (below) or
-``par_start`` is given.
+integrals) by L-BFGS-B, then the censored likelihood is maximized from them
+by Newton steps (below), best of at most ``n_starts`` starts: the later
+starts, jittered and run by L-BFGS-B with the analytic gradient, run only
+when the first is no known optimum (below) or ``par_start`` is given.
 
 Both stages solve the unitless problem, lengths and r divided by s0 =
 median(data), and map back by one theta shift (log s0 on log b or mu) and a
@@ -16,28 +16,52 @@ Default bounds (the family table's) are relative to s0, and one seed rule
 (``ModelSpec.seed``) serves every model.  Fines is the component with the
 smaller Y-scale mean.
 
-The initialization and the censored fit's first start (the initialization's
-end point, with no ``par_start``) run L-BFGS-B in z = (u - u0) / D.  u
-replaces each all-free generalized gamma component's (log b, log d, log k)
-by (m, log s, log k), m = log b + psi(k) / d and s = sqrt(psi'(k)) / d the
-mean and sd of log Y (Prentice 1974, Biometrika 61:539; Lawless 1980,
-Technometrics 22:409), in which the three are far less correlated; eps and
-lognormal coordinates stay theta.  u0 is the start's u.  The
-initialization takes D = 1; the censored start takes D_i = 1 / sqrt(B_ii),
-B the count-weighted outer product of the scores in u (BHHH), so that z is
-in units of standard errors.  B comes from one scores pass at the start, an
-order-1 evaluation that also sums the outer product and reads no Hessian
-row; its value and gradient answer the z run's first evaluation.
-The z gradient is D J' grad_theta with the analytic J = d theta / d u.  The
-z box is the corner bounding box of the theta box's image, and every
-evaluation reads theta clipped into the theta box.  At the box, theta takes
-over: when an accepted iterate's theta leaves the box, the end point lies
-on a face or the z run ends without success, L-BFGS-B on theta goes on from
-the clipped point on the exact box, and a start on a face runs in theta
-from the outset.  Bound-constrained optima, the basin stop and the
-covariance therefore stay in theta, and later (jittered) starts and
-``par_start`` starts run in theta throughout.  On n = 20 000 OFA samples
-this halves the censored and initialization evaluations of a fit.
+The Newton steps and the initialization work in u, which replaces each
+all-free generalized gamma component's (log b, log d, log k) by (m, log s,
+log k), m = log b + psi(k) / d and s = sqrt(psi'(k)) / d the mean and sd of
+log Y (Prentice 1974, Biometrika 61:539; Lawless 1980, Technometrics
+22:409), in which the three are far less correlated; eps and lognormal
+coordinates stay theta.  J = d theta / d u is analytic, and the u box is
+the corner bounding box of the theta box's image.  The initialization runs
+L-BFGS-B in z = u - u0, u0 the start's u, with the z gradient J'
+grad_theta, and every evaluation reads theta clipped into the theta box.
+At the box, theta takes over: when an accepted iterate's theta leaves the
+box, the end point lies on a face or the z run ends without success,
+L-BFGS-B on theta goes on from the clipped point on the exact box, and a
+start on a face runs in theta from the outset.
+
+One Newton routine (:meth:`_Problem.newton`) finds the first start's
+optimum and certifies every optimum.  Each step makes one order-2
+evaluation.  From an interior point it solves (J' (-H) J) du = J' g in u,
+J taken there, and maps u + du, clipped into the u box, back to theta; on a
+face J selects the coordinates not pinned at a bound by their gradient,
+which the step holds.  Where J' (-H) J has no Cholesky factor the step is
+modified: each eigenvalue of that matrix is replaced by its absolute value,
+floored at 1e-8 of the largest (Nocedal & Wright 2006, Numerical
+Optimization, section 3.4).  The step is clipped into the box, and one that
+does not raise the log likelihood is halved in u, at most 12 times; halving
+along the theta chord does not help on the curved k ridge.  The steps end
+after the first unmodified one taken from a point whose predicted gain (J'
+g) du / 2 is at most 1e-6.  The point is then a known optimum if -H has a
+Cholesky factor and predicts no further gain there; otherwise the start's
+message names the reason.
+
+The first start is the initialization's end point without ``par_start``.
+From inside the box it takes Newton steps, at most 50; 5-15 of them reach
+a known optimum on the benchmark's OFA and microscopy samples, where
+Newton's method in theta needed more iterations than L-BFGS-B.  When they stop short of one,
+or the start lies on a face, L-BFGS-B in theta runs on every point from the
+start, as it does for later starts and ``par_start`` starts.  Every
+L-BFGS-B run that converges takes one Newton step (the polish), and the
+order-2 evaluation a start ends on also gives the covariance.  A later
+start stops as a duplicate as soon as an iterate enters a known optimum's
+Hessian ellipsoid at the chi-square 0.99 level with a log likelihood the
+quadratic model allows there: the basin test of multi-level single linkage
+(Rinnooy Kan & Timmer 1987, Math. Programming 39:57).  Later starts are
+that method's search for basins not yet known, so they add nothing once
+the first start's basin is: when the first start is a known optimum and
+there is no ``par_start`` (a user's start may sit in a poor basin), the fit
+ends after it.
 
 A fit on many distinct values, more than one streamed block of them
 (``scales._BLOCK`` = 8 192), is coarse to fine.  The sorted distinct
@@ -45,41 +69,15 @@ unitless values are cut into _GROUPS = 1 024 contiguous groups of equal
 count, a tied value never split, and each group becomes its count-median
 value carrying the group's count (:func:`_grouped`; grouped data, Heitjan
 1989, Statistical Science 4:164).  The initialization and the first start's
-z run go to convergence on the groups, about 1 SE from the full-data
-optimum, and Newton steps on every point (below) finish the start there, at
-most _NEWTON_STEPS + 1 of them.  In u the curved (log b, log d, log k) ridge
-is nearly straight, so three or four steps reach a known optimum where
-theta steps can lower the log likelihood.  When they stop short of one, the
-z run on every point starts from the grouped optimum with its own BHHH
-scale instead.  A grouped run that fails or ends on a face is dropped with
-a warning, and the first start then runs on every point from the
-initialization's end point.  Later starts, the Newton steps, the basin stop
-and the covariance use every point, so the estimate and its standard errors
-are the full data's.  On n = 20 000 OFA samples the first start makes no
-order-1 evaluation on every point (the full-data path makes about 21) and
-4-5 order-2 ones, for about 20 order-1 evaluations on the groups.  At or
-below 8 192 distinct values nothing runs on groups.
-
-Each optimum is found once, and one Newton routine (:meth:`_Problem.newton`)
-certifies it.  Each step makes one order-2 evaluation.  From an interior
-point it solves (J' (-H) J) du = J' g in u with D = 1 and J = d theta / d u
-there, and maps u + du back to theta; on a face J selects the coordinates
-not pinned at a bound by their gradient, which the step holds.  The step is
-clipped into the box and kept only if the log likelihood rises, and the
-steps end after the first one taken from a point whose predicted gain
-(J' g) du / 2 is at most 1e-6.  The point is then a known optimum if -H has
-a Cholesky factor and predicts no further gain there; otherwise the start's
-message names the reason.  A converged start takes one step (the polish),
-and the order-2 evaluation it ends on also gives the covariance.  A later
-start stops as a duplicate as soon as an iterate enters a known optimum's
-Hessian ellipsoid at the chi-square 0.99 level with a log likelihood the
-quadratic model allows there: the basin test of multi-level single linkage
-(Rinnooy Kan & Timmer 1987, Math. Programming 39:57).  Later starts are
-that method's search for basins not yet known, so they add nothing once the
-first start's basin is: when the first start is a known optimum and there
-is no ``par_start`` (a user's start may sit in a poor basin), the fit ends
-after it.  On n = 300 microscopy fits this runs one start where five ran
-before, in about 0.020 s per fit instead of 0.047 s (2-core Xeon).
+Newton steps run on the groups and end about 1 SE from the full-data
+optimum, and Newton steps on every point finish the start there, at most
+_NEWTON_STEPS + 1 of them.  When either stops short of a known optimum,
+L-BFGS-B runs on every point from the initialization's end point.  Later
+starts, the finish, the basin stop and the covariance use every point, so
+the estimate and its standard errors are the full data's.  On n = 20 000
+OFA samples the first start makes 4-5 order-2 evaluations on every point
+and 8-11 on the groups, and no order-1 evaluation.  At or below 8 192
+distinct values nothing runs on groups.
 
 Fixed parameters are held at their original-scale values and excluded from
 the optimization; a proportion fixed at exactly 0 or 1 is supported even
@@ -353,7 +351,7 @@ def _fit_inputs(model: ModelSpec, cfg: FitConfig, shift):
     return fixed, given.get("par_start"), *box
 
 
-_MAX_ITER = 500  # L-BFGS-B iterations of one start, the z run and its theta continuation together
+_MAX_ITER = 500  # L-BFGS-B iterations of one run, a z run and its theta continuation together
 _GRAD_TOL = 1e-7  # L-BFGS-B projected-gradient tolerance
 
 
@@ -395,78 +393,78 @@ def _loc_scale_inverse(u):
     return theta, jac
 
 
+def _blocks(model: ModelSpec, free):
+    """The position in the free vector of the first coordinate of each all-free generalized gamma component."""
+    position = np.cumsum(free) - 1  # of each theta coordinate in the free vector
+    firsts = range(model.n_params % 3, model.n_params, 3) if model.family == GGAMMA else ()
+    return [position[i] for i in firsts if free[i : i + 3].all()]
+
+
+def _u_of(x, blocks):
+    """u of the free theta x: each block's (log b, log d, log k) in (m, log s, log k)."""
+    u = np.array(x, dtype=float)
+    for i in blocks:
+        u[i : i + 3] = _loc_scale(u[i : i + 3])
+    return u
+
+
+def _theta_of(u, blocks):
+    """(free theta, J = d theta / d u) at u."""
+    x = np.array(u, dtype=float)
+    jac = np.eye(x.size)
+    for i in blocks:
+        x[i : i + 3], jac[i : i + 3, i : i + 3] = _loc_scale_inverse(x[i : i + 3])
+    return x, jac
+
+
+def _u_box(blocks, lo, hi):
+    """The corner bounding box of the image in u of the theta box [lo, hi].
+
+    m and log s are each monotone in every theta coordinate, so the corners
+    hold their extremes.
+    """
+    ulo, uhi = lo.copy(), hi.copy()
+    for i in blocks:
+        image = _loc_scale(np.array(list(product(*zip(lo[i : i + 3], hi[i : i + 3])))).T)
+        ulo[i : i + 3], uhi[i : i + 3] = image.min(axis=1), image.max(axis=1)
+    return ulo, uhi
+
+
 class _Coords:
-    """Optimizer coordinates z = (u - u0) / D of one start's free theta (module docstring).
+    """Optimizer coordinates z = u - u0 of the initialization (module docstring).
 
     u is the free theta with each all-free generalized gamma component in
-    (m, log s, log k) (:func:`_loc_scale`), u0 the start's u, and ``scale``
-    the positive D, 1 unless :meth:`scale_by` sets it.  The z box is the
-    corner bounding box of the image of the theta box [lo, hi]: m and log s
-    are each monotone in every theta coordinate, so the corners hold their
-    extremes.  ``first``, when set, is the (value, theta gradient) of the
-    objective at :meth:`start`, which answers the z run's first evaluation
-    there.
+    (m, log s, log k) (:func:`_loc_scale`), u0 the start's u.  The z box is
+    the corner bounding box of the image of the theta box [lo, hi]
+    (:func:`_u_box`).
     """
 
     def __init__(self, model: ModelSpec, free, x0, lo, hi):
-        position = np.cumsum(free) - 1  # of each theta coordinate in the free vector
-        firsts = range(model.n_params % 3, model.n_params, 3) if model.family == GGAMMA else ()
-        self.blocks = [position[i] for i in firsts if free[i : i + 3].all()]
+        self.blocks = _blocks(model, free)
         self.x0, self.lo, self.hi = x0, lo, hi
         self.interior = bool(np.all(x0 > lo) and np.all(x0 < hi))
-        self.u0, ulo, uhi = self.u_of(x0), lo.copy(), hi.copy()
+        self.u0 = self.u_of(x0)
         self.curved = np.zeros(x0.size, dtype=bool)  # log b and log d, which the z box does not bound
         for i in self.blocks:
-            image = _loc_scale(np.array(list(product(*zip(lo[i : i + 3], hi[i : i + 3])))).T)
-            ulo[i : i + 3], uhi[i : i + 3] = image.min(axis=1), image.max(axis=1)
             self.curved[i : i + 2] = True
-        self.ubox = (ulo, uhi)
-        self.scale = np.ones(x0.size)
-        self.first = None
+        self.ubox = _u_box(self.blocks, lo, hi)
 
     def u_of(self, x):
-        u = np.array(x, dtype=float)
-        for i in self.blocks:
-            u[i : i + 3] = _loc_scale(u[i : i + 3])
-        return u
+        return _u_of(x, self.blocks)
 
     def theta(self, z):
         """(free theta, J = d theta / d u) at z."""
-        x = self.u0 + self.scale * np.asarray(z)
-        jac = np.eye(x.size)
-        for i in self.blocks:
-            x[i : i + 3], jac[i : i + 3, i : i + 3] = _loc_scale_inverse(x[i : i + 3])
-        return x, jac
-
-    def start(self):
-        """The theta every z run evaluates first: that of z = 0 (x0 up to the u round trip), clipped into the box."""
-        return np.clip(self.theta(np.zeros(self.u0.size))[0], self.lo, self.hi)
-
-    def scale_by(self, outer):
-        """D_i = 1 / sqrt(BHHH_ii), where BHHH = J' outer J, the scores' outer product in u at u0.
-
-        ``outer`` is the theta outer product (``LikelihoodEvaluation._score_outer``);
-        D_i stays 1 where BHHH_ii is not positive and finite.
-        """
-        jac = self.theta(np.zeros(self.u0.size))[1]
-        diag = np.einsum("ji,jk,ki->i", jac, outer, jac)
-        ok = np.isfinite(diag) & (diag > 0.0)
-        self.scale = 1.0 / np.sqrt(np.where(ok, diag, 1.0))
+        return _theta_of(self.u0 + np.asarray(z), self.blocks)
 
     def objective(self, objective):
-        """(value, z-gradient D J' g) of ``objective`` (value, theta gradient g) at theta clipped into the box.
+        """(value, z-gradient J' g) of ``objective`` (value, theta gradient g) at theta clipped into the box."""
 
-        A first call at z = 0 takes ``first`` when that is set.
-        """
-        first = [] if self.first is None else [self.first]
-
-        def scaled(z):
+        def of_z(z):
             x, jac = self.theta(z)
-            value, g = first.pop() if first and not np.any(z) else objective(np.clip(x, self.lo, self.hi))
-            first.clear()
-            return value, self.scale * (jac.T @ g)
+            value, g = objective(np.clip(x, self.lo, self.hi))
+            return value, jac.T @ g
 
-        return scaled
+        return of_z
 
     def minimize(self, objective):
         """L-BFGS-B in z from z = 0, handed over to theta at the box; the result's ``x`` is theta.
@@ -484,7 +482,7 @@ class _Coords:
             if np.any(x < self.lo[self.curved]) or np.any(x > self.hi[self.curved]):
                 raise StopIteration  # ends the run with status 99
 
-        zlo, zhi = ((bound - self.u0) / self.scale for bound in self.ubox)
+        zlo, zhi = (bound - self.u0 for bound in self.ubox)
         res = _lbfgsb(self.objective(objective), np.zeros(self.u0.size), zlo, zhi, callback=leave)
         x = self.theta(res.x)[0]
         on_face = np.any(res.x <= zlo) or np.any(res.x >= zhi) or np.any(x <= self.lo) or np.any(x >= self.hi)
@@ -504,10 +502,12 @@ class _Problem:
     fit's inputs are checked once; ``free`` is ``~fixed``.  ``grouped`` is
     the data's :func:`_grouped` copy above _BLOCK distinct values without
     ``par_start``, else None.  Both datasets carry their
-    ``_CensoredPoints``.  ``theta_init``, set by :func:`fit` from
-    :func:`initialize`'s output, holds the fixed coordinates; ``tf`` is the
-    free part of a theta.  It stores no function, so that nothing refers back
-    to it and it dies, with its datasets' constants, when the fit returns.
+    ``_CensoredPoints``.  ``blocks`` and ``ubox`` are the Newton step's u
+    coordinates of the free theta (:func:`_blocks`, :func:`_u_box`).
+    ``theta_init``, set by :func:`fit` from :func:`initialize`'s output,
+    holds the fixed coordinates; ``tf`` is the free part of a theta.  It
+    stores no function, so that nothing refers back to it and it dies, with
+    its datasets' constants, when the fit returns.
     """
 
     def __init__(self, data: Dataset, model: ModelSpec, cfg: FitConfig):
@@ -519,6 +519,8 @@ class _Problem:
         if self.start is None and self.data.unique.size > _BLOCK:
             self.grouped = _grouped(self.data)
             self.grouped._points = _CensoredPoints(self.grouped.unique, self.model.geom.r)
+        self.blocks = _blocks(model, self.free)
+        self.ubox = _u_box(self.blocks, self.lo[self.free], self.hi[self.free])
         self.theta_init = None
 
     def theta(self, tf):
@@ -527,66 +529,79 @@ class _Problem:
         theta[self.free] = tf
         return theta
 
-    def loglik(self, tf, order, data=None, **kw):
+    def loglik(self, tf, order, data=None):
         """The likelihood evaluation at ``order`` of the free coordinates tf on ``data``, by default every point."""
         params = self.model.params_from_original(self.model.from_theta(self.theta(tf)))
         loglik = ofa_loglik if self.model.data_type == OFA else micro_loglik
-        return loglik(params, self.data if data is None else data, self.model.geom, DEFAULT_CONFIG, order, **kw)
+        return loglik(params, self.data if data is None else data, self.model.geom, DEFAULT_CONFIG, order)
 
-    def objective(self, tf, data=None):
-        """(-l, -gradient) at the free coordinates tf on ``data``."""
-        ev = self.loglik(tf, 1, data)
+    def objective(self, tf):
+        """(-l, -gradient) at the free coordinates tf on every point."""
+        ev = self.loglik(tf, 1)
         return -ev.loglik, -np.asarray(ev.gradient)[self.free]
 
-    def order2(self, tf):
-        """The order-2 evaluation at tf on every point, or None when it fails."""
+    def order2(self, tf, data=None):
+        """The order-2 evaluation at tf on ``data``, by default every point, or None with a warning when it fails."""
         try:
-            return self.loglik(tf, 2)
-        except (EvaluationError, FloatingPointError):
+            return self.loglik(tf, 2, data)
+        except (EvaluationError, FloatingPointError) as exc:
+            size = (self.data if data is None else data).unique.size
+            log.warning("an order-2 evaluation on %d distinct values failed (%s)", size, exc)
             return None
 
-    def newton_step(self, tf, ev):
+    def newton_step(self, tf, ev, halvings=0):
         """(next point, predicted gain, lower Cholesky factor of -H or None) of one Newton step from tf.
 
-        The step and J are the module docstring's, g and H those of ``ev``.
-        When -H has no Cholesky factor the Newton model is unbounded: no step,
-        gain inf.
+        The step du, J and the modified step are the module docstring's, g and
+        H those of ``ev``; du is halved ``halvings`` times.  The factor is None
+        when -H has none, and always after a modified step, which never
+        certifies.
         """
         lo, hi = self.lo[self.free], self.hi[self.free]
         g = np.asarray(ev.gradient)[self.free]
         neg_h = -np.asarray(ev.hessian)[np.ix_(self.free, self.free)]
-        factor = _cholesky(neg_h)
-        if factor is None:
-            return tf, np.inf, None
-        coords = _Coords(self.model, self.free, tf, lo, hi)
-        if coords.interior:
-            jac = coords.theta(np.zeros(tf.size))[1]
+        interior = np.all(tf > lo) and np.all(tf < hi)
+        if interior:
+            u0 = _u_of(tf, self.blocks)
+            jac = _theta_of(u0, self.blocks)[1]
         else:  # the columns of the coordinates that their gradient does not pin at a bound
             jac = np.eye(tf.size)[:, ~(((tf <= lo) & (g < 0.0)) | ((tf >= hi) & (g > 0.0)))]
-        gu = jac.T @ g
-        du = np.linalg.solve(jac.T @ neg_h @ jac, gu)
-        x = coords.theta(du)[0] if coords.interior else tf + jac @ du
+        gu, a = jac.T @ g, jac.T @ neg_h @ jac
+        factor = _cholesky(neg_h)
+        if factor is not None or _cholesky(a) is not None:
+            du = np.linalg.solve(a, gu)
+        else:  # Hessian modification: |eigenvalues|, floored (Nocedal & Wright 2006, section 3.4)
+            w, v = np.linalg.eigh(a)
+            w = np.abs(w)
+            du, factor = v @ ((v.T @ gu) / np.maximum(w, _EIGEN_FLOOR * w.max())), None
+        step = 0.5**halvings * du
+        x = _theta_of(np.clip(u0 + step, *self.ubox), self.blocks)[0] if interior else tf + jac @ step
         return np.clip(x, lo, hi), 0.5 * float(gu @ du), factor
 
-    def newton(self, tf, ev, steps):
-        """At most ``steps`` Newton steps from tf, ``ev`` its order-2 evaluation or None when that failed.
+    def newton(self, tf, ev, steps, data=None):
+        """At most ``steps`` Newton steps from tf on ``data``, by default every point.
 
-        Returns (point, evaluation, steps taken, outcome), the outcome the lower
-        Cholesky factor of -H when the point is a known optimum (module
-        docstring), else the reason it is not.
+        ``ev`` is the order-2 evaluation at tf, or None when that failed.  A
+        step that does not raise the log likelihood is halved in u, at most
+        _HALVINGS times.  Returns (point, evaluation, steps taken, outcome),
+        the outcome the lower Cholesky factor of -H when the point is a known
+        optimum (module docstring), else the reason it is not.
         """
         if ev is None:
             return tf, ev, 0, "an order-2 evaluation failed"
         x, gain, factor = self.newton_step(tf, ev)
         taken, outcome = 0, f"no convergence in {steps} step{'s' * (steps != 1)}"
-        while taken < steps and factor is not None:
+        while taken < steps:
             taken += 1
-            ev_new = self.order2(x)
+            ev_new, halvings = self.order2(x, data), 0
+            while ev_new is not None and not ev_new.loglik > ev.loglik and halvings < _HALVINGS:
+                halvings += 1
+                ev_new = self.order2(x := self.newton_step(tf, ev, halvings)[0], data)
             if ev_new is None or not ev_new.loglik > ev.loglik:
                 outcome = ("an order-2 evaluation failed" if ev_new is None
                            else "a step did not raise the log likelihood")
                 break
-            tf, ev, converged = x, ev_new, gain <= _NEWTON_GAIN_TOL
+            tf, ev, converged = x, ev_new, factor is not None and gain <= _NEWTON_GAIN_TOL
             x, gain, factor = self.newton_step(tf, ev)
             if converged:
                 break
@@ -594,53 +609,38 @@ class _Problem:
             return tf, ev, taken, "-H has no Cholesky factor"
         return tf, ev, taken, factor if gain <= _NEWTON_GAIN_TOL else outcome
 
-    def scaled_run(self, t0, data):
-        """The z run from t0 on ``data``, scaled by the BHHH matrix of one scores pass at its start."""
-        coords = _Coords(self.model, self.free, t0, self.lo[self.free], self.hi[self.free])
-        if coords.interior:
-            try:
-                ev = self.loglik(coords.start(), 1, data, _scores=True)
-            except (EvaluationError, FloatingPointError):
-                pass
-            else:
-                coords.scale_by(ev._score_outer[np.ix_(self.free, self.free)])
-                coords.first = (-ev.loglik, -ev.gradient[self.free])
-        return coords.minimize(lambda tf: self.objective(tf, data))
-
-    def grouped_run(self, t0):
-        """The z run on the groups from t0, or None with a warning when it fails or ends on a face."""
-        try:
-            res = self.scaled_run(t0, self.grouped)
-            if res.status == 0 and np.all(res.x > self.lo[self.free]) and np.all(res.x < self.hi[self.free]):
-                return res
-            reason = "ended on a face of the box" if res.status == 0 else f"ended with {res.message}"
-        except (EvaluationError, FloatingPointError, np.linalg.LinAlgError) as exc:
-            reason = f"failed ({exc})"
-        log.warning("the first start on %d groups %s; it runs on every point from its start",
-                    self.grouped.unique.size, reason)
-        return None
-
     def minimize(self, index, t0, callback):
-        """L-BFGS-B from start ``index``: the initialize output in z with the BHHH scale, any other start in theta.
+        """Start ``index`` from t0: Newton steps for the first start (module docstring), else L-BFGS-B in theta.
 
-        Starts in theta stop through ``callback``, the basin stop.  A Newton
-        finish on every point after the groups (module docstring) that reaches
-        a known optimum hands on :meth:`newton`'s result as ``newton``.
+        The first start takes Newton steps when there is no ``par_start`` and
+        t0 lies inside the box, on the groups and then on every point when
+        there are groups; a known optimum that they reach is handed on as
+        ``newton`` (:meth:`newton`'s result).  Otherwise, and
+        when they stop short of one, L-BFGS-B in theta runs on every point
+        from t0 and stops through ``callback``, the basin stop.
         """
-        if index > 0 or self.start is not None:
-            return _lbfgsb(self.objective, t0, self.lo[self.free], self.hi[self.free], callback=callback)
-        coarse = None if self.grouped is None else self.grouped_run(t0)
-        if coarse is None:
-            return self.scaled_run(t0, self.data)
-        newton = x, ev, taken, outcome = self.newton(coarse.x, self.order2(coarse.x), _NEWTON_STEPS + 1)
-        if isinstance(outcome, str):
-            res = self.scaled_run(coarse.x, self.data)
-            res.nit += coarse.nit
-            res.message = f"Newton finish on every point stopped ({outcome}); z run: {res.message}"
-            return res
-        steps = f"{taken} step{'s' * (taken != 1)}"
-        message = f"Newton finish on every point: {steps} after {coarse.nit} grouped iterations"
-        return OptimizeResult(x=x, fun=-ev.loglik, status=0, nit=coarse.nit + taken, message=message, newton=newton)
+        lo, hi = self.lo[self.free], self.hi[self.free]
+        n_iter, stopped = 0, ""
+        if index == 0 and self.start is None and np.all(t0 > lo) and np.all(t0 < hi):
+            stages = [("Newton start on every point", None, _FIRST_STEPS)]
+            if self.grouped is not None:
+                stages = [(f"Newton start on {self.grouped.unique.size} groups", self.grouped, _FIRST_STEPS),
+                          ("Newton finish on every point", None, _NEWTON_STEPS + 1)]
+            x, done = t0, []
+            for name, data, steps in stages:
+                x, ev, taken, outcome = newton = self.newton(x, self.order2(x, data), steps, data)
+                n_iter += taken
+                if isinstance(outcome, str):
+                    stopped = f"{name} stopped ({outcome}); L-BFGS-B: "
+                    break
+                done.append(f"{name}: {taken} step{'s' * (taken != 1)}")
+            else:
+                return OptimizeResult(x=x, fun=-ev.loglik, status=0, nit=n_iter, message="; ".join(done),
+                                      newton=newton)
+        res = _lbfgsb(self.objective, t0, lo, hi, callback=callback)
+        res.nit += n_iter
+        res.message = stopped + str(res.message)
+        return res
 
 
 def initialize(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig(), *, _unit=None) -> ParamVector:
@@ -650,8 +650,8 @@ def initialize(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig(), *,
     the uncensored likelihood of the lengths divided by s0 = median(data) is
     maximized from :meth:`ModelSpec.seed`, the one seed rule of every model
     (each component matches the mean and sd of its log lengths; a mixture
-    splits them at their 20th percentile), by L-BFGS-B in the unscaled
-    optimizer coordinates (D = 1, module docstring), and the optimum is
+    splits them at their 20th percentile), by L-BFGS-B in the optimizer
+    coordinates z (module docstring), and the optimum is
     shifted back to data units.  On more than 8 192 distinct values all of
     this runs on their 1 024 groups (:func:`_grouped`, module docstring).  If
     the initialization optimizer fails the seed itself is returned with a
@@ -705,6 +705,9 @@ _STATUS = {0: "success", 1: "max_iter", 2: "line_search_failure"}
 _BASIN_TAIL = 0.01  # chi-square upper tail probability of the basin ellipsoid
 _NEWTON_GAIN_TOL = 1e-6  # largest log-likelihood gain a known optimum's Newton model may predict
 _NEWTON_STEPS = 5  # most Newton steps of the first start's finish on every point before the certifying one
+_FIRST_STEPS = 50  # most Newton steps of the first start from the initialization, on the groups or every point
+_HALVINGS = 12  # most halvings in u of a Newton step that does not raise the log likelihood
+_EIGEN_FLOOR = 1e-8  # floor of the modified step's eigenvalues, relative to the largest
 
 
 def _cholesky(a):
@@ -724,13 +727,15 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
     They run only when the first start is not a known optimum (below) or
     ``par_start`` is given; ``starts_tried`` and ``trace`` hold the starts
     that ran.  The jitter of all ``n_starts`` is drawn before any runs.
-    A converged start takes one Newton step from its order-2 evaluation (in
-    the log-location-scale coordinates u from an interior point, in theta
-    with the coordinates pinned at a bound held on a face), clipped to the
-    box and kept only if the log likelihood rises.  It becomes a known
-    optimum when its negative Hessian has a Cholesky factor and predicts a
-    gain of at most 1e-6 there; otherwise the start's message says why.  A
-    later start whose iterate x enters a known optimum's ellipsoid,
+    Without ``par_start`` the first start takes Newton steps from an
+    interior point (in the log-location-scale coordinates u from an
+    interior point, in theta with the coordinates pinned at a bound held on
+    a face); any other start, and a first start whose steps stop short of a
+    known optimum, runs L-BFGS-B in theta, and a converged run takes one
+    such step.  A start becomes a known optimum when its negative Hessian
+    has a Cholesky factor and predicts a gain of at most 1e-6 there;
+    otherwise the start's message says why.  A later start whose iterate x
+    enters a known optimum's ellipsoid,
     (x - x_hat)' (-H) (x - x_hat) below the chi-square(p) 0.99 quantile
     with a log likelihood at least l_hat minus half that quantile, stops
     with status ``duplicate`` and does not compete for the result.  Ties in
@@ -740,11 +745,9 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
     original-scale covariance follows by the delta method.  All of this
     runs on the unitless problem (module docstring); a mixture is then
     relabeled so that fines is the component with the smaller mean.  On
-    more than 8 192 distinct values the first start converges on 1 024
-    groups of the data and the same Newton steps on every point, up to six,
-    finish it; if they stop short of a known optimum, the z run on every
-    point starts from the grouped optimum (module docstring).  The start's
-    message names its finish.
+    more than 8 192 distinct values the first start's Newton steps run on
+    1 024 groups of the data and then, up to six, on every point (module
+    docstring).  The start's message names its steps.
     """
     expected_scale = "X" if model.data_type == OFA else "V"
     if data.scale != expected_scale:

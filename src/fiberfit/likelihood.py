@@ -48,9 +48,6 @@ the log densities spans the data.  What each order reads per point:
   scores needs; the Hessian rows are summed against v like the gradient
   rows at order 1.  Scores whose sums overflow double range raise
   EvaluationError.
-* the scores pass (order 1 with ``_scores``, which scales the fit's first
-  start): the value and gradient rows for the outer product of the scores,
-  as at order 2, with the order-1 value and gradient and no Hessian row.
 """
 
 from __future__ import annotations
@@ -289,8 +286,7 @@ def _points_of(data: Dataset, geom: CoreGeometry) -> _CensoredPoints:
     return held if held is not None and held.r == geom.r else _CensoredPoints(data.unique, geom.r)
 
 
-def _mixture_eval(mix: MixtureParams, data: Dataset, geom: CoreGeometry | None, cfg: QuadratureConfig, order: int,
-                  scores: bool = False):
+def _mixture_eval(mix: MixtureParams, data: Dataset, geom: CoreGeometry | None, cfg: QuadratureConfig, order: int):
     """Per-unique log f_X and the count-weighted gradient and Hessian sums, streamed over blocks of the data.
 
     The one likelihood assembly.  The ``scales._CensoredStacks`` of the live
@@ -304,9 +300,6 @@ def _mixture_eval(mix: MixtureParams, data: Dataset, geom: CoreGeometry | None, 
     range raise EvaluationError.  Returns (log_f, grad, hess, outer), outer
     the count-weighted outer product of the scores (the BHHH matrix, Berndt,
     Hall, Hall and Hausman 1974), each None above the order that forms it.
-    ``scores`` at order 1 is the scores pass: it reads the gradient rows per
-    point for outer as order 2 does, and reads no Hessian row; its log_f
-    and grad are those of order 1 bit for bit.
     """
     eps, w = mix.eps, data.counts
     cn = _n_coords(mix.fines)
@@ -316,7 +309,7 @@ def _mixture_eval(mix: MixtureParams, data: Dataset, geom: CoreGeometry | None, 
         stacks = _CensoredStacks(data.unique, parts, geom, cfg, order, None if geom is None else _points_of(data, geom))
     except QuadratureError as exc:
         raise EvaluationError(f"censored-tail integral failed: {exc}") from exc
-    scores = order >= 2 or (scores and order == 1)
+    scores = order >= 2
     n_read = 1 + cn if scores else 1
     de = eps - eps * eps
     log_f = np.empty(data.unique.size)
@@ -364,9 +357,9 @@ def _mixture_eval(mix: MixtureParams, data: Dataset, geom: CoreGeometry | None, 
     return log_f, grad, hess, outer if scores else None
 
 
-def _component_eval(p: ComponentParams, data: Dataset, cfg: QuadratureConfig, order: int, scores: bool = False):
+def _component_eval(p: ComponentParams, data: Dataset, cfg: QuadratureConfig, order: int):
     """Uncensored (log_f, grad, hess, outer) of one component: the mixture pass with all its weight on p."""
-    log_f, *sums = _mixture_eval(MixtureParams(1.0, p, p), data, None, cfg, order, scores)
+    log_f, *sums = _mixture_eval(MixtureParams(1.0, p, p), data, None, cfg, order)
     own = slice(1, 1 + _n_coords(p))
     return (log_f, *(None if a is None else a[own] if a.ndim == 1 else a[own, own] for a in sums))
 
@@ -377,16 +370,13 @@ def ofa_loglik(
     geom: CoreGeometry,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     order: int = 0,
-    *,
-    _scores: bool = False,
 ) -> LikelihoodEvaluation:
     """Censored-mixture log likelihood of OFA data on the X scale.
 
     ``theta`` is a mixture ParamVector or MixtureParams.  With order >= 1 the
     analytic theta-gradient is attached, with order >= 2 the Hessian as well
-    (coordinate order: eps coordinate, fines block, fibers block).  Order 2,
-    and order 1 with ``_scores`` (the scores pass, ``_mixture_eval``), also
-    attach the scores' outer product.
+    (coordinate order: eps coordinate, fines block, fibers block).  Order 2
+    also attaches the scores' outer product.
     """
     mix = _as_params(theta)
     if not isinstance(mix, MixtureParams):
@@ -394,7 +384,7 @@ def ofa_loglik(
     if data.scale != "X":
         raise ValueError("OFA likelihood requires a dataset on the X scale")
     data.validate_support(geom)
-    return _evaluation(*_mixture_eval(mix, data, geom, cfg, order, _scores), data)
+    return _evaluation(*_mixture_eval(mix, data, geom, cfg, order), data)
 
 
 def init_loglik(
@@ -421,8 +411,6 @@ def micro_loglik(
     geom: CoreGeometry,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     order: int = 0,
-    *,
-    _scores: bool = False,
 ) -> LikelihoodEvaluation:
     """Conditional log likelihood of microscopy data (uncut fibers).
 
@@ -437,7 +425,6 @@ def micro_loglik(
     integral as :func:`scales.k_theta`: in standardized log length on
     quantile panels, up to 2r, converged to an absolute tolerance of
     abs_tol F(2r), F(2r) the mass below 2r (``scales._log_length_integrals``).
-    ``_scores`` is :func:`ofa_loglik`'s.
     """
     p = _as_params(theta)
     if isinstance(p, MixtureParams):
@@ -445,7 +432,7 @@ def micro_loglik(
     if data.scale != "V":
         raise ValueError("microscopy likelihood requires a dataset on the V scale")
     data.validate_support(geom)
-    log_f, grad, hess, outer = _component_eval(p, data, cfg, order, _scores)
+    log_f, grad, hess, outer = _component_eval(p, data, cfg, order)
     try:
         kint = _uncut_mass_stack(p, geom, cfg, order, segment_integrals)
     except QuadratureError as exc:

@@ -210,11 +210,17 @@ def k_theta(p: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig = DEFA
 
 
 def density_v(v, p_fibers: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig = DEFAULT_CONFIG):
-    """Density of uncut-fiber lengths in the core (microscopy scale)."""
+    """Density of uncut-fiber lengths in the core (microscopy scale).
+
+    Raises QuadratureError when k_theta is not positive and finite, as when
+    the uncut mass of a tiny core underflows.
+    """
     arr = np.asarray(v, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 2.0 * geom.r):
         raise ValueError("v must lie strictly inside (0, 2r)")
     norm = k_theta(p_fibers, geom, cfg)
+    if not (np.isfinite(norm) and norm > 0.0):
+        raise QuadratureError(f"the uncut mass k_theta = {norm:g} is not positive and finite", np.inf)
     out = component_pdf(arr, p_fibers) * _prob_uncut_unchecked(arr, geom.r) / norm
     return float(out) if np.ndim(v) == 0 else out
 

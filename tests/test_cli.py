@@ -29,9 +29,11 @@ def run_cli(*args):
 
 
 def assert_error(capsys, rc, code, start="error: "):
-    """The exit code of one error class from main's table, its message on stderr and no traceback."""
-    err = capsys.readouterr().err
+    """The exit code of one error class from main's table, its message on stderr and no traceback; the captured output."""
+    captured = capsys.readouterr()
+    err = captured.err
     assert rc == code and err.startswith(start) and "Traceback" not in err, (rc, err)
+    return captured
 
 
 def test_density_golden_ggd(capsys):
@@ -95,6 +97,13 @@ def test_integral_failure_is_exit_3(capsys, monkeypatch):
 
     monkeypatch.setattr(scales, "_weighted_moment_integrals", fail)
     assert_error(capsys, run_cli(*W_MEAN_HEAVY), 3)
+
+
+@pytest.mark.parametrize("r, at", [("1e-60", "5e-61"), ("1.5e-154", "1e-154")])
+def test_v_density_with_no_uncut_mass_is_exit_3(capsys, r, at):
+    # the fibers' uncut mass underflows to 0 in so small a core; the density once printed nan
+    captured = assert_error(capsys, run_cli("density", "--par", "1.8,2.7,2.6", "--scale", "v", "--r", r, "--at", at), 3)
+    assert captured.out == "" and "nan" not in captured.err
 
 
 def test_heavy_shape_w_density_exits_0(capsys):

@@ -1,11 +1,11 @@
-"""The optimizer coordinates of the censored fit's first start (``fitting._Coords``).
+"""The optimizer coordinates of the initialization and the Newton steps (``fitting._Coords``).
 
-L-BFGS-B runs in z = (u - u0) / D, where u holds each all-free generalized
-gamma component as (m, log s, log k), m and s the mean and sd of log Y, and
-D is 1 (initialization) or the BHHH scale at the start (the censored fit).
-The analytic z-gradient must match finite differences, the map must invert,
-and the design choices (BHHH scale, handover to theta at the box) must keep
-the fits that once failed without them.
+u holds each all-free generalized gamma component as (m, log s, log k), m
+and s the mean and sd of log Y.  The initialization runs L-BFGS-B in z =
+u - u0, and the censored fit's Newton steps solve in u.  The analytic
+z-gradient must match finite differences, the map must invert, the Newton
+step and its safeguards must do what they claim, and the first start must
+keep the fits that once failed without them.
 """
 
 from itertools import product
@@ -58,11 +58,10 @@ def unit_data():
     return Dataset(x / np.median(x), "X")
 
 
-def _coords_and_objective(family, x0, data, scale):
+def _coords_and_objective(family, x0, data):
     model = ModelSpec(family, "ofa", GEOM)
     lo, hi = fitting._fit_inputs(model, FitConfig(), np.zeros(model.n_params))[2:]
     coords = fitting._Coords(model, np.ones(model.n_params, dtype=bool), np.array(x0), lo, hi)
-    coords.scale = scale
 
     def objective(theta):
         ev = init_loglik(model.params_from_original(model.from_theta(theta)), data, order=1)
@@ -73,9 +72,8 @@ def _coords_and_objective(family, x0, data, scale):
 
 @pytest.mark.parametrize("family", ["ggamma", "lognorm"])
 def test_z_gradient_matches_finite_differences(family, unit_data):
-    for i, x0 in enumerate(POINTS[family]):
-        scale = np.linspace(0.05, 0.8, len(x0))[::-1 if i % 2 else 1]
-        coords, objective = _coords_and_objective(family, x0, unit_data, scale)
+    for x0 in POINTS[family]:
+        coords, objective = _coords_and_objective(family, x0, unit_data)
         z = np.full(len(x0), 0.02)  # off the start, where u0 and J are read
         assert np.all(coords.theta(z)[0] > coords.lo) and np.all(coords.theta(z)[0] < coords.hi)
         value, grad = objective(z)
@@ -94,7 +92,7 @@ def test_inverse_jacobian_matches_finite_differences():
 
 @pytest.mark.parametrize("kind", ["ofa", "init", "micro"])
 def test_score_outer_is_the_product_of_per_point_scores(kind):
-    # the BHHH matrix that scales the censored start: sum over points of score score',
+    # the BHHH matrix, part of the order-2 Hessian: sum over points of score score',
     # each score the theta gradient of that point's log density (finite differences);
     # repeated values check the count weights
     if kind == "micro":
@@ -168,8 +166,8 @@ def test_bhhh_scale_keeps_the_seed_7002_fit():
     (12, 5, 3.5, 50.0),  # d2 held above its estimate, 2.94: an iterate's log d2 leaves the box
 ])
 def test_bounds_through_the_maximum_end_on_their_face(seed, index, lower, upper, monkeypatch):
-    # the scaled run hands over to theta, which reaches what the theta path reaches
-    # from the same start
+    # the Newton first start ends on the face, where the theta path from the same
+    # start ends
     data = Dataset(sample_x(SimSpec("X", MIX_SIM, GEOM, 3000, seed=seed)), "X")
     model = ModelSpec("ggamma", "ofa", GEOM)
     lo, hi = np.array((1e-4,) * 7), np.array((1.0 - 1e-4,) + (50.0,) * 6)
@@ -183,7 +181,7 @@ def test_bounds_through_the_maximum_end_on_their_face(seed, index, lower, upper,
     res = fit(data, model, cfg)
     monkeypatch.undo()
     ref = fit(data, model, FitConfig(lower=tuple(lo), upper=tuple(hi), par_start=start, n_starts=1))
-    assert len(runs) == 3  # initialization, z, theta
+    assert len(runs) == 1  # the initialization: the Newton steps need no L-BFGS-B run
     assert res.convergence == ref.convergence == "success"
     assert res.theta_tilde[index] == pytest.approx(lower if lower > 1e-4 else upper, rel=1e-12)
     assert res.loglik == pytest.approx(ref.loglik, abs=1e-8)
@@ -305,3 +303,43 @@ def test_newton_step_of_the_lognormal_is_the_theta_step_bit_for_bit(unit_data):
     step = np.linalg.solve(-ev.hessian, ev.gradient)
     assert np.array_equal(x, np.clip(tf + step, problem.lo, problem.hi))
     assert gain == 0.5 * float(ev.gradient @ step) and gain > 1e-3
+
+
+@pytest.fixture(scope="module")
+def rounded_start():
+    """A _Problem on an ofa_binned-like rounded sample, its first start and that start's order-2 evaluation."""
+    x = np.round(sample_x(SimSpec("X", MIX_SIM, GEOM, 30_000, seed=1)), 2).clip(0.01, 11.99)
+    data, model = Dataset(x, "X"), ModelSpec("ggamma", "ofa", GEOM)
+    problem = fitting._Problem(data, model, FitConfig())
+    problem.theta_init = np.array(initialize(data, model, _unit=problem).values) - problem.shift
+    tf = problem.theta_init.copy()
+    return problem, tf, problem.loglik(tf, 2)
+
+
+def test_modified_step_at_the_initialization_raises_the_log_likelihood(rounded_start):
+    # -H is indefinite at the initialization's end point, so the Newton model is
+    # unbounded there; the modified step still climbs, but certifies nothing
+    problem, tf, ev = rounded_start
+    assert fitting._cholesky(-ev.hessian) is None
+    x, gain, factor = problem.newton_step(tf, ev)
+    assert factor is None and gain > 0.0
+    assert problem.loglik(x, 0).loglik > ev.loglik
+
+
+def test_a_step_that_lowers_the_log_likelihood_is_halved_in_u(rounded_start, monkeypatch):
+    # sixty-four times the modified step overshoots; it is halved in u, each trial
+    # the previous one's u displacement halved, until the log likelihood rises
+    problem, tf, ev = rounded_start
+    step = problem.newton_step
+    monkeypatch.setattr(problem, "newton_step", lambda t, e, halvings=0: step(t, e, halvings - 6))
+    trials = []
+    order2 = problem.order2
+    monkeypatch.setattr(problem, "order2", lambda t, data=None: trials.append(t) or order2(t, data))
+    x, ev_new, taken, _ = problem.newton(tf, ev, 1)
+    assert taken == 1 and ev_new.loglik > ev.loglik and np.array_equal(x, trials[-1])
+    assert len(trials) >= 3  # two trials or more lowered the log likelihood
+    assert all(problem.loglik(t, 0).loglik <= ev.loglik for t in trials[:-1])
+    u0 = fitting._u_of(tf, problem.blocks)
+    before, last = (fitting._u_of(t, problem.blocks) - u0 for t in trials[-2:])
+    assert np.allclose(last, 0.5 * before, rtol=1e-9, atol=1e-12)
+    assert not np.allclose(x, tf + 0.5 * (trials[-2] - tf), rtol=0.0, atol=1e-6)  # not the theta chord

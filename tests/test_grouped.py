@@ -1,9 +1,10 @@
 """The coarse-to-fine first start of fits on many distinct values (``fitting._grouped``).
 
 Above one streamed block of distinct values (``scales._BLOCK`` = 8 192) the
-initialization and the first start's z run converge on 1 024 equal-count
-groups of the unitless data, and Newton steps on every point finish the
-start from that optimum (the z run on every point when they stop short).
+initialization and the first start's Newton steps converge on 1 024
+equal-count groups of the unitless data, and Newton steps on every point
+finish the start from that optimum (L-BFGS-B on every point from the
+initialization when either stops short).
 The groups must be equal-count, whole in their ties and made of data values;
 fits must reach the optimum of the full-data path, with fewer evaluations on
 every point, and not depend on data order; smaller data must never touch
@@ -37,6 +38,15 @@ OFA_GGAMMA = ModelSpec("ggamma", "ofa", GEOM)
 # log likelihoods of the full-data path (no groups) on n = 20 000 `sample_x`
 # samples of the benchmark mixture, FitConfig(n_starts=1)
 FULL_PATH = {7001: -19_904.864089509694, 7002: -19_774.144755664005, 7003: -19_991.770959501915}
+# the log likelihood of the rounded sample below, FitConfig(n_starts=1), reached by
+# L-BFGS-B in the BHHH-scaled coordinates before the Newton first start replaced it
+ROUNDED = -29_565.088932882187
+
+
+def _rounded():
+    """An ofa_binned-like sample: 30 000 lengths on a 0.01 grid, a few hundred distinct values."""
+    x = np.round(sample_x(SimSpec("X", MIX_SIM, GEOM, 30_000, seed=1)), 2).clip(0.01, 11.99)
+    return Dataset(x, "X")
 
 
 def _ofa(n, seed):
@@ -138,9 +148,7 @@ def test_groups_only_above_one_block_of_distinct_values(n, grouped, monkeypatch)
 
 
 def test_rounded_data_never_touch_groups(monkeypatch):
-    # ofa_binned-like: 30 000 lengths on a 0.01 grid, a few hundred distinct values
-    x = np.round(sample_x(SimSpec("X", MIX_SIM, GEOM, 30_000, seed=1)), 2).clip(0.01, 11.99)
-    data = Dataset(x, "X")
+    data = _rounded()
     assert data.unique.size <= _BLOCK
     grouped = []
     monkeypatch.setattr(fitting, "_grouped", lambda d: grouped.append(d) or None)
@@ -148,15 +156,16 @@ def test_rounded_data_never_touch_groups(monkeypatch):
     assert res.convergence == "success" and not grouped
 
 
-@pytest.mark.parametrize("n", [3_000, 20_000])
-def test_the_scores_pass_is_the_first_evaluation_of_its_run(n, monkeypatch):
-    # the scaled run's first evaluation is answered by the scores pass at its start,
-    # so no point is evaluated twice at order 1, on the groups or on every point
-    points = []
-    _counting(monkeypatch, points)
-    fit(_ofa(n, 7001), OFA_GGAMMA, FitConfig(n_starts=1))
-    first_order = [p for p in points if p[1] == 1]
-    assert len(set(first_order)) == len(first_order)
+def test_newton_first_start_on_rounded_data(monkeypatch):
+    # Newton steps from the initialization reach the known optimum that L-BFGS-B
+    # reached, with order-2 evaluations alone
+    calls = _counting(monkeypatch)
+    res = fit(_rounded(), OFA_GGAMMA, FitConfig(n_starts=1))
+    assert res.convergence == "success" and "not a known optimum" not in res.trace[0].message
+    assert res.trace[0].message.startswith("Newton start on every point")
+    assert res.loglik == pytest.approx(ROUNDED, abs=1e-7)
+    orders = [order for _, order in calls]
+    assert orders.count(1) == 0 and orders.count(2) <= 12
 
 
 @pytest.mark.parametrize("seed", sorted(FULL_PATH))
@@ -168,7 +177,7 @@ def test_large_fits_reach_the_full_path_optimum_with_few_full_evaluations(seed, 
     full = [order for size, order in calls if size == 20_000]
     assert full.count(1) == 0  # the full-data path makes about 21
     assert full.count(2) <= 5  # the Newton finish, the polish and its Newton step
-    assert [order for size, order in calls if size == fitting._GROUPS] == [1] * (len(calls) - len(full))
+    assert [order for size, order in calls if size == fitting._GROUPS] == [2] * (len(calls) - len(full))
 
 
 def test_grouped_and_full_paths_agree_within_their_standard_errors(monkeypatch):
@@ -224,7 +233,7 @@ def test_failed_grouped_run_falls_back_to_every_point(monkeypatch, caplog):
     assert res.loglik == pytest.approx(FULL_PATH[7001], abs=1e-7)
 
 
-def test_failed_newton_finish_falls_back_to_the_z_run_on_every_point(monkeypatch):
+def test_failed_newton_finish_falls_back_to_lbfgsb_on_every_point(monkeypatch):
     original = fitting.ofa_loglik
     orders = []
 
@@ -238,20 +247,19 @@ def test_failed_newton_finish_falls_back_to_the_z_run_on_every_point(monkeypatch
     monkeypatch.setattr(fitting, "ofa_loglik", failing_first_full_order_2)
     res = fit(_ofa(20_000, 7001), OFA_GGAMMA, FitConfig(n_starts=1))
     assert "Newton finish on every point stopped (an order-2 evaluation failed)" in res.trace[0].message
-    assert orders.count(1) > 0  # the z run on every point
+    assert orders.count(1) > 0  # L-BFGS-B on every point
     assert res.convergence == "success"
     assert res.loglik == pytest.approx(FULL_PATH[7001], abs=1e-7)
 
 
-def test_grouped_run_on_a_face_falls_back_to_every_point(caplog):
+def test_grouped_run_on_a_face_falls_back_to_every_point():
     # k2 capped below its estimate, about 2.2: the grouped optimum lies on that face,
-    # so the first start runs on every point from the initialization, as the full path does
+    # and the first start reaches on every point what the theta path reaches there
     data = _ofa(10_000, 11)
     lo, hi = (1e-4,) * 7, (1.0 - 1e-4,) + (50.0,) * 5 + (1.8,)
     cfg = FitConfig(lower=lo, upper=hi, n_starts=1)
-    with caplog.at_level(logging.WARNING, logger="fiberfit.fitting"):
-        res = fit(data, OFA_GGAMMA, cfg)
-    assert "ended on a face of the box" in caplog.text
+    res = fit(data, OFA_GGAMMA, cfg)
+    assert "Newton finish on every point" in res.trace[0].message
     start = tuple(OFA_GGAMMA.from_theta(fitting.initialize(data, OFA_GGAMMA, cfg).values))
     ref = fit(data, OFA_GGAMMA, FitConfig(lower=lo, upper=hi, par_start=start, n_starts=1))
     assert res.convergence == ref.convergence == "success"

@@ -155,6 +155,14 @@ def test_density_v_normalization_and_edges(geom25):
     assert r12 == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("r, v", [(1e-60, 5e-61), (1.5e-154, 1e-154)])
+def test_density_v_with_no_uncut_mass_raises(r, v):
+    # F(2r) of these fibers is about (2r / b)^(dk) ~ 1e-420 or less: k_theta underflows to 0,
+    # and the density once came out nan
+    with pytest.raises(QuadratureError, match="k_theta"):
+        density_v(v, GgdParams(1.8, 2.7, 2.6), CoreGeometry(r))
+
+
 def test_density_x_component_normalizes(geom25):
     p = GgdParams(2.0, 2.0, 2.0)
     val = x_scale_integral_oracle(lambda x: density_x_component(x, p, geom25), 2.5)
