@@ -1,83 +1,74 @@
 """Box-constrained maximum likelihood fitting.
 
 The optimizer works on the unconstrained theta scale (logit for the fines
-proportion, log for positive parameters) with user bounds supplied on the
-original scale and transformed internally.  Fitting is two-stage: starting
-values come from maximizing the uncensored mixture likelihood (cheap, no
-integrals) by L-BFGS-B, then the censored likelihood is maximized from them
-by Newton steps (below), best of at most ``n_starts`` starts: the later
-starts, jittered and run by L-BFGS-B with the analytic gradient, run only
-when the first is no known optimum (below) or ``par_start`` is given.
+proportion, log for positive parameters); user bounds on the original scale
+are transformed.  Starting values maximize the uncensored mixture likelihood
+(no integrals) by L-BFGS-B; the censored likelihood is then maximized from
+them by Newton steps, best of at most ``n_starts`` starts.  The later
+starts, jittered and run by L-BFGS-B, run only when the first is no known
+optimum or ``par_start`` is given.
 
 Both stages solve the unitless problem, lengths and r divided by s0 =
 median(data), and map back by one theta shift (log s0 on log b or mu) and a
 log likelihood n log s0 lower, so a fit is the same in any length unit.
-Default bounds (the family table's) are relative to s0, and one seed rule
-(``ModelSpec.seed``) serves every model.  Fines is the component with the
-smaller Y-scale mean.
+Default bounds are relative to s0, and one seed rule (``ModelSpec.seed``)
+serves every model.  Fines is the component with the smaller Y-scale mean.
 
 The Newton steps and the initialization work in u, which replaces each
 all-free generalized gamma component's (log b, log d, log k) by (m, log s,
 log k), m = log b + psi(k) / d and s = sqrt(psi'(k)) / d the mean and sd of
 log Y (Prentice 1974, Biometrika 61:539; Lawless 1980, Technometrics
-22:409), in which the three are far less correlated; eps and lognormal
-coordinates stay theta.  J = d theta / d u is analytic, and the u box is
-the corner bounding box of the theta box's image.  The initialization runs
-L-BFGS-B in z = u - u0, u0 the start's u, with the z gradient J'
-grad_theta, and every evaluation reads theta clipped into the theta box.
-At the box, theta takes over: when an accepted iterate's theta leaves the
-box, the end point lies on a face or the z run ends without success,
-L-BFGS-B on theta goes on from the clipped point on the exact box, and a
-start on a face runs in theta from the outset.
+22:409), in which the three are far less correlated.  J = d theta / d u is
+analytic; the u box is the corner bounding box of the theta box's image.
+The initialization runs L-BFGS-B in z = u - u0 on theta clipped into the
+box; when an iterate's theta leaves the box, the run ends on a face or it
+fails, L-BFGS-B on theta goes on from the clipped point, and a start on a
+face runs in theta from the outset.
 
 One Newton routine (:meth:`_Problem.newton`) finds the first start's
-optimum and certifies every optimum.  Each step makes one order-2
-evaluation.  From an interior point it solves (J' (-H) J) du = J' g in u,
-J taken there, and maps u + du, clipped into the u box, back to theta; on a
-face J selects the coordinates not pinned at a bound by their gradient,
-which the step holds.  Where J' (-H) J has no Cholesky factor the step is
-modified: each eigenvalue of that matrix is replaced by its absolute value,
-floored at 1e-8 of the largest (Nocedal & Wright 2006, Numerical
-Optimization, section 3.4).  The step is clipped into the box, and one that
-does not raise the log likelihood is halved in u, at most 12 times; halving
-along the theta chord does not help on the curved k ridge.  The steps end
-after the first unmodified one taken from a point whose predicted gain (J'
-g) du / 2 is at most 1e-6.  The point is then a known optimum if -H has a
-Cholesky factor and predicts no further gain there; otherwise the start's
-message names the reason.
+optimum and certifies every optimum, one order-2 evaluation a step.  A
+step solves (J' (-H) J) du = J' g and maps u + du back to theta, or, when
+that leaves the box, the point where the path u + t du meets it
+(:func:`_to_the_box`).  A component with a coordinate on a bound steps in
+theta, and the step holds the coordinates on a bound that their gradient
+or the step would take out.  Where J' (-H) J has no Cholesky factor, its
+eigenvalues are replaced by their absolute values, floored at 1e-8 of the
+largest (Nocedal & Wright 2006, Numerical Optimization, section 3.4).  A
+step that does not raise the log likelihood is halved in u, at most 12
+times, halvings after the first judged at order 0 (halving the theta chord
+fails on the curved k ridge), unless its point predicts a gain of at most
+1e-6; the steps then end there.  They end after the first unmodified step from a point whose
+predicted gain (J' g) du / 2 is at most 1e-6; the point is a known optimum
+if -H has a Cholesky factor and predicts no further gain there, else the
+start's message names the reason.
 
-The first start is the initialization's end point without ``par_start``.
-From inside the box it takes Newton steps, at most 50; 5-15 of them reach
-a known optimum on the benchmark's OFA and microscopy samples, where
-Newton's method in theta needed more iterations than L-BFGS-B.  When they stop short of one,
-or the start lies on a face, L-BFGS-B in theta runs on every point from the
-start, as it does for later starts and ``par_start`` starts.  Every
-L-BFGS-B run that converges takes one Newton step (the polish), and the
-order-2 evaluation a start ends on also gives the covariance.  A later
-start stops as a duplicate as soon as an iterate enters a known optimum's
-Hessian ellipsoid at the chi-square 0.99 level with a log likelihood the
-quadratic model allows there: the basin test of multi-level single linkage
-(Rinnooy Kan & Timmer 1987, Math. Programming 39:57).  Later starts are
-that method's search for basins not yet known, so they add nothing once
-the first start's basin is: when the first start is a known optimum and
-there is no ``par_start`` (a user's start may sit in a poor basin), the fit
-ends after it.
+The first start, from the initialization's end point inside the box
+without ``par_start``, takes at most 50 Newton steps (5-15 reach a known
+optimum on the benchmark's samples, where Newton's method in theta needed
+more iterations than L-BFGS-B).  When they stop short, L-BFGS-B in theta
+runs on every point from where they stopped; a first start on a face,
+later starts and ``par_start`` starts run it from their start.  A converged
+L-BFGS-B run takes one Newton step (the polish), and the order-2 evaluation
+a start ends on gives the covariance.  A later start stops as a duplicate
+once an iterate enters a known optimum's Hessian ellipsoid at the
+chi-square 0.99 level with a log likelihood the quadratic model allows
+there (the basin test of multi-level single linkage, Rinnooy Kan & Timmer
+1987, Math. Programming 39:57).  Later starts search for basins not yet
+known, so when the first start is a known optimum and there is no
+``par_start`` (a user's start may sit in a poor basin), the fit ends.
 
-A fit on many distinct values, more than one streamed block of them
-(``scales._BLOCK`` = 8 192), is coarse to fine.  The sorted distinct
-unitless values are cut into _GROUPS = 1 024 contiguous groups of equal
-count, a tied value never split, and each group becomes its count-median
-value carrying the group's count (:func:`_grouped`; grouped data, Heitjan
-1989, Statistical Science 4:164).  The initialization and the first start's
-Newton steps run on the groups and end about 1 SE from the full-data
-optimum, and Newton steps on every point finish the start there, at most
-_NEWTON_STEPS + 1 of them.  When either stops short of a known optimum,
-L-BFGS-B runs on every point from the initialization's end point.  Later
-starts, the finish, the basin stop and the covariance use every point, so
-the estimate and its standard errors are the full data's.  On n = 20 000
+Above one streamed block of distinct values (``scales._BLOCK`` = 8 192) a
+fit is coarse to fine.  The sorted distinct unitless values are cut into
+_GROUPS = 1 024 contiguous groups of equal count, a tied value never
+split, each its count-median value carrying the group's count
+(:func:`_grouped`; grouped data, Heitjan 1989, Statistical Science
+4:164).  The initialization and the first start's Newton steps run on the
+groups, ending about 1 SE from the full-data optimum, and at most
+_NEWTON_STEPS + 1 Newton steps on every point finish the start (L-BFGS-B
+from where either stops short of a known optimum).  Later starts, the
+finish, the basin stop and the covariance use every point.  On n = 20 000
 OFA samples the first start makes 4-5 order-2 evaluations on every point
-and 8-11 on the groups, and no order-1 evaluation.  At or below 8 192
-distinct values nothing runs on groups.
+and 8-11 on the groups.
 
 Fixed parameters are held at their original-scale values and excluded from
 the optimization; a proportion fixed at exactly 0 or 1 is supported even
@@ -417,6 +408,11 @@ def _theta_of(u, blocks):
     return x, jac
 
 
+def _inside(x, lo, hi):
+    """Whether x lies strictly inside the box [lo, hi]."""
+    return bool(np.all(x > lo) and np.all(x < hi))
+
+
 def _u_box(blocks, lo, hi):
     """The corner bounding box of the image in u of the theta box [lo, hi].
 
@@ -430,27 +426,37 @@ def _u_box(blocks, lo, hi):
     return ulo, uhi
 
 
-class _Coords:
-    """Optimizer coordinates z = u - u0 of the initialization (module docstring).
+def _to_the_box(u0, step, blocks, ubox, lo, hi):
+    """Theta of u0 + step, or of u0 + t step at the t in (0, 1) where that path meets the theta box [lo, hi].
 
-    u is the free theta with each all-free generalized gamma component in
-    (m, log s, log k) (:func:`_loc_scale`), u0 the start's u.  The z box is
-    the corner bounding box of the image of the theta box [lo, hi]
-    (:func:`_u_box`).
+    t is bisected to 2^-40 and taken outside, so that clipping puts the
+    coordinates the path crosses on their bound and keeps the rest on it.
     """
+
+    def theta_at(t):
+        return _theta_of(np.clip(u0 + t * step, *ubox), blocks)[0]
+
+    x, inside, out = theta_at(1.0), 0.0, 1.0
+    if np.all((x >= lo) & (x <= hi)):
+        return x
+    for _ in range(40):
+        mid = 0.5 * (inside + out)
+        x = theta_at(mid)
+        inside, out = (mid, out) if np.all((x >= lo) & (x <= hi)) else (inside, mid)
+    return theta_at(out)
+
+
+class _Coords:
+    """Optimizer coordinates z = u - u0 of the initialization, u0 the start's u (module docstring)."""
 
     def __init__(self, model: ModelSpec, free, x0, lo, hi):
         self.blocks = _blocks(model, free)
         self.x0, self.lo, self.hi = x0, lo, hi
-        self.interior = bool(np.all(x0 > lo) and np.all(x0 < hi))
-        self.u0 = self.u_of(x0)
+        self.u0 = _u_of(x0, self.blocks)
         self.curved = np.zeros(x0.size, dtype=bool)  # log b and log d, which the z box does not bound
         for i in self.blocks:
             self.curved[i : i + 2] = True
         self.ubox = _u_box(self.blocks, lo, hi)
-
-    def u_of(self, x):
-        return _u_of(x, self.blocks)
 
     def theta(self, z):
         """(free theta, J = d theta / d u) at z."""
@@ -467,14 +473,11 @@ class _Coords:
         return of_z
 
     def minimize(self, objective):
-        """L-BFGS-B in z from z = 0, handed over to theta at the box; the result's ``x`` is theta.
+        """L-BFGS-B in z from z = 0, handed over to theta at the box (module docstring); ``x`` is theta.
 
-        L-BFGS-B on theta runs instead from a start on a face of the theta box,
-        and goes on, with what is left of the iteration budget, from the end
-        point clipped into the box when an accepted iterate's theta leaves the
-        box, the end point lies on a face, or the z run ends without success.
+        The theta run gets what is left of the iteration budget.
         """
-        if not self.interior:
+        if not _inside(self.x0, self.lo, self.hi):
             return _lbfgsb(objective, self.x0, self.lo, self.hi)
 
         def leave(intermediate_result):
@@ -520,7 +523,7 @@ class _Problem:
             self.grouped = _grouped(self.data)
             self.grouped._points = _CensoredPoints(self.grouped.unique, self.model.geom.r)
         self.blocks = _blocks(model, self.free)
-        self.ubox = _u_box(self.blocks, self.lo[self.free], self.hi[self.free])
+        self.ubox = np.array(_u_box(self.blocks, self.lo[self.free], self.hi[self.free]))
         self.theta_init = None
 
     def theta(self, tf):
@@ -540,52 +543,62 @@ class _Problem:
         ev = self.loglik(tf, 1)
         return -ev.loglik, -np.asarray(ev.gradient)[self.free]
 
-    def order2(self, tf, data=None):
-        """The order-2 evaluation at tf on ``data``, by default every point, or None with a warning when it fails."""
+    def evaluate(self, tf, order=2, data=None):
+        """:meth:`loglik`, or None with a warning when the evaluation fails."""
         try:
-            return self.loglik(tf, 2, data)
+            return self.loglik(tf, order, data)
         except (EvaluationError, FloatingPointError) as exc:
             size = (self.data if data is None else data).unique.size
-            log.warning("an order-2 evaluation on %d distinct values failed (%s)", size, exc)
+            log.warning("an order-%d evaluation on %d distinct values failed (%s)", order, size, exc)
             return None
 
     def newton_step(self, tf, ev, halvings=0):
         """(next point, predicted gain, lower Cholesky factor of -H or None) of one Newton step from tf.
 
-        The step du, J and the modified step are the module docstring's, g and
-        H those of ``ev``; du is halved ``halvings`` times.  The factor is None
-        when -H has none, and always after a modified step, which never
-        certifies.
+        The step du, J, the held coordinates and the modified step are the
+        module docstring's, g and H those of ``ev``; du is halved ``halvings``
+        times.  The factor is None when -H has none, and always after a
+        modified step, which never certifies.
         """
         lo, hi = self.lo[self.free], self.hi[self.free]
         g = np.asarray(ev.gradient)[self.free]
         neg_h = -np.asarray(ev.hessian)[np.ix_(self.free, self.free)]
-        interior = np.all(tf > lo) and np.all(tf < hi)
-        if interior:
-            u0 = _u_of(tf, self.blocks)
-            jac = _theta_of(u0, self.blocks)[1]
-        else:  # the columns of the coordinates that their gradient does not pin at a bound
-            jac = np.eye(tf.size)[:, ~(((tf <= lo) & (g < 0.0)) | ((tf >= hi) & (g > 0.0)))]
-        gu, a = jac.T @ g, jac.T @ neg_h @ jac
+        on_bound = (tf <= lo) | (tf >= hi)
+        blocks = [i for i in self.blocks if not on_bound[i : i + 3].any()]
+        ubox = np.array((lo, hi))
+        for i in blocks:
+            ubox[:, i : i + 3] = self.ubox[:, i : i + 3]
+        u0 = _u_of(tf, blocks)
+        jac_u = _theta_of(u0, blocks)[1]
         factor = _cholesky(neg_h)
-        if factor is not None or _cholesky(a) is not None:
-            du = np.linalg.solve(a, gu)
-        else:  # Hessian modification: |eigenvalues|, floored (Nocedal & Wright 2006, section 3.4)
-            w, v = np.linalg.eigh(a)
-            w = np.abs(w)
-            du, factor = v @ ((v.T @ gu) / np.maximum(w, _EIGEN_FLOOR * w.max())), None
-        step = 0.5**halvings * du
-        x = _theta_of(np.clip(u0 + step, *self.ubox), self.blocks)[0] if interior else tf + jac @ step
-        return np.clip(x, lo, hi), 0.5 * float(gu @ du), factor
+        held = ((tf <= lo) & (g < 0.0)) | ((tf >= hi) & (g > 0.0))
+        while True:  # also hold each coordinate on a bound that the step would take out of the box
+            jac = jac_u[:, ~held]
+            gu, a = jac.T @ g, jac.T @ neg_h @ jac
+            modified = factor is None and _cholesky(a) is None
+            if not modified:
+                du = np.linalg.solve(a, gu)
+            else:  # Hessian modification: |eigenvalues|, floored (Nocedal & Wright 2006, section 3.4)
+                w, v = np.linalg.eigh(a)
+                w = np.abs(w)
+                du = v @ ((v.T @ gu) / np.maximum(w, _EIGEN_FLOOR * w.max()))
+            step = np.zeros(tf.size)
+            step[~held] = du
+            out = ((tf <= lo) & (step < 0.0)) | ((tf >= hi) & (step > 0.0))
+            if not out.any():
+                break
+            held |= out
+        x = _to_the_box(u0, 0.5**halvings * step, blocks, ubox, lo, hi)
+        return np.clip(x, lo, hi), 0.5 * float(gu @ du), None if modified else factor
 
     def newton(self, tf, ev, steps, data=None):
         """At most ``steps`` Newton steps from tf on ``data``, by default every point.
 
-        ``ev`` is the order-2 evaluation at tf, or None when that failed.  A
-        step that does not raise the log likelihood is halved in u, at most
-        _HALVINGS times.  Returns (point, evaluation, steps taken, outcome),
-        the outcome the lower Cholesky factor of -H when the point is a known
-        optimum (module docstring), else the reason it is not.
+        ``ev`` is the order-2 evaluation at tf, or None when that failed.
+        Halvings after the first (module docstring) are judged at order 0, and
+        the point accepted among them is evaluated at order 2.  Returns (point, evaluation, steps
+        taken, outcome), the outcome the lower Cholesky factor of -H when the
+        point is a known optimum, else the reason it is not.
         """
         if ev is None:
             return tf, ev, 0, "an order-2 evaluation failed"
@@ -593,13 +606,16 @@ class _Problem:
         taken, outcome = 0, f"no convergence in {steps} step{'s' * (steps != 1)}"
         while taken < steps:
             taken += 1
-            ev_new, halvings = self.order2(x, data), 0
-            while ev_new is not None and not ev_new.loglik > ev.loglik and halvings < _HALVINGS:
-                halvings += 1
-                ev_new = self.order2(x := self.newton_step(tf, ev, halvings)[0], data)
+            ev_new, halvings = self.evaluate(x, 2, data), 0
+            # a step from a point that predicts a gain of at most 1e-6 is not halved: the point stays
+            while (ev_new is not None and not ev_new.loglik > ev.loglik and halvings < _HALVINGS
+                   and gain > _NEWTON_GAIN_TOL):
+                halvings += 1  # the first halving is mostly taken, so it is evaluated at order 2 at once
+                ev_new = self.evaluate(x := self.newton_step(tf, ev, halvings)[0], 2 if halvings == 1 else 0, data)
+            if halvings > 1 and ev_new is not None and ev_new.loglik > ev.loglik:
+                ev_new = self.evaluate(x, 2, data)
             if ev_new is None or not ev_new.loglik > ev.loglik:
-                outcome = ("an order-2 evaluation failed" if ev_new is None
-                           else "a step did not raise the log likelihood")
+                outcome = "an evaluation failed" if ev_new is None else "a step did not raise the log likelihood"
                 break
             tf, ev, converged = x, ev_new, factor is not None and gain <= _NEWTON_GAIN_TOL
             x, gain, factor = self.newton_step(tf, ev)
@@ -615,20 +631,21 @@ class _Problem:
         The first start takes Newton steps when there is no ``par_start`` and
         t0 lies inside the box, on the groups and then on every point when
         there are groups; a known optimum that they reach is handed on as
-        ``newton`` (:meth:`newton`'s result).  Otherwise, and
-        when they stop short of one, L-BFGS-B in theta runs on every point
-        from t0 and stops through ``callback``, the basin stop.
+        ``newton`` (:meth:`newton`'s result).  Otherwise L-BFGS-B in theta
+        runs on every point, from t0 or from the point where the Newton steps
+        stopped short of a known optimum, and stops through ``callback``, the
+        basin stop.
         """
         lo, hi = self.lo[self.free], self.hi[self.free]
-        n_iter, stopped = 0, ""
-        if index == 0 and self.start is None and np.all(t0 > lo) and np.all(t0 < hi):
+        x, n_iter, stopped = t0, 0, ""
+        if index == 0 and self.start is None and _inside(t0, lo, hi):
             stages = [("Newton start on every point", None, _FIRST_STEPS)]
             if self.grouped is not None:
                 stages = [(f"Newton start on {self.grouped.unique.size} groups", self.grouped, _FIRST_STEPS),
                           ("Newton finish on every point", None, _NEWTON_STEPS + 1)]
-            x, done = t0, []
+            done = []
             for name, data, steps in stages:
-                x, ev, taken, outcome = newton = self.newton(x, self.order2(x, data), steps, data)
+                x, ev, taken, outcome = newton = self.newton(x, self.evaluate(x, 2, data), steps, data)
                 n_iter += taken
                 if isinstance(outcome, str):
                     stopped = f"{name} stopped ({outcome}); L-BFGS-B: "
@@ -637,7 +654,7 @@ class _Problem:
             else:
                 return OptimizeResult(x=x, fun=-ev.loglik, status=0, nit=n_iter, message="; ".join(done),
                                       newton=newton)
-        res = _lbfgsb(self.objective, t0, lo, hi, callback=callback)
+        res = _lbfgsb(self.objective, x, lo, hi, callback=callback)
         res.nit += n_iter
         res.message = stopped + str(res.message)
         return res
@@ -647,16 +664,12 @@ def initialize(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig(), *,
     """Starting values for the censored fit, in data units.
 
     A user-supplied ``par_start`` is encoded and returned as-is.  Otherwise
-    the uncensored likelihood of the lengths divided by s0 = median(data) is
-    maximized from :meth:`ModelSpec.seed`, the one seed rule of every model
-    (each component matches the mean and sd of its log lengths; a mixture
-    splits them at their 20th percentile), by L-BFGS-B in the optimizer
-    coordinates z (module docstring), and the optimum is
-    shifted back to data units.  On more than 8 192 distinct values all of
-    this runs on their 1 024 groups (:func:`_grouped`, module docstring).  If
-    the initialization optimizer fails the seed itself is returned with a
-    warning.  ``_unit`` is :func:`fit`'s :class:`_Problem`, so that the
-    unitless problem is built, and the inputs checked, once per fit.
+    the uncensored likelihood of the unitless lengths (on their groups above
+    8 192 distinct values) is maximized from :meth:`ModelSpec.seed` by
+    L-BFGS-B in z (module docstring) and shifted back to data units; if that
+    fails, the seed itself is returned with a warning.  ``_unit`` is
+    :func:`fit`'s :class:`_Problem`, so that the unitless problem is built,
+    and the inputs checked, once per fit.
     """
     problem = _unit or _Problem(data, model, cfg)
     if problem.start is not None:
@@ -723,31 +736,18 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
     """Maximize the model's observed log likelihood; best of at most ``n_starts``.
 
     The first start is the :func:`initialize` output; the remaining starts
-    add seeded N(0, 0.5) jitter on the theta scale, clipped into the box.
-    They run only when the first start is not a known optimum (below) or
-    ``par_start`` is given; ``starts_tried`` and ``trace`` hold the starts
-    that ran.  The jitter of all ``n_starts`` is drawn before any runs.
-    Without ``par_start`` the first start takes Newton steps from an
-    interior point (in the log-location-scale coordinates u from an
-    interior point, in theta with the coordinates pinned at a bound held on
-    a face); any other start, and a first start whose steps stop short of a
-    known optimum, runs L-BFGS-B in theta, and a converged run takes one
-    such step.  A start becomes a known optimum when its negative Hessian
-    has a Cholesky factor and predicts a gain of at most 1e-6 there;
-    otherwise the start's message says why.  A later start whose iterate x
-    enters a known optimum's ellipsoid,
-    (x - x_hat)' (-H) (x - x_hat) below the chi-square(p) 0.99 quantile
-    with a log likelihood at least l_hat minus half that quantile, stops
-    with status ``duplicate`` and does not compete for the result.  Ties in
-    log likelihood resolve to the earliest start.  The covariance of
-    theta-hat is the inverse negative analytic Hessian at the maximizer,
-    from the order-2 evaluation the start already made, and the
-    original-scale covariance follows by the delta method.  All of this
-    runs on the unitless problem (module docstring); a mixture is then
-    relabeled so that fines is the component with the smaller mean.  On
-    more than 8 192 distinct values the first start's Newton steps run on
-    1 024 groups of the data and then, up to six, on every point (module
-    docstring).  The start's message names its steps.
+    add seeded N(0, 0.5) jitter on the theta scale, clipped into the box,
+    all drawn before any runs.  They run only when the first start is not a
+    known optimum or ``par_start`` is given; ``starts_tried`` and ``trace``
+    hold the starts that ran.  How a start runs, when it is a known optimum
+    and when a later start stops as a ``duplicate``, which does not compete
+    for the result, are the module docstring's; the start's message names
+    its steps.  Ties in log likelihood resolve to the earliest start.  The
+    covariance of theta-hat is the inverse negative analytic Hessian at the
+    maximizer, from the order-2 evaluation the start already made, and the
+    original-scale covariance follows by the delta method.  All of this runs
+    on the unitless problem; a mixture is then relabeled so that fines is
+    the component with the smaller mean.
     """
     expected_scale = "X" if model.data_type == OFA else "V"
     if data.scale != expected_scale:
@@ -811,7 +811,7 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
         status = _STATUS.get(res.status, "line_search_failure")
         x, ev, outcome, message = res.x, None, None, str(res.message)
         if status == "success":
-            x, ev, _, outcome = res.get("newton") or problem.newton(x, problem.order2(x), 1)
+            x, ev, _, outcome = res.get("newton") or problem.newton(x, problem.evaluate(x), 1)
         loglik = -res.fun if ev is None else ev.loglik
         if isinstance(outcome, str):
             message += f"; not a known optimum: {outcome}"
@@ -824,7 +824,7 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
 
     loglik, _, x_best, best_status, ev = min(results, key=lambda t: (-t[0], t[1]))
     if ev is None:
-        ev = problem.order2(x_best) or LikelihoodEvaluation(loglik)
+        ev = problem.evaluate(x_best) or LikelihoodEvaluation(loglik)
     return finish(problem.theta(x_best), ev, best_status, trace, len(trace))
 
 

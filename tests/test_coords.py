@@ -8,6 +8,7 @@ step and its safeguards must do what they claim, and the first start must
 keep the fits that once failed without them.
 """
 
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -130,10 +131,10 @@ def test_z_box_is_the_corner_bounding_box():
     ulo, uhi = coords.ubox
     rng = np.random.default_rng(3)
     inside = rng.uniform(lo, hi, size=(2000, 7))  # the image of the theta box lies in the z box
-    images = np.array([coords.u_of(x) for x in inside])
+    images = np.array([fitting._u_of(x, coords.blocks) for x in inside])
     assert np.all(images >= ulo) and np.all(images <= uhi)
     assert np.array_equal(ulo[[0, 3, 6]], lo[[0, 3, 6]]) and np.array_equal(uhi[[0, 3, 6]], hi[[0, 3, 6]])
-    corners = [coords.u_of(np.array(c)) for c in product(*zip(lo, hi))]
+    corners = [fitting._u_of(np.array(c), coords.blocks) for c in product(*zip(lo, hi))]
     assert np.array_equal(np.min(corners, axis=0), ulo) and np.array_equal(np.max(corners, axis=0), uhi)
 
 
@@ -276,8 +277,8 @@ def test_newton_step_in_u_predicts_the_theta_newton_decrement(unit_data):
     assert gain == pytest.approx(0.5 * g @ np.linalg.solve(neg_h, g), rel=1e-9) and gain > 1e-3
     assert np.all(x > problem.lo) and np.all(x < problem.hi)
     # x is u + du mapped back: the Newton step in u, not the one in theta
-    coords = fitting._Coords(problem.model, problem.free, tf, problem.lo, problem.hi)
-    jac, du = coords.theta(np.zeros(tf.size))[1], coords.u_of(x) - coords.u0
+    u0 = fitting._u_of(tf, problem.blocks)
+    jac, du = fitting._theta_of(u0, problem.blocks)[1], fitting._u_of(x, problem.blocks) - u0
     assert np.allclose(jac.T @ neg_h @ jac @ du, jac.T @ g, rtol=1e-8, atol=1e-8 * np.abs(jac.T @ g).max())
     assert not np.allclose(x, tf + np.linalg.solve(neg_h, g), rtol=0.0, atol=1e-6)
 
@@ -290,9 +291,11 @@ def test_newton_step_on_a_face_holds_the_pinned_coordinate(unit_data):
     x, gain, factor = problem.newton_step(tf, ev)
     assert factor is not None and gain > 0.0
     assert x[6] == tf[6] and np.all(x[:6] != tf[:6])
-    free = np.arange(6)
-    step = np.linalg.solve(-ev.hessian[np.ix_(free, free)], ev.gradient[free])
-    assert np.array_equal(x[:6], np.clip(tf[:6] + step, problem.lo[:6], problem.hi[:6]))  # a theta step
+    # the fines block lies inside the box and steps in u, the fibers block, on the face, in theta
+    u0 = fitting._u_of(tf, [1])
+    jac = fitting._theta_of(u0, [1])[1][:, :6]
+    step = np.linalg.solve(jac.T @ -ev.hessian @ jac, jac.T @ ev.gradient)
+    assert np.allclose(x, fitting._theta_of(u0 + np.r_[step, 0.0], [1])[0], rtol=0.0, atol=1e-12)
 
 
 def test_newton_step_of_the_lognormal_is_the_theta_step_bit_for_bit(unit_data):
@@ -303,6 +306,19 @@ def test_newton_step_of_the_lognormal_is_the_theta_step_bit_for_bit(unit_data):
     step = np.linalg.solve(-ev.hessian, ev.gradient)
     assert np.array_equal(x, np.clip(tf + step, problem.lo, problem.hi))
     assert gain == 0.5 * float(ev.gradient @ step) and gain > 1e-3
+
+
+def test_a_step_from_a_point_that_predicts_no_gain_is_not_halved(unit_data, monkeypatch):
+    # at the maximum the step predicts a gain of at most 1e-6; when it does not
+    # raise the log likelihood, it is not halved and the steps end at the point
+    problem, tf = _near_the_maximum("ggamma", unit_data, distance=0.0)
+    ev = problem.loglik(tf, 2)
+    assert problem.newton_step(tf, ev)[1] <= 1e-6
+    orders, lower = [], replace(ev, loglik=ev.loglik - 1.0)
+    monkeypatch.setattr(problem, "evaluate", lambda t, order=2, data=None: orders.append(order) or lower)
+    x, ev_end, taken, outcome = problem.newton(tf, ev, 5)
+    assert orders == [2] and taken == 1 and x is tf and ev_end is ev
+    assert not isinstance(outcome, str)  # a known optimum
 
 
 @pytest.fixture(scope="module")
@@ -328,18 +344,43 @@ def test_modified_step_at_the_initialization_raises_the_log_likelihood(rounded_s
 
 def test_a_step_that_lowers_the_log_likelihood_is_halved_in_u(rounded_start, monkeypatch):
     # sixty-four times the modified step overshoots; it is halved in u, each trial
-    # the previous one's u displacement halved, until the log likelihood rises
+    # the previous one's u displacement halved, until the log likelihood rises;
+    # halvings after the first are judged at order 0, the accepted one then at order 2
     problem, tf, ev = rounded_start
     step = problem.newton_step
     monkeypatch.setattr(problem, "newton_step", lambda t, e, halvings=0: step(t, e, halvings - 6))
     trials = []
-    order2 = problem.order2
-    monkeypatch.setattr(problem, "order2", lambda t, data=None: trials.append(t) or order2(t, data))
+    evaluate = problem.evaluate
+    monkeypatch.setattr(problem, "evaluate",
+                        lambda t, order=2, data=None: trials.append((t, order)) or evaluate(t, order, data))
     x, ev_new, taken, _ = problem.newton(tf, ev, 1)
-    assert taken == 1 and ev_new.loglik > ev.loglik and np.array_equal(x, trials[-1])
-    assert len(trials) >= 3  # two trials or more lowered the log likelihood
-    assert all(problem.loglik(t, 0).loglik <= ev.loglik for t in trials[:-1])
+    points = [t for t, _ in trials]
+    assert len(trials) >= 5  # three trials or more lowered the log likelihood
+    assert [order for _, order in trials] == [2, 2] + [0] * (len(trials) - 3) + [2]
+    assert taken == 1 and ev_new.loglik > ev.loglik and np.array_equal(x, points[-1]) and np.array_equal(x, points[-2])
+    assert all(problem.loglik(t, 0).loglik <= ev.loglik for t in points[:-2])
     u0 = fitting._u_of(tf, problem.blocks)
-    before, last = (fitting._u_of(t, problem.blocks) - u0 for t in trials[-2:])
+    before, last = (fitting._u_of(t, problem.blocks) - u0 for t in points[-3:-1])
     assert np.allclose(last, 0.5 * before, rtol=1e-9, atol=1e-12)
-    assert not np.allclose(x, tf + 0.5 * (trials[-2] - tf), rtol=0.0, atol=1e-6)  # not the theta chord
+    assert not np.allclose(x, tf + 0.5 * (points[-3] - tf), rtol=0.0, atol=1e-6)  # not the theta chord
+
+
+def test_a_u_step_that_leaves_the_box_ends_where_it_meets_it():
+    # raising log k in u lowers log b = m - psi(k) / d past its bound; the step
+    # stops on that face, every coordinate where the u path puts it, instead of
+    # clipping log b alone at the end of the full step
+    model = ModelSpec("ggamma", "ofa", GEOM)
+    lo, hi = fitting._fit_inputs(model, FitConfig(), np.zeros(7))[2:]
+    tf = np.array(POINTS["ggamma"][0])
+    tf[1] = lo[1] + 0.05
+    blocks = fitting._blocks(model, np.ones(7, dtype=bool))
+    u0, step = fitting._u_of(tf, blocks), np.zeros(7)
+    step[3] = 2.0
+    end = fitting._theta_of(u0 + step, blocks)[0]
+    assert end[1] < lo[1]
+    x = np.clip(fitting._to_the_box(u0, step, blocks, fitting._u_box(blocks, lo, hi), lo, hi), lo, hi)
+    assert x[1] == lo[1] and fitting._inside(np.delete(x, 1), np.delete(lo, 1), np.delete(hi, 1))
+    t = (fitting._u_of(x, blocks) - u0)[3] / step[3]
+    assert 0.0 < t < 1.0
+    assert np.allclose(x, fitting._theta_of(u0 + t * step, blocks)[0], rtol=0.0, atol=1e-9)
+    assert not np.allclose(x, np.clip(end, lo, hi), rtol=0.0, atol=1e-3)

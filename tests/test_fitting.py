@@ -182,16 +182,40 @@ def test_first_start_with_k_on_its_bound_is_a_known_optimum():
 
 
 def test_uncertified_first_start_runs_the_later_starts():
-    # the initialization ends on the b1 face of this OFA ggamma fit, on the k
-    # ridge, so its first start is L-BFGS-B in theta, which ends short of a known
-    # optimum: every later start runs, and the log likelihood is that of the fit
-    # that always ran every start
-    data = Dataset(sample_x(SimSpec("X", MIX_SIM, CoreGeometry(6.0), 300, seed=5019)), "X")
+    # the initialization ends on a face of this OFA ggamma fit, so its first start
+    # is L-BFGS-B in theta, which ends short of a known optimum: every later start
+    # runs, and the log likelihood is that of the fit that always ran every start
+    data = Dataset(sample_x(SimSpec("X", MIX_SIM, CoreGeometry(6.0), 300, seed=5217)), "X")
     res = fit(data, ModelSpec("ggamma", "ofa", CoreGeometry(6.0)), FitConfig())
     assert "not a known optimum" in res.trace[0].message
     assert res.starts_tried == 5 and [rec.index for rec in res.trace] == [0, 1, 2, 3, 4]
     assert res.convergence == "success"
-    assert res.loglik == pytest.approx(-304.7587002484751, abs=1e-9)
+    assert res.loglik == pytest.approx(-282.72374623168196, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed, loglik", [(5005, -303.7736956556009), (5028, -280.39890686538945)])
+def test_newton_first_start_stops_on_the_face_it_meets(seed, loglik):
+    # the maximum of these OFA ggamma fits lies on the log b1 face; Newton steps in u
+    # that cross it end there, so the first start is a known optimum at or above the
+    # log likelihood that five L-BFGS-B starts reached
+    data = Dataset(sample_x(SimSpec("X", MIX_SIM, CoreGeometry(6.0), 300, seed=seed)), "X")
+    res = fit(data, ModelSpec("ggamma", "ofa", CoreGeometry(6.0)), FitConfig())
+    assert res.starts_tried == 1 and res.trace[0].message.startswith("Newton start on every point:")
+    assert res.convergence == "success" and res.loglik >= loglik - 1e-9
+    assert res.theta_tilde[1] == pytest.approx(1e-4 * np.median(data.values), rel=1e-12)  # b1 on its bound
+
+
+@pytest.mark.parametrize("seed, loglik", [(1, -1499.426316559048), (6, -1526.0603061240095)])
+def test_newton_first_start_on_the_k_ridge_holds_the_faces(seed, loglik):
+    # generalized gamma fits of a lognormal mixture: the maximum sits on the log b1
+    # and log k2 faces, and a Newton step would leave a face that the gradient does
+    # not pin; holding that coordinate too, Newton steps reach a known optimum
+    geom = CoreGeometry(6.0)
+    truth = MixtureParams(0.3, LognParams(-2.0, 0.5), LognParams(0.9, 0.25))
+    data = Dataset(sample_x(SimSpec("X", truth, geom, 1500, seed=seed)), "X")
+    res = fit(data, ModelSpec("ggamma", "ofa", geom), FitConfig())
+    assert res.starts_tried == 1 and res.trace[0].message.startswith("Newton start on every point:")
+    assert res.convergence == "success" and res.loglik == pytest.approx(loglik, abs=1e-9)
 
 
 def test_par_start_runs_every_start():

@@ -3,8 +3,8 @@
 Above one streamed block of distinct values (``scales._BLOCK`` = 8 192) the
 initialization and the first start's Newton steps converge on 1 024
 equal-count groups of the unitless data, and Newton steps on every point
-finish the start from that optimum (L-BFGS-B on every point from the
-initialization when either stops short).
+finish the start from that optimum (L-BFGS-B on every point from where
+they stopped when either stops short).
 The groups must be equal-count, whole in their ties and made of data values;
 fits must reach the optimum of the full-data path, with fewer evaluations on
 every point, and not depend on data order; smaller data must never touch
@@ -177,7 +177,8 @@ def test_large_fits_reach_the_full_path_optimum_with_few_full_evaluations(seed, 
     full = [order for size, order in calls if size == 20_000]
     assert full.count(1) == 0  # the full-data path makes about 21
     assert full.count(2) <= 5  # the Newton finish, the polish and its Newton step
-    assert [order for size, order in calls if size == fitting._GROUPS] == [2] * (len(calls) - len(full))
+    groups = [order for size, order in calls if size == fitting._GROUPS]
+    assert len(groups) == len(calls) - len(full) and 1 not in groups  # Newton steps, their halvings at order 0
 
 
 def test_grouped_and_full_paths_agree_within_their_standard_errors(monkeypatch):
@@ -235,11 +236,12 @@ def test_failed_grouped_run_falls_back_to_every_point(monkeypatch, caplog):
 
 def test_failed_newton_finish_falls_back_to_lbfgsb_on_every_point(monkeypatch):
     original = fitting.ofa_loglik
-    orders = []
+    orders, points = [], []
 
     def failing_first_full_order_2(*a, **k):
         if a[1].unique.size == 20_000:
             orders.append(a[4])
+            points.append(a[0])
             if orders == [2]:
                 raise EvaluationError("injected failure of the first order-2 evaluation on every point")
         return original(*a, **k)
@@ -248,6 +250,7 @@ def test_failed_newton_finish_falls_back_to_lbfgsb_on_every_point(monkeypatch):
     res = fit(_ofa(20_000, 7001), OFA_GGAMMA, FitConfig(n_starts=1))
     assert "Newton finish on every point stopped (an order-2 evaluation failed)" in res.trace[0].message
     assert orders.count(1) > 0  # L-BFGS-B on every point
+    assert orders[1] == 1 and points[1] == points[0]  # from where the Newton steps on the groups ended
     assert res.convergence == "success"
     assert res.loglik == pytest.approx(FULL_PATH[7001], abs=1e-7)
 
