@@ -21,9 +21,10 @@ log Y (Prentice 1974, Biometrika 61:539; Lawless 1980, Technometrics
 22:409), in which the three are far less correlated.  J = d theta / d u is
 analytic; the u box is the corner bounding box of the theta box's image.
 The initialization runs L-BFGS-B in z = u - u0 on theta clipped into the
-box; when an iterate's theta leaves the box, the run ends on a face or it
-fails, L-BFGS-B on theta goes on from the clipped point, and a start on a
-face runs in theta from the outset.
+box, stops once an iterate's theta leaves the box, and ends at its last
+iterate's theta clipped into the box, which may lie on a face; the
+censored fit's Newton steps or L-BFGS-B in theta hold the bounds from
+there.
 
 One Newton routine (:meth:`_Problem.newton`) finds the first start's
 optimum and certifies every optimum, one order-2 evaluation a step.  A
@@ -42,12 +43,12 @@ predicted gain (J' g) du / 2 is at most 1e-6; the point is a known optimum
 if -H has a Cholesky factor and predicts no further gain there, else the
 start's message names the reason.
 
-The first start, from the initialization's end point inside the box
-without ``par_start``, takes at most 50 Newton steps (5-15 reach a known
-optimum on the benchmark's samples, where Newton's method in theta needed
-more iterations than L-BFGS-B).  When they stop short, L-BFGS-B in theta
-runs on every point from where they stopped; a first start on a face,
-later starts and ``par_start`` starts run it from their start.  A converged
+The first start without ``par_start``, from the initialization's end point
+on a face of the box or inside it, takes at most 50 Newton steps (5-15
+reach a known optimum on the benchmark's samples, where Newton's method in
+theta needed more iterations than L-BFGS-B).  When they stop short,
+L-BFGS-B in theta runs on every point from where they stopped; later
+starts and ``par_start`` starts run it from their start.  A converged
 L-BFGS-B run takes one Newton step (the polish), and the order-2 evaluation
 a start ends on gives the covariance.  A later start stops as a duplicate
 once an iterate enters a known optimum's Hessian ellipsoid at the
@@ -342,11 +343,11 @@ def _fit_inputs(model: ModelSpec, cfg: FitConfig, shift):
     return fixed, given.get("par_start"), *box
 
 
-_MAX_ITER = 500  # L-BFGS-B iterations of one run, a z run and its theta continuation together
+_MAX_ITER = 500  # L-BFGS-B iterations of one run
 _GRAD_TOL = 1e-7  # L-BFGS-B projected-gradient tolerance
 
 
-def _lbfgsb(objective, x0, lo, hi, callback=None, max_iter=_MAX_ITER):
+def _lbfgsb(objective, x0, lo, hi, callback=None):
     """scipy's L-BFGS-B with the analytic gradient on the box [lo, hi]; ``objective`` returns (value, gradient)."""
     return minimize(
         objective,
@@ -355,7 +356,7 @@ def _lbfgsb(objective, x0, lo, hi, callback=None, max_iter=_MAX_ITER):
         method="L-BFGS-B",
         bounds=list(zip(lo, hi)),
         callback=callback,
-        options={"maxiter": max_iter, "gtol": _GRAD_TOL},
+        options={"maxiter": _MAX_ITER, "gtol": _GRAD_TOL},
     )
 
 
@@ -473,9 +474,9 @@ class _Coords:
         return of_z
 
     def minimize(self, objective):
-        """L-BFGS-B in z from z = 0, handed over to theta at the box (module docstring); ``x`` is theta.
+        """L-BFGS-B in z from z = 0 (module docstring); ``x`` is the theta of its end point, clipped into the box.
 
-        The theta run gets what is left of the iteration budget.
+        A seed clipped onto a face of the box runs in theta instead.
         """
         if not _inside(self.x0, self.lo, self.hi):
             return _lbfgsb(objective, self.x0, self.lo, self.hi)
@@ -487,14 +488,8 @@ class _Coords:
 
         zlo, zhi = (bound - self.u0 for bound in self.ubox)
         res = _lbfgsb(self.objective(objective), np.zeros(self.u0.size), zlo, zhi, callback=leave)
-        x = self.theta(res.x)[0]
-        on_face = np.any(res.x <= zlo) or np.any(res.x >= zhi) or np.any(x <= self.lo) or np.any(x >= self.hi)
-        res.x = np.clip(x, self.lo, self.hi)
-        if (res.status == 0 and not on_face) or res.nit >= _MAX_ITER:
-            return res
-        out = _lbfgsb(objective, res.x, self.lo, self.hi, max_iter=_MAX_ITER - res.nit)
-        out.nit += res.nit
-        return out
+        res.x = np.clip(self.theta(res.x)[0], self.lo, self.hi)
+        return res
 
 
 class _Problem:
@@ -628,9 +623,9 @@ class _Problem:
     def minimize(self, index, t0, callback):
         """Start ``index`` from t0: Newton steps for the first start (module docstring), else L-BFGS-B in theta.
 
-        The first start takes Newton steps when there is no ``par_start`` and
-        t0 lies inside the box, on the groups and then on every point when
-        there are groups; a known optimum that they reach is handed on as
+        The first start takes Newton steps when there is no ``par_start``, on
+        a face or not, on the groups and then on every point when there are
+        groups; a known optimum that they reach is handed on as
         ``newton`` (:meth:`newton`'s result).  Otherwise L-BFGS-B in theta
         runs on every point, from t0 or from the point where the Newton steps
         stopped short of a known optimum, and stops through ``callback``, the
@@ -638,7 +633,7 @@ class _Problem:
         """
         lo, hi = self.lo[self.free], self.hi[self.free]
         x, n_iter, stopped = t0, 0, ""
-        if index == 0 and self.start is None and _inside(t0, lo, hi):
+        if index == 0 and self.start is None:
             stages = [("Newton start on every point", None, _FIRST_STEPS)]
             if self.grouped is not None:
                 stages = [(f"Newton start on {self.grouped.unique.size} groups", self.grouped, _FIRST_STEPS),
@@ -666,10 +661,11 @@ def initialize(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig(), *,
     A user-supplied ``par_start`` is encoded and returned as-is.  Otherwise
     the uncensored likelihood of the unitless lengths (on their groups above
     8 192 distinct values) is maximized from :meth:`ModelSpec.seed` by
-    L-BFGS-B in z (module docstring) and shifted back to data units; if that
-    fails, the seed itself is returned with a warning.  ``_unit`` is
-    :func:`fit`'s :class:`_Problem`, so that the unitless problem is built,
-    and the inputs checked, once per fit.
+    L-BFGS-B in z (module docstring), whose end point may lie on a face of
+    the box, and shifted back to data units; if that fails, the seed itself
+    is returned with a warning.  ``_unit`` is :func:`fit`'s
+    :class:`_Problem`, so that the unitless problem is built, and the inputs
+    checked, once per fit.
     """
     problem = _unit or _Problem(data, model, cfg)
     if problem.start is not None:

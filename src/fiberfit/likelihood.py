@@ -193,8 +193,6 @@ class LikelihoodEvaluation:
     gradient: np.ndarray | None = None
     hessian: np.ndarray | None = None
     per_point_loglik: np.ndarray | None = None
-    # order 2: sum of count * score score' over the points, in the gradient's coordinates
-    _score_outer: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 _SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's constant for splitting a double
@@ -265,10 +263,10 @@ def _symmetric_hessian(d2_sum, outer):
     return hess + np.triu(hess, 1).T
 
 
-def _evaluation(per_point, grad, hess, outer, data: Dataset) -> LikelihoodEvaluation:
+def _evaluation(per_point, grad, hess, data: Dataset) -> LikelihoodEvaluation:
     """Weight per-unique-value log terms by counts; per-point terms in input order."""
     loglik = _weighted_fsum(per_point, data.counts)
-    return LikelihoodEvaluation(loglik, grad, hess, per_point[data.inverse], outer)
+    return LikelihoodEvaluation(loglik, grad, hess, per_point[data.inverse])
 
 
 def _as_params(theta):
@@ -297,9 +295,8 @@ def _mixture_eval(mix: MixtureParams, data: Dataset, geom: CoreGeometry | None, 
     its share of every sum: the derivative rows are summed against v
     (``dot``), and at order 2 the value and gradient rows read per point give
     the scores and their weighted outer product; scores that overflow double
-    range raise EvaluationError.  Returns (log_f, grad, hess, outer), outer
-    the count-weighted outer product of the scores (the BHHH matrix, Berndt,
-    Hall, Hall and Hausman 1974), each None above the order that forms it.
+    range raise EvaluationError.  Returns (log_f, grad, hess), each None above
+    the order that forms it.
     """
     eps, w = mix.eps, data.counts
     cn = _n_coords(mix.fines)
@@ -354,11 +351,11 @@ def _mixture_eval(mix: MixtureParams, data: Dataset, geom: CoreGeometry | None, 
         d2_sum[1 : 1 + cn, 1 : 1 + cn] = eps * _packed_to_full(dots[0, cn:], cn)
         d2_sum[1 + cn :, 1 + cn :] = (1.0 - eps) * _packed_to_full(dots[1, cn:], cn)
         hess = _symmetric_hessian(d2_sum, outer)
-    return log_f, grad, hess, outer if scores else None
+    return log_f, grad, hess
 
 
 def _component_eval(p: ComponentParams, data: Dataset, cfg: QuadratureConfig, order: int):
-    """Uncensored (log_f, grad, hess, outer) of one component: the mixture pass with all its weight on p."""
+    """Uncensored (log_f, grad, hess) of one component: the mixture pass with all its weight on p."""
     log_f, *sums = _mixture_eval(MixtureParams(1.0, p, p), data, None, cfg, order)
     own = slice(1, 1 + _n_coords(p))
     return (log_f, *(None if a is None else a[own] if a.ndim == 1 else a[own, own] for a in sums))
@@ -375,8 +372,7 @@ def ofa_loglik(
 
     ``theta`` is a mixture ParamVector or MixtureParams.  With order >= 1 the
     analytic theta-gradient is attached, with order >= 2 the Hessian as well
-    (coordinate order: eps coordinate, fines block, fibers block).  Order 2
-    also attaches the scores' outer product.
+    (coordinate order: eps coordinate, fines block, fibers block).
     """
     mix = _as_params(theta)
     if not isinstance(mix, MixtureParams):
@@ -432,7 +428,7 @@ def micro_loglik(
     if data.scale != "V":
         raise ValueError("microscopy likelihood requires a dataset on the V scale")
     data.validate_support(geom)
-    log_f, grad, hess, outer = _component_eval(p, data, cfg, order)
+    log_f, grad, hess = _component_eval(p, data, cfg, order)
     try:
         kint = _uncut_mass_stack(p, geom, cfg, order, segment_integrals)
     except QuadratureError as exc:
@@ -443,8 +439,6 @@ def micro_loglik(
     kj = kint[1 : 1 + cn] / k0
     if order >= 2:
         hess = hess - n * (_packed_to_full(kint[1 + cn :], cn) / k0 - np.outer(kj, kj))
-    if outer is not None:  # each point's score is its component score minus kj
-        outer = outer - np.outer(kj, grad) - np.outer(grad, kj) + n * np.outer(kj, kj)
     if order >= 1:
         grad = grad - n * kj
-    return _evaluation(log_f + log_puc - np.log(k0), grad, hess, outer, data)
+    return _evaluation(log_f + log_puc - np.log(k0), grad, hess, data)

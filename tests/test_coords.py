@@ -92,10 +92,10 @@ def test_inverse_jacobian_matches_finite_differences():
 
 
 @pytest.mark.parametrize("kind", ["ofa", "init", "micro"])
-def test_score_outer_is_the_product_of_per_point_scores(kind):
-    # the BHHH matrix, part of the order-2 Hessian: sum over points of score score',
-    # each score the theta gradient of that point's log density (finite differences);
-    # repeated values check the count weights
+def test_order_2_gradient_is_the_sum_of_per_point_scores(kind):
+    # the order-2 gradient is summed from the per-point scores, whose outer product
+    # the Hessian holds; each score is the theta gradient of that point's log
+    # density (finite differences), and repeated values check the count weights
     if kind == "micro":
         geom = CoreGeometry(2.5)
         v = sample_v(SimSpec("V", LognParams(0.8, 0.3), geom, 60, seed=4))
@@ -110,7 +110,6 @@ def test_score_outer_is_the_product_of_per_point_scores(kind):
             loglik = lambda t, order: init_loglik(ParamVector("ggamma", tuple(t)), data, order=order)
     scores = fd_jacobian(lambda t: loglik(t, 0).per_point_loglik, theta, h=1e-5)
     ev = loglik(theta, 2)
-    assert np.allclose(ev._score_outer, scores.T @ scores, rtol=1e-6, atol=1e-6 * np.abs(ev._score_outer).max())
     assert np.allclose(ev.gradient, scores.sum(axis=0), rtol=1e-6, atol=1e-6)
 
 
@@ -188,26 +187,25 @@ def test_bounds_through_the_maximum_end_on_their_face(seed, index, lower, upper,
     assert res.loglik == pytest.approx(ref.loglik, abs=1e-8)
 
 
-def test_start_on_a_face_runs_in_theta(monkeypatch):
+def test_start_on_a_face_takes_newton_steps(monkeypatch):
     # b2 capped below its estimate puts the initialization's end point, the censored
-    # fit's first start, on that face: the fit is then the theta path from it
+    # fit's first start, on that face: the Newton steps hold it there and end where
+    # the theta path from the same start ends
     data = Dataset(sample_x(SimSpec("X", MIX_SIM, GEOM, 3000, seed=11)), "X")
     model = ModelSpec("ggamma", "ofa", GEOM)
     lower, upper = (1e-4,) * 7, (1.0 - 1e-4, 50.0, 50.0, 50.0, 1.8, 50.0, 50.0)
     cfg = FitConfig(lower=lower, upper=upper, n_starts=1)
     start = tuple(model.from_theta(initialize(data, model, cfg).values))
     assert start[4] == pytest.approx(1.8, rel=1e-12)
-    original = fitting.ofa_loglik
-
-    def orders_and_fit(config):
-        orders = []
-        monkeypatch.setattr(fitting, "ofa_loglik", lambda *a: orders.append(a[4]) or original(*a))
-        return orders, fit(data, model, config)
-
-    orders, res = orders_and_fit(cfg)
-    ref_orders, ref = orders_and_fit(FitConfig(lower=lower, upper=upper, par_start=start, n_starts=1))
-    assert orders[0] == 1  # no BHHH evaluation for a run that does not scale
-    assert orders.count(1) <= ref_orders.count(1) + 2  # and no z run tried first
+    orders, runs = [], []
+    loglik, lbfgsb = fitting.ofa_loglik, fitting._lbfgsb
+    monkeypatch.setattr(fitting, "ofa_loglik", lambda *a: orders.append(a[4]) or loglik(*a))
+    monkeypatch.setattr(fitting, "_lbfgsb", lambda *a, **k: runs.append(1) or lbfgsb(*a, **k))
+    res = fit(data, model, cfg)
+    monkeypatch.undo()
+    ref = fit(data, model, FitConfig(lower=lower, upper=upper, par_start=start, n_starts=1))
+    assert orders[0] == 2  # the first censored evaluation is a Newton step's
+    assert len(runs) == 1  # the initialization: the Newton steps need no L-BFGS-B run
     assert res.convergence == ref.convergence == "success"
     assert res.loglik == pytest.approx(ref.loglik, abs=1e-8)
 
