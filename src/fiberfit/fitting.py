@@ -3,10 +3,10 @@
 The optimizer works on the unconstrained theta scale (logit for the fines
 proportion, log for positive parameters); user bounds on the original scale
 are transformed.  Starting values maximize the uncensored mixture likelihood
-(no integrals) by L-BFGS-B; the censored likelihood is then maximized from
-them by Newton steps, best of at most ``n_starts`` starts.  The later
-starts, jittered and run by L-BFGS-B, run only when the first is no known
-optimum or ``par_start`` is given.
+(no integrals) by Newton steps; the censored likelihood is then maximized
+from them by the same Newton steps, best of at most ``n_starts`` starts.
+The later starts, jittered and run by L-BFGS-B, run only when the first is
+no known optimum or ``par_start`` is given.
 
 Both stages solve the unitless problem, lengths and r divided by s0 =
 median(data), and map back by one theta shift (log s0 on log b or mu) and a
@@ -14,20 +14,16 @@ log likelihood n log s0 lower, so a fit is the same in any length unit.
 Default bounds are relative to s0, and one seed rule (``ModelSpec.seed``)
 serves every model.  Fines is the component with the smaller Y-scale mean.
 
-The Newton steps and the initialization work in u, which replaces each
-all-free generalized gamma component's (log b, log d, log k) by (m, log s,
-log k), m = log b + psi(k) / d and s = sqrt(psi'(k)) / d the mean and sd of
-log Y (Prentice 1974, Biometrika 61:539; Lawless 1980, Technometrics
-22:409), in which the three are far less correlated.  J = d theta / d u is
-analytic; the u box is the corner bounding box of the theta box's image.
-The initialization runs L-BFGS-B in z = u - u0 on theta clipped into the
-box, stops once an iterate's theta leaves the box, and ends at its last
-iterate's theta clipped into the box, which may lie on a face; the
-censored fit's Newton steps or L-BFGS-B in theta hold the bounds from
-there.
+The Newton steps work in u, which replaces each all-free generalized gamma
+component's (log b, log d, log k) by (m, log s, log k), m = log b + psi(k)
+/ d and s = sqrt(psi'(k)) / d the mean and sd of log Y (Prentice 1974,
+Biometrika 61:539; Lawless 1980, Technometrics 22:409), in which the three
+are far less correlated.  J = d theta / d u is analytic; the u box is the
+corner bounding box of the theta box's image.
 
-One Newton routine (:meth:`_Problem.newton`) finds the first start's
-optimum and certifies every optimum, one order-2 evaluation a step.  A
+One Newton routine (:meth:`_Problem.newton`) finds the initialization's
+optimum on the uncensored likelihood and the first start's on the censored
+one, and certifies every optimum, one order-2 evaluation a step.  A
 step solves (J' (-H) J) du = J' g and maps u + du back to theta, or, when
 that leaves the box, the point where the path u + t du meets it
 (:func:`_to_the_box`).  A component with a coordinate on a bound steps in
@@ -35,16 +31,18 @@ theta, and the step holds the coordinates on a bound that their gradient
 or the step would take out.  Where J' (-H) J has no Cholesky factor, its
 eigenvalues are replaced by their absolute values, floored at 1e-8 of the
 largest (Nocedal & Wright 2006, Numerical Optimization, section 3.4).  A
-step that does not raise the log likelihood is halved in u, at most 12
-times, halvings after the first judged at order 0 (halving the theta chord
-fails on the curved k ridge), unless its point predicts a gain of at most
-1e-6; the steps then end there.  They end after the first unmodified step from a point whose
-predicted gain (J' g) du / 2 is at most 1e-6; the point is a known optimum
-if -H has a Cholesky factor and predicts no further gain there, else the
-start's message names the reason.
+step whose evaluation fails or that does not raise the log likelihood is
+halved in u, at most 12 times, halvings after the first judged at order 0
+(halving the theta chord fails on the curved k ridge), unless its point
+predicts a gain of at most 1e-6; the steps then end there.  They end after
+the first unmodified step from a point whose predicted gain (J' g) du / 2
+is at most 1e-6; the point is a known optimum if -H has a Cholesky factor
+and predicts no further gain there, else the start's message names the
+reason.
 
-The first start without ``par_start``, from the initialization's end point
-on a face of the box or inside it, takes at most 50 Newton steps (5-15
+The initialization takes at most 50 Newton steps from the seed clipped
+into the box and ends where they stop, which may lie on a face of the box.
+The first start without ``par_start``, from there, takes at most 50 (5-15
 reach a known optimum on the benchmark's samples, where Newton's method in
 theta needed more iterations than L-BFGS-B).  When they stop short,
 L-BFGS-B in theta runs on every point from where they stopped; later
@@ -409,11 +407,6 @@ def _theta_of(u, blocks):
     return x, jac
 
 
-def _inside(x, lo, hi):
-    """Whether x lies strictly inside the box [lo, hi]."""
-    return bool(np.all(x > lo) and np.all(x < hi))
-
-
 def _u_box(blocks, lo, hi):
     """The corner bounding box of the image in u of the theta box [lo, hi].
 
@@ -447,51 +440,6 @@ def _to_the_box(u0, step, blocks, ubox, lo, hi):
     return theta_at(out)
 
 
-class _Coords:
-    """Optimizer coordinates z = u - u0 of the initialization, u0 the start's u (module docstring)."""
-
-    def __init__(self, model: ModelSpec, free, x0, lo, hi):
-        self.blocks = _blocks(model, free)
-        self.x0, self.lo, self.hi = x0, lo, hi
-        self.u0 = _u_of(x0, self.blocks)
-        self.curved = np.zeros(x0.size, dtype=bool)  # log b and log d, which the z box does not bound
-        for i in self.blocks:
-            self.curved[i : i + 2] = True
-        self.ubox = _u_box(self.blocks, lo, hi)
-
-    def theta(self, z):
-        """(free theta, J = d theta / d u) at z."""
-        return _theta_of(self.u0 + np.asarray(z), self.blocks)
-
-    def objective(self, objective):
-        """(value, z-gradient J' g) of ``objective`` (value, theta gradient g) at theta clipped into the box."""
-
-        def of_z(z):
-            x, jac = self.theta(z)
-            value, g = objective(np.clip(x, self.lo, self.hi))
-            return value, jac.T @ g
-
-        return of_z
-
-    def minimize(self, objective):
-        """L-BFGS-B in z from z = 0 (module docstring); ``x`` is the theta of its end point, clipped into the box.
-
-        A seed clipped onto a face of the box runs in theta instead.
-        """
-        if not _inside(self.x0, self.lo, self.hi):
-            return _lbfgsb(objective, self.x0, self.lo, self.hi)
-
-        def leave(intermediate_result):
-            x = self.theta(intermediate_result.x)[0][self.curved]
-            if np.any(x < self.lo[self.curved]) or np.any(x > self.hi[self.curved]):
-                raise StopIteration  # ends the run with status 99
-
-        zlo, zhi = (bound - self.u0 for bound in self.ubox)
-        res = _lbfgsb(self.objective(objective), np.zeros(self.u0.size), zlo, zhi, callback=leave)
-        res.x = np.clip(self.theta(res.x)[0], self.lo, self.hi)
-        return res
-
-
 class _Problem:
     """The unitless problem of one fit (module docstring), built once per :func:`fit`.
 
@@ -502,8 +450,9 @@ class _Problem:
     ``par_start``, else None.  Both datasets carry their
     ``_CensoredPoints``.  ``blocks`` and ``ubox`` are the Newton step's u
     coordinates of the free theta (:func:`_blocks`, :func:`_u_box`).
-    ``theta_init``, set by :func:`fit` from :func:`initialize`'s output,
-    holds the fixed coordinates; ``tf`` is the free part of a theta.  It
+    ``theta_init``, set by :func:`fit` from :func:`initialize`'s output
+    (and by :func:`initialize` to its start, where nothing is fixed), holds
+    the fixed coordinates; ``tf`` is the free part of a theta.  It
     stores no function, so that nothing refers back to it and it dies, with
     its datasets' constants, when the fit returns.
     """
@@ -527,21 +476,28 @@ class _Problem:
         theta[self.free] = tf
         return theta
 
-    def loglik(self, tf, order, data=None):
-        """The likelihood evaluation at ``order`` of the free coordinates tf on ``data``, by default every point."""
+    def loglik(self, tf, order, data=None, uncensored=False):
+        """The likelihood evaluation at ``order`` of the free coordinates tf on ``data``, by default every point.
+
+        The likelihood is the model's censored one, or with ``uncensored``
+        the initialization's :func:`init_loglik`.
+        """
         params = self.model.params_from_original(self.model.from_theta(self.theta(tf)))
+        data = self.data if data is None else data
+        if uncensored:
+            return init_loglik(params, data, DEFAULT_CONFIG, order)
         loglik = ofa_loglik if self.model.data_type == OFA else micro_loglik
-        return loglik(params, self.data if data is None else data, self.model.geom, DEFAULT_CONFIG, order)
+        return loglik(params, data, self.model.geom, DEFAULT_CONFIG, order)
 
     def objective(self, tf):
         """(-l, -gradient) at the free coordinates tf on every point."""
         ev = self.loglik(tf, 1)
         return -ev.loglik, -np.asarray(ev.gradient)[self.free]
 
-    def evaluate(self, tf, order=2, data=None):
+    def evaluate(self, tf, order=2, data=None, uncensored=False):
         """:meth:`loglik`, or None with a warning when the evaluation fails."""
         try:
-            return self.loglik(tf, order, data)
+            return self.loglik(tf, order, data, uncensored)
         except (EvaluationError, FloatingPointError) as exc:
             size = (self.data if data is None else data).unique.size
             log.warning("an order-%d evaluation on %d distinct values failed (%s)", order, size, exc)
@@ -586,39 +542,47 @@ class _Problem:
         x = _to_the_box(u0, 0.5**halvings * step, blocks, ubox, lo, hi)
         return np.clip(x, lo, hi), 0.5 * float(gu @ du), None if modified else factor
 
-    def newton(self, tf, ev, steps, data=None):
-        """At most ``steps`` Newton steps from tf on ``data``, by default every point.
+    def newton(self, tf, ev, steps, data=None, uncensored=False):
+        """At most ``steps`` Newton steps from tf on the likelihood of ``data`` and ``uncensored`` (:meth:`loglik`).
 
-        ``ev`` is the order-2 evaluation at tf, or None when that failed.
-        Halvings after the first (module docstring) are judged at order 0, and
-        the point accepted among them is evaluated at order 2.  Returns (point, evaluation, steps
-        taken, outcome), the outcome the lower Cholesky factor of -H when the
-        point is a known optimum, else the reason it is not.
+        ``ev`` is the order-2 evaluation at tf, or None when that failed.  A
+        step whose evaluation fails or does not raise the log likelihood is
+        halved; halvings after the first (module docstring) are judged at
+        order 0, and the point accepted among them is evaluated at order 2.
+        Returns (point, evaluation, steps taken, outcome), the outcome the
+        lower Cholesky factor of -H when the point is a known optimum, else
+        why the steps ended short of one, or why the point is none.
         """
         if ev is None:
             return tf, ev, 0, "an order-2 evaluation failed"
+
+        def raises(new):
+            return new is not None and new.loglik > ev.loglik
+
         x, gain, factor = self.newton_step(tf, ev)
-        taken, outcome = 0, f"no convergence in {steps} step{'s' * (steps != 1)}"
+        taken, stop = 0, None
         while taken < steps:
             taken += 1
-            ev_new, halvings = self.evaluate(x, 2, data), 0
+            ev_new, halvings = self.evaluate(x, 2, data, uncensored), 0
             # a step from a point that predicts a gain of at most 1e-6 is not halved: the point stays
-            while (ev_new is not None and not ev_new.loglik > ev.loglik and halvings < _HALVINGS
-                   and gain > _NEWTON_GAIN_TOL):
+            while not raises(ev_new) and halvings < _HALVINGS and gain > _NEWTON_GAIN_TOL:
                 halvings += 1  # the first halving is mostly taken, so it is evaluated at order 2 at once
-                ev_new = self.evaluate(x := self.newton_step(tf, ev, halvings)[0], 2 if halvings == 1 else 0, data)
-            if halvings > 1 and ev_new is not None and ev_new.loglik > ev.loglik:
-                ev_new = self.evaluate(x, 2, data)
-            if ev_new is None or not ev_new.loglik > ev.loglik:
-                outcome = "an evaluation failed" if ev_new is None else "a step did not raise the log likelihood"
+                x = self.newton_step(tf, ev, halvings)[0]
+                ev_new = self.evaluate(x, 2 if halvings == 1 else 0, data, uncensored)
+            if halvings > 1 and raises(ev_new):
+                ev_new = self.evaluate(x, 2, data, uncensored)
+            if not raises(ev_new):
+                stop = "an evaluation failed" if ev_new is None else "a step did not raise the log likelihood"
                 break
             tf, ev, converged = x, ev_new, factor is not None and gain <= _NEWTON_GAIN_TOL
             x, gain, factor = self.newton_step(tf, ev)
             if converged:
                 break
-        if factor is None:
-            return tf, ev, taken, "-H has no Cholesky factor"
-        return tf, ev, taken, factor if gain <= _NEWTON_GAIN_TOL else outcome
+        if factor is not None and gain <= _NEWTON_GAIN_TOL:
+            return tf, ev, taken, factor
+        if stop is None and factor is None:
+            stop = "-H has no Cholesky factor"
+        return tf, ev, taken, stop or f"no convergence in {steps} step{'s' * (steps != 1)}"
 
     def minimize(self, index, t0, callback):
         """Start ``index`` from t0: Newton steps for the first start (module docstring), else L-BFGS-B in theta.
@@ -659,11 +623,12 @@ def initialize(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig(), *,
     """Starting values for the censored fit, in data units.
 
     A user-supplied ``par_start`` is encoded and returned as-is.  Otherwise
-    the uncensored likelihood of the unitless lengths (on their groups above
-    8 192 distinct values) is maximized from :meth:`ModelSpec.seed` by
-    L-BFGS-B in z (module docstring), whose end point may lie on a face of
-    the box, and shifted back to data units; if that fails, the seed itself
-    is returned with a warning.  ``_unit`` is :func:`fit`'s
+    at most _FIRST_STEPS Newton steps (:meth:`_Problem.newton`) climb the
+    uncensored likelihood of the unitless lengths (on their groups above
+    8 192 distinct values) from :meth:`ModelSpec.seed` clipped into the box;
+    their end point, which may lie on a face of the box, is shifted back to
+    data units.  If the seed's order-2 evaluation fails, the seed itself is
+    returned, with the evaluation's warning.  ``_unit`` is :func:`fit`'s
     :class:`_Problem`, so that the unitless problem is built, and the inputs
     checked, once per fit.
     """
@@ -671,19 +636,11 @@ def initialize(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig(), *,
     if problem.start is not None:
         return model.param_vector(model.to_theta(problem.start), tuple(problem.fixed))
 
-    # without par_start nothing is fixed (FitConfig)
+    # without par_start nothing is fixed (FitConfig), so any theta serves as theta_init
     unit_data = problem.data if problem.grouped is None else problem.grouped
-    theta0 = np.clip(model.seed(unit_data.values), problem.lo, problem.hi)
-
-    def objective(theta):
-        ev = init_loglik(model.params_from_original(model.from_theta(theta)), unit_data, DEFAULT_CONFIG, order=1)
-        return -ev.loglik, -ev.gradient
-
-    try:
-        theta = _Coords(model, problem.free, theta0, problem.lo, problem.hi).minimize(objective).x
-    except (EvaluationError, FloatingPointError) as exc:
-        log.warning("initialization optimizer failed (%s); falling back to the seed", exc)
-        theta = theta0
+    problem.theta_init = theta0 = np.clip(model.seed(unit_data.values), problem.lo, problem.hi)
+    ev = problem.evaluate(theta0, 2, problem.grouped, uncensored=True)
+    theta = problem.newton(theta0, ev, _FIRST_STEPS, problem.grouped, uncensored=True)[0]
     return model.param_vector(theta + problem.shift)
 
 
@@ -714,8 +671,8 @@ _STATUS = {0: "success", 1: "max_iter", 2: "line_search_failure"}
 _BASIN_TAIL = 0.01  # chi-square upper tail probability of the basin ellipsoid
 _NEWTON_GAIN_TOL = 1e-6  # largest log-likelihood gain a known optimum's Newton model may predict
 _NEWTON_STEPS = 5  # most Newton steps of the first start's finish on every point before the certifying one
-_FIRST_STEPS = 50  # most Newton steps of the first start from the initialization, on the groups or every point
-_HALVINGS = 12  # most halvings in u of a Newton step that does not raise the log likelihood
+_FIRST_STEPS = 50  # most Newton steps of the initialization and of the first start, on the groups or every point
+_HALVINGS = 12  # most halvings in u of a Newton step that fails or does not raise the log likelihood
 _EIGEN_FLOOR = 1e-8  # floor of the modified step's eigenvalues, relative to the largest
 
 

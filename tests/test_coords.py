@@ -1,11 +1,11 @@
-"""The optimizer coordinates of the initialization and the Newton steps (``fitting._Coords``).
+"""The coordinates u of the Newton steps (``fitting._Problem.newton``).
 
 u holds each all-free generalized gamma component as (m, log s, log k), m
-and s the mean and sd of log Y.  The initialization runs L-BFGS-B in z =
-u - u0, and the censored fit's Newton steps solve in u.  The analytic
-z-gradient must match finite differences, the map must invert, the Newton
-step and its safeguards must do what they claim, and the first start must
-keep the fits that once failed without them.
+and s the mean and sd of log Y.  The initialization's Newton steps on the
+uncensored likelihood and the censored fit's solve in u.  The map must
+invert, the Newton step and its safeguards must do what they claim, the
+initialization must end at a known optimum of its likelihood, and the first
+start must keep the fits that once failed without them.
 """
 
 from dataclasses import replace
@@ -32,7 +32,7 @@ from fiberfit import (
     sample_x,
 )
 from fiberfit import fitting
-from conftest import MIX_SIM, fd_gradient, fd_jacobian
+from conftest import MIX_SIM, fd_jacobian
 
 GEOM = CoreGeometry(6.0)
 LOG_BOX = np.log([1e-4, 50.0])  # the default unitless generalized gamma box, each coordinate
@@ -57,29 +57,6 @@ POINTS = {
 def unit_data():
     x = sample_x(SimSpec("X", MIX_SIM, GEOM, 400, seed=5))
     return Dataset(x / np.median(x), "X")
-
-
-def _coords_and_objective(family, x0, data):
-    model = ModelSpec(family, "ofa", GEOM)
-    lo, hi = fitting._fit_inputs(model, FitConfig(), np.zeros(model.n_params))[2:]
-    coords = fitting._Coords(model, np.ones(model.n_params, dtype=bool), np.array(x0), lo, hi)
-
-    def objective(theta):
-        ev = init_loglik(model.params_from_original(model.from_theta(theta)), data, order=1)
-        return -ev.loglik, -ev.gradient
-
-    return coords, coords.objective(objective)
-
-
-@pytest.mark.parametrize("family", ["ggamma", "lognorm"])
-def test_z_gradient_matches_finite_differences(family, unit_data):
-    for x0 in POINTS[family]:
-        coords, objective = _coords_and_objective(family, x0, unit_data)
-        z = np.full(len(x0), 0.02)  # off the start, where u0 and J are read
-        assert np.all(coords.theta(z)[0] > coords.lo) and np.all(coords.theta(z)[0] < coords.hi)
-        value, grad = objective(z)
-        fd = fd_gradient(lambda t: objective(t)[0], z, h=1e-5)
-        assert np.allclose(grad, fd, rtol=1e-6, atol=1e-6 * (1.0 + abs(value)))
 
 
 def test_inverse_jacobian_matches_finite_differences():
@@ -122,33 +99,29 @@ def test_round_trip_at_the_default_box_corners():
         assert np.all(np.abs(back - t) <= 1e-12 * max(1.0, np.abs(u).max())), (t, back - t)
 
 
-def test_z_box_is_the_corner_bounding_box():
+def test_u_box_is_the_corner_bounding_box():
     model = ModelSpec("ggamma", "ofa", GEOM)
     lo, hi = fitting._fit_inputs(model, FitConfig(), np.zeros(7))[2:]
-    x0 = np.array(POINTS["ggamma"][0])
-    coords = fitting._Coords(model, np.ones(7, dtype=bool), x0, lo, hi)
-    ulo, uhi = coords.ubox
+    blocks = fitting._blocks(model, np.ones(7, dtype=bool))
+    ulo, uhi = fitting._u_box(blocks, lo, hi)
     rng = np.random.default_rng(3)
-    inside = rng.uniform(lo, hi, size=(2000, 7))  # the image of the theta box lies in the z box
-    images = np.array([fitting._u_of(x, coords.blocks) for x in inside])
+    inside = rng.uniform(lo, hi, size=(2000, 7))  # the image of the theta box lies in the u box
+    images = np.array([fitting._u_of(x, blocks) for x in inside])
     assert np.all(images >= ulo) and np.all(images <= uhi)
     assert np.array_equal(ulo[[0, 3, 6]], lo[[0, 3, 6]]) and np.array_equal(uhi[[0, 3, 6]], hi[[0, 3, 6]])
-    corners = [fitting._u_of(np.array(c), coords.blocks) for c in product(*zip(lo, hi))]
+    corners = [fitting._u_of(np.array(c), blocks) for c in product(*zip(lo, hi))]
     assert np.array_equal(np.min(corners, axis=0), ulo) and np.array_equal(np.max(corners, axis=0), uhi)
 
 
 def test_only_all_free_ggamma_components_are_mapped():
     model = ModelSpec("ggamma", "ofa", GEOM)
-    lo, hi = fitting._fit_inputs(model, FitConfig(), np.zeros(7))[2:]
     x0 = np.array(POINTS["ggamma"][0])
-    assert fitting._Coords(model, np.ones(7, dtype=bool), x0, lo, hi).blocks == [1, 4]
+    assert fitting._blocks(model, np.ones(7, dtype=bool)) == [1, 4]
     free = np.array([True, True, False, True, True, True, True])  # d1 fixed: fines stays theta
-    coords = fitting._Coords(model, free, x0[free], lo[free], hi[free])
-    assert coords.blocks == [3]
-    assert np.array_equal(coords.theta(np.zeros(6))[0][:3], x0[[0, 1, 3]])
-    logn = ModelSpec("lognorm", "ofa", GEOM)
-    lo, hi = fitting._fit_inputs(logn, FitConfig(), np.zeros(5))[2:]
-    assert fitting._Coords(logn, np.ones(5, dtype=bool), np.array(POINTS["lognorm"][0]), lo, hi).blocks == []
+    blocks = fitting._blocks(model, free)
+    assert blocks == [3]
+    assert np.array_equal(fitting._theta_of(fitting._u_of(x0[free], blocks), blocks)[0][:3], x0[[0, 1, 3]])
+    assert fitting._blocks(ModelSpec("lognorm", "ofa", GEOM), np.ones(5, dtype=bool)) == []
 
 
 def test_bhhh_scale_keeps_the_seed_7002_fit():
@@ -162,8 +135,8 @@ def test_bhhh_scale_keeps_the_seed_7002_fit():
 
 
 @pytest.mark.parametrize("seed, index, lower, upper", [
-    (11, 6, 1e-4, 1.8),  # k2 capped below its estimate, about 2.2: the z run ends on the face
-    (12, 5, 3.5, 50.0),  # d2 held above its estimate, 2.94: an iterate's log d2 leaves the box
+    (11, 6, 1e-4, 1.8),  # k2 capped below its estimate, about 2.2
+    (12, 5, 3.5, 50.0),  # d2 held above its estimate, 2.94
 ])
 def test_bounds_through_the_maximum_end_on_their_face(seed, index, lower, upper, monkeypatch):
     # the Newton first start ends on the face, where the theta path from the same
@@ -181,7 +154,7 @@ def test_bounds_through_the_maximum_end_on_their_face(seed, index, lower, upper,
     res = fit(data, model, cfg)
     monkeypatch.undo()
     ref = fit(data, model, FitConfig(lower=tuple(lo), upper=tuple(hi), par_start=start, n_starts=1))
-    assert len(runs) == 1  # the initialization: the Newton steps need no L-BFGS-B run
+    assert len(runs) == 0  # a certified fit runs no L-BFGS-B, nor does the initialization
     assert res.convergence == ref.convergence == "success"
     assert res.theta_tilde[index] == pytest.approx(lower if lower > 1e-4 else upper, rel=1e-12)
     assert res.loglik == pytest.approx(ref.loglik, abs=1e-8)
@@ -205,7 +178,7 @@ def test_start_on_a_face_takes_newton_steps(monkeypatch):
     monkeypatch.undo()
     ref = fit(data, model, FitConfig(lower=lower, upper=upper, par_start=start, n_starts=1))
     assert orders[0] == 2  # the first censored evaluation is a Newton step's
-    assert len(runs) == 1  # the initialization: the Newton steps need no L-BFGS-B run
+    assert len(runs) == 0  # a certified fit runs no L-BFGS-B, nor does the initialization
     assert res.convergence == ref.convergence == "success"
     assert res.loglik == pytest.approx(ref.loglik, abs=1e-8)
 
@@ -313,7 +286,8 @@ def test_a_step_from_a_point_that_predicts_no_gain_is_not_halved(unit_data, monk
     ev = problem.loglik(tf, 2)
     assert problem.newton_step(tf, ev)[1] <= 1e-6
     orders, lower = [], replace(ev, loglik=ev.loglik - 1.0)
-    monkeypatch.setattr(problem, "evaluate", lambda t, order=2, data=None: orders.append(order) or lower)
+    monkeypatch.setattr(problem, "evaluate",
+                        lambda t, order=2, data=None, uncensored=False: orders.append(order) or lower)
     x, ev_end, taken, outcome = problem.newton(tf, ev, 5)
     assert orders == [2] and taken == 1 and x is tf and ev_end is ev
     assert not isinstance(outcome, str)  # a known optimum
@@ -349,8 +323,8 @@ def test_a_step_that_lowers_the_log_likelihood_is_halved_in_u(rounded_start, mon
     monkeypatch.setattr(problem, "newton_step", lambda t, e, halvings=0: step(t, e, halvings - 6))
     trials = []
     evaluate = problem.evaluate
-    monkeypatch.setattr(problem, "evaluate",
-                        lambda t, order=2, data=None: trials.append((t, order)) or evaluate(t, order, data))
+    monkeypatch.setattr(problem, "evaluate", lambda t, order=2, data=None, uncensored=False:
+                        trials.append((t, order)) or evaluate(t, order, data, uncensored))
     x, ev_new, taken, _ = problem.newton(tf, ev, 1)
     points = [t for t, _ in trials]
     assert len(trials) >= 5  # three trials or more lowered the log likelihood
@@ -361,6 +335,56 @@ def test_a_step_that_lowers_the_log_likelihood_is_halved_in_u(rounded_start, mon
     before, last = (fitting._u_of(t, problem.blocks) - u0 for t in points[-3:-1])
     assert np.allclose(last, 0.5 * before, rtol=1e-9, atol=1e-12)
     assert not np.allclose(x, tf + 0.5 * (points[-3] - tf), rtol=0.0, atol=1e-6)  # not the theta chord
+
+
+def test_a_step_whose_evaluation_fails_is_halved(rounded_start, monkeypatch):
+    # the full step's order-2 evaluation fails; the step is halved as one that
+    # lowers the log likelihood is, and the steps go on from the halved point
+    problem, tf, ev = rounded_start
+    trials = []
+    evaluate = problem.evaluate
+
+    def failing_full_step(t, order=2, data=None, uncensored=False):
+        trials.append((t, order))
+        return None if len(trials) == 1 else evaluate(t, order, data, uncensored)
+
+    monkeypatch.setattr(problem, "evaluate", failing_full_step)
+    x, ev_new, taken, _ = problem.newton(tf, ev, 1)
+    assert [order for _, order in trials[:2]] == [2, 2]
+    assert np.array_equal(trials[0][0], problem.newton_step(tf, ev)[0])
+    assert taken == 1 and ev_new is not None and ev_new.loglik > ev.loglik
+    assert np.array_equal(x, trials[-1][0]) and not np.array_equal(x, trials[0][0])
+
+
+def test_steps_that_end_on_a_failed_evaluation_name_it(rounded_start, monkeypatch):
+    # every evaluation fails: the step is halved 12 times, and the steps end at the
+    # start; the outcome names the failure, not the start's indefinite -H
+    problem, tf, ev = rounded_start
+    orders = []
+    monkeypatch.setattr(problem, "evaluate", lambda t, order=2, data=None, uncensored=False: orders.append(order))
+    x, ev_end, taken, outcome = problem.newton(tf, ev, 5)
+    assert problem.newton_step(tf, ev)[2] is None
+    assert outcome == "an evaluation failed" and x is tf and ev_end is ev and taken == 1
+    assert orders == [2, 2] + [0] * 11
+
+
+@pytest.mark.parametrize("data_type, family", [("ofa", "ggamma"), ("microscopy", "ggamma"), ("microscopy", "lognorm")])
+def test_initialization_ends_at_a_known_optimum_of_its_likelihood(data_type, family):
+    # Newton steps on the uncensored likelihood, on the groups of the n = 20 000
+    # OFA sample: -H factors where they end, and predicts a gain of at most 1e-6
+    if data_type == "ofa":
+        geom = GEOM
+        data = Dataset(sample_x(SimSpec("X", MIX_SIM, geom, 20_000, seed=9100)), "X")
+    else:
+        geom = CoreGeometry(2.5)
+        data = Dataset(sample_v(SimSpec("V", LognParams(0.8, 0.3), geom, 300, seed=4)), "V")
+    model = ModelSpec(family, data_type, geom)
+    problem = fitting._Problem(data, model, FitConfig())
+    assert (problem.grouped is not None) == (data_type == "ofa")
+    tf = np.array(initialize(data, model, _unit=problem).values) - problem.shift
+    ev = problem.loglik(tf, 2, problem.grouped, uncensored=True)
+    _, gain, factor = problem.newton_step(tf, ev)
+    assert factor is not None and 0.0 <= gain <= 1e-6
 
 
 def test_a_u_step_that_leaves_the_box_ends_where_it_meets_it():
@@ -377,7 +401,8 @@ def test_a_u_step_that_leaves_the_box_ends_where_it_meets_it():
     end = fitting._theta_of(u0 + step, blocks)[0]
     assert end[1] < lo[1]
     x = np.clip(fitting._to_the_box(u0, step, blocks, fitting._u_box(blocks, lo, hi), lo, hi), lo, hi)
-    assert x[1] == lo[1] and fitting._inside(np.delete(x, 1), np.delete(lo, 1), np.delete(hi, 1))
+    rest, lo_rest, hi_rest = (np.delete(a, 1) for a in (x, lo, hi))
+    assert x[1] == lo[1] and np.all(rest > lo_rest) and np.all(rest < hi_rest)
     t = (fitting._u_of(x, blocks) - u0)[3] / step[3]
     assert 0.0 < t < 1.0
     assert np.allclose(x, fitting._theta_of(u0 + t * step, blocks)[0], rtol=0.0, atol=1e-9)

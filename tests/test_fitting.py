@@ -195,15 +195,15 @@ def test_first_start_on_a_face_is_a_known_optimum(seed, loglik):
 
 
 def test_uncertified_first_start_runs_the_later_starts(monkeypatch):
-    # the Newton steps of start 0 are made to stop short of a known optimum, so
+    # the censored Newton steps of start 0 are made to stop short of a known optimum, so
     # every later start runs, and the fit is the best start that competes
     index = []
     minimize, newton = fitting._Problem.minimize, fitting._Problem.newton
     monkeypatch.setattr(fitting._Problem, "minimize", lambda self, i, *a: index.append(i) or minimize(self, i, *a))
 
-    def newton_short_on_start_0(self, *a, **k):
+    def newton_short_on_start_0(self, *a, **k):  # the censored start's, not the initialization's
         x, ev, taken, outcome = newton(self, *a, **k)
-        return x, ev, taken, "no convergence in 50 steps" if index[-1] == 0 else outcome
+        return x, ev, taken, "no convergence in 50 steps" if not k.get("uncensored") and index[-1] == 0 else outcome
 
     monkeypatch.setattr(fitting._Problem, "newton", newton_short_on_start_0)
     data = Dataset(sample_x(SimSpec("X", MIX_SIM, CoreGeometry(6.0), 300, seed=5217)), "X")
@@ -215,16 +215,40 @@ def test_uncertified_first_start_runs_the_later_starts(monkeypatch):
     assert res.loglik == max(competing)
 
 
-def test_newton_first_start_without_a_cholesky_factor_falls_back_to_lbfgsb():
-    # the Newton steps of this OFA ggamma fit stop short after a modified step, so the
-    # message names "-H has no Cholesky factor"; L-BFGS-B in theta goes on from where
-    # they stopped, and its polish is a known optimum at or above the best of the
-    # five starts that ran when the initialization went on in theta at the box
+def test_newton_first_start_without_a_cholesky_factor_falls_back_to_lbfgsb(monkeypatch):
+    # this OFA ggamma fit's Newton steps reach a known optimum at or above the best of
+    # the five starts that ran when the initialization went on in theta at the box.
+    # Made to stop after one step, a modified one from the initialization where -H is
+    # indefinite, they name "-H has no Cholesky factor"; L-BFGS-B in theta goes on
+    # from where they stopped, and its polish is a known optimum
     data = Dataset(sample_x(SimSpec("X", MIX_SIM, CoreGeometry(6.0), 300, seed=5143)), "X")
-    res = fit(data, ModelSpec("ggamma", "ofa", CoreGeometry(6.0)), FitConfig())
+    model = ModelSpec("ggamma", "ofa", CoreGeometry(6.0))
+    res = fit(data, model, FitConfig())
+    assert res.starts_tried == 1 and res.trace[0].message.startswith("Newton start on every point:")
+    assert "not a known optimum" not in res.trace[0].message
+    assert res.convergence == "success" and res.loglik >= -287.95114304430035 - 1e-9
+    newton = fitting._Problem.newton
+
+    def one_censored_first_step(self, tf, ev, steps, data=None, uncensored=False):
+        return newton(self, tf, ev, 1 if steps == fitting._FIRST_STEPS and not uncensored else steps, data, uncensored)
+
+    monkeypatch.setattr(fitting._Problem, "newton", one_censored_first_step)
+    res = fit(data, model, FitConfig())
     assert "stopped (-H has no Cholesky factor); L-BFGS-B: " in res.trace[0].message
     assert res.starts_tried == 1 and "not a known optimum" not in res.trace[0].message
     assert res.convergence == "success" and res.loglik >= -287.95114304430035 - 1e-9
+
+
+def test_newton_first_start_halves_a_step_whose_evaluation_fails():
+    # a Newton step of this OFA lognormal fit lands where the censored-tail quadrature
+    # fails at order 2; halved, the steps go on and certify the first start, where
+    # they used to stop and hand the start to L-BFGS-B
+    geom = CoreGeometry(6.0)
+    data = Dataset(sample_x(SimSpec("X", MIX_SIM, geom, 300, seed=5040)), "X")
+    res = fit(data, ModelSpec("lognorm", "ofa", geom), FitConfig())
+    assert res.starts_tried == 1 and res.trace[0].message.startswith("Newton start on every point:")
+    assert "not a known optimum" not in res.trace[0].message
+    assert res.convergence == "success" and res.loglik == pytest.approx(-302.2402594758854, abs=1e-9)
 
 
 @pytest.mark.parametrize("seed, loglik", [(5005, -303.7736956556009), (5028, -280.39890686538945)])
