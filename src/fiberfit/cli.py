@@ -13,11 +13,12 @@ written once every result they hold exists.
 ``--starts`` is the most optimizer starts a fit runs: the later ones run
 only when the first start is not a known optimum or ``--par-start`` is
 given.  ``fit.json`` lists every start that ran under ``starts`` (index,
-status, iterations, log likelihood, null for a start that raised), and
-``starts_tried`` counts them.  A start's status is one of ``success``,
-``max_iter``, ``line_search_failure``, ``error`` (the likelihood could not
-be evaluated) or ``duplicate`` (stopped on entering the basin of an optimum
-an earlier start found).
+status, Newton steps, log likelihood, null for an ``error`` start), and
+``starts_tried`` counts them.  A start's status is one of ``success`` (it
+ends on a known optimum), ``stalled`` (its steps end short of one),
+``error`` (the likelihood could not be evaluated at its starting values) or
+``duplicate`` (it ends on a known optimum inside the basin of one an earlier
+start found).
 """
 
 from __future__ import annotations
@@ -54,10 +55,8 @@ __all__ = ["main"]
 
 _CONVERGENCE_TEXT = {
     "success": "Successful completion",
-    "max_iter": "Iteration limit reached",
-    "line_search_failure": "Line search failure",
+    "stalled": "Stopped short of a known optimum",
     "singular_hessian": "Singular Hessian at the optimum",
-    "hessian_failed": "Hessian evaluation failed at the optimum",
 }
 
 _MODEL_TEXT = {GGAMMA: "Generalized gamma", LOGNORM: "Log normal"}

@@ -5,8 +5,8 @@ proportion, log for positive parameters); user bounds on the original scale
 are transformed.  Starting values maximize the uncensored mixture likelihood
 (no integrals) by Newton steps; the censored likelihood is then maximized
 from them by the same Newton steps, best of at most ``n_starts`` starts.
-The later starts, jittered and run by L-BFGS-B, run only when the first is
-no known optimum or ``par_start`` is given.
+The later starts, jittered, run only when the first is no known optimum or
+``par_start`` is given.
 
 Both stages solve the unitless problem, lengths and r divided by s0 =
 median(data), and map back by one theta shift (log s0 on log b or mu) and a
@@ -22,7 +22,7 @@ are far less correlated.  J = d theta / d u is analytic; the u box is the
 corner bounding box of the theta box's image.
 
 One Newton routine (:meth:`_Problem.newton`) finds the initialization's
-optimum on the uncensored likelihood and the first start's on the censored
+optimum on the uncensored likelihood and every start's on the censored
 one, and certifies every optimum, one order-2 evaluation a step.  A
 step solves (J' (-H) J) du = J' g and maps u + du back to theta, or, when
 that leaves the box, the point where the path u + t du meets it
@@ -30,7 +30,9 @@ that leaves the box, the point where the path u + t du meets it
 theta, and the step holds the coordinates on a bound that their gradient
 or the step would take out.  Where J' (-H) J has no Cholesky factor, its
 eigenvalues are replaced by their absolute values, floored at 1e-8 of the
-largest (Nocedal & Wright 2006, Numerical Optimization, section 3.4).  A
+largest (Nocedal & Wright 2006, Numerical Optimization, section 3.4); where
+it has a non-finite entry or no eigenvalue of positive magnitude (as where
+g and H vanish on the box's boundary), there is no step and the steps end.  A
 step whose evaluation fails or that does not raise the log likelihood is
 halved in u, at most 12 times, halvings after the first judged at order 0
 (halving the theta chord fails on the curved k ridge), unless its point
@@ -42,19 +44,17 @@ reason.
 
 The initialization takes at most 50 Newton steps from the seed clipped
 into the box and ends where they stop, which may lie on a face of the box.
-The first start without ``par_start``, from there, takes at most 50 (5-15
-reach a known optimum on the benchmark's samples, where Newton's method in
-theta needed more iterations than L-BFGS-B).  When they stop short,
-L-BFGS-B in theta runs on every point from where they stopped; later
-starts and ``par_start`` starts run it from their start.  A converged
-L-BFGS-B run takes one Newton step (the polish), and the order-2 evaluation
-a start ends on gives the covariance.  A later start stops as a duplicate
-once an iterate enters a known optimum's Hessian ellipsoid at the
-chi-square 0.99 level with a log likelihood the quadratic model allows
-there (the basin test of multi-level single linkage, Rinnooy Kan & Timmer
-1987, Math. Programming 39:57).  Later starts search for basins not yet
-known, so when the first start is a known optimum and there is no
-``par_start`` (a user's start may sit in a poor basin), the fit ends.
+Every start takes at most 50 from its own start (the first start without
+``par_start``: 5-15 reach a known optimum on the benchmark's samples).  A
+start is ``success`` when it ends on a known optimum, ``stalled`` when its
+steps end short of one, ``error`` when the order-2 evaluation at its start
+fails, and ``duplicate`` when it ends on a known optimum inside the
+chi-square 0.99 Hessian ellipsoid of an earlier start's (the basin test of
+multi-level single linkage, Rinnooy Kan & Timmer 1987, Math. Programming
+39:57); a duplicate does not compete for the result.  Every start ends on
+an order-2 evaluation, which gives the covariance.  Later starts search for
+basins not yet known, so when the first start is a known optimum and there
+is no ``par_start`` (a user's start may sit in a poor basin), the fit ends.
 
 Above one streamed block of distinct values (``scales._BLOCK`` = 8 192) a
 fit is coarse to fine.  The sorted distinct unitless values are cut into
@@ -63,11 +63,11 @@ split, each its count-median value carrying the group's count
 (:func:`_grouped`; grouped data, Heitjan 1989, Statistical Science
 4:164).  The initialization and the first start's Newton steps run on the
 groups, ending about 1 SE from the full-data optimum, and at most
-_NEWTON_STEPS + 1 Newton steps on every point finish the start (L-BFGS-B
-from where either stops short of a known optimum).  Later starts, the
-finish, the basin stop and the covariance use every point.  On n = 20 000
-OFA samples the first start makes 4-5 order-2 evaluations on every point
-and 8-11 on the groups.
+_NEWTON_STEPS + 1 Newton steps on every point finish the start (at most 50
+from where the steps on the groups stop short of a known optimum).  Later
+starts, the finish, the duplicate test and the covariance use every point.
+On n = 20 000 OFA samples the first start makes 4-5 order-2 evaluations on
+every point and 8-11 on the groups.
 
 Fixed parameters are held at their original-scale values and excluded from
 the optimization; a proportion fixed at exactly 0 or 1 is supported even
@@ -81,7 +81,6 @@ from dataclasses import dataclass, field, replace
 from itertools import product
 
 import numpy as np
-from scipy.optimize import OptimizeResult, minimize
 from scipy.special import chdtri, psi, zeta
 
 from .densities import (
@@ -96,7 +95,6 @@ from .geometry import CoreGeometry
 from .likelihood import (
     Dataset,
     EvaluationError,
-    LikelihoodEvaluation,
     init_loglik,
     micro_loglik,
     ofa_loglik,
@@ -341,23 +339,6 @@ def _fit_inputs(model: ModelSpec, cfg: FitConfig, shift):
     return fixed, given.get("par_start"), *box
 
 
-_MAX_ITER = 500  # L-BFGS-B iterations of one run
-_GRAD_TOL = 1e-7  # L-BFGS-B projected-gradient tolerance
-
-
-def _lbfgsb(objective, x0, lo, hi, callback=None):
-    """scipy's L-BFGS-B with the analytic gradient on the box [lo, hi]; ``objective`` returns (value, gradient)."""
-    return minimize(
-        objective,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=list(zip(lo, hi)),
-        callback=callback,
-        options={"maxiter": _MAX_ITER, "gtol": _GRAD_TOL},
-    )
-
-
 def _loc_scale(t):
     """(m, log s, log k) of generalized gamma theta (log b, log d, log k), per column of ``t``.
 
@@ -489,11 +470,6 @@ class _Problem:
         loglik = ofa_loglik if self.model.data_type == OFA else micro_loglik
         return loglik(params, data, self.model.geom, DEFAULT_CONFIG, order)
 
-    def objective(self, tf):
-        """(-l, -gradient) at the free coordinates tf on every point."""
-        ev = self.loglik(tf, 1)
-        return -ev.loglik, -np.asarray(ev.gradient)[self.free]
-
     def evaluate(self, tf, order=2, data=None, uncensored=False):
         """:meth:`loglik`, or None with a warning when the evaluation fails."""
         try:
@@ -509,7 +485,8 @@ class _Problem:
         The step du, J, the held coordinates and the modified step are the
         module docstring's, g and H those of ``ev``; du is halved ``halvings``
         times.  The factor is None when -H has none, and always after a
-        modified step, which never certifies.
+        modified step, which never certifies.  The point is None, the gain 0,
+        when there is no step (a non-finite or zero J' (-H) J).
         """
         lo, hi = self.lo[self.free], self.hi[self.free]
         g = np.asarray(ev.gradient)[self.free]
@@ -526,12 +503,16 @@ class _Problem:
         while True:  # also hold each coordinate on a bound that the step would take out of the box
             jac = jac_u[:, ~held]
             gu, a = jac.T @ g, jac.T @ neg_h @ jac
-            modified = factor is None and _cholesky(a) is None
+            modified = _cholesky(a) is None
             if not modified:
                 du = np.linalg.solve(a, gu)
             else:  # Hessian modification: |eigenvalues|, floored (Nocedal & Wright 2006, section 3.4)
+                if not np.all(np.isfinite(a)):
+                    return None, 0.0, None
                 w, v = np.linalg.eigh(a)
                 w = np.abs(w)
+                if not w.max() > 0.0:  # g and H vanish: the floored step would be 0 / 0
+                    return None, 0.0, None
                 du = v @ ((v.T @ gu) / np.maximum(w, _EIGEN_FLOOR * w.max()))
             step = np.zeros(tf.size)
             step[~held] = du
@@ -561,7 +542,7 @@ class _Problem:
 
         x, gain, factor = self.newton_step(tf, ev)
         taken, stop = 0, None
-        while taken < steps:
+        while taken < steps and x is not None:
             taken += 1
             ev_new, halvings = self.evaluate(x, 2, data, uncensored), 0
             # a step from a point that predicts a gain of at most 1e-6 is not halved: the point stays
@@ -580,43 +561,35 @@ class _Problem:
                 break
         if factor is not None and gain <= _NEWTON_GAIN_TOL:
             return tf, ev, taken, factor
-        if stop is None and factor is None:
+        if x is None:
+            stop = "J' (-H) J is not finite or is zero: no step"
+        elif stop is None and factor is None:
             stop = "-H has no Cholesky factor"
         return tf, ev, taken, stop or f"no convergence in {steps} step{'s' * (steps != 1)}"
 
-    def minimize(self, index, t0, callback):
-        """Start ``index`` from t0: Newton steps for the first start (module docstring), else L-BFGS-B in theta.
+    def minimize(self, index, t0):
+        """Start ``index`` from t0: at most _FIRST_STEPS Newton steps (:meth:`newton`) on every point.
 
-        The first start takes Newton steps when there is no ``par_start``, on
-        a face or not, on the groups and then on every point when there are
-        groups; a known optimum that they reach is handed on as
-        ``newton`` (:meth:`newton`'s result).  Otherwise L-BFGS-B in theta
-        runs on every point, from t0 or from the point where the Newton steps
-        stopped short of a known optimum, and stops through ``callback``, the
-        basin stop.
+        The first start on groups (there is no ``par_start``) takes them on
+        the groups, and then at most _NEWTON_STEPS + 1 on every point from
+        the groups' known optimum, or at most _FIRST_STEPS from where the
+        steps on the groups stopped short of one.  Returns (point, its
+        order-2 evaluation, steps taken, :meth:`newton`'s outcome, message
+        naming each stage's steps); the evaluation is None when the one at
+        the start of the last stage failed.
         """
-        lo, hi = self.lo[self.free], self.hi[self.free]
-        x, n_iter, stopped = t0, 0, ""
-        if index == 0 and self.start is None:
-            stages = [("Newton start on every point", None, _FIRST_STEPS)]
-            if self.grouped is not None:
-                stages = [(f"Newton start on {self.grouped.unique.size} groups", self.grouped, _FIRST_STEPS),
-                          ("Newton finish on every point", None, _NEWTON_STEPS + 1)]
-            done = []
-            for name, data, steps in stages:
-                x, ev, taken, outcome = newton = self.newton(x, self.evaluate(x, 2, data), steps, data)
-                n_iter += taken
-                if isinstance(outcome, str):
-                    stopped = f"{name} stopped ({outcome}); L-BFGS-B: "
-                    break
-                done.append(f"{name}: {taken} step{'s' * (taken != 1)}")
-            else:
-                return OptimizeResult(x=x, fun=-ev.loglik, status=0, nit=n_iter, message="; ".join(done),
-                                      newton=newton)
-        res = _lbfgsb(self.objective, x, lo, hi, callback=callback)
-        res.nit += n_iter
-        res.message = stopped + str(res.message)
-        return res
+        stages = [("Newton start on every point", None)]
+        if index == 0 and self.grouped is not None:
+            stages = [(f"Newton start on {self.grouped.unique.size} groups", self.grouped),
+                      ("Newton finish on every point", None)]
+        x, n_iter, steps, notes = t0, 0, _FIRST_STEPS, []
+        for name, data in stages:
+            x, ev, taken, outcome = self.newton(x, self.evaluate(x, 2, data), steps, data)
+            n_iter += taken
+            stopped = isinstance(outcome, str)
+            notes.append(f"{name} stopped ({outcome})" if stopped else f"{name}: {taken} step{'s' * (taken != 1)}")
+            steps = _FIRST_STEPS if stopped else _NEWTON_STEPS + 1
+        return x, ev, n_iter, outcome, "; ".join(notes)
 
 
 def initialize(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig(), *, _unit=None) -> ParamVector:
@@ -661,17 +634,15 @@ def _fines_first(model: ModelSpec, theta, fixed, hessian, trace):
     perm = np.r_[0, 1 + size : 1 + 2 * size, 1 : 1 + size]
     sign = np.ones(model.n_params)
     sign[0] = -1.0
-    if hessian is not None:
-        hessian = sign[:, None] * np.asarray(hessian)[np.ix_(perm, perm)] * sign[None, :]
+    hessian = sign[:, None] * np.asarray(hessian)[np.ix_(perm, perm)] * sign[None, :]
     trace = [replace(rec, theta0=sign * rec.theta0[perm]) for rec in trace]
     return sign * theta[perm], fixed[perm], hessian, trace
 
 
-_STATUS = {0: "success", 1: "max_iter", 2: "line_search_failure"}
-_BASIN_TAIL = 0.01  # chi-square upper tail probability of the basin ellipsoid
+_BASIN_TAIL = 0.01  # chi-square upper tail probability of the duplicate ellipsoid
 _NEWTON_GAIN_TOL = 1e-6  # largest log-likelihood gain a known optimum's Newton model may predict
 _NEWTON_STEPS = 5  # most Newton steps of the first start's finish on every point before the certifying one
-_FIRST_STEPS = 50  # most Newton steps of the initialization and of the first start, on the groups or every point
+_FIRST_STEPS = 50  # most Newton steps of the initialization and of a start, on the groups or every point
 _HALVINGS = 12  # most halvings in u of a Newton step that fails or does not raise the log likelihood
 _EIGEN_FLOOR = 1e-8  # floor of the modified step's eigenvalues, relative to the largest
 
@@ -692,12 +663,13 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
     add seeded N(0, 0.5) jitter on the theta scale, clipped into the box,
     all drawn before any runs.  They run only when the first start is not a
     known optimum or ``par_start`` is given; ``starts_tried`` and ``trace``
-    hold the starts that ran.  How a start runs, when it is a known optimum
-    and when a later start stops as a ``duplicate``, which does not compete
-    for the result, are the module docstring's; the start's message names
-    its steps.  Ties in log likelihood resolve to the earliest start.  The
-    covariance of theta-hat is the inverse negative analytic Hessian at the
-    maximizer, from the order-2 evaluation the start already made, and the
+    hold the starts that ran.  How a start runs, and its status
+    (``success``, ``stalled``, ``error`` or ``duplicate``, which does not
+    compete for the result), are the module docstring's; the start's
+    message names its steps, and why they stopped short of a known optimum.
+    Ties in log likelihood resolve to the earliest start.  The covariance
+    of theta-hat is the inverse negative analytic Hessian at the
+    maximizer, from the order-2 evaluation the start ended on, and the
     original-scale covariance follows by the delta method.  All of this runs
     on the unitless problem; a mixture is then relabeled so that fines is
     the component with the smaller mean.
@@ -733,17 +705,8 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
         starts.append(np.clip(problem.theta_init[free] + jitter, lo, hi))
 
     chi2 = chdtri(int(free.sum()), _BASIN_TAIL)
-    known = []  # (start index, x_hat, loglik_hat, lower Cholesky factor of -H)
-    entered = []
-
-    def stop_in_known_basin(intermediate_result):
-        for index, x_hat, loglik_hat, factor in known:
-            z = factor.T @ (intermediate_result.x - x_hat)
-            if z @ z < chi2 and -intermediate_result.fun >= loglik_hat - 0.5 * chi2:
-                entered.append(index)
-                raise StopIteration
-
-    trace, results = [], []  # results: (loglik, start index, x, status, order-2 evaluation or None)
+    known = []  # (start index, x_hat, lower Cholesky factor of -H)
+    trace, results = [], []  # results: (loglik, start index, x, status, order-2 evaluation)
 
     def record(idx, t0, loglik, status, n_iter, message):
         theta0 = to_data_units(problem.theta(t0))
@@ -751,46 +714,37 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
     for idx, t0 in enumerate(starts):
         if idx == 1 and known and cfg.par_start is None:
             break  # the first start is a known optimum: later starts would only find its basin again
-        entered.clear()
-        try:
-            res = problem.minimize(idx, t0, stop_in_known_basin)
-        except (EvaluationError, FloatingPointError, np.linalg.LinAlgError) as exc:
-            record(idx, t0, -np.inf, "error", 0, str(exc))
+        x, ev, n_iter, outcome, message = problem.minimize(idx, t0)
+        if ev is None:
+            record(idx, t0, -np.inf, "error", n_iter, message)
             continue
-        if entered:
-            message = f"entered the basin of start {entered[0]}"
-            record(idx, t0, -res.fun, "duplicate", res.nit, message)
-            continue
-        status = _STATUS.get(res.status, "line_search_failure")
-        x, ev, outcome, message = res.x, None, None, str(res.message)
-        if status == "success":
-            x, ev, _, outcome = res.get("newton") or problem.newton(x, problem.evaluate(x), 1)
-        loglik = -res.fun if ev is None else ev.loglik
         if isinstance(outcome, str):
-            message += f"; not a known optimum: {outcome}"
-        elif outcome is not None:
-            known.append((idx, x, loglik, outcome))
-        record(idx, t0, loglik, status, res.nit, message)
-        results.append((loglik, idx, x, status, ev))
+            status = "stalled"
+        else:
+            inside = [i for i, x_hat, factor in known if np.sum((factor.T @ (x - x_hat)) ** 2) < chi2]
+            status = "duplicate" if inside else "success"
+            if inside:
+                message += f"; in the basin of start {inside[0]}"
+            else:
+                known.append((idx, x, outcome))
+        record(idx, t0, ev.loglik, status, n_iter, message)
+        if status != "duplicate":
+            results.append((ev.loglik, idx, x, status, ev))
     if not results:
         raise FitError("all optimization starts failed", trace)
 
-    loglik, _, x_best, best_status, ev = min(results, key=lambda t: (-t[0], t[1]))
-    if ev is None:
-        ev = problem.evaluate(x_best) or LikelihoodEvaluation(loglik)
+    _, _, x_best, best_status, ev = min(results, key=lambda t: (-t[0], t[1]))
     return finish(problem.theta(x_best), ev, best_status, trace, len(trace))
 
 
 def _finalize(model, data, theta_hat, fixed, loglik, hessian, status, trace, starts_tried):
-    """FitResult at theta_hat; no Hessian gives no covariance and ``hessian_failed``."""
+    """FitResult at theta_hat; a -H that does not invert gives no covariance and ``singular_hessian``."""
     free = ~fixed
     n_par = model.n_params
     cov_theta = cov_tilde = se_tilde = None
     flagged = False
     convergence = status
-    if hessian is None:
-        convergence = "hessian_failed"
-    elif np.any(free):
+    if np.any(free):
         hess_free = np.asarray(hessian)[np.ix_(free, free)]
         try:
             cov_free = np.linalg.inv(-hess_free)

@@ -1,4 +1,4 @@
-"""Shared test helpers: finite differences and independent quadrature oracles.
+"""Shared test helpers: finite differences, independent quadrature oracles and a check of start statuses.
 
 Oracles deliberately avoid the package's own integration engine: expected
 values come from scipy.integrate (QUADPACK / composite rules) or closed
@@ -12,6 +12,7 @@ from scipy.integrate import cumulative_trapezoid, quad, quad_vec
 from scipy.interpolate import PchipInterpolator
 
 from fiberfit import CoreGeometry, GgdParams, LognParams, MixtureParams
+from fiberfit import fitting
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -139,3 +140,25 @@ def geom25():
 @pytest.fixture
 def geom6():
     return CoreGeometry(6.0)
+
+
+def start_ends(monkeypatch):
+    """The list that each start's (problem, end point, its order-2 evaluation) is appended to as it ends."""
+    ends, minimize = [], fitting._Problem.minimize
+
+    def spy(self, index, t0):
+        x, ev, *rest = minimize(self, index, t0)
+        ends.append((self, x, ev))
+        return x, ev, *rest
+
+    monkeypatch.setattr(fitting._Problem, "minimize", spy)
+    return ends
+
+
+def assert_known_optima(res, ends):
+    """Every ``success`` and ``duplicate`` start ends where -H has a Cholesky factor and Newton predicts no gain."""
+    assert len(ends) == len(res.trace)
+    for rec, (problem, x, ev) in zip(res.trace, ends):
+        if rec.status in ("success", "duplicate"):
+            _, gain, factor = problem.newton_step(x, ev)
+            assert factor is not None and gain <= fitting._NEWTON_GAIN_TOL, (rec.index, rec.status, gain)

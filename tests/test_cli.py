@@ -16,6 +16,7 @@ from fiberfit import (
     QuadratureError,
     ScaleDensity,
     SimSpec,
+    sample_v,
     sample_x,
     scales,
 )
@@ -379,3 +380,31 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert abs(float(proc.stdout.strip()) - 0.6689186996) < 1e-9
+
+
+def test_fit_from_a_par_start_whose_later_start_meets_a_flat_corner(tmp_path):
+    # a later start of this fit ran L-BFGS-B to the upper corner of the box, where g and
+    # H are 0; the one-step polish there divided 0 by 0 (a RuntimeWarning), and NaN
+    # parameters raised ValueError, so the run exited 2 as if its input were invalid
+    data, out = tmp_path / "v.txt", tmp_path / "fit"
+    v = sample_v(SimSpec("V", GgdParams(2.4, 3.3, 1.5), CoreGeometry(2.5), 300, seed=0))
+    data.write_text("\n".join(repr(float(x)) for x in v) + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "fiberfit.cli", "fit", "--data", str(data),
+         "--data-type", "microscopy", "--model", "ggamma", "--r", "2.5", "--par-start", "1.9075,2.7751,1.8190",
+         "--starts", "3", "--seed", "1", "--out", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    starts = json.loads((out / "fit.json").read_text())["starts"]
+    assert [s["status"] for s in starts] == ["success", "duplicate", "duplicate"]
+
+
+def test_the_cli_does_not_import_scipy_optimize():
+    # a cold import of scipy.optimize took about a third of a second of every CLI run
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, fiberfit.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr

@@ -29,7 +29,7 @@ from fiberfit import (
 from fiberfit import fitting
 from fiberfit.cli import main
 from fiberfit.likelihood import EvaluationError
-from conftest import MIX_SIM
+from conftest import MIX_SIM, assert_known_optima, start_ends
 
 
 @pytest.fixture(scope="module")
@@ -132,22 +132,38 @@ def test_micro_fit_recovers_truth(micro_fit):
     assert res.cov_theta.shape == (3, 3)
 
 
-def test_micro_fit_runs_every_start():
+def test_micro_fit_runs_every_start(monkeypatch):
     # jittered starts that land near the box corners must run: the
     # normalizer once raised there and discarded starts 1 and 3 of this fit
     geom = CoreGeometry(2.5)
     data = Dataset(sample_v(SimSpec("V", GgdParams(2.4, 3.3, 1.5), geom, 300, seed=7000)), "V")
     model = ModelSpec("ggamma", "microscopy", geom)
+    ends = start_ends(monkeypatch)
     # a par_start runs every start, even after a known optimum
     res = fit(data, model, FitConfig(par_start=_initial(data, model)))
     statuses = [rec.status for rec in res.trace]
-    assert len(statuses) == 5 and set(statuses) <= {"success", "duplicate"}
+    assert len(statuses) == 5 and "error" not in statuses
     assert statuses[0] == "success"
     assert res.loglik >= -285.15073866664505 - 1e-6
-    # a start stopped as a duplicate must still run to convergence on its own
-    for rec in res.trace:
-        alone = fit(data, model, FitConfig(par_start=tuple(model.from_theta(rec.theta0)), n_starts=1))
-        assert alone.trace[0].status == "success"
+    assert_known_optima(res, ends)
+    assert all("stopped (" in rec.message for rec in res.trace if rec.status == "stalled")
+
+
+@pytest.mark.parametrize("family, seed, jitter", [("ggamma", 0, 1), ("lognorm", 0, 4)])
+def test_later_starts_at_a_flat_corner_end_without_raising(family, seed, jitter, monkeypatch):
+    # L-BFGS-B ran a later start of these fits to a flat part of the box's boundary,
+    # where g and H are 0, and the one-step polish there divided 0 by 0 (a
+    # RuntimeWarning): NaN parameters then raised ValueError out of the fit.  Every
+    # start now takes Newton steps, which take no step where J' (-H) J is zero
+    geom = CoreGeometry(2.5)
+    data = Dataset(sample_v(SimSpec("V", GgdParams(2.4, 3.3, 1.5), geom, 300, seed=seed)), "V")
+    model = ModelSpec(family, "microscopy", geom)
+    default = fit(data, model, FitConfig())
+    ends = start_ends(monkeypatch)
+    res = fit(data, model, FitConfig(par_start=_initial(data, model), n_starts=5, seed=jitter))
+    assert res.starts_tried == 5 and res.convergence == "success"
+    assert res.loglik >= default.loglik - 1e-9
+    assert_known_optima(res, ends)
 
 
 def test_known_first_optimum_ends_the_fit():
@@ -158,7 +174,7 @@ def test_known_first_optimum_ends_the_fit():
     data = Dataset(sample_v(SimSpec("V", GgdParams(2.4, 3.3, 1.5), geom, 300, seed=7000)), "V")
     res = fit(data, ModelSpec("ggamma", "microscopy", geom), FitConfig())
     assert res.starts_tried == 1 and [rec.index for rec in res.trace] == [0]
-    assert res.convergence == "success" and "not a known optimum" not in res.trace[0].message
+    assert res.convergence == "success" and res.trace[0].status == "success"
     assert res.loglik == pytest.approx(-285.1507386653608, rel=1e-13)
     # the Newton first start ends within 1e-7 standard errors of the L-BFGS-B optimum
     theta_tilde = [2.07180999317687, 2.69336482526248, 2.1909126973761928]
@@ -176,7 +192,7 @@ def test_first_start_with_k_on_its_bound_is_a_known_optimum():
     geom = CoreGeometry(2.5)
     data = Dataset(sample_v(SimSpec("V", GgdParams(2.4, 3.3, 1.5), geom, 300, seed=3090)), "V")
     res = fit(data, ModelSpec("ggamma", "microscopy", geom), FitConfig())
-    assert res.starts_tried == 1 and "not a known optimum" not in res.trace[0].message
+    assert res.starts_tried == 1 and res.trace[0].status == "success"
     assert res.convergence == "success" and res.loglik >= -280.5245003765465 - 1e-9
     assert res.theta_tilde[2] == pytest.approx(50.0, rel=1e-12)
 
@@ -190,7 +206,7 @@ def test_first_start_on_a_face_is_a_known_optimum(seed, loglik):
     # starts that ran when such a start took L-BFGS-B in theta
     data = Dataset(sample_x(SimSpec("X", MIX_SIM, CoreGeometry(6.0), 300, seed=seed)), "X")
     res = fit(data, ModelSpec("ggamma", "ofa", CoreGeometry(6.0)), FitConfig())
-    assert res.starts_tried == 1 and "not a known optimum" not in res.trace[0].message
+    assert res.starts_tried == 1 and res.trace[0].status == "success"
     assert res.convergence == "success" and res.loglik >= loglik - 1e-9
 
 
@@ -208,34 +224,37 @@ def test_uncertified_first_start_runs_the_later_starts(monkeypatch):
     monkeypatch.setattr(fitting._Problem, "newton", newton_short_on_start_0)
     data = Dataset(sample_x(SimSpec("X", MIX_SIM, CoreGeometry(6.0), 300, seed=5217)), "X")
     res = fit(data, ModelSpec("ggamma", "ofa", CoreGeometry(6.0)), FitConfig())
-    assert "not a known optimum" in res.trace[0].message
+    assert res.trace[0].status == "stalled"
+    assert res.trace[0].message == "Newton start on every point stopped (no convergence in 50 steps)"
     assert res.starts_tried == 5 and [rec.index for rec in res.trace] == [0, 1, 2, 3, 4]
-    assert res.convergence == "success"
-    competing = [rec.loglik for rec in res.trace if rec.status not in ("duplicate", "error")]
-    assert res.loglik == max(competing)
+    assert "success" in [rec.status for rec in res.trace[1:]]
+    competing = [rec for rec in res.trace if rec.status not in ("duplicate", "error")]
+    best = max(competing, key=lambda rec: rec.loglik)  # the earliest of ties
+    assert res.loglik == best.loglik and res.convergence == best.status  # start 0 is in truth at the maximum
 
 
-def test_newton_first_start_without_a_cholesky_factor_falls_back_to_lbfgsb(monkeypatch):
+def test_newton_first_start_without_a_cholesky_factor_is_stalled(monkeypatch):
     # this OFA ggamma fit's Newton steps reach a known optimum at or above the best of
     # the five starts that ran when the initialization went on in theta at the box.
     # Made to stop after one step, a modified one from the initialization where -H is
-    # indefinite, they name "-H has no Cholesky factor"; L-BFGS-B in theta goes on
-    # from where they stopped, and its polish is a known optimum
+    # indefinite, start 0 is ``stalled`` and names "-H has no Cholesky factor"; the
+    # later starts then run, and one reaches the known optimum
     data = Dataset(sample_x(SimSpec("X", MIX_SIM, CoreGeometry(6.0), 300, seed=5143)), "X")
     model = ModelSpec("ggamma", "ofa", CoreGeometry(6.0))
     res = fit(data, model, FitConfig())
     assert res.starts_tried == 1 and res.trace[0].message.startswith("Newton start on every point:")
-    assert "not a known optimum" not in res.trace[0].message
     assert res.convergence == "success" and res.loglik >= -287.95114304430035 - 1e-9
-    newton = fitting._Problem.newton
+    newton, censored = fitting._Problem.newton, []
 
     def one_censored_first_step(self, tf, ev, steps, data=None, uncensored=False):
-        return newton(self, tf, ev, 1 if steps == fitting._FIRST_STEPS and not uncensored else steps, data, uncensored)
+        censored.append(not uncensored)
+        return newton(self, tf, ev, 1 if censored.count(True) == 1 and not uncensored else steps, data, uncensored)
 
     monkeypatch.setattr(fitting._Problem, "newton", one_censored_first_step)
     res = fit(data, model, FitConfig())
-    assert "stopped (-H has no Cholesky factor); L-BFGS-B: " in res.trace[0].message
-    assert res.starts_tried == 1 and "not a known optimum" not in res.trace[0].message
+    assert res.trace[0].status == "stalled" and res.trace[0].n_iter == 1
+    assert res.trace[0].message == "Newton start on every point stopped (-H has no Cholesky factor)"
+    assert res.starts_tried == 5 and "success" in [rec.status for rec in res.trace[1:]]
     assert res.convergence == "success" and res.loglik >= -287.95114304430035 - 1e-9
 
 
@@ -247,7 +266,7 @@ def test_newton_first_start_halves_a_step_whose_evaluation_fails():
     data = Dataset(sample_x(SimSpec("X", MIX_SIM, geom, 300, seed=5040)), "X")
     res = fit(data, ModelSpec("lognorm", "ofa", geom), FitConfig())
     assert res.starts_tried == 1 and res.trace[0].message.startswith("Newton start on every point:")
-    assert "not a known optimum" not in res.trace[0].message
+    assert res.trace[0].status == "success"
     assert res.convergence == "success" and res.loglik == pytest.approx(-302.2402594758854, abs=1e-9)
 
 
@@ -283,7 +302,7 @@ def test_par_start_runs_every_start():
     model = ModelSpec("ggamma", "microscopy", geom)
     res = fit(data, model, FitConfig(par_start=_initial(data, model), n_starts=3))
     assert res.starts_tried == 3 and [rec.index for rec in res.trace] == [0, 1, 2]
-    assert res.trace[0].status == "success" and "not a known optimum" not in res.trace[0].message
+    assert res.trace[0].status == "success"
 
 
 def test_fit_rejects_scale_mismatch(micro_fit):
@@ -441,55 +460,62 @@ def test_lognorm_ofa_fit_runs():
     assert abs(res.theta_tilde[3] - 0.9) < 4.0 * res.se_tilde[3] + 0.05
 
 
-def test_worse_first_optimum_does_not_hide_the_better_one():
-    # start 0 converges to a spurious lognormal-mixture maximum (a narrow fines
-    # spike, about 199 log-likelihood units down) with a positive definite -H;
-    # a later start stops in its basin, and another still finds the maximum
+NARROW_FINES = (0.02, -3.2, 0.05, 0.2, 1.2)  # a par_start with a narrow lognormal fines spike
+
+
+def test_worse_first_optimum_does_not_hide_the_better_one(monkeypatch):
+    # L-BFGS-B from this start converged to a spurious lognormal-mixture maximum (a
+    # narrow fines spike, about 199 log-likelihood units down), which a later start had
+    # to find its way out of; Newton steps take start 0 to the maximum, and the later
+    # starts that reach it again are duplicates
     geom = CoreGeometry(6.0)
     truth = MixtureParams(0.3, LognParams(-2.0, 0.5), LognParams(0.9, 0.25))
     data = Dataset(sample_x(SimSpec("X", truth, geom, 500, seed=1)), "X")
     model = ModelSpec("lognorm", "ofa", geom)
     best = fit(data, model, FitConfig(n_starts=1)).loglik
-    res = fit(data, model, FitConfig(par_start=(0.02, -3.2, 0.05, 0.2, 1.2), n_starts=5, seed=0))
+    ends = start_ends(monkeypatch)
+    res = fit(data, model, FitConfig(par_start=NARROW_FINES, n_starts=5, seed=0))
     first = res.trace[0]
-    assert first.status == "success" and first.loglik < best - 100.0
+    assert first.status == "success" and first.loglik >= best - 1e-6
     assert "duplicate" in [rec.status for rec in res.trace]
     assert res.convergence == "success"
     assert res.loglik >= best - 1e-6
+    assert_known_optima(res, ends)
 
 
-def test_start_stopped_short_is_no_known_optimum():
-    # L-BFGS-B ends start 0 with ``success`` on a flat ridge of this poorly
-    # identified ggamma mixture, 0.022 below the maximum, where -H is positive
-    # definite but its Newton model still predicts a gain above 1e-6; starts
-    # that enter that point's ellipsoid on their way to the maximum must not
-    # stop there.  Where L-BFGS-B stops on the ridge depends on the last bits
-    # of the gradient, so par_start has to be chosen again whenever the
-    # likelihood's rounding changes.  The maximum has b1 at its lower bound,
-    # 1e-4 times the median length.
+def test_start_stopped_short_is_no_known_optimum(monkeypatch):
+    # L-BFGS-B ended start 0 with ``success`` on a flat ridge of this poorly
+    # identified ggamma mixture, 0.022 below the maximum, where -H was positive
+    # definite but its Newton model still predicted a gain above 1e-6, and start 3
+    # with ``success`` where -H had no Cholesky factor.  Every start now takes Newton
+    # steps, and reads ``success`` or ``duplicate`` only at a known optimum.  The
+    # maximum has b1 at its lower bound, 1e-4 times the median length.
     geom = CoreGeometry(6.0)
     data = Dataset(sample_x(SimSpec("X", MIX_SIM, geom, 500, seed=1)), "X")
     model = ModelSpec("ggamma", "ofa", geom)
+    ends = start_ends(monkeypatch)
     res = fit(data, model, FitConfig(par_start=(0.31, 8.0, 2.95, 3.27, 2.0, 2.82, 2.14), n_starts=5, seed=0))
     maximum = -458.2918103230642  # best of these starts run alone
-    assert res.trace[0].status == "success" and res.trace[0].loglik < maximum - 0.01
     assert res.loglik >= maximum - 1e-6
+    assert_known_optima(res, ends)
+    assert res.theta_tilde[1] == pytest.approx(1e-4 * np.median(data.values), rel=1e-12)
 
 
-def test_start_stopped_short_names_why_it_is_no_known_optimum():
-    # the same fit as above: start 0 keeps its ``success`` status, and its message
-    # says why its Newton step did not make it a known optimum; the two starts that
-    # reach the maximum are known optima and say nothing more
-    geom = CoreGeometry(6.0)
-    data = Dataset(sample_x(SimSpec("X", MIX_SIM, geom, 500, seed=1)), "X")
-    model = ModelSpec("ggamma", "ofa", geom)
-    res = fit(data, model, FitConfig(par_start=(0.31, 8.0, 2.95, 3.27, 2.0, 2.82, 2.14), n_starts=5, seed=0))
-    first = res.trace[0]
-    assert first.status == "success"
-    reason = first.message.split("; not a known optimum: ")[1]
-    assert reason in ("a step did not raise the log likelihood", "no convergence in 1 step")
-    at_maximum = [rec for rec in res.trace if rec.loglik >= res.loglik - 1e-6]
-    assert at_maximum and all("not a known optimum" not in rec.message for rec in at_maximum)
+def test_start_stopped_short_names_why_it_is_no_known_optimum(monkeypatch):
+    # microscopy, the initialization as par_start, jitter seed 2: L-BFGS-B ended start 2
+    # with ``success`` 0.09 below the maximum, where one Newton step did not certify it.
+    # Now starts 1-3 reach the maximum as duplicates, and start 4's first step ends with
+    # d and k on their upper bounds, where g and H are 0: there is no step, and the
+    # start is ``stalled`` under a message that says so
+    geom = CoreGeometry(2.5)
+    data = Dataset(sample_v(SimSpec("V", GgdParams(2.4, 3.3, 1.5), geom, 300, seed=1)), "V")
+    model = ModelSpec("ggamma", "microscopy", geom)
+    ends = start_ends(monkeypatch)
+    res = fit(data, model, FitConfig(par_start=_initial(data, model), n_starts=5, seed=2))
+    assert [rec.status for rec in res.trace] == ["success", "duplicate", "duplicate", "duplicate", "stalled"]
+    assert res.trace[4].message == "Newton start on every point stopped (J' (-H) J is not finite or is zero: no step)"
+    assert res.convergence == "success" and res.loglik >= -296.14582226273956 - 1e-9
+    assert_known_optima(res, ends)
 
 
 @pytest.mark.parametrize("data_type, par_start, fixed_mask, words", [
@@ -560,28 +586,27 @@ def test_fines_is_the_shorter_component():
 
 
 @pytest.mark.parametrize("family", ["ggamma", "lognorm"])
-def test_basin_stop_loses_no_optimum(family):
-    # every start run alone to convergence finds nothing the 5-start fit misses,
-    # and the starts stopped as duplicates cost fewer iterations than alone
+def test_basin_stop_loses_no_optimum(family, monkeypatch):
+    # a start that ends on a known optimum inside an earlier one's Hessian ellipsoid
+    # is a duplicate and does not compete: its log likelihood must be that optimum's
     geom = CoreGeometry(2.5)
     model = ModelSpec(family, "microscopy", geom)
-    stopped = alone_iters = dup_iters = 0
+    duplicates = 0
     for seed in range(10):
         data = Dataset(sample_v(SimSpec("V", GgdParams(2.4, 3.3, 1.5), geom, 300, seed=seed)), "V")
-        # a par_start runs every start, so that the basin stop runs too
+        ends = start_ends(monkeypatch)
+        # a par_start runs every start, so that the duplicate test runs too
         res = fit(data, model, FitConfig(par_start=_initial(data, model)))
         assert res.trace[0].status == "success" and res.starts_tried == 5
-        best_alone = -np.inf
+        assert_known_optima(res, ends)
         for rec in res.trace:
-            alone = fit(data, model, FitConfig(par_start=tuple(model.from_theta(rec.theta0)), n_starts=1))
-            best_alone = max(best_alone, alone.loglik)
             if rec.status == "duplicate":
-                stopped += 1
-                dup_iters += rec.n_iter
-                alone_iters += alone.trace[0].n_iter
-        assert res.loglik >= best_alone - 1e-6
-    assert stopped > 0
-    assert dup_iters < alone_iters
+                duplicates += 1
+                basin = int(rec.message.rsplit(" ", 1)[1])
+                assert rec.loglik == pytest.approx(res.trace[basin].loglik, abs=1e-6)
+        assert res.loglik >= max(rec.loglik for rec in res.trace) - 1e-6
+        monkeypatch.undo()
+    assert duplicates > 0
 
 
 def test_fit_json_lists_every_start(tmp_path):
@@ -601,34 +626,47 @@ def test_fit_json_lists_every_start(tmp_path):
     assert [s["index"] for s in starts] == [0, 1, 2, 3] and blob["starts_tried"] == 4
     for s in starts:
         assert set(s) == {"index", "status", "n_iter", "loglik"}
-        assert s["status"] in {"success", "max_iter", "line_search_failure", "error", "duplicate"}
+        assert s["status"] in {"success", "stalled", "error", "duplicate"}
         assert isinstance(s["n_iter"], int) and s["n_iter"] >= 0
     competing = [s["loglik"] for s in starts if s["status"] not in ("duplicate", "error")]
     assert blob["loglik"] == pytest.approx(max(competing), abs=1e-9)
 
 
-@pytest.mark.parametrize("seed", [31, 2])
-def test_failed_hessian_at_the_estimate_keeps_the_fit(seed, monkeypatch):
-    # an order-2 evaluation that fails at the end point while every order-1
-    # evaluation of the optimizer succeeds: the estimate stands without a
-    # covariance (the failure is injected; on these narrow lognormal fines the
-    # order-2 censored quadrature once failed this way on its own)
-    def order1_only(params, data, geom, cfg, order):
+@pytest.mark.parametrize("seed, loglik", [(31, -507.341024947429), (2, -478.29317511098947)])
+def test_narrow_fines_start_is_a_known_optimum(seed, loglik, monkeypatch):
+    # from this par_start L-BFGS-B ended start 0 near the narrow fines spike (-688.957
+    # and -660.103), where the order-2 censored quadrature failed, so the fit reported
+    # ``hessian_failed`` without a covariance; Newton steps reach the maximum instead
+    geom = CoreGeometry(6.0)
+    truth = MixtureParams(0.3, LognParams(-2.0, 0.5), LognParams(0.9, 0.25))
+    data = Dataset(sample_x(SimSpec("X", truth, geom, 500, seed=seed)), "X")
+    ends = start_ends(monkeypatch)
+    result = fit(data, ModelSpec("lognorm", "ofa", geom), FitConfig(par_start=NARROW_FINES, n_starts=1))
+    assert [t.status for t in result.trace] == ["success"] and result.convergence == "success"
+    assert result.loglik == pytest.approx(loglik, abs=1e-9)
+    assert result.se_tilde is not None
+    assert_known_optima(result, ends)
+
+
+def test_failed_order_2_evaluations_make_every_start_an_error(tmp_path, monkeypatch, capsys):
+    # every start ends on an order-2 evaluation: where every one fails, every start is
+    # an ``error`` and the fit raises FitError, which the CLI maps to exit 3
+    def no_order_2(params, data, geom, cfg, order):
         if order == 2:
             raise EvaluationError("injected order-2 failure")
         return ofa_loglik(params, data, geom, cfg, order)
 
-    monkeypatch.setattr(fitting, "ofa_loglik", order1_only)
+    monkeypatch.setattr(fitting, "ofa_loglik", no_order_2)
     geom = CoreGeometry(6.0)
-    truth = MixtureParams(0.3, LognParams(-2.0, 0.5), LognParams(0.9, 0.25))
-    data = Dataset(sample_x(SimSpec("X", truth, geom, 500, seed=seed)), "X")
+    x = sample_x(SimSpec("X", MIX_SIM, geom, 300, seed=5000))
     model = ModelSpec("lognorm", "ofa", geom)
-    result = fit(data, model, FitConfig(par_start=(0.02, -3.2, 0.05, 0.2, 1.2), n_starts=1))
-    assert result.convergence == "hessian_failed"
-    assert result.cov_theta is None and result.cov_tilde is None and result.se_tilde is None
-    assert [t.status for t in result.trace] == ["success"]
-    assert result.loglik == result.trace[0].loglik and np.isfinite(result.loglik)
-    stats = summary_stats(result)
-    assert stats.convergence == "hessian_failed"
-    with pytest.raises(ValueError):
-        covariance_original_scale(result)
+    with pytest.raises(fitting.FitError) as exc:
+        fit(Dataset(x, "X"), model, FitConfig(par_start=NARROW_FINES, n_starts=3))
+    assert [(t.status, t.loglik) for t in exc.value.diagnostics] == [("error", -np.inf)] * 3
+    assert all(t.message == "Newton start on every point stopped (an order-2 evaluation failed)"
+               for t in exc.value.diagnostics)
+    path, out = tmp_path / "x.txt", tmp_path / "fit"
+    path.write_text("\n".join(repr(float(v)) for v in x) + "\n")
+    rc = main(["fit", "--data", str(path), "--model", "lognorm", "--r", "6", "--out", str(out)])
+    assert rc == 3 and capsys.readouterr().err.startswith("error: all optimization starts failed")
+    assert not out.exists()

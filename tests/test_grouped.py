@@ -3,8 +3,8 @@
 Above one streamed block of distinct values (``scales._BLOCK`` = 8 192) the
 initialization and the first start's Newton steps converge on 1 024
 equal-count groups of the unitless data, and Newton steps on every point
-finish the start from that optimum (L-BFGS-B on every point from where
-they stopped when either stops short).
+finish the start from that optimum, or from where the steps on the groups
+stopped short of one.
 The groups must be equal-count, whole in their ties and made of data values;
 fits must reach the optimum of the full-data path, with fewer evaluations on
 every point, and not depend on data order; smaller data must never touch
@@ -161,7 +161,7 @@ def test_newton_first_start_on_rounded_data(monkeypatch):
     # reached, with order-2 evaluations alone
     calls = _counting(monkeypatch)
     res = fit(_rounded(), OFA_GGAMMA, FitConfig(n_starts=1))
-    assert res.convergence == "success" and "not a known optimum" not in res.trace[0].message
+    assert res.convergence == "success" and res.trace[0].status == "success"
     assert res.trace[0].message.startswith("Newton start on every point")
     assert res.loglik == pytest.approx(ROUNDED, abs=1e-7)
     orders = [order for _, order in calls]
@@ -176,7 +176,7 @@ def test_large_fits_reach_the_full_path_optimum_with_few_full_evaluations(seed, 
     assert res.loglik == pytest.approx(FULL_PATH[seed], abs=1e-7)
     full = [order for size, order in calls if size == 20_000]
     assert full.count(1) == 0  # the full-data path makes about 21
-    assert full.count(2) <= 5  # the Newton finish, the polish and its Newton step
+    assert full.count(2) <= 5  # the Newton finish
     groups = [order for size, order in calls if size == fitting._GROUPS]
     assert len(groups) == len(calls) - len(full) and 1 not in groups  # Newton steps, their halvings at order 0
 
@@ -234,25 +234,26 @@ def test_failed_grouped_run_falls_back_to_every_point(monkeypatch, caplog):
     assert res.loglik == pytest.approx(FULL_PATH[7001], abs=1e-7)
 
 
-def test_failed_newton_finish_falls_back_to_lbfgsb_on_every_point(monkeypatch):
+def test_failed_newton_finish_is_an_error(monkeypatch):
+    # the finish on every point starts with an order-2 evaluation there; when it fails,
+    # the start has no evaluation on every point to end on, so it is an ``error``
     original = fitting.ofa_loglik
-    orders, points = [], []
+    orders = []
 
     def failing_first_full_order_2(*a, **k):
         if a[1].unique.size == 20_000:
             orders.append(a[4])
-            points.append(a[0])
             if orders == [2]:
                 raise EvaluationError("injected failure of the first order-2 evaluation on every point")
         return original(*a, **k)
 
     monkeypatch.setattr(fitting, "ofa_loglik", failing_first_full_order_2)
-    res = fit(_ofa(20_000, 7001), OFA_GGAMMA, FitConfig(n_starts=1))
-    assert "Newton finish on every point stopped (an order-2 evaluation failed)" in res.trace[0].message
-    assert orders.count(1) > 0  # L-BFGS-B on every point
-    assert orders[1] == 1 and points[1] == points[0]  # from where the Newton steps on the groups ended
-    assert res.convergence == "success"
-    assert res.loglik == pytest.approx(FULL_PATH[7001], abs=1e-7)
+    with pytest.raises(fitting.FitError) as exc:
+        fit(_ofa(20_000, 7001), OFA_GGAMMA, FitConfig(n_starts=1))
+    [start] = exc.value.diagnostics
+    assert start.status == "error" and start.n_iter > 0  # the steps on the groups
+    assert start.message.endswith("; Newton finish on every point stopped (an order-2 evaluation failed)")
+    assert orders == [2]
 
 
 def test_grouped_run_on_a_face_falls_back_to_every_point():
