@@ -23,7 +23,7 @@ corner bounding box of the theta box's image.
 
 One Newton routine (:meth:`_Problem.newton`) finds the initialization's
 optimum on the uncensored likelihood and every start's on the censored
-one, and certifies every optimum, one order-2 evaluation a step.  A
+one, and certifies every optimum; it evaluates at order 2 alone.  A
 step solves (J' (-H) J) du = J' g and maps u + du back to theta, or, when
 that leaves the box, the point where the path u + t du meets it
 (:func:`_to_the_box`).  A component with a coordinate on a bound steps in
@@ -34,39 +34,38 @@ largest (Nocedal & Wright 2006, Numerical Optimization, section 3.4); where
 it has a non-finite entry or no eigenvalue of positive magnitude (as where
 g and H vanish on the box's boundary), there is no step and the steps end.  A
 step whose evaluation fails or that does not raise the log likelihood is
-halved in u, at most 12 times, halvings after the first judged at order 0
-(halving the theta chord fails on the curved k ridge), unless its point
-predicts a gain of at most 1e-6; the steps then end there.  They end after
-the first unmodified step from a point whose predicted gain (J' g) du / 2
-is at most 1e-6; the point is a known optimum if -H has a Cholesky factor
-and predicts no further gain there, else the start's message names the
-reason.
+halved in u (halving the theta chord fails on the curved k ridge), at most
+12 times, unless its point predicts a gain of at most 1e-6; the steps then
+end there.  They end after the first unmodified step from a point whose
+predicted gain (J' g) du / 2 is at most 1e-6; the point is a known optimum
+if -H has a Cholesky factor and predicts no further gain there, else the
+start's message names the reason.
 
 The initialization takes at most 50 Newton steps from the seed clipped
 into the box and ends where they stop, which may lie on a face of the box.
-Every start takes at most 50 from its own start (the first start without
-``par_start``: 5-15 reach a known optimum on the benchmark's samples).  A
-start is ``success`` when it ends on a known optimum, ``stalled`` when its
-steps end short of one, ``error`` when the order-2 evaluation at its start
-fails, and ``duplicate`` when it ends on a known optimum inside the
-chi-square 0.99 Hessian ellipsoid of an earlier start's (the basin test of
-multi-level single linkage, Rinnooy Kan & Timmer 1987, Math. Programming
-39:57); a duplicate does not compete for the result.  Every start ends on
-an order-2 evaluation, which gives the covariance.  Later starts search for
-basins not yet known, so when the first start is a known optimum and there
-is no ``par_start`` (a user's start may sit in a poor basin), the fit ends.
+Every start takes at most 50 from its own start on each of its stages
+(the first start without ``par_start``: 5-15 reach a known optimum on the
+benchmark's samples).  A start is ``success`` when it ends on a known
+optimum, ``stalled`` when its steps end short of one, ``error`` when the
+order-2 evaluation at its start fails, and ``duplicate`` when it ends on a
+known optimum inside the chi-square 0.99 Hessian ellipsoid of an earlier
+start's (the basin test of multi-level single linkage, Rinnooy Kan &
+Timmer 1987, Math. Programming 39:57); a duplicate does not compete for
+the result.  Every start ends on an order-2 evaluation, which gives the
+covariance.  Later starts search for basins not yet known, so when the
+first start is a known optimum and there is no ``par_start`` (a user's
+start may sit in a poor basin), the fit ends.
 
 Above one streamed block of distinct values (``scales._BLOCK`` = 8 192) a
 fit is coarse to fine.  The sorted distinct unitless values are cut into
 _GROUPS = 1 024 contiguous groups of equal count, a tied value never
 split, each its count-median value carrying the group's count
 (:func:`_grouped`; grouped data, Heitjan 1989, Statistical Science
-4:164).  The initialization and the first start's Newton steps run on the
-groups, ending about 1 SE from the full-data optimum, and at most
-_NEWTON_STEPS + 1 Newton steps on every point finish the start (at most 50
-from where the steps on the groups stop short of a known optimum).  Later
-starts, the finish, the duplicate test and the covariance use every point.
-On n = 20 000 OFA samples the first start makes 4-5 order-2 evaluations on
+4:164).  The initialization and every start's Newton steps run on the
+groups, ending about 1 SE from the full-data optimum, and at most 50
+Newton steps on every point finish each start from where they end.  The
+finish, the duplicate test and the covariance use every point.  On
+n = 20 000 OFA samples the first start makes 4-5 order-2 evaluations on
 every point and 8-11 on the groups.
 
 Fixed parameters are held at their original-scale values and excluded from
@@ -279,7 +278,7 @@ def _unitless(data: Dataset, model: ModelSpec):
     return unit_data, unit_model, shift, log_s0
 
 
-_GROUPS = 1024  # groups of the coarse first start on many distinct values (fit)
+_GROUPS = 1024  # groups of the coarse stage of every start on many distinct values (fit)
 
 
 def _grouped(data: Dataset) -> Dataset:
@@ -427,8 +426,8 @@ class _Problem:
     ``data``, ``model``, ``shift`` and ``log_s0`` are :func:`_unitless`'s,
     ``fixed``, ``start``, ``lo`` and ``hi`` :func:`_fit_inputs`'s, so the
     fit's inputs are checked once; ``free`` is ``~fixed``.  ``grouped`` is
-    the data's :func:`_grouped` copy above _BLOCK distinct values without
-    ``par_start``, else None.  Both datasets carry their
+    the data's :func:`_grouped` copy above _BLOCK distinct values, else
+    None.  Both datasets carry their
     ``_CensoredPoints``.  ``blocks`` and ``ubox`` are the Newton step's u
     coordinates of the free theta (:func:`_blocks`, :func:`_u_box`).
     ``theta_init``, set by :func:`fit` from :func:`initialize`'s output
@@ -444,7 +443,7 @@ class _Problem:
         self.free = ~self.fixed
         self.data._points = _CensoredPoints(self.data.unique, self.model.geom.r)
         self.grouped = None
-        if self.start is None and self.data.unique.size > _BLOCK:
+        if self.data.unique.size > _BLOCK:
             self.grouped = _grouped(self.data)
             self.grouped._points = _CensoredPoints(self.grouped.unique, self.model.geom.r)
         self.blocks = _blocks(model, self.free)
@@ -470,23 +469,23 @@ class _Problem:
         loglik = ofa_loglik if self.model.data_type == OFA else micro_loglik
         return loglik(params, data, self.model.geom, DEFAULT_CONFIG, order)
 
-    def evaluate(self, tf, order=2, data=None, uncensored=False):
-        """:meth:`loglik`, or None with a warning when the evaluation fails."""
+    def evaluate(self, tf, data=None, uncensored=False):
+        """:meth:`loglik` at order 2, or None with a warning when the evaluation fails."""
         try:
-            return self.loglik(tf, order, data, uncensored)
+            return self.loglik(tf, 2, data, uncensored)
         except (EvaluationError, FloatingPointError) as exc:
             size = (self.data if data is None else data).unique.size
-            log.warning("an order-%d evaluation on %d distinct values failed (%s)", order, size, exc)
+            log.warning("an order-2 evaluation on %d distinct values failed (%s)", size, exc)
             return None
 
-    def newton_step(self, tf, ev, halvings=0):
-        """(next point, predicted gain, lower Cholesky factor of -H or None) of one Newton step from tf.
+    def newton_step(self, tf, ev):
+        """(path, predicted gain, lower Cholesky factor of -H or None) of the Newton step from tf.
 
         The step du, J, the held coordinates and the modified step are the
-        module docstring's, g and H those of ``ev``; du is halved ``halvings``
-        times.  The factor is None when -H has none, and always after a
-        modified step, which never certifies.  The point is None, the gain 0,
-        when there is no step (a non-finite or zero J' (-H) J).
+        module docstring's, g and H those of ``ev``; ``path(h)`` is the point
+        of du halved h times.  The factor is None when -H has none, and always
+        after a modified step, which never certifies.  The path is None, the
+        gain 0, when there is no step (a non-finite or zero J' (-H) J).
         """
         lo, hi = self.lo[self.free], self.hi[self.free]
         g = np.asarray(ev.gradient)[self.free]
@@ -520,19 +519,21 @@ class _Problem:
             if not out.any():
                 break
             held |= out
-        x = _to_the_box(u0, 0.5**halvings * step, blocks, ubox, lo, hi)
-        return np.clip(x, lo, hi), 0.5 * float(gu @ du), None if modified else factor
+
+        def path(halvings):
+            return np.clip(_to_the_box(u0, 0.5**halvings * step, blocks, ubox, lo, hi), lo, hi)
+
+        return path, 0.5 * float(gu @ du), None if modified else factor
 
     def newton(self, tf, ev, steps, data=None, uncensored=False):
         """At most ``steps`` Newton steps from tf on the likelihood of ``data`` and ``uncensored`` (:meth:`loglik`).
 
         ``ev`` is the order-2 evaluation at tf, or None when that failed.  A
         step whose evaluation fails or does not raise the log likelihood is
-        halved; halvings after the first (module docstring) are judged at
-        order 0, and the point accepted among them is evaluated at order 2.
-        Returns (point, evaluation, steps taken, outcome), the outcome the
-        lower Cholesky factor of -H when the point is a known optimum, else
-        why the steps ended short of one, or why the point is none.
+        halved (module docstring), every trial evaluated at order 2.  Returns
+        (point, evaluation, steps taken, outcome), the outcome the lower
+        Cholesky factor of -H when the point is a known optimum, else why the
+        steps ended short of one, or why the point is none.
         """
         if ev is None:
             return tf, ev, 0, "an order-2 evaluation failed"
@@ -540,55 +541,51 @@ class _Problem:
         def raises(new):
             return new is not None and new.loglik > ev.loglik
 
-        x, gain, factor = self.newton_step(tf, ev)
+        path, gain, factor = self.newton_step(tf, ev)
         taken, stop = 0, None
-        while taken < steps and x is not None:
+        while taken < steps and path is not None:
             taken += 1
-            ev_new, halvings = self.evaluate(x, 2, data, uncensored), 0
             # a step from a point that predicts a gain of at most 1e-6 is not halved: the point stays
-            while not raises(ev_new) and halvings < _HALVINGS and gain > _NEWTON_GAIN_TOL:
-                halvings += 1  # the first halving is mostly taken, so it is evaluated at order 2 at once
-                x = self.newton_step(tf, ev, halvings)[0]
-                ev_new = self.evaluate(x, 2 if halvings == 1 else 0, data, uncensored)
-            if halvings > 1 and raises(ev_new):
-                ev_new = self.evaluate(x, 2, data, uncensored)
-            if not raises(ev_new):
+            trials = _HALVINGS + 1 if gain > _NEWTON_GAIN_TOL else 1
+            for halvings in range(trials):
+                x = path(halvings)
+                ev_new = self.evaluate(x, data, uncensored)
+                if raises(ev_new):
+                    break
+            else:
                 stop = "an evaluation failed" if ev_new is None else "a step did not raise the log likelihood"
                 break
             tf, ev, converged = x, ev_new, factor is not None and gain <= _NEWTON_GAIN_TOL
-            x, gain, factor = self.newton_step(tf, ev)
+            path, gain, factor = self.newton_step(tf, ev)
             if converged:
                 break
         if factor is not None and gain <= _NEWTON_GAIN_TOL:
             return tf, ev, taken, factor
-        if x is None:
+        if path is None:
             stop = "J' (-H) J is not finite or is zero: no step"
         elif stop is None and factor is None:
             stop = "-H has no Cholesky factor"
         return tf, ev, taken, stop or f"no convergence in {steps} step{'s' * (steps != 1)}"
 
-    def minimize(self, index, t0):
-        """Start ``index`` from t0: at most _FIRST_STEPS Newton steps (:meth:`newton`) on every point.
+    def minimize(self, t0):
+        """One start from t0: at most _FIRST_STEPS Newton steps (:meth:`newton`) on each stage.
 
-        The first start on groups (there is no ``par_start``) takes them on
-        the groups, and then at most _NEWTON_STEPS + 1 on every point from
-        the groups' known optimum, or at most _FIRST_STEPS from where the
-        steps on the groups stopped short of one.  Returns (point, its
-        order-2 evaluation, steps taken, :meth:`newton`'s outcome, message
-        naming each stage's steps); the evaluation is None when the one at
-        the start of the last stage failed.
+        Above _BLOCK distinct values the steps run on the groups first, then
+        on every point from where they end; else on every point alone.
+        Returns (point, its order-2 evaluation, steps taken, :meth:`newton`'s
+        outcome on every point, message naming each stage's steps); the
+        evaluation is None when the one at the start of the last stage failed.
         """
         stages = [("Newton start on every point", None)]
-        if index == 0 and self.grouped is not None:
+        if self.grouped is not None:
             stages = [(f"Newton start on {self.grouped.unique.size} groups", self.grouped),
                       ("Newton finish on every point", None)]
-        x, n_iter, steps, notes = t0, 0, _FIRST_STEPS, []
+        x, n_iter, notes = t0, 0, []
         for name, data in stages:
-            x, ev, taken, outcome = self.newton(x, self.evaluate(x, 2, data), steps, data)
+            x, ev, taken, outcome = self.newton(x, self.evaluate(x, data), _FIRST_STEPS, data)
             n_iter += taken
             stopped = isinstance(outcome, str)
             notes.append(f"{name} stopped ({outcome})" if stopped else f"{name}: {taken} step{'s' * (taken != 1)}")
-            steps = _FIRST_STEPS if stopped else _NEWTON_STEPS + 1
         return x, ev, n_iter, outcome, "; ".join(notes)
 
 
@@ -612,7 +609,7 @@ def initialize(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig(), *,
     # without par_start nothing is fixed (FitConfig), so any theta serves as theta_init
     unit_data = problem.data if problem.grouped is None else problem.grouped
     problem.theta_init = theta0 = np.clip(model.seed(unit_data.values), problem.lo, problem.hi)
-    ev = problem.evaluate(theta0, 2, problem.grouped, uncensored=True)
+    ev = problem.evaluate(theta0, problem.grouped, uncensored=True)
     theta = problem.newton(theta0, ev, _FIRST_STEPS, problem.grouped, uncensored=True)[0]
     return model.param_vector(theta + problem.shift)
 
@@ -641,8 +638,7 @@ def _fines_first(model: ModelSpec, theta, fixed, hessian, trace):
 
 _BASIN_TAIL = 0.01  # chi-square upper tail probability of the duplicate ellipsoid
 _NEWTON_GAIN_TOL = 1e-6  # largest log-likelihood gain a known optimum's Newton model may predict
-_NEWTON_STEPS = 5  # most Newton steps of the first start's finish on every point before the certifying one
-_FIRST_STEPS = 50  # most Newton steps of the initialization and of a start, on the groups or every point
+_FIRST_STEPS = 50  # most Newton steps of the initialization and of each stage of a start
 _HALVINGS = 12  # most halvings in u of a Newton step that fails or does not raise the log likelihood
 _EIGEN_FLOOR = 1e-8  # floor of the modified step's eigenvalues, relative to the largest
 
@@ -714,7 +710,7 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
     for idx, t0 in enumerate(starts):
         if idx == 1 and known and cfg.par_start is None:
             break  # the first start is a known optimum: later starts would only find its basin again
-        x, ev, n_iter, outcome, message = problem.minimize(idx, t0)
+        x, ev, n_iter, outcome, message = problem.minimize(t0)
         if ev is None:
             record(idx, t0, -np.inf, "error", n_iter, message)
             continue

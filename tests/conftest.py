@@ -146,8 +146,8 @@ def start_ends(monkeypatch):
     """The list that each start's (problem, end point, its order-2 evaluation) is appended to as it ends."""
     ends, minimize = [], fitting._Problem.minimize
 
-    def spy(self, index, t0):
-        x, ev, *rest = minimize(self, index, t0)
+    def spy(self, t0):
+        x, ev, *rest = minimize(self, t0)
         ends.append((self, x, ev))
         return x, ev, *rest
 

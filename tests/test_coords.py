@@ -17,6 +17,7 @@ import pytest
 from fiberfit import (
     CoreGeometry,
     Dataset,
+    EvaluationError,
     FitConfig,
     GgdParams,
     LognParams,
@@ -230,8 +231,8 @@ def test_newton_step_in_u_predicts_the_theta_newton_decrement(unit_data):
     # J' (-H) J du = J' g gives (J' g) du = g' (-H)^-1 g for any invertible J
     problem, tf = _near_the_maximum("ggamma", unit_data)
     ev = problem.loglik(tf, 2)
-    x, gain, factor = problem.newton_step(tf, ev)
-    g, neg_h = ev.gradient, -ev.hessian
+    path, gain, factor = problem.newton_step(tf, ev)
+    x, g, neg_h = path(0), ev.gradient, -ev.hessian
     assert factor is not None and np.allclose(factor @ factor.T, neg_h, rtol=1e-12, atol=1e-12 * np.abs(neg_h).max())
     assert gain == pytest.approx(0.5 * g @ np.linalg.solve(neg_h, g), rel=1e-9) and gain > 1e-3
     assert np.all(x > problem.lo) and np.all(x < problem.hi)
@@ -247,7 +248,8 @@ def test_newton_step_on_a_face_holds_the_pinned_coordinate(unit_data):
     problem.hi[6] = tf[6] = tf[6] - 0.01  # log k2 capped below the maximum: the gradient pushes it up
     ev = problem.loglik(tf, 2)
     assert ev.gradient[6] > 0.0
-    x, gain, factor = problem.newton_step(tf, ev)
+    path, gain, factor = problem.newton_step(tf, ev)
+    x = path(0)
     assert factor is not None and gain > 0.0
     assert x[6] == tf[6] and np.all(x[:6] != tf[:6])
     # the fines block lies inside the box and steps in u, the fibers block, on the face, in theta
@@ -261,9 +263,9 @@ def test_newton_step_of_the_lognormal_is_the_theta_step_bit_for_bit(unit_data):
     # no (m, log s, log k) block: J = I, so the u step is the theta Newton step
     problem, tf = _near_the_maximum("lognorm", unit_data)
     ev = problem.loglik(tf, 2)
-    x, gain, _ = problem.newton_step(tf, ev)
+    path, gain, _ = problem.newton_step(tf, ev)
     step = np.linalg.solve(-ev.hessian, ev.gradient)
-    assert np.array_equal(x, np.clip(tf + step, problem.lo, problem.hi))
+    assert np.array_equal(path(0), np.clip(tf + step, problem.lo, problem.hi))
     assert gain == 0.5 * float(ev.gradient @ step) and gain > 1e-3
 
 
@@ -293,11 +295,10 @@ def test_a_step_from_a_point_that_predicts_no_gain_is_not_halved(unit_data, monk
     problem, tf = _near_the_maximum("ggamma", unit_data, distance=0.0)
     ev = problem.loglik(tf, 2)
     assert problem.newton_step(tf, ev)[1] <= 1e-6
-    orders, lower = [], replace(ev, loglik=ev.loglik - 1.0)
-    monkeypatch.setattr(problem, "evaluate",
-                        lambda t, order=2, data=None, uncensored=False: orders.append(order) or lower)
+    trials, lower = [], replace(ev, loglik=ev.loglik - 1.0)
+    monkeypatch.setattr(problem, "evaluate", lambda t, data=None, uncensored=False: trials.append(t) or lower)
     x, ev_end, taken, outcome = problem.newton(tf, ev, 5)
-    assert orders == [2] and taken == 1 and x is tf and ev_end is ev
+    assert len(trials) == 1 and taken == 1 and x is tf and ev_end is ev
     assert not isinstance(outcome, str)  # a known optimum
 
 
@@ -317,32 +318,37 @@ def test_modified_step_at_the_initialization_raises_the_log_likelihood(rounded_s
     # unbounded there; the modified step still climbs, but certifies nothing
     problem, tf, ev = rounded_start
     assert fitting._cholesky(-ev.hessian) is None
-    x, gain, factor = problem.newton_step(tf, ev)
+    path, gain, factor = problem.newton_step(tf, ev)
     assert factor is None and gain > 0.0
-    assert problem.loglik(x, 0).loglik > ev.loglik
+    assert problem.loglik(path(0), 2).loglik > ev.loglik
 
 
 def test_a_step_that_lowers_the_log_likelihood_is_halved_in_u(rounded_start, monkeypatch):
     # sixty-four times the modified step overshoots; it is halved in u, each trial
     # the previous one's u displacement halved, until the log likelihood rises;
-    # halvings after the first are judged at order 0, the accepted one then at order 2
+    # every trial is evaluated at order 2, and the accepted one is not evaluated again
     problem, tf, ev = rounded_start
     step = problem.newton_step
-    monkeypatch.setattr(problem, "newton_step", lambda t, e, halvings=0: step(t, e, halvings - 6))
+
+    def overshooting(t, e):
+        path, gain, factor = step(t, e)
+        return (lambda halvings: path(halvings - 6)), gain, factor
+
+    monkeypatch.setattr(problem, "newton_step", overshooting)
     trials = []
-    evaluate = problem.evaluate
-    monkeypatch.setattr(problem, "evaluate", lambda t, order=2, data=None, uncensored=False:
-                        trials.append((t, order)) or evaluate(t, order, data, uncensored))
+    loglik = problem.loglik
+    monkeypatch.setattr(problem, "loglik", lambda t, order, data=None, uncensored=False:
+                        trials.append((t, order, loglik(t, order, data, uncensored))) or trials[-1][2])
     x, ev_new, taken, _ = problem.newton(tf, ev, 1)
-    points = [t for t, _ in trials]
-    assert len(trials) >= 5  # three trials or more lowered the log likelihood
-    assert [order for _, order in trials] == [2, 2] + [0] * (len(trials) - 3) + [2]
-    assert taken == 1 and ev_new.loglik > ev.loglik and np.array_equal(x, points[-1]) and np.array_equal(x, points[-2])
-    assert all(problem.loglik(t, 0).loglik <= ev.loglik for t in points[:-2])
+    points = [t for t, _, _ in trials]
+    assert len(trials) >= 4  # three trials or more lowered the log likelihood
+    assert all(order == 2 for _, order, _ in trials)
+    assert taken == 1 and ev_new is trials[-1][2] and ev_new.loglik > ev.loglik and np.array_equal(x, points[-1])
+    assert all(new.loglik <= ev.loglik for _, _, new in trials[:-1])
     u0 = fitting._u_of(tf, problem.blocks)
-    before, last = (fitting._u_of(t, problem.blocks) - u0 for t in points[-3:-1])
+    before, last = (fitting._u_of(t, problem.blocks) - u0 for t in points[-2:])
     assert np.allclose(last, 0.5 * before, rtol=1e-9, atol=1e-12)
-    assert not np.allclose(x, tf + 0.5 * (points[-3] - tf), rtol=0.0, atol=1e-6)  # not the theta chord
+    assert not np.allclose(x, tf + 0.5 * (points[-2] - tf), rtol=0.0, atol=1e-6)  # not the theta chord
 
 
 def test_a_step_whose_evaluation_fails_is_halved(rounded_start, monkeypatch):
@@ -352,28 +358,33 @@ def test_a_step_whose_evaluation_fails_is_halved(rounded_start, monkeypatch):
     trials = []
     evaluate = problem.evaluate
 
-    def failing_full_step(t, order=2, data=None, uncensored=False):
-        trials.append((t, order))
-        return None if len(trials) == 1 else evaluate(t, order, data, uncensored)
+    def failing_full_step(t, data=None, uncensored=False):
+        trials.append(t)
+        return None if len(trials) == 1 else evaluate(t, data, uncensored)
 
     monkeypatch.setattr(problem, "evaluate", failing_full_step)
     x, ev_new, taken, _ = problem.newton(tf, ev, 1)
-    assert [order for _, order in trials[:2]] == [2, 2]
-    assert np.array_equal(trials[0][0], problem.newton_step(tf, ev)[0])
+    assert np.array_equal(trials[0], problem.newton_step(tf, ev)[0](0))
     assert taken == 1 and ev_new is not None and ev_new.loglik > ev.loglik
-    assert np.array_equal(x, trials[-1][0]) and not np.array_equal(x, trials[0][0])
+    assert np.array_equal(x, trials[-1]) and not np.array_equal(x, trials[0])
 
 
 def test_steps_that_end_on_a_failed_evaluation_name_it(rounded_start, monkeypatch):
     # every evaluation fails: the step is halved 12 times, and the steps end at the
-    # start; the outcome names the failure, not the start's indefinite -H
+    # start; the outcome names the failure, not the start's indefinite -H.  Each of
+    # the 13 trials is one order-2 evaluation
     problem, tf, ev = rounded_start
     orders = []
-    monkeypatch.setattr(problem, "evaluate", lambda t, order=2, data=None, uncensored=False: orders.append(order))
+
+    def failing(t, order, data=None, uncensored=False):
+        orders.append(order)
+        raise EvaluationError("injected failure")
+
+    monkeypatch.setattr(problem, "loglik", failing)
     x, ev_end, taken, outcome = problem.newton(tf, ev, 5)
     assert problem.newton_step(tf, ev)[2] is None
     assert outcome == "an evaluation failed" and x is tf and ev_end is ev and taken == 1
-    assert orders == [2, 2] + [0] * 11
+    assert orders == [2] * 13
 
 
 @pytest.mark.parametrize("data_type, family", [("ofa", "ggamma"), ("microscopy", "ggamma"), ("microscopy", "lognorm")])

@@ -213,13 +213,13 @@ def test_first_start_on_a_face_is_a_known_optimum(seed, loglik):
 def test_uncertified_first_start_runs_the_later_starts(monkeypatch):
     # the censored Newton steps of start 0 are made to stop short of a known optimum, so
     # every later start runs, and the fit is the best start that competes
-    index = []
+    starts = []
     minimize, newton = fitting._Problem.minimize, fitting._Problem.newton
-    monkeypatch.setattr(fitting._Problem, "minimize", lambda self, i, *a: index.append(i) or minimize(self, i, *a))
+    monkeypatch.setattr(fitting._Problem, "minimize", lambda self, t0: starts.append(t0) or minimize(self, t0))
 
     def newton_short_on_start_0(self, *a, **k):  # the censored start's, not the initialization's
         x, ev, taken, outcome = newton(self, *a, **k)
-        return x, ev, taken, "no convergence in 50 steps" if not k.get("uncensored") and index[-1] == 0 else outcome
+        return x, ev, taken, "no convergence in 50 steps" if not k.get("uncensored") and len(starts) == 1 else outcome
 
     monkeypatch.setattr(fitting._Problem, "newton", newton_short_on_start_0)
     data = Dataset(sample_x(SimSpec("X", MIX_SIM, CoreGeometry(6.0), 300, seed=5217)), "X")

@@ -1,9 +1,9 @@
-"""The coarse-to-fine first start of fits on many distinct values (``fitting._grouped``).
+"""The coarse-to-fine starts of fits on many distinct values (``fitting._grouped``).
 
 Above one streamed block of distinct values (``scales._BLOCK`` = 8 192) the
-initialization and the first start's Newton steps converge on 1 024
+initialization and every start's Newton steps converge on 1 024
 equal-count groups of the unitless data, and Newton steps on every point
-finish the start from that optimum, or from where the steps on the groups
+finish each start from that optimum, or from where the steps on the groups
 stopped short of one.
 The groups must be equal-count, whole in their ties and made of data values;
 fits must reach the optimum of the full-data path, with fewer evaluations on
@@ -165,7 +165,7 @@ def test_newton_first_start_on_rounded_data(monkeypatch):
     assert res.trace[0].message.startswith("Newton start on every point")
     assert res.loglik == pytest.approx(ROUNDED, abs=1e-7)
     orders = [order for _, order in calls]
-    assert orders.count(1) == 0 and orders.count(2) <= 12
+    assert set(orders) == {2} and len(orders) <= 12
 
 
 @pytest.mark.parametrize("seed", sorted(FULL_PATH))
@@ -174,11 +174,11 @@ def test_large_fits_reach_the_full_path_optimum_with_few_full_evaluations(seed, 
     res = fit(_ofa(20_000, seed), OFA_GGAMMA, FitConfig(n_starts=1))
     assert res.convergence == "success"
     assert res.loglik == pytest.approx(FULL_PATH[seed], abs=1e-7)
+    assert {order for _, order in calls} == {2}
     full = [order for size, order in calls if size == 20_000]
-    assert full.count(1) == 0  # the full-data path makes about 21
-    assert full.count(2) <= 5  # the Newton finish
+    assert len(full) <= 5  # the Newton finish; the full-data path makes about 21
     groups = [order for size, order in calls if size == fitting._GROUPS]
-    assert len(groups) == len(calls) - len(full) and 1 not in groups  # Newton steps, their halvings at order 0
+    assert len(groups) == len(calls) - len(full)  # the Newton steps on the groups
 
 
 def test_grouped_and_full_paths_agree_within_their_standard_errors(monkeypatch):
@@ -256,7 +256,7 @@ def test_failed_newton_finish_is_an_error(monkeypatch):
     assert orders == [2]
 
 
-def test_grouped_run_on_a_face_falls_back_to_every_point():
+def test_grouped_run_on_a_face_falls_back_to_every_point(monkeypatch):
     # k2 capped below its estimate, about 2.2: the grouped optimum lies on that face,
     # and the first start reaches on every point what the theta path reaches there
     data = _ofa(10_000, 11)
@@ -265,7 +265,25 @@ def test_grouped_run_on_a_face_falls_back_to_every_point():
     res = fit(data, OFA_GGAMMA, cfg)
     assert "Newton finish on every point" in res.trace[0].message
     start = tuple(OFA_GGAMMA.from_theta(fitting.initialize(data, OFA_GGAMMA, cfg).values))
+    monkeypatch.setattr(fitting, "_BLOCK", 10**9)  # the reference runs on every point
     ref = fit(data, OFA_GGAMMA, FitConfig(lower=lo, upper=hi, par_start=start, n_starts=1))
     assert res.convergence == ref.convergence == "success"
     assert res.theta_tilde[6] == pytest.approx(1.8, rel=1e-12)
+    assert res.loglik == pytest.approx(ref.loglik, abs=1e-8)
+
+
+def test_starts_from_par_start_take_the_groups_first(monkeypatch):
+    # every start, also from a user's par_start and jittered from it, steps on the
+    # groups before every point, and ends where the every-point path ends
+    data = _ofa(20_000, 7001)
+    start = tuple(OFA_GGAMMA.from_theta(fitting.initialize(data, OFA_GGAMMA).values))
+    cfg = FitConfig(par_start=start, n_starts=3)
+    res = fit(data, OFA_GGAMMA, cfg)
+    assert res.starts_tried == 3
+    assert all(rec.message.startswith(f"Newton start on {fitting._GROUPS} groups") for rec in res.trace)
+    monkeypatch.setattr(fitting, "_BLOCK", 10**9)  # the every-point path
+    ref = fit(data, OFA_GGAMMA, cfg)
+    assert all(rec.message.startswith("Newton start on every point") for rec in ref.trace)
+    assert [rec.status for rec in res.trace] == [rec.status for rec in ref.trace]
+    assert res.convergence == ref.convergence
     assert res.loglik == pytest.approx(ref.loglik, abs=1e-8)
