@@ -52,7 +52,7 @@ from .likelihood import (
     micro_loglik,
     ofa_loglik,
 )
-from .quadrature import QuadratureConfig, QuadratureError
+from .quadrature import QuadratureError
 from .scales import (
     ScaleDensity,
     density_v,
@@ -94,7 +94,6 @@ __all__ = [
     "logn_grad_theta",
     "ggd_hess_theta",
     "logn_hess_theta",
-    "QuadratureConfig",
     "QuadratureError",
     "ScaleDensity",
     "mean_w_component",

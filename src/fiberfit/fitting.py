@@ -50,7 +50,8 @@ optimum, ``stalled`` when its steps end short of one, ``error`` when the
 order-2 evaluation at its start fails, and ``duplicate`` when it ends on a
 known optimum inside the chi-square 0.99 Hessian ellipsoid of an earlier
 start's (the basin test of multi-level single linkage, Rinnooy Kan &
-Timmer 1987, Math. Programming 39:57); a duplicate does not compete for
+Timmer 1987, Math. Programming 39:57), or whose image with the mixture
+labels exchanged is (:func:`_label_swap`); a duplicate does not compete for
 the result.  Every start ends on an order-2 evaluation, which gives the
 covariance.  Later starts search for basins not yet known, so when the
 first start is a known optimum and there is no ``par_start`` (a user's
@@ -98,7 +99,6 @@ from .likelihood import (
     micro_loglik,
     ofa_loglik,
 )
-from .quadrature import DEFAULT_CONFIG
 from .scales import _BLOCK, _CensoredPoints
 from .special import _trigamma
 
@@ -465,9 +465,9 @@ class _Problem:
         params = self.model.params_from_original(self.model.from_theta(self.theta(tf)))
         data = self.data if data is None else data
         if uncensored:
-            return init_loglik(params, data, DEFAULT_CONFIG, order)
+            return init_loglik(params, data, order=order)
         loglik = ofa_loglik if self.model.data_type == OFA else micro_loglik
-        return loglik(params, data, self.model.geom, DEFAULT_CONFIG, order)
+        return loglik(params, data, self.model.geom, order=order)
 
     def evaluate(self, tf, data=None, uncensored=False):
         """:meth:`loglik` at order 2, or None with a warning when the evaluation fails."""
@@ -614,23 +614,35 @@ def initialize(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig(), *,
     return model.param_vector(theta + problem.shift)
 
 
+def _label_swap(model: ModelSpec):
+    """(perm, sign) that relabel a mixture theta as sign * theta[perm]; None for microscopy.
+
+    Swapping the labels maps eps to 1 - eps, so logit eps to its negative,
+    and exchanges the component blocks (label switching, Stephens 2000,
+    JRSS-B 62:795).  The unitless shift is the same on both blocks and 0 on
+    eps, so the swap holds on the unitless theta as well.
+    """
+    if model.data_type == MICROSCOPY:
+        return None
+    size = FAMILIES[model.family].size
+    sign = np.ones(model.n_params)
+    sign[0] = -1.0
+    return np.r_[0, 1 + size : 1 + 2 * size, 1 : 1 + size], sign
+
+
 def _fines_first(model: ModelSpec, theta, fixed, hessian, trace):
     """Relabel a mixture so that fines is the component with the smaller Y-scale mean.
 
-    Swapping the labels maps eps to 1 - eps, so logit eps to its negative,
-    and exchanges the component blocks: theta, the fixed mask, the Hessian
-    and each start's theta0 follow (label switching, Stephens 2000, JRSS-B
-    62:795).  Returns (theta, fixed, hessian, trace).
+    theta, the fixed mask, the Hessian and each start's theta0 follow the
+    swap (:func:`_label_swap`).  Returns (theta, fixed, hessian, trace).
     """
-    if model.data_type == MICROSCOPY:
+    swap = _label_swap(model)
+    if swap is None:
         return theta, fixed, hessian, trace
     mix = model.params_from_original(model.from_theta(theta))
     if not mix.fines.mean() > mix.fibers.mean():
         return theta, fixed, hessian, trace
-    size = FAMILIES[model.family].size
-    perm = np.r_[0, 1 + size : 1 + 2 * size, 1 : 1 + size]
-    sign = np.ones(model.n_params)
-    sign[0] = -1.0
+    perm, sign = swap
     hessian = sign[:, None] * np.asarray(hessian)[np.ix_(perm, perm)] * sign[None, :]
     trace = [replace(rec, theta0=sign * rec.theta0[perm]) for rec in trace]
     return sign * theta[perm], fixed[perm], hessian, trace
@@ -702,6 +714,22 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
 
     chi2 = chdtri(int(free.sum()), _BASIN_TAIL)
     known = []  # (start index, x_hat, lower Cholesky factor of -H)
+    swap = _label_swap(model)
+    if swap is not None:
+        perm, sign = swap
+        base = problem.theta_init
+        if not (np.array_equal(fixed[perm], fixed) and np.array_equal((sign * base[perm])[fixed], base[fixed])):
+            swap = None  # the relabelled points would hold other fixed values: they are not points of this fit
+
+    def basin(x):
+        """(start index, relabelled) of the first known optimum whose ellipsoid holds x or its relabelled image."""
+        images = [x] if swap is None else [x, (sign * problem.theta(x)[perm])[free]]
+        for i, x_hat, factor in known:
+            for relabelled, z in enumerate(images):
+                if np.sum((factor.T @ (z - x_hat)) ** 2) < chi2:
+                    return i, relabelled
+        return None
+
     trace, results = [], []  # results: (loglik, start index, x, status, order-2 evaluation)
 
     def record(idx, t0, loglik, status, n_iter, message):
@@ -717,10 +745,10 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
         if isinstance(outcome, str):
             status = "stalled"
         else:
-            inside = [i for i, x_hat, factor in known if np.sum((factor.T @ (x - x_hat)) ** 2) < chi2]
+            inside = basin(x)
             status = "duplicate" if inside else "success"
             if inside:
-                message += f"; in the basin of start {inside[0]}"
+                message += f"; in the basin of start {inside[0]}{' with the labels exchanged' * inside[1]}"
             else:
                 known.append((idx, x, outcome))
         record(idx, t0, ev.loglik, status, n_iter, message)

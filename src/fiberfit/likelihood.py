@@ -68,7 +68,7 @@ from .densities import (
     decode,
 )
 from .geometry import CoreGeometry
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureError, segment_integrals
+from .quadrature import QuadratureError, segment_integrals
 from .scales import _CensoredPoints, _CensoredStacks, _uncut_mass_stack
 
 __all__ = [
@@ -284,7 +284,7 @@ def _points_of(data: Dataset, geom: CoreGeometry) -> _CensoredPoints:
     return held if held is not None and held.r == geom.r else _CensoredPoints(data.unique, geom.r)
 
 
-def _mixture_eval(mix: MixtureParams, data: Dataset, geom: CoreGeometry | None, cfg: QuadratureConfig, order: int):
+def _mixture_eval(mix: MixtureParams, data: Dataset, geom: CoreGeometry | None, order: int):
     """Per-unique log f_X and the count-weighted gradient and Hessian sums, streamed over blocks of the data.
 
     The one likelihood assembly.  The ``scales._CensoredStacks`` of the live
@@ -303,7 +303,7 @@ def _mixture_eval(mix: MixtureParams, data: Dataset, geom: CoreGeometry | None, 
     live = [i for i, on in enumerate((eps > 0.0, eps < 1.0)) if on]
     try:
         parts = [(mix.fines, mix.fibers)[i] for i in live]
-        stacks = _CensoredStacks(data.unique, parts, geom, cfg, order, None if geom is None else _points_of(data, geom))
+        stacks = _CensoredStacks(data.unique, parts, geom, order, None if geom is None else _points_of(data, geom))
     except QuadratureError as exc:
         raise EvaluationError(f"censored-tail integral failed: {exc}") from exc
     scores = order >= 2
@@ -354,20 +354,14 @@ def _mixture_eval(mix: MixtureParams, data: Dataset, geom: CoreGeometry | None, 
     return log_f, grad, hess
 
 
-def _component_eval(p: ComponentParams, data: Dataset, cfg: QuadratureConfig, order: int):
+def _component_eval(p: ComponentParams, data: Dataset, order: int):
     """Uncensored (log_f, grad, hess) of one component: the mixture pass with all its weight on p."""
-    log_f, *sums = _mixture_eval(MixtureParams(1.0, p, p), data, None, cfg, order)
+    log_f, *sums = _mixture_eval(MixtureParams(1.0, p, p), data, None, order)
     own = slice(1, 1 + _n_coords(p))
     return (log_f, *(None if a is None else a[own] if a.ndim == 1 else a[own, own] for a in sums))
 
 
-def ofa_loglik(
-    theta,
-    data: Dataset,
-    geom: CoreGeometry,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    order: int = 0,
-) -> LikelihoodEvaluation:
+def ofa_loglik(theta, data: Dataset, geom: CoreGeometry, *, order: int = 0) -> LikelihoodEvaluation:
     """Censored-mixture log likelihood of OFA data on the X scale.
 
     ``theta`` is a mixture ParamVector or MixtureParams.  With order >= 1 the
@@ -380,15 +374,10 @@ def ofa_loglik(
     if data.scale != "X":
         raise ValueError("OFA likelihood requires a dataset on the X scale")
     data.validate_support(geom)
-    return _evaluation(*_mixture_eval(mix, data, geom, cfg, order), data)
+    return _evaluation(*_mixture_eval(mix, data, geom, order), data)
 
 
-def init_loglik(
-    theta,
-    data: Dataset,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    order: int = 0,
-) -> LikelihoodEvaluation:
+def init_loglik(theta, data: Dataset, *, order: int = 0) -> LikelihoodEvaluation:
     """Uncensored log likelihood used for initialization.
 
     Treats every observed cell as uncut, so the observed density is the plain
@@ -397,17 +386,11 @@ def init_loglik(
     """
     params = _as_params(theta)
     if isinstance(params, MixtureParams):
-        return _evaluation(*_mixture_eval(params, data, None, cfg, order), data)
-    return _evaluation(*_component_eval(params, data, cfg, order), data)
+        return _evaluation(*_mixture_eval(params, data, None, order), data)
+    return _evaluation(*_component_eval(params, data, order), data)
 
 
-def micro_loglik(
-    theta,
-    data: Dataset,
-    geom: CoreGeometry,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    order: int = 0,
-) -> LikelihoodEvaluation:
+def micro_loglik(theta, data: Dataset, geom: CoreGeometry, *, order: int = 0) -> LikelihoodEvaluation:
     """Conditional log likelihood of microscopy data (uncut fibers).
 
     Per observation the exact uncut-fiber density is used:
@@ -419,8 +402,8 @@ def micro_loglik(
     here so the reported value is the absolute log likelihood.  The
     normalizer and its derivatives share one quadrature pass, the same
     integral as :func:`scales.k_theta`: in standardized log length on
-    quantile panels, up to 2r, converged to an absolute tolerance of
-    abs_tol F(2r), F(2r) the mass below 2r (``scales._log_length_integrals``).
+    quantile panels, up to 2r, to an absolute tolerance in proportion to
+    F(2r), the mass below 2r (``scales._log_length_integrals``).
     """
     p = _as_params(theta)
     if isinstance(p, MixtureParams):
@@ -428,9 +411,9 @@ def micro_loglik(
     if data.scale != "V":
         raise ValueError("microscopy likelihood requires a dataset on the V scale")
     data.validate_support(geom)
-    log_f, grad, hess = _component_eval(p, data, cfg, order)
+    log_f, grad, hess = _component_eval(p, data, order)
     try:
-        kint = _uncut_mass_stack(p, geom, cfg, order, segment_integrals)
+        kint = _uncut_mass_stack(p, geom, order, segment_integrals)
     except QuadratureError as exc:
         raise EvaluationError(f"uncut-probability normalizer failed: {exc}") from exc
     k0 = max(float(kint[0]), _TINY)

@@ -32,16 +32,24 @@ standardized log length, where they are smooth with exponential tails,
 between closed-form quantiles of the component, on panels ending at
 quantiles of the component and at the logs of 16 equal y-panel ends of
 (0, 2r] (``scales._log_length_integrals``).
+
+Tolerances: one set serves every integral of the package.  A call bisects
+panels until, for every stack component, the summed |K - G| is within
+max(abs_tol, 1e-8 |integral|), with abs_tol = 1e-10 unless the caller
+scales it, and raises :class:`QuadratureError` when that takes more than
+200 bisections (``_ABS_TOL``, ``_REL_TOL``, ``_MAX_SUBDIVISIONS``).  A
+log-length integral (``scales._log_length_integrals``) takes as abs_tol
+1e-10 times the mass of its range; it starts where the mass below is 1e-12
+of the mass below 2r and ends where the mass above is 1e-12
+(``scales._TAIL_CUTOFF``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebvander
 
-__all__ = ["PanelTree", "QuadratureConfig", "QuadratureError", "segment_integrals"]
+__all__ = ["PanelTree", "QuadratureError", "segment_integrals"]
 
 # 15-point Kronrod nodes on (-1, 1) and weights, with the embedded 7-point
 # Gauss weights on the odd-indexed nodes (QUADPACK dqk15 constants).
@@ -97,32 +105,14 @@ _WG = np.array(
 )
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and limits for the adaptive engine.
-
-    tail_cutoff is the survival mass past the quantile that ends an integral
-    of a density over a range that reaches y = inf (and, as a share of the
-    mass below 2r, the mass below the quantile that starts one from y = 0).
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    tail_cutoff: float = 1e-12
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0 or self.tail_cutoff <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 10:
-            raise ValueError("max_subdivisions must be at least 10")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
+# the tolerances of the module docstring
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-8
+_MAX_SUBDIVISIONS = 200
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the error target is not met within max_subdivisions."""
+    """Raised when the error target is not met within _MAX_SUBDIVISIONS bisections."""
 
     def __init__(self, message: str, error_estimate: float):
         super().__init__(f"{message} (achieved error estimate {error_estimate:.3e})")
@@ -256,7 +246,7 @@ class PanelTree:
         return np.einsum("pkw,rpk->wr", moments, self._coefficients()[:, first:last])
 
 
-def segment_integrals(f, edges, cfg: QuadratureConfig = DEFAULT_CONFIG) -> PanelTree:
+def segment_integrals(f, edges, abs_tol: float = _ABS_TOL) -> PanelTree:
     """Integrate a stack adaptively over [edges[0], edges[-1]], readable at every edge.
 
     Returns a :class:`PanelTree` over a copy of the edges.  With step =
@@ -266,8 +256,8 @@ def segment_integrals(f, edges, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Panel
     width step * median(segment width) and at both ends of any wider segment
     (at every edge for up to 16 segments).  The budget and tolerances apply
     to the whole edge range at once: panels are bisected until, for every
-    stack component, the summed |K - G| is within max(abs_tol, rel_tol *
-    |integral|).
+    stack component, the summed |K - G| is within max(abs_tol, _REL_TOL *
+    |integral|), at most _MAX_SUBDIVISIONS times (module docstring).
     """
     edges = np.array(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
@@ -289,7 +279,7 @@ def segment_integrals(f, edges, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Panel
     blocks, row, splits = [vals], np.arange(lo.size), 0
     while True:
         total = np.abs(K.sum(axis=1))
-        tol_m = np.maximum(cfg.abs_tol, cfg.rel_tol * total)
+        tol_m = np.maximum(abs_tol, _REL_TOL * total)
         err_m = err.sum(axis=1)
         bad_m = err_m > tol_m
         if not bad_m.any():
@@ -304,9 +294,9 @@ def segment_integrals(f, edges, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Panel
         if not mask.any():
             break
         n_split = int(mask.sum())
-        if splits + n_split > cfg.max_subdivisions:
+        if splits + n_split > _MAX_SUBDIVISIONS:
             raise QuadratureError(
-                "quadrature did not converge within max_subdivisions",
+                f"quadrature did not converge within {_MAX_SUBDIVISIONS} bisections",
                 float(err_m.max()),
             )
         rest, left, right = ~mask, lo[mask], hi[mask]

@@ -51,7 +51,7 @@ computes each once regardless of the number of data points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -68,7 +68,7 @@ from .densities import (
     component_pdf,
 )
 from .geometry import CoreGeometry, _prob_uncut_unchecked
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureError, segment_integrals
+from .quadrature import _ABS_TOL, QuadratureError, segment_integrals
 
 __all__ = [
     "ScaleDensity",
@@ -90,10 +90,10 @@ _COMPONENTS = ("fines", "fibers", "mixture")
 # probabilities whose quantiles end the panels in log length: geometric
 # toward both tails, where the log-length densities decay exponentially
 _EDGE_LOG_PROBS = np.log([1e-8, 1e-5, 1e-3, 0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98, 0.999, 1 - 1e-5, 1 - 1e-8])
+_TAIL_CUTOFF = 1e-12  # mass left past a log-length integral's limits (``quadrature`` module docstring)
 
 
-def _log_length_integrals(p: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig, order: int, weights, quad,
-                          lo: float = 0.0, hi: float = np.inf):
+def _log_length_integrals(p: ComponentParams, geom: CoreGeometry, order: int, weights, quad, lo=0.0, hi=np.inf):
     """int_lo^hi w_i(y) g_q(y) dy for weight rows w_i and density stack rows g_q, (weights, stack height).
 
     ``weights(ly)`` gives the weight rows at ly = log y.  The integral runs
@@ -104,11 +104,12 @@ def _log_length_integrals(p: ComponentParams, geom: CoreGeometry, cfg: Quadratur
     the probabilities _EDGE_LOG_PROBS times F(2r), at the images of the 16
     equal y-panel ends 2r j / 16, and at the quantiles at _EDGE_LOG_PROBS
     above 2r.  The limits are the larger of lo and the quantile at
-    tail_cutoff F(2r), and the smaller of hi and ``_Family.tail_quantile``
-    at tail_cutoff.  The absolute tolerance is abs_tol F(hi), so a normalizer
-    far below abs_tol is resolved relative to itself; a range that holds no
-    mass gives zeros.  ``quad`` is ``segment_integrals`` under the name the
-    caller imported, so that the call sites can be instrumented apart.
+    _TAIL_CUTOFF F(2r), and the smaller of hi and ``_Family.tail_quantile``
+    at _TAIL_CUTOFF.  The absolute tolerance is ``quadrature._ABS_TOL``
+    F(hi), so a normalizer far below it is resolved relative to itself; a
+    range that holds no mass gives zeros.  ``quad`` is ``segment_integrals``
+    under the name the caller imported, so that the call sites can be
+    instrumented apart.
     """
     fam, r = FAMILIES[p.family], geom.r
     a, c, log_cdf, quantile = fam.standard_form(p)
@@ -116,10 +117,10 @@ def _log_length_integrals(p: ComponentParams, geom: CoreGeometry, cfg: Quadratur
     s_top = c * (np.log(hi) - a)
     log_mass, log_top = log_cdf(np.array([ends[-1], s_top]))
     log_mass = max(log_mass, _LOG_UNDERFLOW)
-    s_lo = float(quantile(np.log(cfg.tail_cutoff) + log_mass))
+    s_lo = float(quantile(np.log(_TAIL_CUTOFF) + log_mass))
     if lo > 0.0:
         s_lo = max(s_lo, c * (np.log(lo) - a))
-    s_hi = min(s_top, float(fam.tail_quantile(p, cfg.tail_cutoff)))
+    s_hi = min(s_top, float(fam.tail_quantile(p, _TAIL_CUTOFF)))
     n_rows = _stack_height(_n_coords(p), order)
     if not (s_lo < s_hi and log_top > _LOG_UNDERFLOW):
         return np.zeros((len(weights(np.zeros(1))), n_rows))
@@ -131,12 +132,11 @@ def _log_length_integrals(p: ComponentParams, geom: CoreGeometry, cfg: Quadratur
     def integrand(s):
         return (weights(a + s / c)[:, None] * stack(s)).reshape(-1, s.size)
 
-    tol = replace(cfg, abs_tol=cfg.abs_tol * np.exp(log_top))
-    return quad(integrand, edges, tol).total().reshape(-1, n_rows)
+    return quad(integrand, edges, _ABS_TOL * np.exp(log_top)).total().reshape(-1, n_rows)
 
 
 @lru_cache(maxsize=512)
-def _weighted_moment_integrals(p: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig):
+def _weighted_moment_integrals(p: ComponentParams, geom: CoreGeometry):
     """J[m] = int y^m f / (pi r + 2 y) and the same with f's theta-gradient.
 
     Returns read-only (J, Jg) with J of shape (5,) for m = 0..4 and Jg of
@@ -154,62 +154,62 @@ def _weighted_moment_integrals(p: ComponentParams, geom: CoreGeometry, cfg: Quad
     def weights(ly):  # y^m / (pi r + 2 y) / E(Y^(m - 1))
         return np.exp(np.minimum(m[:, None] * ly - np.logaddexp(log_pir, np.log(2.0) + ly) - log_scale[:, None], 700.0))
 
-    flat = _log_length_integrals(p, geom, cfg, 1, weights, segment_integrals)
+    flat = _log_length_integrals(p, geom, 1, weights, segment_integrals)
     with np.errstate(over="ignore", invalid="ignore"):
         flat *= np.exp(log_scale)[:, None]
     flat.flags.writeable = False
     return flat[:, 0], flat[:, 1:]
 
 
-def _w_moments(p: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig, m: int):
+def _w_moments(p: ComponentParams, geom: CoreGeometry, m: int):
     """Rows 0..m of (J, Jg) (see :func:`_weighted_moment_integrals`), checked finite."""
-    J, Jg = (arr[: m + 1] for arr in _weighted_moment_integrals(p, geom, cfg))
+    J, Jg = (arr[: m + 1] for arr in _weighted_moment_integrals(p, geom))
     if not (J[0] > 0.0 and np.all(np.isfinite(J)) and np.all(np.isfinite(Jg))):
         raise QuadratureError(f"W moments up to order {m} overflow double range", np.inf)
     return J, Jg
 
 
-def mean_w_component(p: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def mean_w_component(p: ComponentParams, geom: CoreGeometry) -> float:
     """Expected cell length on the W (standing tree) scale for one component."""
-    return float(0.5 / _w_moments(p, geom, cfg, 0)[0][0] - 0.5 * (np.pi * geom.r))
+    return float(0.5 / _w_moments(p, geom, 0)[0][0] - 0.5 * (np.pi * geom.r))
 
 
-def moment_w(m: int, p: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def moment_w(m: int, p: ComponentParams, geom: CoreGeometry) -> float:
     """m-th raw moment of the component's W-scale distribution, m in 1..4.
 
     Raises QuadratureError when the moment overflows double range.
     """
     if m not in (1, 2, 3, 4):
         raise ValueError("moment order m must be one of 1, 2, 3, 4")
-    J = _w_moments(p, geom, cfg, m)[0]
+    J = _w_moments(p, geom, m)[0]
     return float(J[m] / J[0])  # (pi r + 2 E(W)) J[m], since pi r J[0] + 2 J[1] = 1
 
 
-def density_w_component(w, p: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig = DEFAULT_CONFIG):
+def density_w_component(w, p: ComponentParams, geom: CoreGeometry):
     """Tree-scale density of one component at w >= 0."""
     arr = np.asarray(w, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("w must be nonnegative")
-    ew = mean_w_component(p, geom, cfg)
+    ew = mean_w_component(p, geom)
     pir = np.pi * geom.r
     out = (pir + 2.0 * ew) / (pir + 2.0 * arr) * component_pdf(arr, p)
     return float(out) if np.ndim(w) == 0 else out
 
 
-def _uncut_mass_stack(p: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig, order: int, quad):
+def _uncut_mass_stack(p: ComponentParams, geom: CoreGeometry, order: int, quad):
     """int_0^2r g_q(y) p_uc(y) dy for the density stack rows g_q: the microscopy normalizer and its derivatives."""
     r = geom.r
-    return _log_length_integrals(p, geom, cfg, order, lambda ly: _prob_uncut_unchecked(np.exp(ly), r)[None], quad,
+    return _log_length_integrals(p, geom, order, lambda ly: _prob_uncut_unchecked(np.exp(ly), r)[None], quad,
                                  hi=2.0 * r)[0]
 
 
 @lru_cache(maxsize=512)
-def k_theta(p: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def k_theta(p: ComponentParams, geom: CoreGeometry) -> float:
     """Probability that a core cell from f_Y is uncut: int_0^2r f_Y p_uc (see :func:`_uncut_mass_stack`)."""
-    return float(_uncut_mass_stack(p, geom, cfg, 0, segment_integrals)[0])
+    return float(_uncut_mass_stack(p, geom, 0, segment_integrals)[0])
 
 
-def density_v(v, p_fibers: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig = DEFAULT_CONFIG):
+def density_v(v, p_fibers: ComponentParams, geom: CoreGeometry):
     """Density of uncut-fiber lengths in the core (microscopy scale).
 
     Raises QuadratureError when k_theta is not positive and finite, as when
@@ -218,7 +218,7 @@ def density_v(v, p_fibers: ComponentParams, geom: CoreGeometry, cfg: QuadratureC
     arr = np.asarray(v, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 2.0 * geom.r):
         raise ValueError("v must lie strictly inside (0, 2r)")
-    norm = k_theta(p_fibers, geom, cfg)
+    norm = k_theta(p_fibers, geom)
     if not (np.isfinite(norm) and norm > 0.0):
         raise QuadratureError(f"the uncut mass k_theta = {norm:g} is not positive and finite", np.inf)
     out = component_pdf(arr, p_fibers) * _prob_uncut_unchecked(arr, geom.r) / norm
@@ -312,8 +312,7 @@ class _CensoredStacks:
     fresh one by default), which a fit keeps for all its evaluations.
     """
 
-    def __init__(self, x, parts, geom: CoreGeometry | None, cfg: QuadratureConfig, order: int,
-                 points: _CensoredPoints | None = None):
+    def __init__(self, x, parts, geom: CoreGeometry | None, order: int, points: _CensoredPoints | None = None):
         self.x = x
         self.stacks = [_stack_rows(p, order) for p in parts]
         self.height = _stack_height(_n_coords(parts[0]), order)
@@ -330,7 +329,7 @@ class _CensoredStacks:
 
         # tree row 2 h i + h j + q: integral j (T, S) of stack row q of component i
         self.tail = np.concatenate(
-            [_log_length_integrals(p, geom, cfg, order, weights, segment_integrals, lo=x[-1]).ravel() for p in parts]
+            [_log_length_integrals(p, geom, order, weights, segment_integrals, lo=x[-1]).ravel() for p in parts]
         )
         if x.size < 2:
             return
@@ -345,7 +344,7 @@ class _CensoredStacks:
                 np.multiply(g, yw, out=s)
             return out.reshape(-1, y.size)
 
-        self.tree = segment_integrals(integrand, x, cfg)
+        self.tree = segment_integrals(integrand, x)
         self.points.share(self.tree)
 
     def suffix(self, n_rows: int, start: int = 0, stop: int | None = None, top=None):
@@ -432,14 +431,14 @@ def _x_points(x, geom: CoreGeometry):
     return np.unique(arr, return_inverse=True)
 
 
-def density_x_component(x, p: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig = DEFAULT_CONFIG):
+def density_x_component(x, p: ComponentParams, geom: CoreGeometry):
     """Density of the observed (cut or uncut) lengths of one component."""
     xu, inv = _x_points(x, geom)
-    out = _CensoredStacks(xu, [p], geom, cfg, 0).mixture_density([1.0])[inv]
+    out = _CensoredStacks(xu, [p], geom, 0).mixture_density([1.0])[inv]
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def density_x_mixture(x, mix: MixtureParams, geom: CoreGeometry, cfg: QuadratureConfig = DEFAULT_CONFIG):
+def density_x_mixture(x, mix: MixtureParams, geom: CoreGeometry):
     """Observed-scale mixture density eps f_X_fines + (1 - eps) f_X_fibers.
 
     Both components share one quadrature tree; a component with zero weight
@@ -447,7 +446,7 @@ def density_x_mixture(x, mix: MixtureParams, geom: CoreGeometry, cfg: Quadrature
     """
     xu, inv = _x_points(x, geom)
     live = [(wt, p) for wt, p in ((mix.eps, mix.fines), (1.0 - mix.eps, mix.fibers)) if wt > 0.0]
-    stacks = _CensoredStacks(xu, [p for _, p in live], geom, cfg, 0)
+    stacks = _CensoredStacks(xu, [p for _, p in live], geom, 0)
     out = stacks.mixture_density([wt for wt, _ in live])[inv]
     return float(out[0]) if np.ndim(x) == 0 else out
 
@@ -459,15 +458,15 @@ def density_y_mixture(y, mix: MixtureParams):
     return mix.eps * fines + (1.0 - mix.eps) * fibers
 
 
-def density_w_mixture(w, mix: MixtureParams, geom: CoreGeometry, cfg: QuadratureConfig = DEFAULT_CONFIG):
+def density_w_mixture(w, mix: MixtureParams, geom: CoreGeometry):
     """Tree-scale mixture density with the tree-scale fines proportion."""
-    eps_tilde, _ = tree_composition(mix, geom, cfg)
-    fines = density_w_component(w, mix.fines, geom, cfg) if mix.eps > 0.0 else 0.0
-    fibers = density_w_component(w, mix.fibers, geom, cfg) if mix.eps < 1.0 else 0.0
+    eps_tilde, _ = tree_composition(mix, geom)
+    fines = density_w_component(w, mix.fines, geom) if mix.eps > 0.0 else 0.0
+    fibers = density_w_component(w, mix.fibers, geom) if mix.eps < 1.0 else 0.0
     return eps_tilde * fines + (1.0 - eps_tilde) * fibers
 
 
-def tree_composition(mix: MixtureParams, geom: CoreGeometry, cfg: QuadratureConfig = DEFAULT_CONFIG):
+def tree_composition(mix: MixtureParams, geom: CoreGeometry):
     """Tree-scale fines proportion and expected cell length, (eps_tilde, E(W)).
 
     E(W) combines the component W-means with the core proportion eps:
@@ -480,8 +479,8 @@ def tree_composition(mix: MixtureParams, geom: CoreGeometry, cfg: QuadratureConf
     """
     pir = np.pi * geom.r
     eps = mix.eps
-    mn = mean_w_component(mix.fines, geom, cfg)
-    mb = mean_w_component(mix.fibers, geom, cfg)
+    mn = mean_w_component(mix.fines, geom)
+    mb = mean_w_component(mix.fibers, geom)
     ew = (2.0 * mn * mb + eps * pir * mn + (1.0 - eps) * pir * mb) / (
         2.0 * (eps * mb + (1.0 - eps) * mn) + pir
     )
@@ -502,7 +501,6 @@ class ScaleDensity:
     component: str
     params: MixtureParams | ComponentParams
     geom: CoreGeometry
-    cfg: QuadratureConfig = DEFAULT_CONFIG
 
     def __post_init__(self):
         if self.scale not in _SCALES:
@@ -533,15 +531,15 @@ class ScaleDensity:
             if self.scale == "Y":
                 return density_y_mixture(x, mix)
             if self.scale == "W":
-                return density_w_mixture(x, mix, self.geom, self.cfg)
+                return density_w_mixture(x, mix, self.geom)
             if self.scale == "X":
-                return density_x_mixture(x, mix, self.geom, self.cfg)
+                return density_x_mixture(x, mix, self.geom)
             raise ValueError("the V scale observes uncut fibers only")
         p = self._component_params()
         if self.scale == "Y":
             return component_pdf(x, p)
         if self.scale == "W":
-            return density_w_component(x, p, self.geom, self.cfg)
+            return density_w_component(x, p, self.geom)
         if self.scale == "X":
-            return density_x_component(x, p, self.geom, self.cfg)
-        return density_v(x, p, self.geom, self.cfg)
+            return density_x_component(x, p, self.geom)
+        return density_v(x, p, self.geom)

@@ -27,7 +27,6 @@ import numpy as np
 from .densities import ComponentParams, MixtureParams, _n_coords
 from .geometry import CoreGeometry
 from .fitting import FitResult, MICROSCOPY
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .scales import _w_moments
 
 __all__ = [
@@ -67,7 +66,7 @@ class SummaryStats:
     convergence: str
 
 
-def component_stat_gradients(p: ComponentParams, geom: CoreGeometry, cfg: QuadratureConfig = DEFAULT_CONFIG):
+def component_stat_gradients(p: ComponentParams, geom: CoreGeometry):
     """Values and theta-gradients of the component's W-scale statistics.
 
     Returns a dict mapping ``mean``/``sd``/``skewness``/``kurtosis`` to
@@ -75,7 +74,7 @@ def component_stat_gradients(p: ComponentParams, geom: CoreGeometry, cfg: Quadra
     QuadratureError when a moment overflows double range.
     """
     pir = np.pi * geom.r
-    J, Jg = _w_moments(p, geom, cfg, 4)
+    J, Jg = _w_moments(p, geom, 4)
 
     i0 = J[0]
     mu = 0.5 / i0 - 0.5 * pir
@@ -110,7 +109,7 @@ def component_stat_gradients(p: ComponentParams, geom: CoreGeometry, cfg: Quadra
     }
 
 
-def tree_stat_gradients(mix: MixtureParams, geom: CoreGeometry, cfg: QuadratureConfig = DEFAULT_CONFIG):
+def tree_stat_gradients(mix: MixtureParams, geom: CoreGeometry):
     """eps_tilde and E(W) with full-theta gradients for a mixture.
 
     Gradient layout matches the likelihood: (eps coordinate, fines block,
@@ -122,8 +121,8 @@ def tree_stat_gradients(mix: MixtureParams, geom: CoreGeometry, cfg: QuadratureC
     cn = _n_coords(mix.fines)
     n_par = 1 + 2 * cn
 
-    stats_n = component_stat_gradients(mix.fines, geom, cfg)
-    stats_b = component_stat_gradients(mix.fibers, geom, cfg)
+    stats_n = component_stat_gradients(mix.fines, geom)
+    stats_b = component_stat_gradients(mix.fibers, geom)
     mn, dmn = stats_n["mean"]
     mb, dmb = stats_b["mean"]
 
@@ -173,22 +172,22 @@ def _component_stats(stats, cov) -> ComponentStats:
     return ComponentStats(**values, **{f"se_{name}": _se(grad, cov) for name, (_, grad) in stats.items()})
 
 
-def summary_stats(
-    fit: FitResult,
-    geom: CoreGeometry | None = None,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> SummaryStats:
+def summary_stats(fit: FitResult) -> SummaryStats:
     """W-scale summary of a fit: per-component statistics with SEs,
-    and for mixture fits the tree-scale fines proportion and mean length."""
-    geom = geom if geom is not None else fit.model.geom
+    and for mixture fits the tree-scale fines proportion and mean length.
+
+    The statistics are those of the fit's own core radius, since Y is W
+    length-biased by pi r + 2 w.
+    """
+    geom = fit.model.geom
     cov = fit.cov_theta if fit.convergence != "singular_hessian" else None
     params = fit.model.params_from_original(fit.theta_tilde)
 
     if fit.model.data_type == MICROSCOPY:  # no fines and no tree-scale fields
-        fibers = _component_stats(component_stat_gradients(params, geom, cfg), cov)
+        fibers = _component_stats(component_stat_gradients(params, geom), cov)
         return SummaryStats(fibers, *(None,) * 5, loglik=fit.loglik, n=fit.n, convergence=fit.convergence)
 
-    tree = tree_stat_gradients(params, geom, cfg)
+    tree = tree_stat_gradients(params, geom)
     return SummaryStats(
         fibers=_component_stats(tree["fibers"], cov),
         fines=_component_stats(tree["fines"], cov),
@@ -202,11 +201,7 @@ def summary_stats(
     )
 
 
-def summary_ses(
-    fit: FitResult,
-    geom: CoreGeometry | None = None,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> dict:
+def summary_ses(fit: FitResult) -> dict:
     """Delta-method standard errors of every summary statistic.
 
     Keys are ``fines.mean``, ``fibers.kurtosis``, ..., plus ``eps_tilde``
@@ -215,7 +210,7 @@ def summary_ses(
     """
     if fit.cov_theta is None or fit.convergence == "singular_hessian":
         raise ValueError("no covariance available: fit did not produce a usable Hessian")
-    stats = summary_stats(fit, geom, cfg)
+    stats = summary_stats(fit)
     out = {}
     for comp in ("fines", "fibers"):
         if (cs := getattr(stats, comp)) is not None:

@@ -169,7 +169,7 @@ def test_start_on_a_face_takes_newton_steps(monkeypatch):
     assert start[4] == pytest.approx(1.8, rel=1e-12)
     orders = []
     loglik = fitting.ofa_loglik
-    monkeypatch.setattr(fitting, "ofa_loglik", lambda *a: orders.append(a[4]) or loglik(*a))
+    monkeypatch.setattr(fitting, "ofa_loglik", lambda *a, **k: orders.append(k["order"]) or loglik(*a, **k))
     res = fit(data, model, cfg)
     assert orders[0] == 2  # the first censored evaluation is a Newton step's
     assert res.convergence == "success" and "stopped" not in res.trace[0].message

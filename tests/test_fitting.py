@@ -585,6 +585,34 @@ def test_fines_is_the_shorter_component():
     assert fixed.theta_tilde[0] < 0.5
 
 
+def test_a_start_on_the_relabelled_optimum_is_a_duplicate(monkeypatch):
+    # start 1 runs from start 0's optimum with the labels exchanged and ends there: it
+    # is a duplicate of start 0; where the fixed values differ between the components,
+    # the relabelled points are not points of the fit and no start is their duplicate
+    geom = CoreGeometry(6.0)
+    data = Dataset(sample_x(SimSpec("X", MIX_SIM, geom, 2000, seed=21)), "X")
+    model = ModelSpec("ggamma", "ofa", geom)
+    perm, sign = fitting._label_swap(model)
+    minimize, ends = fitting._Problem.minimize, []
+
+    def from_the_relabelled_end(self, t0):
+        if ends:
+            t0 = (sign * self.theta(ends[0])[perm])[self.free]
+        out = minimize(self, t0)
+        ends.append(out[0])
+        return out
+
+    monkeypatch.setattr(fitting._Problem, "minimize", from_the_relabelled_end)
+    start = (0.3, 0.1, 1.5, 2.0, 2.0, 2.8, 2.2)
+    res = fit(data, model, FitConfig(par_start=start, n_starts=2))
+    assert [rec.status for rec in res.trace] == ["success", "duplicate"]
+    assert res.trace[1].message.endswith("; in the basin of start 0 with the labels exchanged")
+    assert res.trace[1].loglik == pytest.approx(res.trace[0].loglik, abs=1e-8)
+    ends.clear()
+    res = fit(data, model, FitConfig(par_start=start, fixed_mask=(False, False, True, False, False, True, False), n_starts=2))
+    assert "labels exchanged" not in res.trace[1].message
+
+
 @pytest.mark.parametrize("family", ["ggamma", "lognorm"])
 def test_basin_stop_loses_no_optimum(family, monkeypatch):
     # a start that ends on a known optimum inside an earlier one's Hessian ellipsoid
@@ -651,10 +679,10 @@ def test_narrow_fines_start_is_a_known_optimum(seed, loglik, monkeypatch):
 def test_failed_order_2_evaluations_make_every_start_an_error(tmp_path, monkeypatch, capsys):
     # every start ends on an order-2 evaluation: where every one fails, every start is
     # an ``error`` and the fit raises FitError, which the CLI maps to exit 3
-    def no_order_2(params, data, geom, cfg, order):
+    def no_order_2(params, data, geom, *, order):
         if order == 2:
             raise EvaluationError("injected order-2 failure")
-        return ofa_loglik(params, data, geom, cfg, order)
+        return ofa_loglik(params, data, geom, order=order)
 
     monkeypatch.setattr(fitting, "ofa_loglik", no_order_2)
     geom = CoreGeometry(6.0)

@@ -67,9 +67,9 @@ def _counting(monkeypatch, points=None):
     original = fitting.ofa_loglik
 
     def counted(*a, **k):
-        calls.append((a[1].unique.size, a[4]))
+        calls.append((a[1].unique.size, k["order"]))
         if points is not None:
-            points.append((a[1].unique.size, a[4], repr(a[0])))
+            points.append((a[1].unique.size, k["order"], repr(a[0])))
         return original(*a, **k)
 
     monkeypatch.setattr(fitting, "ofa_loglik", counted)
@@ -242,7 +242,7 @@ def test_failed_newton_finish_is_an_error(monkeypatch):
 
     def failing_first_full_order_2(*a, **k):
         if a[1].unique.size == 20_000:
-            orders.append(a[4])
+            orders.append(k["order"])
             if orders == [2]:
                 raise EvaluationError("injected failure of the first order-2 evaluation on every point")
         return original(*a, **k)
@@ -274,13 +274,16 @@ def test_grouped_run_on_a_face_falls_back_to_every_point(monkeypatch):
 
 def test_starts_from_par_start_take_the_groups_first(monkeypatch):
     # every start, also from a user's par_start and jittered from it, steps on the
-    # groups before every point, and ends where the every-point path ends
+    # groups before every point, and ends where the every-point path ends; start 2
+    # ends on start 0's optimum with the labels exchanged, a duplicate of it
     data = _ofa(20_000, 7001)
     start = tuple(OFA_GGAMMA.from_theta(fitting.initialize(data, OFA_GGAMMA).values))
     cfg = FitConfig(par_start=start, n_starts=3)
     res = fit(data, OFA_GGAMMA, cfg)
     assert res.starts_tried == 3
     assert all(rec.message.startswith(f"Newton start on {fitting._GROUPS} groups") for rec in res.trace)
+    assert res.trace[2].status == "duplicate"
+    assert res.trace[2].message.endswith("; in the basin of start 0 with the labels exchanged")
     monkeypatch.setattr(fitting, "_BLOCK", 10**9)  # the every-point path
     ref = fit(data, OFA_GGAMMA, cfg)
     assert all(rec.message.startswith("Newton start on every point") for rec in ref.trace)

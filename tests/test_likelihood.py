@@ -25,7 +25,6 @@ from fiberfit import scales
 from fiberfit.densities import _n_coords, _packed_to_full, _stack_rows
 from fiberfit.geometry import prob_uncut
 from fiberfit.likelihood import _exact_sum, _weighted_fsum
-from fiberfit.quadrature import DEFAULT_CONFIG
 from fiberfit.scales import _BLOCK
 from fiberfit.simulate import SimSpec, sample_x
 from conftest import MIX_SIM, fd_gradient, fd_jacobian, rel_err
@@ -422,7 +421,7 @@ def test_micro_is_the_component_pass_plus_normalizer_terms(geom25, tied_micro_da
     log_puc = math.fsum(np.log(prob_uncut(data.values, geom25)).tolist())
     for order in (0, 1, 2):
         micro, init = micro_loglik(p, data, geom25, order=order), init_loglik(p, data, order=order)
-        kint = scales._uncut_mass_stack(p, geom25, DEFAULT_CONFIG, order, scales.segment_integrals)
+        kint = scales._uncut_mass_stack(p, geom25, order, scales.segment_integrals)
         kj = kint[1 : 1 + cn] / kint[0]
         assert micro.loglik == pytest.approx(init.loglik + log_puc - n * np.log(kint[0]), rel=1e-12, abs=0.0)
         if order >= 1:
@@ -549,7 +548,7 @@ def _whole_array_reference(mix, data, geom, order):
     """
     x, w, eps, r = data.unique, data.counts, mix.eps, geom.r
     parts, cn = (mix.fines, mix.fibers), _n_coords(mix.fines)
-    stacks = scales._CensoredStacks(x, list(parts), geom, DEFAULT_CONFIG, order)
+    stacks = scales._CensoredStacks(x, list(parts), geom, order)
     h = stacks.height
     TS = (stacks.tree.suffix() + stacks.tail[:, None]).reshape(2, 2, h, x.size)
     TS[:, :, 0] = np.maximum.accumulate(np.maximum(TS[:, :, 0, ::-1], 0.0), axis=-1)[..., ::-1]

@@ -7,30 +7,25 @@ from fiberfit import (
     GgdParams,
     LognParams,
     MixtureParams,
-    QuadratureConfig,
     QuadratureError,
     density_x_component,
     ggd_pdf,
 )
 from fiberfit.densities import component_pdf
+from fiberfit import quadrature, scales
 from fiberfit.quadrature import segment_integrals
 from fiberfit.simulate import SimSpec, sample_x
 from conftest import x_density_oracle
 
 
-def integral(f, a, b, cfg=QuadratureConfig()):
+def integral(f, a, b):
     """The integral of f (or of each row of its stack) over (a, b), from 8 starting panels."""
-    return segment_integrals(f, np.linspace(a, b, 9), cfg).total()
+    return segment_integrals(f, np.linspace(a, b, 9)).total()
 
 
-def test_config_validation():
-    cfg = QuadratureConfig()
-    assert cfg.abs_tol == 1e-10 and cfg.rel_tol == 1e-8
-    assert cfg.tail_cutoff == 1e-12 and cfg.max_subdivisions == 200
-    with pytest.raises(ValueError):
-        QuadratureConfig(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_subdivisions=5)
+def test_tolerances():
+    assert quadrature._ABS_TOL == 1e-10 and quadrature._REL_TOL == 1e-8
+    assert scales._TAIL_CUTOFF == 1e-12 and quadrature._MAX_SUBDIVISIONS == 200
 
 
 def test_polynomial_exactness():
@@ -96,12 +91,12 @@ def test_segment_edges_validation():
         segment_integrals(lambda x: x, np.array([1.0]))
 
 
-def test_max_subdivisions_raises_with_estimate():
-    cfg = QuadratureConfig(max_subdivisions=10)
+def test_max_subdivisions_raises_with_estimate(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 10)
     # a spike the coarse panels cannot resolve within 10 splits
     f = lambda x: 1.0 / np.sqrt(np.clip(np.abs(x - 0.7071), 1e-300, None))
     with pytest.raises(QuadratureError) as err:
-        integral(f, 0.0, 1.0, cfg)
+        integral(f, 0.0, 1.0)
     assert err.value.error_estimate > 0.0
 
 
@@ -119,10 +114,9 @@ def _counted(f):
 def test_many_edges_read_off_a_coarse_tree():
     # one panel per segment would evaluate 15 * 9 999 points; edges inside a
     # panel are read off its interpolant instead
-    cfg = QuadratureConfig()
     edges = np.sort(np.random.default_rng(5).uniform(0.0, 40.0, 10_000))
     f, count = _counted(lambda y: np.stack([np.exp(-y), y * np.exp(-y)]))
-    suffix = segment_integrals(f, edges, cfg).suffix()
+    suffix = segment_integrals(f, edges).suffix()
     segs = suffix[:, :-1] - suffix[:, 1:]
     assert count[0] <= 15 * 300
 
@@ -131,7 +125,7 @@ def test_many_edges_read_off_a_coarse_tree():
 
     a, top = antiderivative(edges[:-1]), antiderivative(edges[-1:])
     exact_segs = antiderivative(edges[1:]) - a
-    tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(exact_segs.sum(axis=1)))[:, None]
+    tol = np.maximum(quadrature._ABS_TOL, quadrature._REL_TOL * np.abs(exact_segs.sum(axis=1)))[:, None]
     assert np.all(np.abs(segs - exact_segs) <= tol)
     assert np.all(np.abs(suffix[:, :-1] - (top - a)) <= tol)
 

@@ -24,7 +24,7 @@ from fiberfit import (
     QuadratureError,
 )
 from fiberfit.densities import component_pdf
-from fiberfit.quadrature import DEFAULT_CONFIG, segment_integrals
+from fiberfit.quadrature import _ABS_TOL, _REL_TOL, segment_integrals
 from fiberfit.scales import _BLOCK, _CensoredStacks, _uncut_mass_stack, k_theta
 from fiberfit.simulate import SimSpec, sample_x
 from fiberfit.summary import component_stat_gradients
@@ -256,7 +256,7 @@ def test_density_x_on_a_sample_matches_oracle(mix, geom6):
     assert np.all(got[0] >= 0.0) and np.all(got[1] >= 0.0) and np.all(got[2] > 0.0)
     xs = np.unique(x)
     for parts in ([mix.fines], [mix.fibers], [mix.fines, mix.fibers]):
-        T, S = _CensoredStacks(xs, parts, geom6, DEFAULT_CONFIG, 0).suffix(1)
+        T, S = _CensoredStacks(xs, parts, geom6, 0).suffix(1)
         assert np.all(np.diff(T[:, 0]) <= 0.0) and np.all(np.diff(S[:, 0]) <= 0.0)
 
 
@@ -280,7 +280,7 @@ def test_value_rows_read_in_blocks_equal_the_whole_range(geom6):
     # within an ulp of each row's size: a block's readout products sum in
     # another order)
     x = np.unique(sample_x(SimSpec("X", MIX_SIM, geom6, 2 * _BLOCK + 1, seed=43)))
-    stacks = _CensoredStacks(x, [MIX_SIM.fines, MIX_SIM.fibers], geom6, DEFAULT_CONFIG, 1)
+    stacks = _CensoredStacks(x, [MIX_SIM.fines, MIX_SIM.fibers], geom6, 1)
     top, blocks = np.zeros((2, 2, 1)), []
     for start in range(2 * _BLOCK, -1, -_BLOCK):
         blocks.insert(0, stacks.suffix(2, start, min(start + _BLOCK, x.size), top))
@@ -428,13 +428,13 @@ def test_uncut_mass_matches_oracle(p, geom25):
     want = _uncut_mass_oracle(p, geom25.r)
     assert abs(k_theta(p, geom25) - want) <= 1e-8 * want
     # the value row of the stack the microscopy objective integrates
-    got = _uncut_mass_stack(p, geom25, DEFAULT_CONFIG, 1, segment_integrals)[0]
+    got = _uncut_mass_stack(p, geom25, 1, segment_integrals)[0]
     assert abs(got - want) <= 1e-8 * want
     # E(W) from the same log-length integrator, up to its closed-form upper
     # limit: J0 = 1 / (pi r + 2 E(W)) is finite, and within the quadrature
     # contract max(abs_tol, rel_tol J0) of the oracle
     j0, want = 0.5 / (mean_w_component(p, geom25) + 0.5 * np.pi * geom25.r), _w_mass_oracle(p, geom25.r)
-    assert abs(j0 - want) <= max(DEFAULT_CONFIG.abs_tol, DEFAULT_CONFIG.rel_tol * want)
+    assert abs(j0 - want) <= max(_ABS_TOL, _REL_TOL * want)
 
 
 def test_scale_density_dispatch_and_validation(geom25):
