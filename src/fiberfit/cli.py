@@ -56,7 +56,6 @@ __all__ = ["main"]
 _CONVERGENCE_TEXT = {
     "success": "Successful completion",
     "stalled": "Stopped short of a known optimum",
-    "singular_hessian": "Singular Hessian at the optimum",
 }
 
 _MODEL_TEXT = {GGAMMA: "Generalized gamma", LOGNORM: "Log normal"}
@@ -143,7 +142,7 @@ def _write_csv(path: Path, xs, fs):
 def _fmt_table(header_cells, rows, digits=6, label_width=10) -> list:
     """Header line and one line per (label, cells) row; every column is at
     least one character wider than its widest entry, so no two cells touch."""
-    text = [["" if c is None else f"{c:.{digits}f}" for c in cells] for _, cells in rows]
+    text = [["" if c is None else c if isinstance(c, str) else f"{c:.{digits}f}" for c in cells] for _, cells in rows]
     widths = [max(10, 1 + max(len(h), *(len(t[j]) for t in text))) for j, h in enumerate(header_cells)]
     lines = [" " * label_width + "".join(h.rjust(w) for h, w in zip(header_cells, widths))]
     for (label, _), cells in zip(rows, text):
@@ -172,7 +171,7 @@ def format_summary(result, stats: SummaryStats) -> str:
 
     names = list(model.param_names)
     est = list(result.theta_tilde)
-    ses = list(result.se_tilde) if result.se_tilde is not None else [None] * len(est)
+    ses = [None] * len(est) if result.se_tilde is None else ["bound" if np.isnan(s) else s for s in result.se_tilde]
     # b1 -> b_fines, sigma2 -> sig_fibers; a microscopy component is the fibers
     suffix = {"1": "_fines", "2": "_fibers"}
     names = [n if n == "eps" else n.rstrip("12").replace("sigma", "sig") + suffix.get(n[-1], "_fibers") for n in names]
@@ -185,6 +184,8 @@ def format_summary(result, stats: SummaryStats) -> str:
     if any(s is not None for s in ses):
         rows.append(("Std. Error", ses))
     lines += _fmt_table(names, rows)
+    if result.on_bound:
+        lines.append(f"On a bound (no Std. Error; the others are conditional on it): {', '.join(result.on_bound)}")
     lines.append("")
 
     lines += _stats_table("Summary statistics for FIBER lengths in the standing tree:", stats.fibers)
@@ -216,7 +217,8 @@ def _fit_json(result, stats: SummaryStats, seed) -> dict:
         "estimates_original": arr(result.theta_tilde),
         "estimates_theta": list(result.theta_hat.values),
         "fixed": list(result.theta_hat.fixed_mask),
-        "se_original": arr(result.se_tilde),
+        "se_original": None if result.se_tilde is None else [None if np.isnan(s) else float(s) for s in result.se_tilde],
+        "on_bound": list(result.on_bound),
         "cov_theta": arr(result.cov_theta),
         "cov_original": arr(result.cov_tilde),
         "loglik": result.loglik,

@@ -481,13 +481,15 @@ def _ggd_standard_form(p: GgdParams):
 
     The quantile maps log probabilities to s.  Since P(k, u) <= u^k /
     Gamma(k + 1), where the inverse leaves the normal range the root of the
-    bound, in log form, is used: it lies below the quantile.
+    bound, in log form, is used: it lies below the quantile.  Where P(k, u)
+    underflows to 0 (tiny k, large d), the log CDF is the bound's, exact as u -> 0.
     """
     k = p.k
 
     def log_cdf(s):
         with np.errstate(over="ignore", divide="ignore"):
-            return np.log(gammainc(k, np.exp(s)))
+            cdf = gammainc(k, np.exp(s))
+            return np.where(cdf > 0.0, np.log(cdf), k * s - gammaln(k + 1.0))
 
     def quantile(log_prob):
         u = gammaincinv(k, np.exp(log_prob))
@@ -514,8 +516,11 @@ class _Family:
     j = 0..3, integrated to y = inf; each stays in its family: generalized
     gamma k -> k + j / d, lognormal mu -> mu + j sigma^2), log_moment(p, j)
     (log E(Y^j)), sample(rng, p, n), default ``bounds`` ((lo, hi) per
-    coordinate on the original scale, for lengths in units of the data scale)
-    and seed(m, v) (theta of the member whose log length has mean m and sd v).
+    coordinate on the original scale, for lengths in units of the data scale),
+    seed(m, v) (theta of the member whose log length has mean m and sd v) and
+    the generalized gamma's ``step_bounds``, the default box of the (m, s, k)
+    of an all-free component (m and s the mean and sd of log Y), in which its
+    Newton step is taken; the (m, s) box is the lognormal's (mu, sigma) box.
 
     The first coordinate is the location of log Y (log b, or mu) and the only
     one that carries the length unit: lengths in units c times smaller shift
@@ -532,11 +537,14 @@ class _Family:
     sample: Callable
     bounds: tuple
     seed: Callable
+    step_bounds: tuple | None = None
 
     @property
     def size(self) -> int:
         return len(self.names)
 
+
+_LOC_SCALE_BOUNDS = ((-10.0, 10.0), (1e-3, 10.0))  # of the mean and sd of log Y, in units of the median
 
 FAMILIES = {
     GGAMMA: _Family(
@@ -547,6 +555,7 @@ FAMILIES = {
         sample=lambda rng, p, n: p.b * rng.gamma(shape=p.k, scale=1.0, size=n) ** (1.0 / p.d),
         bounds=((1e-4, 50.0),) * 3,
         seed=_ggd_seed,
+        step_bounds=_LOC_SCALE_BOUNDS + ((1e-4, 50.0),),
     ),
     LOGNORM: _Family(
         LognParams, ("mu", "sigma"), ("id", "log"), _logn_stack, logn_pdf,
@@ -554,7 +563,7 @@ FAMILIES = {
         tail_quantile=lambda p, q: 3.0 * p.sigma - ndtri(q),
         log_moment=lambda p, j: j * p.mu + 0.5 * (j * p.sigma) ** 2,
         sample=lambda rng, p, n: np.exp(p.mu + p.sigma * rng.standard_normal(n)),
-        bounds=((-10.0, 10.0), (1e-3, 10.0)),
+        bounds=_LOC_SCALE_BOUNDS,
         seed=lambda m, v: (m, np.log(v)),
     ),
 }

@@ -18,38 +18,44 @@ The Newton steps work in u, which replaces each all-free generalized gamma
 component's (log b, log d, log k) by (m, log s, log k), m = log b + psi(k)
 / d and s = sqrt(psi'(k)) / d the mean and sd of log Y (Prentice 1974,
 Biometrika 61:539; Lawless 1980, Technometrics 22:409), in which the three
-are far less correlated.  J = d theta / d u is analytic; the u box is the
-corner bounding box of the theta box's image.
+are far less correlated; J = d theta / d u is analytic.  In a fit without
+user ``lower`` or ``upper`` such a component's box is on (m, s, k), the
+family's ``step_bounds``; every other coordinate steps in theta inside the
+theta box.
 
 One Newton routine (:meth:`_Problem.newton`) finds the initialization's
-optimum on the uncensored likelihood and every start's on the censored
-one, and certifies every optimum; it evaluates at order 2 alone.  A
-step solves (J' (-H) J) du = J' g and maps u + du back to theta, or, when
-that leaves the box, the point where the path u + t du meets it
-(:func:`_to_the_box`).  A component with a coordinate on a bound steps in
-theta, and the step holds the coordinates on a bound that their gradient
-or the step would take out.  Where J' (-H) J has no Cholesky factor, its
-eigenvalues are replaced by their absolute values, floored at 1e-8 of the
-largest (Nocedal & Wright 2006, Numerical Optimization, section 3.4); where
-it has a non-finite entry or no eigenvalue of positive magnitude (as where
-g and H vanish on the box's boundary), there is no step and the steps end.  A
-step whose evaluation fails or that does not raise the log likelihood is
-halved in u (halving the theta chord fails on the curved k ridge), at most
-12 times, unless its point predicts a gain of at most 1e-6; the steps then
-end there.  They end after the first unmodified step from a point whose
-predicted gain (J' g) du / 2 is at most 1e-6; the point is a known optimum
-if -H has a Cholesky factor and predicts no further gain there, else the
-start's message names the reason.
+optimum on the uncensored likelihood and every start's on the censored one,
+and certifies every optimum; it evaluates at order 2 alone.  A step holds
+the coordinates on a bound that their gradient J' g, or else the step,
+would take out of the box, solves a du = J' g over the others, a = J' (-H)
+J, and clips u + du into the box, so that a coordinate the step crosses
+lands on its bound (projected Newton, Bertsekas 1982, SIAM J. Control
+Optim. 20:221).  Where a has no Cholesky factor (or LU meets a zero pivot),
+its eigenvalues are replaced by their absolute values, floored at 1e-8 of
+the largest (Nocedal & Wright 2006, Numerical Optimization, section 3.4);
+where it has a non-finite entry or no eigenvalue of positive magnitude (as
+where g and H vanish on the box's boundary), there is no step and the steps
+end.  A step whose evaluation fails or that does not raise the log
+likelihood is halved in u (halving the theta chord fails on the curved k
+ridge), at most 12 times, unless its point predicts a gain of at most 1e-6;
+the steps then end there.  They end after the first unmodified step from a
+point whose predicted gain (J' g) du / 2 is at most 1e-6; the point is a
+known optimum if a has a Cholesky factor L and predicts no further gain
+there, else the start's message names the reason.  a is the exact
+second-order matrix at an interior maximum, and where log k alone is held
+(g then has only its log k entry, in which theta is linear).  L also gives
+the basin test and the covariance J a^-1 J' of the free theta, (-H)^-1 at
+an interior point.
 
-The initialization takes at most 50 Newton steps from the seed clipped
-into the box and ends where they stop, which may lie on a face of the box.
+The initialization takes at most 50 Newton steps from the seed clipped in
+u into the box and ends where they stop, which may lie on a face of the box.
 Every start takes at most 50 from its own start on each of its stages
 (the first start without ``par_start``: 5-15 reach a known optimum on the
 benchmark's samples).  A start is ``success`` when it ends on a known
 optimum, ``stalled`` when its steps end short of one, ``error`` when the
 order-2 evaluation at its start fails, and ``duplicate`` when it ends on a
-known optimum inside the chi-square 0.99 Hessian ellipsoid of an earlier
-start's (the basin test of multi-level single linkage, Rinnooy Kan &
+known optimum inside the chi-square 0.99 ellipsoid of an earlier start's
+L, in u (the basin test of multi-level single linkage, Rinnooy Kan &
 Timmer 1987, Math. Programming 39:57), or whose image with the mixture
 labels exchanged is (:func:`_label_swap`); a duplicate does not compete for
 the result.  Every start ends on an order-2 evaluation, which gives the
@@ -78,7 +84,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import chdtri, psi, zeta
@@ -157,7 +163,11 @@ class ModelSpec:
         return len(self.param_names)
 
     def default_bounds(self):
-        """Original-scale (lower, upper), for lengths in units of the data scale (see :func:`fit`)."""
+        """Original-scale (lower, upper), for lengths in units of the data scale (see :func:`fit`).
+
+        They bound only the coordinates that step in theta (module docstring),
+        including the side of a user-bounded fit that the user leaves out.
+        """
         comp = FAMILIES[self.family].bounds
         pairs = comp if self.data_type == MICROSCOPY else ((1e-4, 1.0 - 1e-4),) + comp + comp
         lo, hi = np.array(pairs).T
@@ -206,8 +216,9 @@ class ModelSpec:
 class FitConfig:
     """Options for :func:`fit`; bounds and starting values on the original scale, in data units.
 
-    ``n_starts`` is the most starts a fit runs: starts 2..n_starts run only
-    when the first is not a known optimum or ``par_start`` is given.
+    ``n_starts``, an integer >= 1, is the most starts a fit runs: starts
+    2..n_starts run only when the first is not a known optimum or
+    ``par_start`` is given.  ``seed``, an integer >= 0, seeds their jitter.
     """
 
     lower: tuple | None = None
@@ -218,8 +229,10 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_starts < 1:
-            raise ValueError("n_starts must be at least 1")
+        for name, least in (("n_starts", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
         if self.fixed_mask is not None and any(self.fixed_mask):
             if self.par_start is None:
                 raise ValueError("fixed parameters require par_start entries")
@@ -237,7 +250,12 @@ class StartRecord:
 
 @dataclass
 class FitResult:
-    """Estimates on both scales with covariances and optimizer diagnostics."""
+    """Estimates on both scales with covariances and optimizer diagnostics.
+
+    ``on_bound`` names the step coordinates that the certificate holds on a
+    bound (``m1`` or ``s1`` for a location-scale coordinate, module
+    docstring); their ``se_tilde`` slots are NaN, and the others conditional.
+    """
 
     model: ModelSpec
     theta_hat: ParamVector
@@ -251,6 +269,7 @@ class FitResult:
     starts_tried: int
     trace: list = field(default_factory=list)
     se_flagged: bool = False
+    on_bound: tuple = ()
 
     @property
     def param_names(self) -> tuple:
@@ -387,67 +406,53 @@ def _theta_of(u, blocks):
     return x, jac
 
 
-def _u_box(blocks, lo, hi):
-    """The corner bounding box of the image in u of the theta box [lo, hi].
+class _Factor(NamedTuple):
+    """The lower Cholesky factor of a = J' (-H) J over the step coordinates ``keep`` that a step leaves free."""
 
-    m and log s are each monotone in every theta coordinate, so the corners
-    hold their extremes.
-    """
-    ulo, uhi = lo.copy(), hi.copy()
-    for i in blocks:
-        image = _loc_scale(np.array(list(product(*zip(lo[i : i + 3], hi[i : i + 3])))).T)
-        ulo[i : i + 3], uhi[i : i + 3] = image.min(axis=1), image.max(axis=1)
-    return ulo, uhi
+    lower: np.ndarray
+    keep: np.ndarray
+    jac: np.ndarray  # J[:, keep]
 
-
-def _to_the_box(u0, step, blocks, ubox, lo, hi):
-    """Theta of u0 + step, or of u0 + t step at the t in (0, 1) where that path meets the theta box [lo, hi].
-
-    t is bisected to 2^-40 and taken outside, so that clipping puts the
-    coordinates the path crosses on their bound and keeps the rest on it.
-    """
-
-    def theta_at(t):
-        return _theta_of(np.clip(u0 + t * step, *ubox), blocks)[0]
-
-    x, inside, out = theta_at(1.0), 0.0, 1.0
-    if np.all((x >= lo) & (x <= hi)):
-        return x
-    for _ in range(40):
-        mid = 0.5 * (inside + out)
-        x = theta_at(mid)
-        inside, out = (mid, out) if np.all((x >= lo) & (x <= hi)) else (inside, mid)
-    return theta_at(out)
+    def covariance(self):
+        """J a^-1 J' of the free theta, zero along each held coordinate."""
+        w = np.linalg.solve(self.lower, self.jac.T)
+        return w.T @ w
 
 
 class _Problem:
     """The unitless problem of one fit (module docstring), built once per :func:`fit`.
 
     ``data``, ``model``, ``shift`` and ``log_s0`` are :func:`_unitless`'s,
-    ``fixed``, ``start``, ``lo`` and ``hi`` :func:`_fit_inputs`'s, so the
-    fit's inputs are checked once; ``free`` is ``~fixed``.  ``grouped`` is
-    the data's :func:`_grouped` copy above _BLOCK distinct values, else
-    None.  Both datasets carry their
-    ``_CensoredPoints``.  ``blocks`` and ``ubox`` are the Newton step's u
-    coordinates of the free theta (:func:`_blocks`, :func:`_u_box`).
-    ``theta_init``, set by :func:`fit` from :func:`initialize`'s output
-    (and by :func:`initialize` to its start, where nothing is fixed), holds
-    the fixed coordinates; ``tf`` is the free part of a theta.  It
+    ``fixed`` and ``start`` :func:`_fit_inputs`'s, so the fit's inputs are
+    checked once; ``free`` is ``~fixed``.  ``grouped`` is the data's
+    :func:`_grouped` copy above _BLOCK distinct values, else None.  Both
+    datasets carry their ``_CensoredPoints``.  ``blocks`` (:func:`_blocks`,
+    none with user bounds) step in u, ``lo`` and ``hi`` box the free step
+    coordinates, and ``loc_scale`` marks the theta slots of their m and s.
+    ``theta_init``, set by :func:`fit` from :func:`initialize`'s output (by
+    :func:`initialize` to its seed, where nothing is fixed), holds the fixed
+    coordinates; ``tf`` is the free part of a theta.  It
     stores no function, so that nothing refers back to it and it dies, with
     its datasets' constants, when the fit returns.
     """
 
     def __init__(self, data: Dataset, model: ModelSpec, cfg: FitConfig):
         self.data, self.model, self.shift, self.log_s0 = _unitless(data, model)
-        self.fixed, self.start, self.lo, self.hi = _fit_inputs(model, cfg, self.shift)
+        self.fixed, self.start, lo, hi = _fit_inputs(model, cfg, self.shift)
         self.free = ~self.fixed
         self.data._points = _CensoredPoints(self.data.unique, self.model.geom.r)
         self.grouped = None
         if self.data.unique.size > _BLOCK:
             self.grouped = _grouped(self.data)
             self.grouped._points = _CensoredPoints(self.grouped.unique, self.model.geom.r)
-        self.blocks = _blocks(model, self.free)
-        self.ubox = np.array(_u_box(self.blocks, self.lo[self.free], self.hi[self.free]))
+        self.blocks = _blocks(model, self.free) if cfg.lower is None and cfg.upper is None else []
+        self.lo, self.hi = lo[self.free], hi[self.free]
+        self.loc_scale = np.zeros(model.n_params, dtype=bool)
+        box = np.array(FAMILIES[GGAMMA].step_bounds).T
+        box[:, 1:] = np.log(box[:, 1:])  # (m, log s, log k)
+        for i in self.blocks:
+            self.lo[i : i + 3], self.hi[i : i + 3] = box
+            self.loc_scale[np.flatnonzero(self.free)[i : i + 2]] = True
         self.theta_init = None
 
     def theta(self, tf):
@@ -455,6 +460,14 @@ class _Problem:
         theta = self.theta_init.copy()
         theta[self.free] = tf
         return theta
+
+    def tf_of(self, u):
+        """The free theta of the step coordinates u."""
+        return _theta_of(u, self.blocks)[0]
+
+    def into_box(self, tf):
+        """The step coordinates of the free theta tf, clipped into the box."""
+        return np.clip(_u_of(tf, self.blocks), self.lo, self.hi)
 
     def loglik(self, tf, order, data=None, uncensored=False):
         """The likelihood evaluation at ``order`` of the free coordinates tf on ``data``, by default every point.
@@ -469,79 +482,76 @@ class _Problem:
         loglik = ofa_loglik if self.model.data_type == OFA else micro_loglik
         return loglik(params, data, self.model.geom, order=order)
 
-    def evaluate(self, tf, data=None, uncensored=False):
-        """:meth:`loglik` at order 2, or None with a warning when the evaluation fails."""
+    def evaluate(self, u, data=None, uncensored=False):
+        """:meth:`loglik` at order 2 of the step coordinates u, or None with a warning when the evaluation fails."""
         try:
-            return self.loglik(tf, 2, data, uncensored)
+            return self.loglik(self.tf_of(u), 2, data, uncensored)
         except (EvaluationError, FloatingPointError) as exc:
             size = (self.data if data is None else data).unique.size
             log.warning("an order-2 evaluation on %d distinct values failed (%s)", size, exc)
             return None
 
-    def newton_step(self, tf, ev):
-        """(path, predicted gain, lower Cholesky factor of -H or None) of the Newton step from tf.
+    def newton_step(self, u, ev):
+        """(path, predicted gain, :class:`_Factor` of a or None) of the Newton step from the step coordinates u.
 
-        The step du, J, the held coordinates and the modified step are the
-        module docstring's, g and H those of ``ev``; ``path(h)`` is the point
-        of du halved h times.  The factor is None when -H has none, and always
-        after a modified step, which never certifies.  The path is None, the
-        gain 0, when there is no step (a non-finite or zero J' (-H) J).
+        The held coordinates, a, du and the modified step are the module
+        docstring's, g and H those of ``ev``; ``path(h)`` is u + du / 2^h
+        clipped into the box.  The factor is None after a modified step,
+        which never certifies.  The path is None, the gain 0, when there is
+        no step (a non-finite or zero a).
         """
-        lo, hi = self.lo[self.free], self.hi[self.free]
+        lo, hi = self.lo, self.hi
         g = np.asarray(ev.gradient)[self.free]
         neg_h = -np.asarray(ev.hessian)[np.ix_(self.free, self.free)]
-        on_bound = (tf <= lo) | (tf >= hi)
-        blocks = [i for i in self.blocks if not on_bound[i : i + 3].any()]
-        ubox = np.array((lo, hi))
-        for i in blocks:
-            ubox[:, i : i + 3] = self.ubox[:, i : i + 3]
-        u0 = _u_of(tf, blocks)
-        jac_u = _theta_of(u0, blocks)[1]
-        factor = _cholesky(neg_h)
-        held = ((tf <= lo) & (g < 0.0)) | ((tf >= hi) & (g > 0.0))
+        jac_u = _theta_of(u, self.blocks)[1]
+        gu = jac_u.T @ g
+        held = ((u <= lo) & (gu < 0.0)) | ((u >= hi) & (gu > 0.0))
         while True:  # also hold each coordinate on a bound that the step would take out of the box
-            jac = jac_u[:, ~held]
-            gu, a = jac.T @ g, jac.T @ neg_h @ jac
-            modified = _cholesky(a) is None
-            if not modified:
-                du = np.linalg.solve(a, gu)
-            else:  # Hessian modification: |eigenvalues|, floored (Nocedal & Wright 2006, section 3.4)
+            keep = ~held
+            jac = jac_u[:, keep]
+            a = jac.T @ neg_h @ jac
+            factor = _cholesky(a)
+            try:
+                du = None if factor is None else np.linalg.solve(a, gu[keep])
+            except np.linalg.LinAlgError:  # a factor, but LU meets an exact zero pivot: modify a too
+                factor = None
+            if factor is None:  # Hessian modification: |eigenvalues|, floored (Nocedal & Wright 2006, section 3.4)
                 if not np.all(np.isfinite(a)):
                     return None, 0.0, None
                 w, v = np.linalg.eigh(a)
                 w = np.abs(w)
                 if not w.max() > 0.0:  # g and H vanish: the floored step would be 0 / 0
                     return None, 0.0, None
-                du = v @ ((v.T @ gu) / np.maximum(w, _EIGEN_FLOOR * w.max()))
-            step = np.zeros(tf.size)
-            step[~held] = du
-            out = ((tf <= lo) & (step < 0.0)) | ((tf >= hi) & (step > 0.0))
+                du = v @ ((v.T @ gu[keep]) / np.maximum(w, _EIGEN_FLOOR * w.max()))
+            step = np.zeros(u.size)
+            step[keep] = du
+            out = ((u <= lo) & (step < 0.0)) | ((u >= hi) & (step > 0.0))
             if not out.any():
                 break
             held |= out
 
         def path(halvings):
-            return np.clip(_to_the_box(u0, 0.5**halvings * step, blocks, ubox, lo, hi), lo, hi)
+            return np.clip(u + 0.5**halvings * step, lo, hi)
 
-        return path, 0.5 * float(gu @ du), None if modified else factor
+        return path, 0.5 * float(gu[keep] @ du), None if factor is None else _Factor(factor, keep, jac)
 
-    def newton(self, tf, ev, steps, data=None, uncensored=False):
-        """At most ``steps`` Newton steps from tf on the likelihood of ``data`` and ``uncensored`` (:meth:`loglik`).
+    def newton(self, u, ev, steps, data=None, uncensored=False):
+        """At most ``steps`` Newton steps from u on the likelihood of ``data`` and ``uncensored`` (:meth:`loglik`).
 
-        ``ev`` is the order-2 evaluation at tf, or None when that failed.  A
+        ``ev`` is the order-2 evaluation at u, or None when that failed.  A
         step whose evaluation fails or does not raise the log likelihood is
         halved (module docstring), every trial evaluated at order 2.  Returns
-        (point, evaluation, steps taken, outcome), the outcome the lower
-        Cholesky factor of -H when the point is a known optimum, else why the
+        (point, evaluation, steps taken, outcome), the outcome the
+        :class:`_Factor` of a when the point is a known optimum, else why the
         steps ended short of one, or why the point is none.
         """
         if ev is None:
-            return tf, ev, 0, "an order-2 evaluation failed"
+            return u, ev, 0, "an order-2 evaluation failed"
 
         def raises(new):
             return new is not None and new.loglik > ev.loglik
 
-        path, gain, factor = self.newton_step(tf, ev)
+        path, gain, factor = self.newton_step(u, ev)
         taken, stop = 0, None
         while taken < steps and path is not None:
             taken += 1
@@ -555,20 +565,20 @@ class _Problem:
             else:
                 stop = "an evaluation failed" if ev_new is None else "a step did not raise the log likelihood"
                 break
-            tf, ev, converged = x, ev_new, factor is not None and gain <= _NEWTON_GAIN_TOL
-            path, gain, factor = self.newton_step(tf, ev)
+            u, ev, converged = x, ev_new, factor is not None and gain <= _NEWTON_GAIN_TOL
+            path, gain, factor = self.newton_step(u, ev)
             if converged:
                 break
         if factor is not None and gain <= _NEWTON_GAIN_TOL:
-            return tf, ev, taken, factor
+            return u, ev, taken, factor
         if path is None:
             stop = "J' (-H) J is not finite or is zero: no step"
         elif stop is None and factor is None:
-            stop = "-H has no Cholesky factor"
-        return tf, ev, taken, stop or f"no convergence in {steps} step{'s' * (steps != 1)}"
+            stop = "J' (-H) J has no Cholesky factor"
+        return u, ev, taken, stop or f"no convergence in {steps} step{'s' * (steps != 1)}"
 
-    def minimize(self, t0):
-        """One start from t0: at most _FIRST_STEPS Newton steps (:meth:`newton`) on each stage.
+    def minimize(self, u0):
+        """One start from the step coordinates u0: at most _FIRST_STEPS Newton steps (:meth:`newton`) on each stage.
 
         Above _BLOCK distinct values the steps run on the groups first, then
         on every point from where they end; else on every point alone.
@@ -580,7 +590,7 @@ class _Problem:
         if self.grouped is not None:
             stages = [(f"Newton start on {self.grouped.unique.size} groups", self.grouped),
                       ("Newton finish on every point", None)]
-        x, n_iter, notes = t0, 0, []
+        x, n_iter, notes = u0, 0, []
         for name, data in stages:
             x, ev, taken, outcome = self.newton(x, self.evaluate(x, data), _FIRST_STEPS, data)
             n_iter += taken
@@ -595,10 +605,10 @@ def initialize(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig(), *,
     A user-supplied ``par_start`` is encoded and returned as-is.  Otherwise
     at most _FIRST_STEPS Newton steps (:meth:`_Problem.newton`) climb the
     uncensored likelihood of the unitless lengths (on their groups above
-    8 192 distinct values) from :meth:`ModelSpec.seed` clipped into the box;
-    their end point, which may lie on a face of the box, is shifted back to
-    data units.  If the seed's order-2 evaluation fails, the seed itself is
-    returned, with the evaluation's warning.  ``_unit`` is :func:`fit`'s
+    8 192 distinct values) from :meth:`ModelSpec.seed` clipped in u into the
+    box; their end point, which may lie on a face of the box, is shifted back
+    to data units.  If the seed's order-2 evaluation fails, the clipped seed
+    is returned, with the evaluation's warning.  ``_unit`` is :func:`fit`'s
     :class:`_Problem`, so that the unitless problem is built, and the inputs
     checked, once per fit.
     """
@@ -608,10 +618,11 @@ def initialize(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig(), *,
 
     # without par_start nothing is fixed (FitConfig), so any theta serves as theta_init
     unit_data = problem.data if problem.grouped is None else problem.grouped
-    problem.theta_init = theta0 = np.clip(model.seed(unit_data.values), problem.lo, problem.hi)
-    ev = problem.evaluate(theta0, problem.grouped, uncensored=True)
-    theta = problem.newton(theta0, ev, _FIRST_STEPS, problem.grouped, uncensored=True)[0]
-    return model.param_vector(theta + problem.shift)
+    problem.theta_init = model.seed(unit_data.values)
+    u0 = problem.into_box(problem.theta_init)
+    ev = problem.evaluate(u0, problem.grouped, uncensored=True)
+    u = problem.newton(u0, ev, _FIRST_STEPS, problem.grouped, uncensored=True)[0]
+    return model.param_vector(problem.tf_of(u) + problem.shift)
 
 
 def _label_swap(model: ModelSpec):
@@ -630,22 +641,24 @@ def _label_swap(model: ModelSpec):
     return np.r_[0, 1 + size : 1 + 2 * size, 1 : 1 + size], sign
 
 
-def _fines_first(model: ModelSpec, theta, fixed, hessian, trace):
+def _fines_first(model: ModelSpec, theta, masks, cov, trace):
     """Relabel a mixture so that fines is the component with the smaller Y-scale mean.
 
-    theta, the fixed mask, the Hessian and each start's theta0 follow the
-    swap (:func:`_label_swap`).  Returns (theta, fixed, hessian, trace).
+    theta, each per-coordinate mask of ``masks``, the covariance (or None)
+    and each start's theta0 follow the swap (:func:`_label_swap`).  Returns
+    (theta, masks, cov, trace).
     """
     swap = _label_swap(model)
     if swap is None:
-        return theta, fixed, hessian, trace
+        return theta, masks, cov, trace
     mix = model.params_from_original(model.from_theta(theta))
     if not mix.fines.mean() > mix.fibers.mean():
-        return theta, fixed, hessian, trace
+        return theta, masks, cov, trace
     perm, sign = swap
-    hessian = sign[:, None] * np.asarray(hessian)[np.ix_(perm, perm)] * sign[None, :]
+    if cov is not None:
+        cov = sign[:, None] * cov[np.ix_(perm, perm)] * sign[None, :]
     trace = [replace(rec, theta0=sign * rec.theta0[perm]) for rec in trace]
-    return sign * theta[perm], fixed[perm], hessian, trace
+    return sign * theta[perm], [mask[perm] for mask in masks], cov, trace
 
 
 _BASIN_TAIL = 0.01  # chi-square upper tail probability of the duplicate ellipsoid
@@ -668,19 +681,21 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
     """Maximize the model's observed log likelihood; best of at most ``n_starts``.
 
     The first start is the :func:`initialize` output; the remaining starts
-    add seeded N(0, 0.5) jitter on the theta scale, clipped into the box,
-    all drawn before any runs.  They run only when the first start is not a
-    known optimum or ``par_start`` is given; ``starts_tried`` and ``trace``
-    hold the starts that ran.  How a start runs, and its status
-    (``success``, ``stalled``, ``error`` or ``duplicate``, which does not
-    compete for the result), are the module docstring's; the start's
-    message names its steps, and why they stopped short of a known optimum.
-    Ties in log likelihood resolve to the earliest start.  The covariance
-    of theta-hat is the inverse negative analytic Hessian at the
-    maximizer, from the order-2 evaluation the start ended on, and the
-    original-scale covariance follows by the delta method.  All of this runs
-    on the unitless problem; a mixture is then relabeled so that fines is
-    the component with the smaller mean.
+    add seeded N(0, 0.5) jitter on the theta scale, all drawn before any
+    runs, and every start is clipped in u into the box.  They run only when
+    the first start is not a known optimum or ``par_start`` is given;
+    ``starts_tried`` and ``trace`` hold the starts that ran.  How a start
+    runs, and its status (``success``, ``stalled``, ``error`` or
+    ``duplicate``, which does not compete for the result), are the module
+    docstring's; the start's message names its steps, and why they stopped
+    short of a known optimum.  Ties in log likelihood resolve to the earliest
+    start, whose status is ``convergence``.  The covariance of theta-hat is
+    J a^-1 J' (module docstring) at the point that start ended on, from the
+    order-2 evaluation there, or None where a has no Cholesky factor; the
+    original-scale covariance follows by the delta method, and a coordinate
+    held on a bound is named in ``on_bound`` and gets a NaN standard error.
+    All of this runs on the unitless problem; a mixture is then relabeled so
+    that fines is the component with the smaller mean.
     """
     expected_scale = "X" if model.data_type == OFA else "V"
     if data.scale != expected_scale:
@@ -692,28 +707,48 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
     problem = _Problem(data, model, cfg)
     theta_start = np.array(initialize(data, model, cfg, _unit=problem).values)
     problem.theta_init = theta_start - problem.shift
-    fixed, free = problem.fixed, problem.free
+    fixed, free, n_par = problem.fixed, problem.free, model.n_params
 
     def to_data_units(theta):
         return np.where(fixed, theta_start, theta + problem.shift)  # fixed values exactly as given
 
-    def finish(theta, ev, status, trace, starts_tried):
-        theta, mask, hessian, trace = _fines_first(model, to_data_units(theta), fixed, ev.hessian, trace)
-        loglik = ev.loglik - data.n * problem.log_s0
-        return _finalize(model, data, theta, mask, loglik, hessian, status, trace, starts_tried)
+    def finish(u, ev, status, trace, starts_tried):
+        cov_theta, held = np.zeros((n_par, n_par)), np.zeros(n_par, dtype=bool)
+        factor = problem.newton_step(u, ev)[2] if u.size else None
+        if factor is not None:
+            cov_theta[np.ix_(free, free)] = factor.covariance()
+            held[free] = ~factor.keep
+        elif u.size:
+            cov_theta = None
+        theta, (mask, held, loc_scale), cov_theta, trace = _fines_first(
+            model, to_data_units(problem.theta(problem.tf_of(u))), (fixed, held, problem.loc_scale), cov_theta, trace)
+        names = [("m" if n[0] == "b" else "s") + n[1:] if ls else n for n, ls in zip(model.param_names, loc_scale)]
+        cov_tilde = se_tilde = None
+        flagged = False  # J a^-1 J' is a Gram matrix: only rounding can make cov_tilde indefinite
+        if cov_theta is not None:
+            chain = model.chain_vector(theta)
+            chain[mask & ~np.isfinite(chain)] = 0.0
+            cov_tilde = chain[:, None] * cov_theta * chain[None, :]
+            eig = np.linalg.eigvalsh(0.5 * (cov_tilde + cov_tilde.T))
+            flagged = bool(eig.size) and eig.min() < -1e-10 * max(eig.max(), 1.0)
+            if not flagged:
+                se_tilde = np.where(held, np.nan, np.sqrt(np.clip(np.diag(cov_tilde), 0.0, None)))
+        return FitResult(
+            model=model, theta_hat=model.param_vector(theta, tuple(mask)), theta_tilde=model.from_theta(theta),
+            loglik=ev.loglik - data.n * problem.log_s0, cov_theta=cov_theta, cov_tilde=cov_tilde, se_tilde=se_tilde,
+            convergence=status, n=data.n, starts_tried=starts_tried, trace=trace, se_flagged=flagged,
+            on_bound=tuple(n for n, h in zip(names, held) if h),
+        )
 
     if not np.any(free):
-        return finish(problem.theta_init, problem.loglik(problem.theta_init[free], 2), "success", [], 0)
+        return finish(problem.theta_init[free], problem.loglik(problem.theta_init[free], 2), "success", [], 0)
 
-    rng = np.random.default_rng(cfg.seed)
-    lo, hi = problem.lo[free], problem.hi[free]
-    starts = [np.clip(problem.theta_init[free], lo, hi)]
-    for _ in range(cfg.n_starts - 1):
-        jitter = rng.normal(0.0, 0.5, size=int(free.sum()))
-        starts.append(np.clip(problem.theta_init[free] + jitter, lo, hi))
+    rng, base = np.random.default_rng(cfg.seed), problem.theta_init[free]
+    jitters = [np.zeros(base.size)] + [rng.normal(0.0, 0.5, size=base.size) for _ in range(cfg.n_starts - 1)]
+    starts = [problem.into_box(base + jitter) for jitter in jitters]
 
     chi2 = chdtri(int(free.sum()), _BASIN_TAIL)
-    known = []  # (start index, x_hat, lower Cholesky factor of -H)
+    known = []  # (start index, u_hat, its _Factor)
     swap = _label_swap(model)
     if swap is not None:
         perm, sign = swap
@@ -721,92 +756,45 @@ def fit(data: Dataset, model: ModelSpec, cfg: FitConfig = FitConfig()) -> FitRes
         if not (np.array_equal(fixed[perm], fixed) and np.array_equal((sign * base[perm])[fixed], base[fixed])):
             swap = None  # the relabelled points would hold other fixed values: they are not points of this fit
 
-    def basin(x):
-        """(start index, relabelled) of the first known optimum whose ellipsoid holds x or its relabelled image."""
-        images = [x] if swap is None else [x, (sign * problem.theta(x)[perm])[free]]
-        for i, x_hat, factor in known:
+    def basin(u):
+        """(start index, relabelled) of the first known optimum whose ellipsoid holds u or its relabelled image."""
+        # the swap acts on u as on theta: it exchanges blocks with blocks, and negates logit eps alone
+        images = [u] if swap is None else [u, (sign * problem.theta(u)[perm])[free]]
+        for i, u_hat, factor in known:
             for relabelled, z in enumerate(images):
-                if np.sum((factor.T @ (z - x_hat)) ** 2) < chi2:
+                if np.sum((factor.lower.T @ (z - u_hat)[factor.keep]) ** 2) < chi2:
                     return i, relabelled
         return None
 
-    trace, results = [], []  # results: (loglik, start index, x, status, order-2 evaluation)
+    trace, results = [], []  # results: (loglik, start index, u, status, order-2 evaluation)
 
-    def record(idx, t0, loglik, status, n_iter, message):
-        theta0 = to_data_units(problem.theta(t0))
+    def record(idx, u0, loglik, status, n_iter, message):
+        theta0 = to_data_units(problem.theta(problem.tf_of(u0)))
         trace.append(StartRecord(idx, theta0, loglik - data.n * problem.log_s0, status, n_iter, message))
-    for idx, t0 in enumerate(starts):
+    for idx, u0 in enumerate(starts):
         if idx == 1 and known and cfg.par_start is None:
             break  # the first start is a known optimum: later starts would only find its basin again
-        x, ev, n_iter, outcome, message = problem.minimize(t0)
+        u, ev, n_iter, outcome, message = problem.minimize(u0)
         if ev is None:
-            record(idx, t0, -np.inf, "error", n_iter, message)
+            record(idx, u0, -np.inf, "error", n_iter, message)
             continue
         if isinstance(outcome, str):
             status = "stalled"
         else:
-            inside = basin(x)
+            inside = basin(u)
             status = "duplicate" if inside else "success"
             if inside:
                 message += f"; in the basin of start {inside[0]}{' with the labels exchanged' * inside[1]}"
             else:
-                known.append((idx, x, outcome))
-        record(idx, t0, ev.loglik, status, n_iter, message)
+                known.append((idx, u, outcome))
+        record(idx, u0, ev.loglik, status, n_iter, message)
         if status != "duplicate":
-            results.append((ev.loglik, idx, x, status, ev))
+            results.append((ev.loglik, idx, u, status, ev))
     if not results:
         raise FitError("all optimization starts failed", trace)
 
-    _, _, x_best, best_status, ev = min(results, key=lambda t: (-t[0], t[1]))
-    return finish(problem.theta(x_best), ev, best_status, trace, len(trace))
-
-
-def _finalize(model, data, theta_hat, fixed, loglik, hessian, status, trace, starts_tried):
-    """FitResult at theta_hat; a -H that does not invert gives no covariance and ``singular_hessian``."""
-    free = ~fixed
-    n_par = model.n_params
-    cov_theta = cov_tilde = se_tilde = None
-    flagged = False
-    convergence = status
-    if np.any(free):
-        hess_free = np.asarray(hessian)[np.ix_(free, free)]
-        try:
-            cov_free = np.linalg.inv(-hess_free)
-            cov_free = 0.5 * (cov_free + cov_free.T)
-            if not np.all(np.isfinite(cov_free)) or np.any(np.diag(cov_free) <= 0.0):
-                raise np.linalg.LinAlgError("non-positive variance")
-            cov_theta = np.zeros((n_par, n_par))
-            cov_theta[np.ix_(free, free)] = cov_free
-        except np.linalg.LinAlgError:
-            convergence = "singular_hessian"
-    else:
-        cov_theta = np.zeros((n_par, n_par))
-
-    if cov_theta is not None:
-        chain = model.chain_vector(theta_hat)
-        chain[fixed & ~np.isfinite(chain)] = 0.0
-        cov_tilde = chain[:, None] * cov_theta * chain[None, :]
-        eig = np.linalg.eigvalsh(0.5 * (cov_tilde + cov_tilde.T))
-        if eig.size and eig.min() < -1e-10 * max(eig.max(), 1.0):
-            flagged = True
-            se_tilde = None
-        else:
-            se_tilde = np.sqrt(np.clip(np.diag(cov_tilde), 0.0, None))
-
-    return FitResult(
-        model=model,
-        theta_hat=model.param_vector(theta_hat, tuple(fixed)),
-        theta_tilde=model.from_theta(theta_hat),
-        loglik=loglik,
-        cov_theta=cov_theta,
-        cov_tilde=cov_tilde,
-        se_tilde=se_tilde,
-        convergence=convergence,
-        n=data.n,
-        starts_tried=starts_tried,
-        trace=trace,
-        se_flagged=flagged,
-    )
+    _, _, u_best, best_status, ev = min(results, key=lambda t: (-t[0], t[1]))
+    return finish(u_best, ev, best_status, trace, len(trace))
 
 
 def covariance_original_scale(result: FitResult) -> np.ndarray:

@@ -177,10 +177,10 @@ def summary_stats(fit: FitResult) -> SummaryStats:
     and for mixture fits the tree-scale fines proportion and mean length.
 
     The statistics are those of the fit's own core radius, since Y is W
-    length-biased by pi r + 2 w.
+    length-biased by pi r + 2 w.  The SEs are conditional on the
+    coordinates that the fit holds on a bound (``FitResult.on_bound``).
     """
-    geom = fit.model.geom
-    cov = fit.cov_theta if fit.convergence != "singular_hessian" else None
+    geom, cov = fit.model.geom, fit.cov_theta
     params = fit.model.params_from_original(fit.theta_tilde)
 
     if fit.model.data_type == MICROSCOPY:  # no fines and no tree-scale fields
@@ -208,7 +208,7 @@ def summary_ses(fit: FitResult) -> dict:
     and ``mean_w`` for mixture fits.  Raises when the fit carries no usable
     covariance.
     """
-    if fit.cov_theta is None or fit.convergence == "singular_hessian":
+    if fit.cov_theta is None:
         raise ValueError("no covariance available: fit did not produce a usable Hessian")
     stats = summary_stats(fit)
     out = {}

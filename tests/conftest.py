@@ -156,7 +156,7 @@ def start_ends(monkeypatch):
 
 
 def assert_known_optima(res, ends):
-    """Every ``success`` and ``duplicate`` start ends where -H has a Cholesky factor and Newton predicts no gain."""
+    """Every ``success`` and ``duplicate`` start ends in u where a = J' (-H) J has a Cholesky factor and Newton predicts no gain."""
     assert len(ends) == len(res.trace)
     for rec, (problem, x, ev) in zip(res.trace, ends):
         if rec.status in ("success", "duplicate"):

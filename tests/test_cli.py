@@ -23,6 +23,7 @@ from fiberfit import (
 from fiberfit import cli
 from fiberfit.cli import _stats_table, main
 from fiberfit.summary import ComponentStats, SummaryStats
+from conftest import MIX_SIM
 
 
 def run_cli(*args):
@@ -224,6 +225,37 @@ def test_fit_par_start_outside_the_domain_exits_2(tmp_path):
         assert proc.stderr.startswith(f"error: {name}") and "Traceback" not in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
         assert not out.exists()  # a failed run writes nothing
+
+
+@pytest.mark.parametrize("flag, name", [("--seed=-1", "seed"), ("--starts=0", "n_starts")])
+def test_fit_seed_and_starts_are_checked_before_the_fit(tmp_path, capsys, monkeypatch, flag, name):
+    # a negative seed was rejected by numpy only after the initialization had run,
+    # in a message that named no field
+    data, out = tmp_path / "v.txt", tmp_path / "fit"
+    assert run_cli("simulate", "--scale", "v", "--par", "2.4,3.3,1.5", "--r", "2.5",
+                   "--n", "100", "--seed", "9", "--out", str(data)) == 0
+    monkeypatch.setattr(cli, "fit", lambda *_: pytest.fail("the fit ran"))
+    rc = run_cli("fit", "--data", str(data), "--data-type", "microscopy", "--model", "ggamma", "--r", "2.5",
+                 flag, "--out", str(out))
+    assert_error(capsys, rc, 2, f"error: {name}")
+    assert not out.exists()
+
+
+def test_fit_on_a_bound_is_reported(tmp_path, capsys):
+    # this OFA ggamma maximum has k1 on its upper bound 50: summary.txt prints "bound"
+    # for its standard error and names it, and fit.json writes null and lists it
+    data, out = tmp_path / "x.txt", tmp_path / "fit"
+    x = sample_x(SimSpec("X", MIX_SIM, CoreGeometry(6.0), 300, seed=5184))
+    data.write_text("\n".join(repr(float(v)) for v in x) + "\n")
+    assert run_cli("fit", "--data", str(data), "--r", "6", "--out", str(out)) == 0
+    lines = (out / "summary.txt").read_text().splitlines()
+    header = lines.index("Model parameters:") + 1
+    names, ses = lines[header].split(), lines[header + 2].split()
+    assert ses[:2] == ["Std.", "Error"] and ses[2:][names.index("k_fines")] == "bound"
+    assert lines[header + 3] == "On a bound (no Std. Error; the others are conditional on it): k1"
+    blob = json.loads((out / "fit.json").read_text())
+    assert blob["on_bound"] == ["k1"] and blob["se_original"][3] is None
+    assert all(isinstance(v, float) for i, v in enumerate(blob["se_original"]) if i != 3)
 
 
 @pytest.mark.parametrize("error", [FitError("all optimization starts failed", []),

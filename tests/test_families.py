@@ -76,6 +76,18 @@ def test_standard_form_quantile_inverts_log_cdf(family):
         assert np.allclose(got, log_p, rtol=1e-12, atol=0.0)
 
 
+def test_generalized_gamma_log_cdf_where_the_gamma_cdf_underflows():
+    # the corner m = 10, s = 10, k = 1e-4 of the default (m, s, k) box, unitless, of a
+    # microscopy fit at r = 2.5: d = 1e3 and b = 4.9e8 put 2r at s = -18 391, where
+    # e^s and so P(k, e^s) underflow; the log CDF read -inf there, the uncut mass 0,
+    # and the clamped normalizer a log likelihood of +205 568 on 300 lengths, which a
+    # later start of a fit reached.  mpmath at 30 digits: -1.8390562074326711
+    _, c, log_cdf, _ = FAMILIES["ggamma"].standard_form(FAMILIES["ggamma"].params(485445201.4299154, 1000.000008223467, 1e-4))
+    s = c * (np.log(5.0) - np.log(485445201.4299154))
+    assert s < -745.0
+    assert log_cdf(np.array([s]))[0] == pytest.approx(-1.8390562074326711, rel=1e-12)
+
+
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_sampler_mean(family):
     rng = np.random.default_rng(4)

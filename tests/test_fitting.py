@@ -76,6 +76,12 @@ def test_chain_vector_fixtures():
 def test_fit_config_validation():
     with pytest.raises(ValueError):
         FitConfig(n_starts=0)
+    # n_starts and seed are checked where they enter, each named, numpy integers accepted
+    for kwargs, name in [({"n_starts": 2.5}, "n_starts"), ({"n_starts": True}, "n_starts"),
+                         ({"seed": 1.5}, "seed"), ({"seed": -1}, "seed"), ({"seed": "1"}, "seed")]:
+        with pytest.raises(ValueError, match=f"^{name} "):
+            FitConfig(**kwargs)
+    assert FitConfig(n_starts=np.int64(3), seed=np.uint32(7)).n_starts == 3
     with pytest.raises(ValueError):
         FitConfig(fixed_mask=(True, False, False))  # no par_start
 
@@ -253,7 +259,7 @@ def test_newton_first_start_without_a_cholesky_factor_is_stalled(monkeypatch):
     monkeypatch.setattr(fitting._Problem, "newton", one_censored_first_step)
     res = fit(data, model, FitConfig())
     assert res.trace[0].status == "stalled" and res.trace[0].n_iter == 1
-    assert res.trace[0].message == "Newton start on every point stopped (-H has no Cholesky factor)"
+    assert res.trace[0].message == "Newton start on every point stopped (J' (-H) J has no Cholesky factor)"
     assert res.starts_tried == 5 and "success" in [rec.status for rec in res.trace[1:]]
     assert res.convergence == "success" and res.loglik >= -287.95114304430035 - 1e-9
 
@@ -272,27 +278,74 @@ def test_newton_first_start_halves_a_step_whose_evaluation_fails():
 
 @pytest.mark.parametrize("seed, loglik", [(5005, -303.7736956556009), (5028, -280.39890686538945)])
 def test_newton_first_start_stops_on_the_face_it_meets(seed, loglik):
-    # the maximum of these OFA ggamma fits lies on the log b1 face; Newton steps in u
-    # that cross it end there, so the first start is a known optimum at or above the
-    # log likelihood that five L-BFGS-B starts reached
+    # the maximum of these OFA ggamma fits lay on the log b1 face of the theta box,
+    # at the log likelihood of the parametrization, at or above what five L-BFGS-B
+    # starts reached; in the (m, s, k) box it lies inside, and the first start is a
+    # known optimum there
+    pinned = {5005: -303.76869852642426, 5028: -280.3897792554762}[seed]
     data = Dataset(sample_x(SimSpec("X", MIX_SIM, CoreGeometry(6.0), 300, seed=seed)), "X")
     res = fit(data, ModelSpec("ggamma", "ofa", CoreGeometry(6.0)), FitConfig())
     assert res.starts_tried == 1 and res.trace[0].message.startswith("Newton start on every point:")
     assert res.convergence == "success" and res.loglik >= loglik - 1e-9
-    assert res.theta_tilde[1] == pytest.approx(1e-4 * np.median(data.values), rel=1e-12)  # b1 on its bound
+    assert res.loglik == pytest.approx(pinned, abs=1e-9) and res.on_bound == ()
+    assert res.theta_tilde[1] < 1e-4 * np.median(data.values)  # below the old b1 bound
 
 
 @pytest.mark.parametrize("seed, loglik", [(1, -1499.426316559048), (6, -1526.0603061240095)])
 def test_newton_first_start_on_the_k_ridge_holds_the_faces(seed, loglik):
-    # generalized gamma fits of a lognormal mixture: the maximum sits on the log b1
-    # and log k2 faces, and a Newton step would leave a face that the gradient does
-    # not pin; holding that coordinate too, Newton steps reach a known optimum
+    # generalized gamma fits of a lognormal mixture run along the k -> infinity ridge.
+    # In the theta box the maximum sat on the log b1 and log k2 faces at ``loglik``;
+    # in the (m, s, k) box it sits higher, on the k1 and k2 faces, and Newton steps
+    # that hold both reach a known optimum there
+    pinned = {1: -1498.2297450358074, 6: -1525.944990126246}[seed]
     geom = CoreGeometry(6.0)
     truth = MixtureParams(0.3, LognParams(-2.0, 0.5), LognParams(0.9, 0.25))
     data = Dataset(sample_x(SimSpec("X", truth, geom, 1500, seed=seed)), "X")
     res = fit(data, ModelSpec("ggamma", "ofa", geom), FitConfig())
     assert res.starts_tried == 1 and res.trace[0].message.startswith("Newton start on every point:")
-    assert res.convergence == "success" and res.loglik == pytest.approx(loglik, abs=1e-9)
+    assert res.convergence == "success" and res.loglik >= loglik - 1e-9
+    assert res.loglik == pytest.approx(pinned, abs=1e-9) and res.on_bound == ("k1", "k2")
+
+
+def test_a_maximum_on_a_face_names_its_coordinate():
+    # in the theta box this fit certified on the b1 face at -284.68594155173; in the
+    # (m, s, k) box it reaches k1 = 50 higher, where the full -H is indefinite but a
+    # over the coordinates left free factors: one start certifies, k1 is named on its
+    # bound and has no standard error, and the others are conditional on it
+    data = Dataset(sample_x(SimSpec("X", MIX_SIM, CoreGeometry(6.0), 300, seed=5184)), "X")
+    res = fit(data, ModelSpec("ggamma", "ofa", CoreGeometry(6.0)), FitConfig())
+    assert res.starts_tried == 1 and res.convergence == "success"
+    assert res.loglik == pytest.approx(-284.6834767304402, abs=1e-9) and res.loglik > -284.68594155173
+    assert res.on_bound == ("k1",) and res.theta_tilde[3] == pytest.approx(50.0, rel=1e-12)
+    assert np.isnan(res.se_tilde[3]) and np.all(np.isfinite(np.delete(res.se_tilde, 3)))
+    assert res.cov_theta[3, 3] == 0.0 and np.all(np.linalg.eigvalsh(-res.cov_theta) <= 1e-12)
+
+
+def test_a_stalled_best_start_stays_stalled():
+    # k2 fixed away from the maximum and a start at the maximum with k2 moved: the one
+    # start stalls where a has no Cholesky factor, which the fit used to report as
+    # ``singular_hessian``; convergence is the start's status, with no covariance
+    data = Dataset(sample_x(SimSpec("X", MIX_SIM, CoreGeometry(6.0), 300, seed=5033)), "X")
+    model = ModelSpec("ggamma", "ofa", CoreGeometry(6.0))
+    start = np.array(fit(data, model, FitConfig()).theta_tilde)
+    start[6] = 8.3839
+    res = fit(data, model, FitConfig(par_start=tuple(start), fixed_mask=(False,) * 6 + (True,), n_starts=1))
+    assert [rec.status for rec in res.trace] == ["stalled"] and res.convergence == "stalled"
+    assert res.loglik == pytest.approx(-412.831, abs=1e-3)
+    assert res.cov_theta is None and res.cov_tilde is None and res.se_tilde is None
+
+
+def test_a_later_start_at_a_far_corner_of_the_box_does_not_win():
+    # start 2 of this fit ran to the corner m = 10, s = 10, k = 1e-4 of the (m, s, k)
+    # box, where the uncut mass read 0 (the gamma CDF underflows there) and the
+    # clamped normalizer gave a log likelihood of +206 164, which won the fit; with
+    # the log CDF of that corner, every later start ends in start 0's basin
+    geom = CoreGeometry(2.5)
+    data = Dataset(sample_v(SimSpec("V", GgdParams(2.4, 3.3, 1.5), geom, 300, seed=7)), "V")
+    model = ModelSpec("ggamma", "microscopy", geom)
+    res = fit(data, model, FitConfig(par_start=_initial(data, model), n_starts=5, seed=2))
+    assert [rec.status for rec in res.trace] == ["success"] + ["duplicate"] * 4
+    assert res.loglik == pytest.approx(fit(data, model, FitConfig()).loglik, abs=1e-9)
 
 
 def test_par_start_runs_every_start():
@@ -391,8 +444,8 @@ def test_eps_fixed_at_zero_boundary():
         seed=4,
     )
     res2 = fit(Dataset(x, "X"), model, loose)
-    assert res2.convergence == "singular_hessian"
-    assert res2.cov_tilde is None
+    assert res2.convergence == "stalled"
+    assert res2.cov_theta is None and res2.cov_tilde is None and res2.se_tilde is None
     with pytest.raises(ValueError):
         covariance_original_scale(res2)
 
@@ -489,7 +542,8 @@ def test_start_stopped_short_is_no_known_optimum(monkeypatch):
     # definite but its Newton model still predicted a gain above 1e-6, and start 3
     # with ``success`` where -H had no Cholesky factor.  Every start now takes Newton
     # steps, and reads ``success`` or ``duplicate`` only at a known optimum.  The
-    # maximum has b1 at its lower bound, 1e-4 times the median length.
+    # maximum had b1 at its lower bound of the theta box, 1e-4 times the median
+    # length; in the (m, s, k) box it lies higher, on the k1 face.
     geom = CoreGeometry(6.0)
     data = Dataset(sample_x(SimSpec("X", MIX_SIM, geom, 500, seed=1)), "X")
     model = ModelSpec("ggamma", "ofa", geom)
@@ -498,7 +552,7 @@ def test_start_stopped_short_is_no_known_optimum(monkeypatch):
     maximum = -458.2918103230642  # best of these starts run alone
     assert res.loglik >= maximum - 1e-6
     assert_known_optima(res, ends)
-    assert res.theta_tilde[1] == pytest.approx(1e-4 * np.median(data.values), rel=1e-12)
+    assert res.loglik == pytest.approx(-458.1313938262417, abs=1e-8) and res.on_bound == ("k1",)
 
 
 def test_start_stopped_short_names_why_it_is_no_known_optimum(monkeypatch):

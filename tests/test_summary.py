@@ -153,6 +153,6 @@ def test_fixed_parameter_zeroes_se_contribution():
 def test_summary_ses_requires_covariance(micro_fit_result):
     import dataclasses
 
-    broken = dataclasses.replace(micro_fit_result, convergence="singular_hessian")
+    broken = dataclasses.replace(micro_fit_result, cov_theta=None)
     with pytest.raises(ValueError):
         summary_ses(broken)
